@@ -24,7 +24,9 @@ from .channels import (
     rotation_superoperator,
     thermal_populations,
     thermal_state,
+    thermal_state_dT,
     thermalization_channel,
+    thermalization_channel_dT,
 )
 from .estimation import (
     EstimationReport,
@@ -74,7 +76,8 @@ __all__ = [
     "collision_superoperator", "collision_unitary", "collision_unitary_qubit",
     "collision_unitary_qubit_qutrit", "kraus_from_collision",
     "lindblad_generator", "nbar", "rotation_superoperator",
-    "thermal_populations", "thermal_state", "thermalization_channel",
+    "thermal_populations", "thermal_state", "thermal_state_dT",
+    "thermalization_channel", "thermalization_channel_dT",
     "EstimationReport", "ParamDerivatives", "Qfim", "ThermalFim",
     "build_report", "classical_fim", "det_singular_threshold", "eta_metrics",
     "finite_diff_derivatives", "qfim", "singularity_test", "sld", "thermal_fim",

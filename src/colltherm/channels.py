@@ -8,15 +8,24 @@ This module builds every channel the protocol composes:
   (qutrit) ancilla,
 * the environment-trace Kraus decomposition of a collision,
 * ancilla rotations ``exp(-i theta G_axis)`` and their superoperators,
-* the partial-thermalization channel: the exponential of the standard
-  two-level GKSL generator with rates ``gamma (nbar + 1)`` (decay) and
-  ``gamma nbar`` (excitation), whose unique fixed point is the thermal state.
+* the partial-thermalization channel generated by the standard two-level
+  GKSL generator with rates ``gamma (nbar + 1)`` (decay) and ``gamma nbar``
+  (excitation): a generalized amplitude-damping channel, written in closed
+  form, whose unique fixed point is the thermal state.
+
+Temperatures enter the protocol only through the thermal probe state and the
+partial-thermalization channel, so those two also come with their exact
+temperature derivatives (:func:`thermal_state_dT`,
+:func:`thermalization_channel_dT`).  Gibbs quantities are written through
+``exp(-omega/T)``, which underflows to 0 at low temperature instead of
+overflowing.
 
 Superoperators use the row-major vectorization of :mod:`colltherm.linalg`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,7 @@ __all__ = [
     "KrausSet",
     "thermal_populations",
     "thermal_state",
+    "thermal_state_dT",
     "nbar",
     "collision_unitary_qubit",
     "collision_unitary_qubit_qutrit",
@@ -40,6 +50,7 @@ __all__ = [
     "rotation_superoperator",
     "lindblad_generator",
     "thermalization_channel",
+    "thermalization_channel_dT",
 ]
 
 KRAUS_COMPLETENESS_TOL = 1e-10
@@ -147,17 +158,23 @@ class KrausSet:
         return sop
 
 
+def _gibbs(omega: float, T: float) -> tuple[float, float, float]:
+    """(lambda_0, lambda_1, omega/T), overflow-free for omega > 0."""
+    if not T > 0:
+        raise ValueError(f"temperature: must be > 0, got {T}")
+    x = omega / T
+    b = math.exp(-x)
+    return b / (1.0 + b), 1.0 / (1.0 + b), x
+
+
 def thermal_populations(omega: float, T: float) -> tuple[float, float]:
     """(lambda_0, lambda_1) = (excited, ground) Gibbs populations.
 
     With energies E = (+omega/2, -omega/2) for basis (|0>, |1>):
     lambda_0 = 1/(1 + e^{omega/T}) < lambda_1.
     """
-    if not T > 0:
-        raise ValueError(f"temperature: must be > 0, got {T}")
-    x = omega / T
-    lam0 = 1.0 / (1.0 + np.exp(x))
-    return float(lam0), float(1.0 - lam0)
+    lam0, lam1, _ = _gibbs(omega, T)
+    return lam0, lam1
 
 
 def thermal_state(omega: float, T: float, dim: int = 2) -> DensityMatrix:
@@ -168,23 +185,34 @@ def thermal_state(omega: float, T: float, dim: int = 2) -> DensityMatrix:
     return DensityMatrix(np.diag([lam0, lam1]).astype(complex), (2,))
 
 
+def thermal_state_dT(omega: float, T: float) -> np.ndarray:
+    """d/dT of the qubit Gibbs state: diag(1, -1) d lambda_0/dT, with
+    d lambda_0/dT = (omega/T^2) lambda_0 lambda_1."""
+    lam0, lam1, x = _gibbs(omega, T)
+    d = lam0 * lam1 * x / T
+    return np.diag([d, -d]).astype(complex)
+
+
 def nbar(omega: float, T: float) -> float:
     """Bose occupation of the bath mode at the probe frequency."""
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
-    return float(1.0 / np.expm1(omega / T))
+    x = omega / T
+    return math.exp(-x) / -math.expm1(-x)
 
 
 def collision_unitary_qubit(spec: CollisionSpec) -> np.ndarray:
     """exp(-i H tau) for the qubit-qubit exchange H = g(s+ s- + s- s+).
 
-    Equals the 2x2-rotation block form
-    [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] with c = cos(g tau),
-    s = sin(g tau): both off-diagonal entries carry -i, as required by
-    unitarity of the exponential of a real-symmetric coupling.
+    H couples only |01> and |10>, so the exponential is the 2x2-rotation
+    block form [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] with
+    c = cos(g tau), s = sin(g tau): both off-diagonal entries carry -i, as
+    required by unitarity of the exponential of a real-symmetric coupling.
     """
-    h = kron(operators.SPLUS, operators.SMINUS) + kron(operators.SMINUS, operators.SPLUS)
-    return linalg.matrix_exp(h, scale=-1j * spec.angle)
+    c, s = math.cos(spec.angle), math.sin(spec.angle)
+    return np.array(
+        [[1, 0, 0, 0], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex
+    )
 
 
 def collision_unitary_qubit_qutrit(spec: CollisionSpec) -> np.ndarray:
@@ -274,8 +302,46 @@ def lindblad_generator(bath: BathSpec) -> np.ndarray:
     )
 
 
+def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:
+    """Closed-form data of the partial-thermalization channel.
+
+    Returns (lambda_0, lambda_1, e, d lambda_0/dT, d ln(e)/dT) with
+    e = exp(-Gamma t) the population damping factor and
+    Gamma = gamma (2 nbar + 1) the population relaxation rate.
+    """
+    lam0, lam1, x = _gibbs(bath.omega, bath.temperature)
+    n = nbar(bath.omega, bath.temperature)
+    gt = bath.gamma * bath.therm_time
+    dn = n * (n + 1.0) * x / bath.temperature
+    e = math.exp(-gt * (2.0 * n + 1.0))
+    return lam0, lam1, e, lam0 * lam1 * x / bath.temperature, -2.0 * gt * dn
+
+
+def _population_coherence_map(p00, p03, p30, p33, coh) -> np.ndarray:
+    """4x4 superoperator that maps the populations (rho_00, rho_11) by
+    [[p00, p03], [p30, p33]] and scales both coherences by ``coh``."""
+    return np.array(
+        [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]], dtype=complex
+    )
+
+
 def thermalization_channel(bath: BathSpec) -> np.ndarray:
-    """Partial-thermalization channel exp(L * therm_time) (4x4 superoperator)."""
-    if bath.therm_time == 0.0:
-        return np.eye(4, dtype=complex)
-    return linalg.matrix_exp(lindblad_generator(bath), scale=bath.therm_time)
+    """Partial-thermalization channel exp(L * therm_time) (4x4 superoperator).
+
+    The generalized amplitude-damping closed form: populations relax toward
+    the Gibbs weights by the factor e = exp(-Gamma t), coherences decay by
+    sqrt(e).
+    """
+    lam0, lam1, e, _, _ = _damping(bath)
+    return _population_coherence_map(
+        e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e), math.sqrt(e)
+    )
+
+
+def thermalization_channel_dT(bath: BathSpec) -> np.ndarray:
+    """Temperature derivative of :func:`thermalization_channel`, entrywise."""
+    lam0, lam1, e, dlam0, dlog = _damping(bath)
+    a, de = dlam0 * (1.0 - e), e * dlog
+    return _population_coherence_map(
+        a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, 0.5 * math.sqrt(e) * dlog
+    )

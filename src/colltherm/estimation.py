@@ -3,8 +3,10 @@
 Symmetric logarithmic derivatives (SLDs), the quantum Fisher information
 matrix (QFIM), the classical Fisher information of a given POVM, the
 thermal-equilibrium benchmark matrix, the two figures of merit, the
-rank-deficiency (singularity) test for two-parameter qubit families, and the
-finite-difference derivative layer used by every protocol evaluator.
+rank-deficiency (singularity) test for two-parameter qubit families, and a
+finite-difference derivative route.  The protocol evaluators propagate exact
+derivatives; :func:`finite_diff_derivatives` is the independent reference
+they are cross-checked against.
 
 Notation: for a state family rho(T_1, ..., T_N), the SLD L_mu solves
 
@@ -74,11 +76,14 @@ class ParamDerivatives:
     def __post_init__(self):
         object.__setattr__(self, "rho", _as_mat(self.rho))
         object.__setattr__(self, "derivs", tuple(np.asarray(d, dtype=complex) for d in self.derivs))
-        for mu, d in enumerate(self.derivs):
-            herm = np.max(np.abs(d - d.conj().T))
+        if not self.derivs:
+            return
+        stack = np.array(self.derivs)
+        herms = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+        traces = np.abs(np.trace(stack, axis1=1, axis2=2))
+        for mu, (herm, tr) in enumerate(zip(herms, traces)):
             if herm > DERIV_HERM_TOL:
                 raise ValueError(f"derivative {mu} not Hermitian: defect {herm:.3e}")
-            tr = abs(d.trace())
             if tr > DERIV_TRACE_TOL:
                 raise ValueError(f"derivative {mu} not traceless: |trace| {tr:.3e}")
 
@@ -87,13 +92,15 @@ class ParamDerivatives:
         return len(self.derivs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Qfim:
     """QFIM with the SLDs it was built from.
 
-    ``slds`` may be empty for additively composed matrices (product-state
-    streams), where the logarithmic derivatives live block-locally on the
-    individual factors and only their matrix sum is meaningful.
+    ``slds`` may be empty: for additively composed matrices (product-state
+    streams) the logarithmic derivatives live block-locally on the
+    individual factors and only their matrix sum is meaningful, and the
+    reports of :func:`colltherm.protocols.evaluate` drop the SLDs after
+    taking their commutator norm.
     """
 
     matrix: np.ndarray
@@ -120,7 +127,7 @@ class Qfim:
         return float(np.trace(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThermalFim:
     """Diagonal benchmark matrix of per-bath equilibrium Fisher informations."""
 
@@ -143,7 +150,7 @@ class ThermalFim:
         return float(np.trace(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimationReport:
     """Everything a protocol run reports about one parameter point.
 
@@ -169,41 +176,39 @@ def sld(rho, drho, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     than 1e-8 inside the kernel-kernel block, which means the derivative
     leaves the family's support and no SLD reproduces it.
     """
-    rho = _as_mat(rho)
-    drho = np.asarray(drho, dtype=complex)
-    w, v = herm_eig(rho)
-    dr = v.conj().T @ drho @ v
-    d = rho.shape[0]
-    lmat = np.zeros((d, d), dtype=complex)
-    kernel_weight = 0.0
-    for j in range(d):
-        for k in range(d):
-            s = w[j] + w[k]
-            if s < support_cutoff:
-                kernel_weight = max(kernel_weight, abs(dr[j, k]))
-                continue
-            lmat[j, k] = 2.0 * dr[j, k] / s
+    w, v = herm_eig(_as_mat(rho))
+    return _slds_eigen(w, v, np.asarray(drho, dtype=complex)[None], support_cutoff)[0]
+
+
+def _slds_eigen(
+    w: np.ndarray, v: np.ndarray, derivs: np.ndarray, support_cutoff: float
+) -> np.ndarray:
+    """:func:`sld` of a stack of derivatives ``(k, d, d)``, given the
+    eigendecomposition ``(w, v)`` of the state."""
+    vh = v.conj().T
+    dr = vh @ derivs @ v
+    s = w[:, None] + w[None, :]
+    support = s >= support_cutoff
+    kernel_weight = float(np.max(np.abs(dr[:, ~support]), initial=0.0))
     if kernel_weight > KERNEL_WEIGHT_TOL:
         raise ValueError(
             "derivative has weight "
             f"{kernel_weight:.3e} connecting the kernel of the state to itself; "
             "the family leaves its support"
         )
-    return v @ lmat @ v.conj().T
+    lmat = np.where(support, 2.0 * dr / np.where(support, s, 1.0), 0.0)
+    return v @ lmat @ vh
 
 
 def qfim(pd: ParamDerivatives, support_cutoff: float = SUPPORT_CUTOFF) -> Qfim:
     """Quantum Fisher information matrix F_ij = Re Tr[rho L_i L_j]."""
     rho = pd.rho
-    slds = tuple(sld(rho, d, support_cutoff) for d in pd.derivs)
-    n = len(slds)
-    f = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = float(np.real(np.trace(rho @ (slds[i] @ slds[j] + slds[j] @ slds[i]))) / 2.0)
-            f[i, j] = f[j, i] = val
-    support = int(np.sum(np.linalg.eigvalsh(rho) > support_cutoff))
-    return Qfim(f, slds, support)
+    w, v = herm_eig(rho)
+    d = rho.shape[0]
+    slds = _slds_eigen(w, v, np.array(pd.derivs).reshape(pd.n_params, d, d), support_cutoff)
+    f = np.einsum("iab,jba->ij", rho @ slds, slds).real
+    support = int(np.sum(w > support_cutoff))
+    return Qfim((f + f.T) / 2.0, tuple(slds), support)
 
 
 def classical_fim(rho_fn, theta, povm, h: float | None = None) -> np.ndarray:
@@ -255,8 +260,10 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> ThermalFim:
     for b in baths:
         if not b.temperature > 0:
             raise ValueError(f"temperature: must be > 0, got {b.temperature}")
-        x = b.omega / (2.0 * b.temperature)
-        vals.append(b.omega**2 / (4.0 * b.temperature**4 * math.cosh(x) ** 2))
+        x = b.omega / b.temperature
+        q = math.exp(-x)  # sech^2(x/2) = 4 q / (1 + q)^2 without overflow
+        sech2 = 4.0 * q / (1.0 + q) ** 2
+        vals.append(sech2 * x / b.temperature * x / b.temperature / 4.0)
     return ThermalFim(np.diag(vals))
 
 

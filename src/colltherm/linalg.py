@@ -134,13 +134,8 @@ def herm_eig(h: np.ndarray, tol: float = 1e-10):
     if defect > tol:
         raise ValueError(f"input not Hermitian: defect {defect:.3e} > {tol}")
     w, V = np.linalg.eigh(h)
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            ph = col[nz[0]] / abs(col[nz[0]])
-            V[:, k] = col * ph.conj()
+    lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(V.shape[1])]
+    V = V * (lead / np.abs(lead)).conj()
     resid = np.max(np.abs(h @ V - V * w[None, :]))
     if resid > EIG_RESIDUAL_TOL:
         raise ValueError(f"eigendecomposition residual {resid:.3e} > {EIG_RESIDUAL_TOL}")

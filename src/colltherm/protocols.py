@@ -7,21 +7,31 @@ probe partially rethermalizes toward its bath between consecutive ancillas.
 At the end the ancillas are measured, and the temperature vector of the
 baths is what the measurement estimates.
 
-* :func:`single_run` — one ancilla, channel composition on the ancilla alone
-  (the probes are fresh and thermal, so their effect is exactly the reduced
-  collision channel).
-* :func:`multi_ancilla_uncorrelated` — sequential stream tracking single-
-  system marginals; the n-ancilla state is the tensor product of the
-  recorded marginals and the QFIM is the sum of per-ancilla QFIMs.
+* :func:`single_run` — one ancilla; the probes are fresh and thermal, so its
+  state is exactly the composition of the reduced collision channels.
+* :func:`multi_ancilla_uncorrelated` — sequential stream that tracks the
+  single-system marginals of probes and ancillas only; the n-ancilla state
+  is taken to be the tensor product of the recorded ancilla marginals and
+  the QFIM is the sum of per-ancilla QFIMs.  Each ancilla meets the probe
+  marginals rather than the probes' joint state, so the recorded ancilla
+  marginals are the true ones only while the probes stay uncorrelated:
+  for two probes and qubit ancillas whose first collision is a full swap
+  (g1 = pi/2, as in fig2-fig4).  Otherwise they are an approximation to the
+  joint simulation's single-ancilla marginals; at n = 2 the second one is
+  off by 4.85e-3 (largest entry) at g1 = g2 = 0.3 pi, T = (2, 1), and by
+  2.4e-3 in fig5's three-bath qutrit base config.
 * :func:`multi_ancilla_correlated` — full joint simulation of probes and
   ancillas, probes traced out only at the end; keeps the ancilla-ancilla
   correlations the product-of-marginals mode discards.
 * :func:`three_bath_qutrit` — three probes with a qutrit ancilla stream
-  (marginal-product mode); a qubit ancilla is allowed as a diagnostic.
+  (product-of-marginals mode); a qubit ancilla is allowed as a diagnostic.
 
-All temperature derivatives go through finite differences on the full
-evaluator, so the probe initial states and the rethermalization channel are
-differentiated together.
+Temperature derivatives are exact.  The temperatures enter only through the
+probes' Gibbs states and the rethermalization channels; every other map is
+linear in the state, or bilinear in (probe, ancilla) at a marginal-stream
+collision.  So each evaluator carries the stack (rho, d_1 rho, ..., d_N rho)
+through one pass of the same maps: the product rule at each collision, and
+d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.
 """
 
 from __future__ import annotations
@@ -37,18 +47,17 @@ from .channels import (
     BathSpec,
     CollisionSpec,
     RotationSpec,
-    collision_superoperator,
     collision_unitary,
-    rotation_superoperator,
     thermal_state,
+    thermal_state_dT,
     thermalization_channel,
+    thermalization_channel_dT,
 )
 from .estimation import (
     EstimationReport,
     ParamDerivatives,
     Qfim,
     build_report,
-    finite_diff_derivatives,
     qfim,
     thermal_fim,
 )
@@ -56,10 +65,8 @@ from .linalg import (
     DensityMatrix,
     apply_superop_local,
     apply_unitary_local,
-    devectorize,
     kron_all,
     trace_out,
-    vectorize,
 )
 
 __all__ = [
@@ -159,7 +166,47 @@ def _commutator_norm(slds: tuple[np.ndarray, ...]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single ancilla: reduced-channel composition
+# building blocks of the tangent pass
+# ---------------------------------------------------------------------------
+
+def _probe_tangents(config: ProtocolConfig) -> list[np.ndarray]:
+    """Per probe, its Gibbs state and temperature derivatives stacked as
+    (1 + N, 2, 2); probe i depends on T_i alone."""
+    out = []
+    for i, b in enumerate(config.baths):
+        p = np.zeros((1 + config.n_baths, 2, 2), dtype=complex)
+        p[0] = thermal_state(b.omega, b.temperature).mat
+        p[1 + i] = thermal_state_dT(b.omega, b.temperature)
+        out.append(p)
+    return out
+
+
+def _stage_unitaries(config: ProtocolConfig) -> list[np.ndarray]:
+    """Per bath stage, the collision unitary on probe (x) ancilla followed by
+    the ancilla rotation where that stage has one."""
+    d = config.ancilla_dim
+    rot = np.kron(np.eye(2), config.rotation.unitary(d)) if config.rotation_enabled else None
+    out = []
+    for g, rotated in zip(config.collision_angles, config._rotation_stages()):
+        u = collision_unitary(CollisionSpec.from_angle(g), d)
+        out.append(rot @ u if rotated else u)
+    return out
+
+
+def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per probe, its rethermalization superoperator and that map's T-derivative."""
+    return [(thermalization_channel(b), thermalization_channel_dT(b)) for b in config.baths]
+
+
+def _tangent_qfim(stack) -> tuple[Qfim, float]:
+    """QFIM of one state from its stack (rho, d_1 rho, ..., d_N rho), and
+    the largest commutator norm of its SLDs."""
+    qf = qfim(ParamDerivatives(stack[0], tuple(stack[1:])))
+    return qf, _commutator_norm(qf.slds)
+
+
+# ---------------------------------------------------------------------------
+# single ancilla and the marginal stream
 # ---------------------------------------------------------------------------
 
 def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]:
@@ -167,113 +214,95 @@ def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]
 
     With a single ancilla every probe is still in equilibrium when the
     collision happens, so the ancilla evolves by the composition of the
-    reduced collision channels (with rotations interleaved).  This is the
-    route the closed forms describe; the stream simulators must agree with
-    it at n = 1.
+    reduced collision channels (with rotations interleaved): the n = 1 case
+    of the marginal stream.  This is the route the closed forms describe.
+    The report keeps the SLDs.
     """
     if config.n_ancillas != 1:
         raise ValueError(f"single_run requires n_ancillas = 1, got {config.n_ancillas}")
-    d = config.ancilla_dim
-    rho0 = operators.basis_state(d, config.ancilla_init)
-    stages = config._rotation_stages()
-    rot = rotation_superoperator(config.rotation, d) if config.rotation_enabled else None
-
-    def state_fn(temps):
-        v = vectorize(rho0)
-        for i, (bath, ang) in enumerate(zip(config.baths, config.collision_angles)):
-            e = collision_superoperator(
-                CollisionSpec.from_angle(ang), bath.at_temperature(float(temps[i])), d
-            )
-            v = e @ v
-            if stages[i]:
-                v = rot @ v
-        return devectorize(v, d)
-
-    temps = np.array(config.temperatures)
-    pd = finite_diff_derivatives(state_fn, temps)
-    qf = qfim(pd)
-    report = build_report(qf, thermal_fim(config.baths), _commutator_norm(qf.slds))
-    final = DensityMatrix(state_fn(temps), (d,))
-    return final, report
+    (stack,) = _stream_tangents(config)
+    qf, comm = _tangent_qfim(stack)
+    report = build_report(qf, thermal_fim(config.baths), comm)
+    return DensityMatrix(stack[0], (config.ancilla_dim,)), report
 
 
-# ---------------------------------------------------------------------------
-# ancilla streams
-# ---------------------------------------------------------------------------
+def _stream_tangents(config: ProtocolConfig) -> list[np.ndarray]:
+    """Per ancilla, its marginal final state and temperature derivatives in
+    the sequential stream, stacked as (1 + N, d, d).
 
-def _stream_marginals(config: ProtocolConfig) -> list[np.ndarray]:
-    """Marginal final state of each ancilla in the sequential stream.
-
-    Probe marginals persist across ancillas and pick up the partial
+    Probe and ancilla marginals are carried as such stacks.  At each
+    collision the joint stack of probe (x) ancilla follows the product
+    rule; both marginals are read off it.  Probe i picks up the partial
     rethermalization channel after each collision (except after the last
-    ancilla, where it can no longer influence anything measured).
+    ancilla, where it can no longer influence anything measured), and its
+    d_i stack entry picks up the channel's own T_i-derivative.  The ancilla
+    marginals are the true ones only when the probes stay uncorrelated (see
+    the module docstring).
     """
-    d = config.ancilla_dim
-    n = config.n_ancillas
-    probes = [thermal_state(b.omega, b.temperature).mat for b in config.baths]
-    therm = [thermalization_channel(b) for b in config.baths]
-    colls = [
-        collision_unitary(CollisionSpec.from_angle(g), d) for g in config.collision_angles
-    ]
-    stages = config._rotation_stages()
-    u_rot = config.rotation.unitary(d) if config.rotation_enabled else None
-    anc0 = operators.basis_state(d, config.ancilla_init)
+    nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
+    nt = 1 + nb
+    probes = _probe_tangents(config)
+    steps = _stage_unitaries(config)
+    therm = _rethermalizations(config) if n > 1 else []
+    anc0 = np.zeros((nt, d, d), dtype=complex)
+    anc0[0] = operators.basis_state(d, config.ancilla_init)
 
     out = []
     for k in range(n):
         a = anc0
-        for i in range(config.n_baths):
-            u = colls[i]
-            joint = u @ np.kron(probes[i], a) @ u.conj().T
-            a = trace_out(joint, (2, d), keep=(1,))
-            if stages[i]:
-                a = u_rot @ a @ u_rot.conj().T
+        for i in range(nb):
+            p, u = probes[i], steps[i]
+            joint = p[:, :, None, :, None] * a[0][:, None, :]
+            joint[1:] += p[0][:, None, :, None] * a[1:, None, :, None, :]
+            joint = (u @ joint.reshape(nt, 2 * d, 2 * d) @ u.conj().T).reshape(nt, 2, d, 2, d)
+            a = joint[:, 0, :, 0] + joint[:, 1, :, 1]
             if k < n - 1:
-                p = trace_out(joint, (2, d), keep=(0,))
-                probes[i] = devectorize(therm[i] @ vectorize(p), 2)
+                p = np.trace(joint, axis1=2, axis2=4)
+                s, ds = therm[i]
+                pv = p.reshape(nt, 4) @ s.T
+                pv[1 + i] += ds @ p[0].reshape(4)
+                probes[i] = pv.reshape(nt, 2, 2)
         out.append(a)
     return out
+
+
+def _stream_marginals(config: ProtocolConfig) -> list[np.ndarray]:
+    """Recorded marginal final state of each ancilla in the sequential
+    stream (see :func:`_stream_tangents`)."""
+    return [stack[0] for stack in _stream_tangents(config)]
 
 
 def multi_ancilla_uncorrelated(config: ProtocolConfig) -> EstimationReport:
     """Stream report with ancilla-ancilla correlations discarded.
 
-    The joint state is taken to be the tensor product of the recorded
-    marginals, so the QFIM is additive: F = sum_k F(rho_k).  All n marginals
-    come out of one stream pass, and the finite-difference evaluations are
-    shared across ancillas through a per-temperature cache.
+    The joint state is taken to be the tensor product of the stream's
+    recorded ancilla marginals, so the QFIM is additive: F = sum_k F(rho_k).
+    Those marginals come from a stream that tracks probe marginals only;
+    they equal the true single-ancilla marginals for two probes and qubit
+    ancillas whose first collision is a full swap (g1 = pi/2), and
+    approximate them otherwise (see the module docstring).  All n marginals
+    and their exact derivatives come out of one stream pass.
     """
     if config.correlated:
         raise ValueError("config.correlated is set; use multi_ancilla_correlated")
-    temps = np.array(config.temperatures)
-    cache: dict[tuple[float, ...], list[np.ndarray]] = {}
-
-    def marginals(tvec) -> list[np.ndarray]:
-        key = tuple(float(t) for t in tvec)
-        if key not in cache:
-            cache[key] = _stream_marginals(config.at_temperatures(key))
-        return cache[key]
-
     total = np.zeros((config.n_baths, config.n_baths))
     comm = 0.0
     support = 1
-    for k in range(config.n_ancillas):
-        pd = finite_diff_derivatives(lambda t, k=k: marginals(t)[k], temps)
-        qf_k = qfim(pd)
+    for stack in _stream_tangents(config):
+        qf_k, comm_k = _tangent_qfim(stack)
         total += qf_k.matrix
-        comm = max(comm, _commutator_norm(qf_k.slds))
+        comm = max(comm, comm_k)
         support *= qf_k.support_dim
     qf = Qfim(total, slds=(), support_dim=support)
     return build_report(qf, thermal_fim(config.baths), comm)
 
 
-def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
-    """Full joint simulation; QFIM on the complete n-ancilla state.
+def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
+    """The n-ancilla final state of the joint simulation and its temperature
+    derivatives, stacked as (1 + N, d^n, d^n).
 
-    Probes and ancillas evolve as one closed register (with the
-    rethermalization channel acting locally on probes), and the probes are
-    traced out only at the very end, so whatever correlations the shared
-    probes establish between ancillas survive into the measured state.
+    The register and its N derivatives are carried as 1 + N registers and
+    updated one at a time, so no two generations of them are alive at once.
     """
     jd = config.joint_dim()
     if jd > SIM_DIM_CAP:
@@ -283,39 +312,51 @@ def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
         )
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     dims = (2,) * nb + (d,) * n
-    colls = [
-        collision_unitary(CollisionSpec.from_angle(g), d) for g in config.collision_angles
-    ]
-    stages = config._rotation_stages()
-    u_rot = config.rotation.unitary(d) if config.rotation_enabled else None
+    steps = _stage_unitaries(config)
+    therm = _rethermalizations(config) if n > 1 else []
+    probes = _probe_tangents(config)
     anc0 = operators.basis_state(d, config.ancilla_init)
+    # register 0 is rho; register m > 0 is d_m rho, the same product with
+    # probe m's Gibbs state replaced by its derivative
+    regs = [
+        kron_all(*(p[m] if m == 1 + i else p[0] for i, p in enumerate(probes)), *[anc0] * n)
+        for m in range(1 + nb)
+    ]
+    for k in range(n):
+        for i in range(nb):
+            for m in range(len(regs)):
+                regs[m] = apply_unitary_local(regs[m], dims, steps[i], (i, nb + k))
+            if k < n - 1:
+                s, ds = therm[i]
+                kick = apply_superop_local(regs[0], dims, ds, i)
+                for m in range(len(regs)):
+                    regs[m] = apply_superop_local(regs[m], dims, s, i)
+                regs[1 + i] += kick
+                del kick
+    keep = range(nb, nb + n)
+    return np.array([trace_out(r, dims, keep) for r in regs])
 
-    def joint_fn(tvec):
-        baths = [b.at_temperature(float(t)) for b, t in zip(config.baths, tvec)]
-        therm = [thermalization_channel(b) for b in baths]
-        state = kron_all(*[thermal_state(b.omega, b.temperature).mat for b in baths],
-                         *[anc0] * n)
-        for k in range(n):
-            for i in range(nb):
-                state = apply_unitary_local(state, dims, colls[i], (i, nb + k))
-                if stages[i]:
-                    state = apply_unitary_local(state, dims, u_rot, (nb + k,))
-                if k < n - 1:
-                    state = apply_superop_local(state, dims, therm[i], i)
-        return trace_out(state, dims, keep=range(nb, nb + n))
 
-    temps = np.array(config.temperatures)
-    pd = finite_diff_derivatives(joint_fn, temps)
-    qf = qfim(pd)
-    return build_report(qf, thermal_fim(config.baths), _commutator_norm(qf.slds))
+def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
+    """Full joint simulation; QFIM on the complete n-ancilla state.
+
+    Probes and ancillas evolve as one closed register (with the
+    rethermalization channel acting locally on probes), and the probes are
+    traced out only at the very end, so whatever correlations the shared
+    probes establish between ancillas survive into the measured state.  The
+    report drops the SLDs after taking their commutator norm.
+    """
+    qf, comm = _tangent_qfim(_joint_tangents(config))
+    return build_report(qf.matrix, thermal_fim(config.baths), comm, support_dim=qf.support_dim)
 
 
 def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
-    """Three-temperature stream report (marginal-product mode).
+    """Three-temperature stream report (product-of-marginals mode).
 
-    Expects qutrit ancillas; a qubit ancilla is accepted as the diagnostic
-    that shows why a two-level carrier cannot jointly resolve three
-    temperatures well.
+    With three probes the stream's recorded ancilla marginals are in general
+    an approximation (see :func:`multi_ancilla_uncorrelated`).  Expects qutrit
+    ancillas; a qubit ancilla is accepted as the diagnostic that shows why a
+    two-level carrier cannot jointly resolve three temperatures well.
     """
     if config.n_baths != 3:
         raise ValueError(f"three_bath_qutrit requires 3 baths, got {config.n_baths}")
@@ -385,8 +426,14 @@ class SweepGrid:
         return SWEEP_AXES[self.axis_name](self.fixed, value)
 
 
+def _single_report(config: ProtocolConfig) -> EstimationReport:
+    """The report of :func:`single_run` without its SLDs."""
+    report = single_run(config)[1]
+    return replace(report, qfim=replace(report.qfim, slds=()))
+
+
 _SCENARIOS = {
-    "single": lambda c: single_run(c)[1],
+    "single": _single_report,
     "uncorrelated": multi_ancilla_uncorrelated,
     "correlated": multi_ancilla_correlated,
     "qutrit": three_bath_qutrit,
@@ -407,6 +454,12 @@ def scenario_for(config: ProtocolConfig) -> str:
 
 
 def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationReport:
+    """Report of one config from the named (or default) evaluator.
+
+    Reports keep the SLD commutator norm but not the SLDs themselves, so a
+    caller holding many reports holds only small matrices;
+    :func:`single_run` returns the single-ancilla SLDs.
+    """
     name = scenario or scenario_for(config)
     try:
         fn = _SCENARIOS[name]

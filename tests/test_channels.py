@@ -1,9 +1,10 @@
 """Collision unitaries, Kraus extraction, rotations, rethermalization.
 
-The rethermalization checks are the important ones here: the library builds
-that channel as exp(L t) of a GKSL generator, while the oracle builds the
-same channel from generalized-amplitude-damping Kraus operators with the
-damping fraction written in closed form.  The two routes share no code.
+The rethermalization checks are the important ones here: the library writes
+that channel and its temperature derivative in closed form, while the oracle
+builds the same channel from generalized-amplitude-damping Kraus operators
+and a Taylor series exponentiates the library's GKSL generator.  The routes
+share no code.
 """
 
 import numpy as np
@@ -24,7 +25,9 @@ from colltherm.channels import (
     nbar,
     thermal_populations,
     thermal_state,
+    thermal_state_dT,
     thermalization_channel,
+    thermalization_channel_dT,
 )
 from colltherm.linalg import DensityMatrix, choi_matrix, kron, vectorize
 from colltherm.operators import I2, S1Z, SZ
@@ -284,6 +287,42 @@ def test_thermalization_channel_matches_damping_kraus(rng):
         got = thermalization_channel(bath)
         expected = oracles.gad_superop(bath.omega, bath.temperature, bath.gamma, bath.therm_time)
         npt.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_thermalization_channel_is_exponential_of_generator(rng):
+    """The closed form equals exp(L t) of the GKSL generator it documents."""
+    for _ in range(10):
+        bath = BathSpec(
+            rng.uniform(0.4, 4.0),
+            omega=rng.uniform(0.7, 2.0),
+            gamma=rng.uniform(0.2, 1.5),
+            therm_time=rng.uniform(0.05, 1.5),
+        )
+        expected = oracles.taylor_expm(lindblad_generator(bath) * bath.therm_time)
+        npt.assert_allclose(thermalization_channel(bath), expected, atol=1e-12)
+
+
+def test_temperature_derivatives_match_central_differences(rng):
+    """d/dT of the Gibbs state and of the rethermalization channel against
+    central differences of the oracles' Gibbs weights and Kraus channel."""
+    for _ in range(20):
+        omega, gamma, t = rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
+        T = rng.uniform(0.4, 4.0)
+        h = 1e-5 * T
+        npt.assert_allclose(
+            thermal_state_dT(omega, T),
+            np.diag([oracles.dlam0_dT(omega, T), -oracles.dlam0_dT(omega, T)]),
+            atol=1e-14,
+        )
+        fd = (oracles.gad_superop(omega, T + h, gamma, t)
+              - oracles.gad_superop(omega, T - h, gamma, t)) / (2 * h)
+        npt.assert_allclose(
+            thermalization_channel_dT(BathSpec(T, omega=omega, gamma=gamma, therm_time=t)),
+            fd,
+            atol=1e-8,
+        )
+    still = BathSpec(2.0, therm_time=0.0)
+    npt.assert_array_equal(thermalization_channel_dT(still), np.zeros((4, 4)))
 
 
 def test_thermalization_channel_identity_at_zero_time():

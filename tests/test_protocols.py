@@ -3,11 +3,13 @@
 The load-bearing checks: the single-ancilla evaluator against the analytic
 final state (both with and without the interleaved rotation), the three
 evaluation routes agreeing where they must (n = 1; full rethermalization),
-and additivity of the marginal-product stream against a brute-force QFIM on
-the tensor product.
+additivity of the marginal-product stream against a brute-force QFIM on
+the tensor product, and the evaluators' exact temperature derivatives
+against central differences.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from colltherm.protocols import (
     sweep,
     three_bath_qutrit,
 )
-from colltherm.protocols import _stream_marginals
+from colltherm.protocols import _joint_tangents, _stream_marginals, _stream_tangents
 from colltherm.estimation import finite_diff_derivatives, qfim
 
 
@@ -270,6 +272,85 @@ def test_trailing_rotation_does_not_change_information():
         f0 = evaluate(base).qfim.matrix
         f1 = evaluate(replace(base, apply_rotation_after_last=True)).qfim.matrix
         assert np.max(np.abs(f0 - f1)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# exact temperature derivatives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        two_bath_config(),
+        two_bath_config(n_ancillas=4, collision_angles=(0.3 * math.pi, 0.6 * math.pi)),
+        two_bath_config(
+            n_ancillas=3,
+            correlated=True,
+            baths=(BathSpec(1.5, therm_time=0.3), BathSpec(0.7, therm_time=0.9)),
+            collision_angles=(0.3 * math.pi, 0.6 * math.pi),
+        ),
+        three_bath_config(n_ancillas=3),
+    ],
+    ids=["single", "uncorrelated", "correlated", "qutrit"],
+)
+def test_tangent_derivatives_match_finite_differences(config):
+    """Every evaluator's propagated d rho / dT_i equals the central-difference
+    reference within 1e-6 of the largest derivative entry."""
+    if config.correlated:
+        def stacks(cfg):
+            return [_joint_tangents(cfg)]
+    else:
+        stacks = _stream_tangents
+    temps = np.array(config.temperatures)
+    for k, stack in enumerate(stacks(config)):
+        ref = finite_diff_derivatives(
+            lambda t, k=k: stacks(config.at_temperatures(t))[k][0], temps
+        )
+        npt.assert_allclose(ref.rho, stack[0], atol=0.0)
+        scale = float(np.max(np.abs(stack[1:])))
+        err = max(float(np.max(np.abs(d - e))) for d, e in zip(stack[1:], ref.derivs))
+        assert scale > 0.0
+        assert err <= 1e-6 * scale, f"ancilla {k}: {err:.3e} vs scale {scale:.3e}"
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_long_fig3_streams_give_finite_reports(n):
+    """The fig3 base config at n = 12 and 16 (finite differences failed the
+    derivative trace check there) gives a finite report at every g2."""
+    for g2 in (0.25, 0.5, 0.75):
+        cfg = two_bath_config(n_ancillas=n, collision_angles=(0.5 * math.pi, g2 * math.pi))
+        rep = multi_ancilla_uncorrelated(cfg)
+        assert np.all(np.isfinite(rep.qfim.matrix))
+        assert math.isfinite(rep.eta_joint)
+        assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e-2, 1e3])
+def test_extreme_temperatures_give_finite_report_or_named_error(T):
+    """No overflow and no warning at extreme but valid temperatures: each
+    evaluator returns a finite report or says the thermal benchmark is
+    degenerate."""
+    configs = []
+    for temps in ((T, T), (T, 1.0), (1.0, T)):
+        baths = tuple(BathSpec(t, therm_time=0.5) for t in temps)
+        configs += [
+            two_bath_config(baths=baths),
+            two_bath_config(baths=baths, n_ancillas=3),
+            two_bath_config(baths=baths, n_ancillas=2, correlated=True),
+        ]
+    configs.append(three_bath_config(baths=tuple(BathSpec(t, therm_time=0.5) for t in (T, 1.0, T))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in configs:
+            try:
+                rep = evaluate(cfg)
+            except ValueError as exc:
+                assert "degenerate thermal benchmark" in str(exc)
+                continue
+            assert np.all(np.isfinite(rep.qfim.matrix))
+            assert np.all(np.isfinite(rep.thermal.matrix))
+            assert math.isfinite(rep.eta_joint)
+            assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
 
 
 # ---------------------------------------------------------------------------
