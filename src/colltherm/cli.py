@@ -41,9 +41,9 @@ from .protocols import (
     ProtocolConfig,
     SweepGrid,
     SWEEP_AXES,
+    _sweep_points,
     evaluate,
     scenario_for,
-    sweep,
 )
 from .verify import GROUPS, run_all, run_group
 
@@ -157,7 +157,8 @@ def load_config(path: str):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's loader where PyYAML was built with it; same classes, same errors
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -315,18 +316,19 @@ def write_summary(path: str, manifest: RunManifest, columns, rows, optimum) -> N
     _atomic_write(path, json.dumps(_json_safe(payload), indent=2) + "\n")
 
 
-def _pick_optimum(rows_meta):
-    """Best row: largest finite eta_acc, falling back to largest eta_joint."""
+def _pick_optimum(points):
+    """Best (row, report): largest finite eta_acc, falling back to largest
+    eta_joint."""
     finite = [
-        (row, cfg, scen)
-        for row, cfg, scen in rows_meta
+        (row, report)
+        for row, report in points
         if not row.get("error") and math.isfinite(row.get("eta_acc", float("-inf")))
     ]
     if finite:
         return max(finite, key=lambda item: item[0]["eta_acc"])
     usable = [
-        (row, cfg, scen)
-        for row, cfg, scen in rows_meta
+        (row, report)
+        for row, report in points
         if not row.get("error") and math.isfinite(row.get("eta_joint", float("nan")))
     ]
     if usable:
@@ -339,15 +341,17 @@ def _summary_path(csv_path: str) -> str:
     return root + ".json"
 
 
-def _emit_outputs(out_path, columns, rows_meta, manifest_args) -> int:
-    rows = [row for row, _cfg, _scen in rows_meta]
+def _emit_outputs(out_path, columns, points, manifest_args) -> int:
+    """Write the table and the summary of (row, report) pairs; the report of
+    a failed row is None."""
+    rows = [row for row, _report in points]
     write_csv(out_path, columns, rows)
 
-    best = _pick_optimum(rows_meta)
+    best = _pick_optimum(points)
     optimum = None
     if best is not None:
-        row, cfg, scen = best
-        optimum = {"row": dict(row), "report": _report_payload(evaluate(cfg, scen))}
+        row, report = best
+        optimum = {"row": dict(row), "report": _report_payload(report)}
     manifest = RunManifest(
         config_path=manifest_args["config_path"],
         scenario=manifest_args["scenario"],
@@ -386,13 +390,13 @@ def _thread_count(args) -> int:
 def _run_preset(name: str, out_path: str, threads: int, seed: int) -> int:
     preset = get_preset(name)
     columns = (preset.axis_name, *preset.label_columns, *MERIT_COLUMNS)
-    rows_meta = []
+    points = []
     for series in preset.series:
-        for row in sweep(series.grid, series.scenario, threads=threads):
+        for row, report in _sweep_points(series.grid, series.scenario, threads=threads):
             merged = {preset.axis_name: row.pop("axis_value"), **series.labels, **row}
-            rows_meta.append((merged, series.grid.at(merged[preset.axis_name]), series.scenario))
+            points.append((merged, report))
     return _emit_outputs(
-        out_path, columns, rows_meta,
+        out_path, columns, points,
         {"config_path": None, "scenario": name, "seed": seed},
     )
 
@@ -405,6 +409,7 @@ def _run_config(config_path: str, out_path: str, threads: int, seed: int,
 
     if grid is None:
         row = {col: None for col in MERIT_COLUMNS}
+        report = None
         try:
             report = evaluate(config, scenario)
             row.update(
@@ -416,16 +421,16 @@ def _run_config(config_path: str, out_path: str, threads: int, seed: int,
             )
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        rows_meta = [(row, config, scenario)]
+        points = [(row, report)]
         columns = MERIT_COLUMNS
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
-        rows_meta = []
-        for row in sweep(grid, scenario, threads=threads):
+        points = []
+        for row, report in _sweep_points(grid, scenario, threads=threads):
             merged = {grid.axis_name: row.pop("axis_value"), **row}
-            rows_meta.append((merged, grid.at(merged[grid.axis_name]), scenario))
+            points.append((merged, report))
     return _emit_outputs(
-        out_path, columns, rows_meta,
+        out_path, columns, points,
         {"config_path": os.path.abspath(config_path), "scenario": scenario, "seed": seed},
     )
 

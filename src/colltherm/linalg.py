@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multipartite Hilbert spaces.
 
-All heavy lifting happens on plain ``numpy`` arrays (dimension <= 2**8, so
+All heavy lifting happens on plain ``numpy`` arrays (dimension <= 2**9, so
 dense is fine everywhere).  The one convention that matters throughout the
 package is fixed here once:
 

@@ -10,7 +10,9 @@ import os
 
 import pytest
 
-from colltherm.cli import MERIT_COLUMNS, _fmt_cell, main
+from colltherm import cli, protocols
+from colltherm.cli import MERIT_COLUMNS, _fmt_cell, _report_payload, load_config, main
+from colltherm.protocols import evaluate
 
 GOOD_CONFIG = """\
 baths:
@@ -181,6 +183,29 @@ def test_sweep_explicit_values(tmp_path):
     out = tmp_path / "vals.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert [r["g_t2_over_pi"] for r in read_rows(out)] == ["0.2", "0.4", "0.6"]
+
+
+def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
+    """One evaluate call per grid point: the summary's optimum report is the
+    sweep's own report of that point, equal to a fresh evaluation."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    calls = []
+
+    def counting(config, scenario=None):
+        calls.append(config)
+        return evaluate(config, scenario)
+
+    for module in (cli, protocols):
+        monkeypatch.setattr(module, "evaluate", counting)
+    out = tmp_path / "once.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == len(read_rows(out)) == 9
+    monkeypatch.undo()
+
+    optimum = json.loads((tmp_path / "once.json").read_text())["optimum"]
+    _, scenario, grid = load_config(cfg)
+    fresh = evaluate(grid.at(optimum["row"]["g_t2_over_pi"]), scenario)
+    assert optimum["report"] == json.loads(json.dumps(_report_payload(fresh)))
 
 
 def test_sweep_error_rows_exit_code(tmp_path, capsys):

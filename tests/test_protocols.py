@@ -257,10 +257,77 @@ def test_uncorrelated_rejects_correlated_config():
 
 
 def test_correlated_dimension_cap():
-    cfg = two_bath_config(n_ancillas=7, correlated=True)
+    assert two_bath_config(n_ancillas=9).joint_dim() == SIM_DIM_CAP
+    cfg = two_bath_config(n_ancillas=10, correlated=True)
     assert cfg.joint_dim() > SIM_DIM_CAP
     with pytest.raises(ValueError, match="cap"):
         multi_ancilla_correlated(cfg)
+
+
+def test_correlated_seven_ancillas_extend_the_six_ancilla_stream():
+    """n = 7 (joint dimension 512) gives a finite report.  Its first six
+    ancillas, stack and all, are the n = 6 stream, since the seventh meets
+    the probes only after they left; so the QFIM can only grow."""
+    cfg = two_bath_config(n_ancillas=7, correlated=True)
+    rep = multi_ancilla_correlated(cfg)
+    assert np.all(np.isfinite(rep.qfim.matrix))
+    assert math.isfinite(rep.eta_joint) and math.isfinite(rep.eta_acc)
+    assert not rep.singular
+
+    stack7 = _joint_tangents(cfg)
+    stack6 = _joint_tangents(replace(cfg, n_ancillas=6))
+    reduced = np.einsum("xiaja->xij", stack7.reshape(3, 64, 2, 64, 2))
+    npt.assert_allclose(reduced, stack6, atol=1e-12)
+    growth = rep.qfim.matrix - multi_ancilla_correlated(replace(cfg, n_ancillas=6)).qfim.matrix
+    assert np.min(np.linalg.eigvalsh(growth)) > -1e-9
+
+
+def test_correlated_three_probe_qutrit_register_against_single_ancilla_routes():
+    """Three probes, qutrit ancillas: at n = 1 the register's stack (state
+    and derivatives) is the single-ancilla route's; the first ancilla of an
+    n = 2 register is that same state; and probes reset between ancillas
+    give twice the single-ancilla QFIM."""
+    cfg = three_bath_config(correlated=True)
+    stack1 = _joint_tangents(cfg)
+    (single,) = _stream_tangents(replace(cfg, correlated=False))
+    npt.assert_allclose(stack1, single, rtol=0, atol=1e-12)
+    stack2 = _joint_tangents(replace(cfg, n_ancillas=2))
+    npt.assert_allclose(
+        np.einsum("xiaja->xij", stack2.reshape(4, 3, 3, 3, 3)), stack1, rtol=0, atol=1e-12
+    )
+    reset = three_bath_config(
+        correlated=True, n_ancillas=2,
+        baths=tuple(BathSpec(t, therm_time=50.0) for t in (2.0, 1.0, 3.0)),
+    )
+    _, rep1 = single_run(replace(reset, n_ancillas=1, correlated=False))
+    npt.assert_allclose(multi_ancilla_correlated(reset).qfim.matrix, 2.0 * rep1.qfim.matrix, atol=1e-6)
+
+
+@pytest.mark.parametrize("g1_over_pi", [0.5, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
+    """The growing register's state equals the full-register Kraus
+    simulation of the oracle within 1e-12, at fig4's angles (g1 = pi/2,
+    g2 = 0.3 pi) and at g1 = g2 = 0.3 pi; its derivatives equal the
+    oracle's central differences.  At n = 1 the single-ancilla route gives
+    the same state."""
+    angles = (g1_over_pi * math.pi, 0.3 * math.pi)
+    temps = (2.0, 1.0)
+    cfg = two_bath_config(collision_angles=angles, n_ancillas=n, correlated=True)
+    stack = _joint_tangents(cfg)
+    npt.assert_allclose(stack[0], oracles.joint_stream_state(angles, temps, n), rtol=0, atol=1e-12)
+    h = 1e-5
+    for mu in range(2):
+        up, down = list(temps), list(temps)
+        up[mu] += h
+        down[mu] -= h
+        ref = (
+            oracles.joint_stream_state(angles, up, n) - oracles.joint_stream_state(angles, down, n)
+        ) / (2.0 * h)
+        npt.assert_allclose(stack[1 + mu], ref, rtol=0, atol=1e-8)
+    if n == 1:
+        final, _ = single_run(replace(cfg, correlated=False))
+        npt.assert_allclose(final.mat, stack[0], rtol=0, atol=1e-12)
 
 
 def test_trailing_rotation_does_not_change_information():
@@ -290,8 +357,9 @@ def test_trailing_rotation_does_not_change_information():
             collision_angles=(0.3 * math.pi, 0.6 * math.pi),
         ),
         three_bath_config(n_ancillas=3),
+        three_bath_config(n_ancillas=2, correlated=True),
     ],
-    ids=["single", "uncorrelated", "correlated", "qutrit"],
+    ids=["single", "uncorrelated", "correlated", "qutrit", "correlated-qutrit"],
 )
 def test_tangent_derivatives_match_finite_differences(config):
     """Every evaluator's propagated d rho / dT_i equals the central-difference
