@@ -49,10 +49,8 @@ from .linalg import (
     devectorize,
     herm_eig,
     kron,
-    kron_all,
     matrix_exp,
     partial_trace,
-    trace_out,
     vectorize,
 )
 from .presets import PRESETS, get_preset
@@ -82,7 +80,7 @@ __all__ = [
     "build_report", "classical_fim", "det_singular_threshold", "eta_metrics",
     "finite_diff_derivatives", "qfim", "singularity_test", "sld", "thermal_fim",
     "DensityMatrix", "choi_matrix", "devectorize", "herm_eig", "kron",
-    "kron_all", "matrix_exp", "partial_trace", "trace_out", "vectorize",
+    "matrix_exp", "partial_trace", "vectorize",
     "PRESETS", "get_preset",
     "ProtocolConfig", "SweepGrid", "evaluate", "multi_ancilla_correlated",
     "multi_ancilla_uncorrelated", "scenario_for", "single_run", "sweep",

@@ -144,12 +144,6 @@ class KrausSet:
         if defect > KRAUS_COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness defect {defect:.3e} > {KRAUS_COMPLETENESS_TOL}")
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for k in self.operators:
-            out += k @ rho @ dag(k)
-        return out
-
     def superoperator(self) -> np.ndarray:
         d = self.operators[0].shape[0]
         sop = np.zeros((d * d, d * d), dtype=complex)

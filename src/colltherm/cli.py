@@ -41,15 +41,14 @@ from .protocols import (
     ProtocolConfig,
     SweepGrid,
     SWEEP_AXES,
+    _point,
     _sweep_points,
-    evaluate,
     scenario_for,
 )
 from .verify import GROUPS, run_all, run_group
 
 __all__ = ["main", "ConfigError", "RunManifest", "load_config"]
 
-THREADS_ENV = "COLLTHERM_THREADS"
 MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
 _SCENARIO_NAMES = ("single", "uncorrelated", "correlated", "qutrit")
 
@@ -375,24 +374,12 @@ def _emit_outputs(out_path, columns, points, manifest_args) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {env!r}") from None
-    return 1
-
-
-def _run_preset(name: str, out_path: str, threads: int, seed: int) -> int:
+def _run_preset(name: str, out_path: str, seed: int) -> int:
     preset = get_preset(name)
     columns = (preset.axis_name, *preset.label_columns, *MERIT_COLUMNS)
     points = []
     for series in preset.series:
-        for row, report in _sweep_points(series.grid, series.scenario, threads=threads):
+        for row, report in _sweep_points(series.grid, series.scenario):
             merged = {preset.axis_name: row.pop("axis_value"), **series.labels, **row}
             points.append((merged, report))
     return _emit_outputs(
@@ -401,32 +388,18 @@ def _run_preset(name: str, out_path: str, threads: int, seed: int) -> int:
     )
 
 
-def _run_config(config_path: str, out_path: str, threads: int, seed: int,
-                require_sweep: bool) -> int:
+def _run_config(config_path: str, out_path: str, seed: int, require_sweep: bool) -> int:
     config, scenario, grid = load_config(config_path)
     if require_sweep and grid is None:
         raise ConfigError("sweep: required block is missing from the config file")
 
     if grid is None:
-        row = {col: None for col in MERIT_COLUMNS}
-        report = None
-        try:
-            report = evaluate(config, scenario)
-            row.update(
-                eta_joint=report.eta_joint,
-                eta_acc=report.eta_acc,
-                det_qfim=report.qfim.det,
-                trace_qfim=report.qfim.trace,
-                singular=report.singular,
-            )
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        points = [(row, report)]
+        points = [_point(config, scenario)]
         columns = MERIT_COLUMNS
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
         points = []
-        for row, report in _sweep_points(grid, scenario, threads=threads):
+        for row, report in _sweep_points(grid, scenario):
             merged = {grid.axis_name: row.pop("axis_value"), **row}
             points.append((merged, report))
     return _emit_outputs(
@@ -436,18 +409,17 @@ def _run_config(config_path: str, out_path: str, threads: int, seed: int,
 
 
 def cmd_run(args) -> int:
-    threads = _thread_count(args)
     if bool(args.scenario) == bool(args.config):
         raise ConfigError("run needs exactly one of --scenario or --config")
     if args.scenario:
-        return _run_preset(args.scenario, args.out, threads, args.seed)
-    return _run_config(args.config, args.out, threads, args.seed, require_sweep=False)
+        return _run_preset(args.scenario, args.out, args.seed)
+    return _run_config(args.config, args.out, args.seed, require_sweep=False)
 
 
 def cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep needs --config with a sweep block")
-    return _run_config(args.config, args.out, _thread_count(args), args.seed, require_sweep=True)
+    return _run_config(args.config, args.out, args.seed, require_sweep=True)
 
 
 def cmd_verify(args) -> int:
@@ -481,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help=f"parallel grid evaluations (default: ${THREADS_ENV} or 1)",
-    )
 
     p_run = sub.add_parser("run", parents=[common], help="evaluate a preset or a config file")
     p_run.add_argument("--scenario", choices=("fig2", "fig3", "fig4", "fig5"),

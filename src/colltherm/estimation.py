@@ -375,8 +375,6 @@ def build_report(
     fmat: np.ndarray | Qfim,
     thermal: ThermalFim,
     sld_commutator_norm: float = 0.0,
-    slds: tuple[np.ndarray, ...] = (),
-    support_dim: int = 0,
 ) -> EstimationReport:
     """Assemble an :class:`EstimationReport` from a QFIM and its benchmark.
 
@@ -385,7 +383,7 @@ def build_report(
     iff det above threshold" holds even in the sliver between the raw
     eta-metric sentinel (1e-14) and the flag threshold.
     """
-    qf = fmat if isinstance(fmat, Qfim) else Qfim(np.asarray(fmat, float), slds, support_dim)
+    qf = fmat if isinstance(fmat, Qfim) else Qfim(np.asarray(fmat, float))
     eta_joint, eta_acc = eta_metrics(qf, thermal)
     singular = qf.det <= det_singular_threshold(qf.matrix)
     if singular:

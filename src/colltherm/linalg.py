@@ -27,15 +27,11 @@ __all__ = [
     "DensityMatrix",
     "dag",
     "kron",
-    "kron_all",
     "vectorize",
     "devectorize",
     "herm_eig",
     "matrix_exp",
     "partial_trace",
-    "trace_out",
-    "apply_unitary_local",
-    "apply_superop_local",
     "choi_matrix",
 ]
 
@@ -52,13 +48,6 @@ def dag(a: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (first factor owns the most significant index)."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,54 +162,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     red = _ptrace_arr(rho.mat, rho.dims, keep)
     kept_dims = tuple(rho.dims[i] for i in sorted(keep))
     return DensityMatrix(red, kept_dims)
-
-
-def trace_out(arr: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw-array partial trace (no DensityMatrix wrapping, for hot loops)."""
-    return _ptrace_arr(np.asarray(arr), dims, keep)
-
-
-def apply_unitary_local(arr: np.ndarray, dims, u: np.ndarray, targets) -> np.ndarray:
-    """Apply ``u`` acting on the ``targets`` factors to a joint state.
-
-    ``u`` is a unitary on the tensor product of the target factors, in the
-    order given by ``targets``.  Returns ``U rho U^dag`` without ever forming
-    the full-space matrix of ``U``.
-    """
-    dims = tuple(int(d) for d in dims)
-    m = len(dims)
-    targets = tuple(targets)
-    tdims = tuple(dims[t] for t in targets)
-    ut = np.asarray(u).reshape(tdims + tdims)
-    nt = len(targets)
-
-    t = arr.reshape(dims + dims)
-    # row action: contract u's input legs with the target row axes
-    t = np.tensordot(ut, t, axes=(range(nt, 2 * nt), targets))
-    t = np.moveaxis(t, range(nt), targets)
-    # column action with u*: contract with the target column axes
-    col_targets = tuple(m + tt for tt in targets)
-    t = np.tensordot(ut.conj(), t, axes=(range(nt, 2 * nt), col_targets))
-    t = np.moveaxis(t, range(nt), col_targets)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
-
-
-def apply_superop_local(arr: np.ndarray, dims, sop: np.ndarray, target: int) -> np.ndarray:
-    """Apply a d^2 x d^2 superoperator to a single factor of a joint state."""
-    dims = tuple(int(d) for d in dims)
-    m = len(dims)
-    d = dims[target]
-    t = arr.reshape(dims + dims)
-    # bring the target's (row, col) axes to the front, fuse, multiply, unfuse
-    t = np.moveaxis(t, (target, m + target), (0, 1))
-    rest = t.shape[2:]
-    t = t.reshape(d * d, -1)
-    t = np.asarray(sop) @ t
-    t = t.reshape((d, d) + rest)
-    t = np.moveaxis(t, (0, 1), (target, m + target))
-    dd = int(np.prod(dims))
-    return t.reshape(dd, dd)
 
 
 def choi_matrix(sop: np.ndarray, dim: int) -> np.ndarray:

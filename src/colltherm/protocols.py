@@ -40,7 +40,6 @@ d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -266,12 +265,6 @@ def _stream_tangents(config: ProtocolConfig) -> list[np.ndarray]:
     return out
 
 
-def _stream_marginals(config: ProtocolConfig) -> list[np.ndarray]:
-    """Recorded marginal final state of each ancilla in the sequential
-    stream (see :func:`_stream_tangents`)."""
-    return [stack[0] for stack in _stream_tangents(config)]
-
-
 def multi_ancilla_uncorrelated(config: ProtocolConfig) -> EstimationReport:
     """Stream report with ancilla-ancilla correlations discarded.
 
@@ -390,7 +383,7 @@ def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
     report drops the SLDs after taking their commutator norm.
     """
     qf, comm = _tangent_qfim(_joint_tangents(config))
-    return build_report(qf.matrix, thermal_fim(config.baths), comm, support_dim=qf.support_dim)
+    return build_report(replace(qf, slds=()), thermal_fim(config.baths), comm)
 
 
 def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
@@ -513,50 +506,53 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationR
     return fn(config)
 
 
-def _sweep_points(
-    grid: SweepGrid, scenario: str, threads: int = 1
-) -> list[tuple[dict, EstimationReport | None]]:
+def _failed_row(exc: Exception) -> dict:
+    return {
+        "eta_joint": float("nan"),
+        "eta_acc": float("nan"),
+        "det_qfim": float("nan"),
+        "trace_qfim": float("nan"),
+        "singular": None,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
+def _point(config: ProtocolConfig, scenario: str) -> tuple[dict, EstimationReport | None]:
+    """The merit row of one config and its report.  A failing evaluation is
+    recorded in the row's ``error`` cell, with ``nan`` merits and no report."""
+    try:
+        rep = evaluate(config, scenario)
+    except Exception as exc:  # recorded per row; a sweep continues
+        return _failed_row(exc), None
+    row = {
+        "eta_joint": rep.eta_joint,
+        "eta_acc": rep.eta_acc,
+        "det_qfim": rep.qfim.det,
+        "trace_qfim": rep.qfim.trace,
+        "singular": rep.singular,
+        "error": None,
+    }
+    return row, rep
+
+
+def _sweep_points(grid: SweepGrid, scenario: str) -> list[tuple[dict, EstimationReport | None]]:
     """Per grid value, its :func:`sweep` row and its report (None where the
     point failed), so a caller can use a point's report without evaluating
     it again."""
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}")
-
-    def one(value: float) -> tuple[dict, EstimationReport | None]:
-        row = {
-            "axis_value": value,
-            "eta_joint": float("nan"),
-            "eta_acc": float("nan"),
-            "det_qfim": float("nan"),
-            "trace_qfim": float("nan"),
-            "singular": None,
-            "error": None,
-        }
+    points = []
+    for value in grid.values:
         try:
-            rep = evaluate(grid.at(value), scenario)
-        except Exception as exc:  # recorded per-row, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            return row, None
-        row.update(
-            eta_joint=rep.eta_joint,
-            eta_acc=rep.eta_acc,
-            det_qfim=rep.qfim.det,
-            trace_qfim=rep.qfim.trace,
-            singular=rep.singular,
-        )
-        return row, rep
-
-    if threads <= 1 or len(grid.values) <= 1:
-        return [one(v) for v in grid.values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, grid.values))
+            row, rep = _point(grid.at(value), scenario)
+        except Exception as exc:  # the grid cannot place this value
+            row, rep = _failed_row(exc), None
+        points.append(({"axis_value": value, **row}, rep))
+    return points
 
 
-def sweep(grid: SweepGrid, scenario: str, threads: int = 1) -> list[dict]:
-    """Evaluate the scenario at every grid value; one row dict per value.
-
-    Rows are independent (pure functions of the config), so they map over a
-    thread pool; results keep the input order.  A failing point records its
-    error message in-row and the sweep continues.
-    """
-    return [row for row, _ in _sweep_points(grid, scenario, threads)]
+def sweep(grid: SweepGrid, scenario: str) -> list[dict]:
+    """Evaluate the scenario at every grid value; one row dict per value, in
+    grid order.  A failing point records its error message in-row and the
+    sweep continues."""
+    return [row for row, _ in _sweep_points(grid, scenario)]

@@ -1,9 +1,9 @@
 """Built-in oracle suite behind ``colltherm verify``.
 
-Every check here recomputes its expected value from scratch — hand-rolled
-matrix entries, closed-form states and SLDs, Gibbs weights — rather than
-calling back into the code under test, so a bug in the library cannot hide
-by agreeing with itself.  Groups:
+Every check here takes its expected value from outside the code under test:
+hand-rolled matrix entries, closed-form states and SLDs and Gibbs weights
+from :mod:`colltherm.oracles` (which imports nothing from the library), so a
+bug in the library cannot hide by agreeing with itself.  Groups:
 
 * ``appendix``   — entrywise reproduction of the hand-derived collision
                    channel, rotation superoperator, composed two-collision
@@ -43,6 +43,16 @@ from .estimation import (
     singularity_test,
 )
 from .linalg import choi_matrix, devectorize, vectorize
+from .oracles import (
+    closed_form_slds,
+    composed_plain_channel,
+    composed_rotated_channel,
+    gibbs_weights,
+    plain_final_v,
+    printed_collision_channel,
+    printed_rotation_superop_pi4,
+    rotated_final_state,
+)
 from .protocols import ProtocolConfig
 
 __all__ = ["CheckResult", "GROUPS", "run_group", "run_all"]
@@ -54,130 +64,6 @@ class CheckResult:
     ok: bool
     residual: float
     detail: str = ""
-
-
-# ---------------------------------------------------------------------------
-# independent expected values (recomputed, not imported)
-# ---------------------------------------------------------------------------
-
-def _gibbs_weights(omega: float, T: float) -> tuple[float, float]:
-    # |0> is the excited level (+omega/2), so its weight is the smaller one
-    z = math.exp(-omega / (2 * T)) + math.exp(omega / (2 * T))
-    return math.exp(-omega / (2 * T)) / z, math.exp(omega / (2 * T)) / z
-
-
-def _expected_collision_channel(gt: float, lam0: float) -> np.ndarray:
-    """Hand-derived 4x4 collision channel on the ancilla (row-major vec)."""
-    c, s = math.cos(gt), math.sin(gt)
-    lam1 = 1.0 - lam0
-    return np.array(
-        [
-            [lam0 + lam1 * c * c, 0, 0, lam0 * s * s],
-            [0, c, 0, 0],
-            [0, 0, c, 0],
-            [lam1 * s * s, 0, 0, lam1 + lam0 * c * c],
-        ],
-        dtype=complex,
-    )
-
-
-_EXPECTED_ROT_PI4 = 0.5 * np.array(
-    [
-        [1, 1j, -1j, 1],
-        [1j, 1, 1, -1j],
-        [-1j, 1, 1, 1j],
-        [1, -1j, 1j, 1],
-    ],
-    dtype=complex,
-)
-
-
-def _expected_two_collisions_plain(gt: float, p: float, q: float) -> np.ndarray:
-    """Two collisions, no rotation, equal angles.
-
-    Block form [[1-u,0,0,v],[0,c^2,0,0],[0,0,c^2,0],[u,0,0,1-v]] with
-    u = sin^2(gt) [(1-q) + (1-p) cos^2(gt)] and
-    v = sin^2(gt) [q + p cos^2(gt)]: the second bath's weight q enters
-    undressed and the first bath's p arrives attenuated by the second
-    collision, as the composition order demands.  (A full swap at both
-    stages leaves the ancilla carrying the *second* bath's populations.)
-    """
-    c2, s2 = math.cos(gt) ** 2, math.sin(gt) ** 2
-    u = s2 * ((1 - q) + (1 - p) * c2)
-    v = s2 * (q + p * c2)
-    return np.array(
-        [
-            [1 - u, 0, 0, v],
-            [0, c2, 0, 0],
-            [0, 0, c2, 0],
-            [u, 0, 0, 1 - v],
-        ],
-        dtype=complex,
-    )
-
-
-def _mu(q: float, g2: float) -> float:
-    return q * math.sin(g2) ** 2 + math.cos(g2) ** 2 / 2.0
-
-
-def _chi(p: float, g1: float, g2: float) -> float:
-    return 0.5 * (1.0 - 2.0 * p * math.sin(g1) ** 2) * math.cos(g2)
-
-
-def _expected_two_collisions_rot(g: float, p: float, q: float) -> np.ndarray:
-    """Collision - pi/4 x-rotation - collision, equal angles g."""
-    mu, zeta = _mu(q, g), math.cos(g) ** 2
-    chi_p, chi_1mp = _chi(p, g, g), _chi(1 - p, g, g)
-    cg = math.cos(g)
-    return np.array(
-        [
-            [mu, 0.5j * zeta * cg, -0.5j * zeta * cg, mu],
-            [1j * chi_1mp, 0.5 * zeta, 0.5 * zeta, -1j * chi_p],
-            [-1j * chi_1mp, 0.5 * zeta, 0.5 * zeta, 1j * chi_p],
-            [1 - mu, -0.5j * zeta * cg, 0.5j * zeta * cg, 1 - mu],
-        ],
-        dtype=complex,
-    )
-
-
-def _dlam0_dT(omega: float, T: float) -> float:
-    lam0, lam1 = _gibbs_weights(omega, T)
-    return (omega / T**2) * lam0 * lam1
-
-
-def _expected_final_state(g1: float, g2: float, p: float, q: float) -> np.ndarray:
-    mu, chi = _mu(q, g2), _chi(p, g1, g2)
-    return np.array([[mu, -1j * chi], [1j * chi, 1 - mu]], dtype=complex)
-
-
-def _expected_slds(g1: float, g2: float, T1: float, T2: float, omega: float = 1.0):
-    """Closed-form SLD pair for the rotated single-ancilla family."""
-    p, _ = _gibbs_weights(omega, T1)
-    q, _ = _gibbs_weights(omega, T2)
-    mu, chi = _mu(q, g2), _chi(p, g1, g2)
-    det = mu * (1 - mu) - chi * chi
-    root = math.sqrt(1.0 - 4.0 * det)
-    alpha = (0.5 * (1 + root), 0.5 * (1 - root))
-    beta = tuple((a - mu) / chi for a in alpha)
-    kets = [
-        np.array([1.0, 1j * b], dtype=complex) / math.sqrt(1 + b * b) for b in beta
-    ]
-    proj = [np.outer(k, k.conj()) for k in kets]
-    cross = np.outer(kets[0], kets[1].conj()) + np.outer(kets[1], kets[0].conj())
-    denom = math.sqrt((1 + beta[0] ** 2) * (1 + beta[1] ** 2))
-
-    chi_dot = -math.sin(g1) ** 2 * math.cos(g2) * _dlam0_dT(omega, T1)
-    mu_dot = math.sin(g2) ** 2 * _dlam0_dT(omega, T2)
-
-    l1 = chi_dot * (
-        sum(2 * beta[k] / (alpha[k] * (1 + beta[k] ** 2)) * proj[k] for k in (0, 1))
-        + 2 * (beta[0] + beta[1]) / denom * cross
-    )
-    l2 = mu_dot * (
-        sum((1 - beta[k] ** 2) / (alpha[k] * (1 + beta[k] ** 2)) * proj[k] for k in (0, 1))
-        + 2 * (1 - beta[0] * beta[1]) / denom * cross
-    )
-    return l1, l2
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +81,25 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
     for _ in range(max(trials, 20)):
         gt = rng.uniform(0.0, math.pi)
         T = rng.uniform(0.5, 4.0)
-        lam0, _ = _gibbs_weights(1.0, T)
+        lam0, _ = gibbs_weights(1.0, T)
         got = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T))
-        res = max(res, float(np.max(np.abs(got - _expected_collision_channel(gt, lam0)))))
+        res = max(res, float(np.max(np.abs(got - printed_collision_channel(gt, lam0)))))
     out.append(_check("collision-channel-entrywise", res, 1e-12))
 
     got = rotation_superoperator(RotationSpec(math.pi / 4, "x"), 2)
-    out.append(
-        _check("rotation-superoperator-pi4", float(np.max(np.abs(got - _EXPECTED_ROT_PI4))), 1e-12)
-    )
+    res = float(np.max(np.abs(got - printed_rotation_superop_pi4())))
+    out.append(_check("rotation-superoperator-pi4", res, 1e-12))
 
     res = 0.0
     for _ in range(max(trials, 20)):
         gt = rng.uniform(0.0, math.pi)
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
-        p, _ = _gibbs_weights(1.0, T1)
-        q, _ = _gibbs_weights(1.0, T2)
+        p, _ = gibbs_weights(1.0, T1)
+        q, _ = gibbs_weights(1.0, T2)
         spec = CollisionSpec.from_angle(gt)
         e1 = collision_superoperator(spec, BathSpec(T1))
         e2 = collision_superoperator(spec, BathSpec(T2))
-        res = max(res, float(np.max(np.abs(e2 @ e1 - _expected_two_collisions_plain(gt, p, q)))))
+        res = max(res, float(np.max(np.abs(e2 @ e1 - composed_plain_channel(gt, p, q)))))
     out.append(_check("two-collision-composition-plain", res, 1e-12))
 
     res = 0.0
@@ -222,12 +107,12 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
     for _ in range(max(trials, 20)):
         g = rng.uniform(0.0, math.pi)
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
-        p, _ = _gibbs_weights(1.0, T1)
-        q, _ = _gibbs_weights(1.0, T2)
+        p, _ = gibbs_weights(1.0, T1)
+        q, _ = gibbs_weights(1.0, T2)
         spec = CollisionSpec.from_angle(g)
         e1 = collision_superoperator(spec, BathSpec(T1))
         e2 = collision_superoperator(spec, BathSpec(T2))
-        res = max(res, float(np.max(np.abs(e2 @ rot @ e1 - _expected_two_collisions_rot(g, p, q)))))
+        res = max(res, float(np.max(np.abs(e2 @ rot @ e1 - composed_rotated_channel(g, p, q)))))
     out.append(_check("two-collision-composition-rotated", res, 1e-12))
 
     # Kraus blocks: K_00, K_01, K_11 entrywise; K_10 only up to a global
@@ -236,7 +121,7 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
     for _ in range(max(trials, 20)):
         gt = rng.uniform(0.0, math.pi)
         T = rng.uniform(0.5, 4.0)
-        lam0, lam1 = _gibbs_weights(1.0, T)
+        lam0, lam1 = gibbs_weights(1.0, T)
         c, s = math.cos(gt), math.sin(gt)
         u = collision_unitary(CollisionSpec.from_angle(gt))
         ks = kraus_from_collision(u, thermal_state(1.0, T)).operators
@@ -283,7 +168,7 @@ def _group_fixedpoint(rng: np.random.Generator, trials: int) -> list[CheckResult
         T = rng.uniform(0.5, 4.0)
         gamma_t = rng.uniform(0.05, 2.0)
         bath = BathSpec(T, therm_time=gamma_t)
-        lam0, lam1 = _gibbs_weights(1.0, T)
+        lam0, lam1 = gibbs_weights(1.0, T)
         gibbs = np.diag([lam0, lam1]).astype(complex)
         ch = thermalization_channel(bath)
         res_fix = max(res_fix, float(np.max(np.abs(ch @ vectorize(gibbs) - vectorize(gibbs)))))
@@ -329,19 +214,18 @@ def _group_closedform(rng: np.random.Generator, trials: int) -> list[CheckResult
         T2 = rng.uniform(0.5, 4.0)
         while abs(T1 - T2) < 0.2:
             T2 = rng.uniform(0.5, 4.0)
-        p, _ = _gibbs_weights(1.0, T1)
-        q, _ = _gibbs_weights(1.0, T2)
+        p, _ = gibbs_weights(1.0, T1)
+        q, _ = gibbs_weights(1.0, T2)
 
         state, _rep = single_run(_two_bath_config(g1, g2, T1, T2, rotation_enabled=False))
-        s1s, c2s = math.sin(g1) ** 2, math.cos(g2) ** 2
-        v = q * math.sin(g2) ** 2 + p * s1s * c2s
+        v = plain_final_v(g1, g2, p, q)
         res_plain = max(res_plain, float(np.max(np.abs(state.mat - np.diag([v, 1 - v])))))
 
         state, rep = single_run(_two_bath_config(g1, g2, T1, T2))
         res_rot = max(
-            res_rot, float(np.max(np.abs(state.mat - _expected_final_state(g1, g2, p, q))))
+            res_rot, float(np.max(np.abs(state.mat - rotated_final_state(g1, g2, p, q))))
         )
-        l1, l2 = _expected_slds(g1, g2, T1, T2)
+        l1, l2 = closed_form_slds(g1, g2, T1, T2)
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[0] - l1))))
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[1] - l2))))
     out.append(_check("final-state-no-rotation", res_plain, 1e-10))

@@ -1,18 +1,33 @@
 """Independent expected-value routes used by the test suite.
 
-Everything here is derived separately from the library: Gibbs weights from
-the partition function, matrix exponentials by Taylor series, the
+The closed forms that ``colltherm verify`` also uses (Gibbs weights, the
+printed channels, the two-collision forms, the single-ancilla state and
+SLDs) live in :mod:`colltherm.oracles`, which imports nothing from the rest
+of the library; they are re-exported here.  This module adds the routes
+only the tests use: matrix exponentials by Taylor series, the
 rethermalization channel as generalized-amplitude-damping Kraus operators,
 QFIMs from the qubit Bloch-vector formula and from a pseudoinverse solve of
-the SLD equation, the hand-transcribed matrices of the two-collision
-analysis, and a brute-force simulation of the two-probe ancilla stream on
-the whole register.  Tests compare library output against these, never
-against the library itself.
+the SLD equation, a brute-force simulation of the two-probe ancilla stream
+on the whole register, and random inputs.  Tests compare library output
+against these, never against the library itself.
 """
 
 import math
 
 import numpy as np
+
+from colltherm.oracles import (  # noqa: F401  (re-exported for the tests)
+    chi_mu_dot,
+    closed_form_slds,
+    composed_plain_channel,
+    composed_rotated_channel,
+    dlam0_dT,
+    gibbs_weights,
+    plain_final_v,
+    printed_collision_channel,
+    printed_rotation_superop_pi4,
+    rotated_final_state,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -22,24 +37,6 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 # ---------------------------------------------------------------------------
 # thermodynamics
 # ---------------------------------------------------------------------------
-
-def gibbs_weights(omega, T):
-    """(excited, ground) Boltzmann weights via the partition function.
-
-    |0> sits at +omega/2 and |1> at -omega/2, so the |0> weight is
-    exp(-omega/2T)/Z and is the smaller of the two for positive T.
-    """
-    w0 = math.exp(-omega / (2.0 * T))
-    w1 = math.exp(+omega / (2.0 * T))
-    z = w0 + w1
-    return w0 / z, w1 / z
-
-
-def dlam0_dT(omega, T):
-    """d lambda_0 / dT = (omega / T^2) lambda_0 lambda_1."""
-    lam0, lam1 = gibbs_weights(omega, T)
-    return (omega / T**2) * lam0 * lam1
-
 
 def thermal_fisher_binomial(omega, T):
     """Fisher information of the two-outcome energy measurement at
@@ -67,7 +64,7 @@ def taylor_expm(m, terms=60):
 
 
 # ---------------------------------------------------------------------------
-# printed two-collision analysis (transcribed)
+# printed collision unitary and the rotated single-ancilla eta_acc
 # ---------------------------------------------------------------------------
 
 def printed_collision_unitary(gt):
@@ -83,100 +80,6 @@ def printed_collision_unitary(gt):
         ],
         dtype=complex,
     )
-
-
-def printed_collision_channel(gt, lam0):
-    c, s = math.cos(gt), math.sin(gt)
-    lam1 = 1.0 - lam0
-    return np.array(
-        [
-            [lam0 + lam1 * c * c, 0, 0, lam0 * s * s],
-            [0, c, 0, 0],
-            [0, 0, c, 0],
-            [lam1 * s * s, 0, 0, lam1 + lam0 * c * c],
-        ],
-        dtype=complex,
-    )
-
-
-def printed_rotation_superop_pi4():
-    return 0.5 * np.array(
-        [
-            [1, 1j, -1j, 1],
-            [1j, 1, 1, -1j],
-            [-1j, 1, 1, 1j],
-            [1, -1j, 1j, 1],
-        ],
-        dtype=complex,
-    )
-
-
-def two_collision_uv(gt, p, q):
-    """(u, v) of the composed plain channel, from multiplying the printed
-    single-collision channels by hand: the second bath's weight enters
-    undressed, the first bath's weight is attenuated by cos^2 of the second
-    collision."""
-    c2, s2 = math.cos(gt) ** 2, math.sin(gt) ** 2
-    u = s2 * ((1 - q) + (1 - p) * c2)
-    v = s2 * (q + p * c2)
-    return u, v
-
-
-def composed_plain_channel(gt, p, q):
-    u, v = two_collision_uv(gt, p, q)
-    c2 = math.cos(gt) ** 2
-    return np.array(
-        [
-            [1 - u, 0, 0, v],
-            [0, c2, 0, 0],
-            [0, 0, c2, 0],
-            [u, 0, 0, 1 - v],
-        ],
-        dtype=complex,
-    )
-
-
-def plain_final_v(g1, g2, p, q):
-    """|0> population of the rotation-free final ancilla state, distinct
-    collision angles."""
-    return q * math.sin(g2) ** 2 + p * math.sin(g1) ** 2 * math.cos(g2) ** 2
-
-
-def mu_chi(g1, g2, p, q):
-    """Bloch data of the rotated (theta = pi/4 about x) final state."""
-    mu = q * math.sin(g2) ** 2 + math.cos(g2) ** 2 / 2.0
-    chi = 0.5 * (1.0 - 2.0 * p * math.sin(g1) ** 2) * math.cos(g2)
-    return mu, chi
-
-
-def rotated_final_state(g1, g2, p, q):
-    mu, chi = mu_chi(g1, g2, p, q)
-    return np.array([[mu, -1j * chi], [1j * chi, 1 - mu]], dtype=complex)
-
-
-def composed_rotated_channel(g, p, q):
-    """Collision - pi/4 rotation - collision at equal angles g, transcribed
-    entry by entry."""
-    mu, chi_p = mu_chi(g, g, p, q)
-    _, chi_1mp = mu_chi(g, g, 1 - p, q)
-    zeta, cg = math.cos(g) ** 2, math.cos(g)
-    return np.array(
-        [
-            [mu, 0.5j * zeta * cg, -0.5j * zeta * cg, mu],
-            [1j * chi_1mp, 0.5 * zeta, 0.5 * zeta, -1j * chi_p],
-            [-1j * chi_1mp, 0.5 * zeta, 0.5 * zeta, 1j * chi_p],
-            [1 - mu, -0.5j * zeta * cg, 0.5j * zeta * cg, 1 - mu],
-        ],
-        dtype=complex,
-    )
-
-
-def chi_mu_dot(g1, g2, T1, T2, omega=1.0):
-    """(d chi / d T1, d mu / d T2) of the rotated family; chi depends on T1
-    only and mu on T2 only."""
-    chi_dot = -math.sin(g1) ** 2 * math.cos(g2) * dlam0_dT(omega, T1)
-    mu_dot = math.sin(g2) ** 2 * dlam0_dT(omega, T2)
-    return chi_dot, mu_dot
 
 
 def rotated_single_eta_acc(g1, g2, T1, T2, omega=1.0):
@@ -195,34 +98,6 @@ def rotated_single_eta_acc(g1, g2, T1, T2, omega=1.0):
     det_q = float(np.linalg.det(qfim_bloch(rotated_final_state(g1, g2, p, q), (d1, d2))))
     det_th = thermal_fisher_binomial(omega, T1) * thermal_fisher_binomial(omega, T2)
     return math.log(det_q / det_th) if det_q > 0 else -math.inf
-
-
-def closed_form_slds(g1, g2, T1, T2, omega=1.0):
-    """SLD pair of the rotated single-ancilla family from the eigendata
-    closed forms (beta_k = (alpha_k - mu)/chi)."""
-    p, _ = gibbs_weights(omega, T1)
-    q, _ = gibbs_weights(omega, T2)
-    mu, chi = mu_chi(g1, g2, p, q)
-    det = mu * (1 - mu) - chi * chi
-    root = math.sqrt(1.0 - 4.0 * det)
-    alpha = (0.5 * (1 + root), 0.5 * (1 - root))
-    beta = tuple((a - mu) / chi for a in alpha)
-    kets = [np.array([1.0, 1j * b]) / math.sqrt(1 + b * b) for b in beta]
-    proj = [np.outer(k, k.conj()) for k in kets]
-    cross = np.outer(kets[0], kets[1].conj()) + np.outer(kets[1], kets[0].conj())
-    denom = math.sqrt((1 + beta[0] ** 2) * (1 + beta[1] ** 2))
-
-    chi_dot, mu_dot = chi_mu_dot(g1, g2, T1, T2, omega)
-
-    l1 = chi_dot * (
-        sum(2 * beta[k] / (alpha[k] * (1 + beta[k] ** 2)) * proj[k] for k in (0, 1))
-        + 2 * (beta[0] + beta[1]) / denom * cross
-    )
-    l2 = mu_dot * (
-        sum((1 - beta[k] ** 2) / (alpha[k] * (1 + beta[k] ** 2)) * proj[k] for k in (0, 1))
-        + 2 * (1 - beta[0] * beta[1]) / denom * cross
-    )
-    return l1, l2
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ def test_run_config_sweep_and_byte_determinism(tmp_path):
     cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
-    assert b1 == b2  # identical input -> byte-identical table, threads included
+    assert b1 == b2  # identical input -> byte-identical table
     assert b1.endswith(b"\n") and b"\r" not in b1
 
     rows = read_rows(out1)
@@ -195,8 +195,8 @@ def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
         calls.append(config)
         return evaluate(config, scenario)
 
-    for module in (cli, protocols):
-        monkeypatch.setattr(module, "evaluate", counting)
+    assert not hasattr(cli, "evaluate")  # the CLI evaluates through protocols only
+    monkeypatch.setattr(protocols, "evaluate", counting)
     out = tmp_path / "once.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert len(calls) == len(read_rows(out)) == 9
@@ -226,6 +226,22 @@ def test_sweep_error_rows_exit_code(tmp_path, capsys):
     assert summary["optimum"]["row"]["error"] is None
 
 
+def test_failed_point_cells_match_between_run_and_sweep(tmp_path):
+    """A point that fails writes the same merit and error cells whether it is
+    a single-config run or the one value of a sweep."""
+    over_cap = GOOD_CONFIG + "correlated: true\nn_ancillas: 10\n"
+    single = write(tmp_path / "single.yaml", over_cap)
+    one_value = "sweep:\n  axis: n_ancillas\n  values: [10]\n"
+    swept = write(tmp_path / "swept.yaml", over_cap + one_value)
+    assert main(["run", "--config", single, "--out", str(tmp_path / "single.csv")]) == 3
+    assert main(["sweep", "--config", swept, "--out", str(tmp_path / "swept.csv")]) == 3
+    (row_single,) = read_rows(tmp_path / "single.csv")
+    (row_swept,) = read_rows(tmp_path / "swept.csv")
+    assert "exceeds the cap" in row_single["error"]
+    assert row_single["eta_acc"] == "nan"
+    assert {col: row_swept[col] for col in MERIT_COLUMNS} == row_single
+
+
 def test_json_null_for_non_finite_merits(tmp_path):
     """An information-free point carries eta_acc = -inf in the CSV but null
     in the JSON summary (strict JSON has no inf/nan tokens)."""
@@ -246,27 +262,6 @@ def test_no_stray_temp_files(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".colltherm-")]
     assert leftovers == []
-
-
-# ---------------------------------------------------------------------------
-# threads environment variable
-# ---------------------------------------------------------------------------
-
-def test_threads_env_used(tmp_path, monkeypatch):
-    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
-    monkeypatch.setenv("COLLTHERM_THREADS", "2")
-    out = tmp_path / "env.csv"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert len(read_rows(out)) == 9
-
-
-def test_threads_env_invalid(tmp_path, monkeypatch, capsys):
-    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
-    monkeypatch.setenv("COLLTHERM_THREADS", "many")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "COLLTHERM_THREADS" in capsys.readouterr().err
-    # explicit --threads overrides the broken variable
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--threads", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Vectorization, partial traces, local operations, eigensolver contract."""
+"""Vectorization, partial traces, eigensolver contract, matrix exponential."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,16 +7,12 @@ import pytest
 import oracles
 from colltherm.linalg import (
     DensityMatrix,
-    apply_superop_local,
-    apply_unitary_local,
     choi_matrix,
     devectorize,
     herm_eig,
     kron,
-    kron_all,
     matrix_exp,
     partial_trace,
-    trace_out,
     vectorize,
 )
 
@@ -51,13 +47,6 @@ def test_unitary_conjugation_superop_matches_convention(rng):
         rho = oracles.random_density(rng, dim)
         lhs = devectorize(kron(u, u.conj()) @ vectorize(rho), dim)
         npt.assert_allclose(lhs, u @ rho @ u.conj().T, atol=1e-13)
-
-
-def test_kron_all_matches_iterated_numpy(rng):
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2))
-    npt.assert_array_equal(kron_all(a, b, c), np.kron(np.kron(a, b), c))
 
 
 class TestDensityMatrix:
@@ -116,14 +105,16 @@ def test_partial_trace_against_index_loop(rng):
         return out
 
     for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
-        npt.assert_allclose(trace_out(rho.copy(), dims, keep), loop_trace(rho, keep), atol=1e-13)
+        got = partial_trace(DensityMatrix(rho, dims), keep).mat
+        npt.assert_allclose(got, loop_trace(rho, keep), atol=1e-13)
 
 
 def test_partial_trace_requires_kept_factor():
+    mixed = DensityMatrix(np.eye(4) / 4.0, (2, 2))
     with pytest.raises(ValueError):
-        trace_out(np.eye(4) / 4.0, (2, 2), ())
+        partial_trace(mixed, ())
     with pytest.raises(IndexError):
-        trace_out(np.eye(4) / 4.0, (2, 2), (2,))
+        partial_trace(mixed, (2,))
 
 
 def test_herm_eig_reconstruction_and_order(rng):
@@ -155,87 +146,6 @@ def test_matrix_exp_against_taylor_series(rng):
     h = oracles.random_herm_traceless(rng, 4)
     npt.assert_allclose(matrix_exp(h, scale=-0.3j), oracles.taylor_expm(-0.3j * h), atol=1e-12)
     npt.assert_allclose(matrix_exp(h), oracles.taylor_expm(h.astype(complex)), atol=1e-10)
-
-
-def test_apply_unitary_local_matches_full_kron(rng):
-    """Local two-site application vs building I (x) U (x) I explicitly, for
-    adjacent, straddling, and order-reversed target pairs."""
-    dims = (2, 2, 3)
-    d = int(np.prod(dims))
-    rho = oracles.random_density(rng, d)
-    u4 = oracles.random_unitary(rng, 4)
-    u6 = oracles.random_unitary(rng, 6)
-
-    # targets (0, 1): straightforward U (x) I
-    full = kron(u4, np.eye(3))
-    npt.assert_allclose(
-        apply_unitary_local(rho, dims, u4, (0, 1)), full @ rho @ full.conj().T, atol=1e-12
-    )
-
-    # targets (1, 2): I (x) U
-    full = kron(np.eye(2), u6)
-    npt.assert_allclose(
-        apply_unitary_local(rho, dims, u6, (1, 2)), full @ rho @ full.conj().T, atol=1e-12
-    )
-
-    # targets (2, 0): factor order of u is (qutrit, qubit); oracle reorders
-    # the basis to (f2, f0, f1) so the unitary acts on the leading block
-    u_rev = oracles.random_unitary(rng, 6)
-    perm = np.zeros((d, d))
-    for i in np.ndindex(*dims):
-        row = np.ravel_multi_index((i[2], i[0], i[1]), (3, 2, 2))
-        col = np.ravel_multi_index(i, dims)
-        perm[row, col] = 1.0
-    full = perm.T @ kron(u_rev, np.eye(2)) @ perm
-    npt.assert_allclose(
-        apply_unitary_local(rho, dims, u_rev, (2, 0)), full @ rho @ full.conj().T, atol=1e-12
-    )
-
-
-def test_apply_unitary_local_single_target(rng):
-    dims = (2, 3)
-    rho = oracles.random_density(rng, 6)
-    u = oracles.random_unitary(rng, 3)
-    full = kron(np.eye(2), u)
-    npt.assert_allclose(
-        apply_unitary_local(rho, dims, u, (1,)), full @ rho @ full.conj().T, atol=1e-12
-    )
-
-
-def test_apply_superop_local_product_state(rng):
-    """On product input the local channel must act on its factor alone."""
-    a = oracles.random_density(rng, 2)
-    b = oracles.random_density(rng, 2)
-    c = oracles.random_density(rng, 3)
-    ks = oracles.gad_kraus(1.0, 2.0, 1.0, 0.7)
-    sop = np.zeros((4, 4), dtype=complex)
-    for k in ks:
-        sop += np.kron(k, k.conj())
-    out = apply_superop_local(kron_all(a, b, c), (2, 2, 3), sop, 1)
-    b_out = devectorize(sop @ vectorize(b), 2)
-    npt.assert_allclose(out, kron_all(a, b_out, c), atol=1e-13)
-
-
-def test_apply_superop_local_matches_unitary_route(rng):
-    """Applying kron(U, U*) through the superop path must agree with the
-    unitary path on a correlated state."""
-    dims = (2, 2, 2)
-    rho = oracles.random_density(rng, 8)
-    u = oracles.random_unitary(rng, 2)
-    sop = np.kron(u, u.conj())
-    for target in range(3):
-        npt.assert_allclose(
-            apply_superop_local(rho, dims, sop, target),
-            apply_unitary_local(rho, dims, u, (target,)),
-            atol=1e-13,
-        )
-
-
-def test_apply_superop_local_preserves_trace(rng):
-    rho = oracles.random_density(rng, 12)
-    sop = oracles.gad_superop(1.0, 1.5, 1.0, 0.3)
-    out = apply_superop_local(rho, (2, 3, 2), sop, 0)
-    assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_choi_matrix_of_unitary_is_rank_one(rng):

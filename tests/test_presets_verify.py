@@ -1,9 +1,11 @@
 """Preset definitions and the built-in oracle suite."""
 
+import ast
 import math
 
 import pytest
 
+from colltherm import oracles
 from colltherm.presets import PRESETS, get_preset
 from colltherm.verify import GROUPS, run_all, run_group
 
@@ -97,3 +99,19 @@ def test_theorem1_group_large_sample():
     (check,) = run_group("theorem1", seed=7, trials=300)
     assert check.ok
     assert check.residual == 0.0  # disagreement fraction
+
+
+def test_oracles_import_nothing_from_the_library():
+    """The closed forms both ``verify`` and the tests compare against stay
+    independent of the code they check: no relative or ``colltherm`` import."""
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            imported.append(node.module)
+    assert imported, "no imports found; is this the oracle module?"
+    assert not [m for m in imported if m.split(".")[0] == "colltherm"], imported
