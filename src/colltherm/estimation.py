@@ -20,6 +20,16 @@ form).  In the eigenbasis rho = sum_j a_j |j><j| the solution is
 with terms omitted when a_j + a_k falls below the support cutoff 1e-12
 (Moore-Penrose treatment of rank-deficient states).
 
+F is formed in that eigenbasis, without rotating the SLDs back (Liu, Yuan,
+Lu & Wang, J. Phys. A 53, 023001 (2020)):
+
+    F_mu,nu = sum_jk a_j Re(<j|L_mu|k> conj(<j|L_nu|k>)).
+
+:func:`qfim_stack` does this for a stack of K states at once, with one
+stacked eigendecomposition; every evaluator goes through it, and
+:func:`qfim` and :func:`sld` add the rotation back to the computational
+basis.
+
 Figures of merit against the thermal benchmark F_th:
 
     eta_joint = Tr F_Q / Tr F_th
@@ -28,6 +38,7 @@ Figures of merit against the thermal benchmark F_th:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +53,12 @@ __all__ = [
     "ETA_ACC_DET_SENTINEL",
     "ParamDerivatives",
     "Qfim",
+    "QfimStack",
     "ThermalFim",
     "EstimationReport",
     "sld",
     "qfim",
+    "qfim_stack",
     "classical_fim",
     "thermal_fim",
     "eta_metrics",
@@ -66,6 +79,31 @@ def _as_mat(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
+def _check_derivs(derivs: np.ndarray) -> None:
+    """Derivatives stacked as (K, N, d, d) must be Hermitian and traceless;
+    the message names the first offending one in stack order."""
+    herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    trace = np.abs(derivs.trace(axis1=-2, axis2=-1))
+    bad = (herm > DERIV_HERM_TOL) | (trace > DERIV_TRACE_TOL)
+    if bad.any():
+        k, mu = np.argwhere(bad)[0]
+        if herm[k, mu] > DERIV_HERM_TOL:
+            raise ValueError(f"derivative {mu} not Hermitian: defect {herm[k, mu]:.3e}")
+        raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
+
+
+def _check_qfim(m: np.ndarray) -> None:
+    """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9 and
+    PSD down to -1e-8."""
+    mt = m.swapaxes(-1, -2)
+    asym = np.abs(m - mt).max(initial=0.0)
+    if asym > 1e-9:
+        raise ValueError(f"QFIM not symmetric: defect {asym:.3e}")
+    lo = float(np.linalg.eigvalsh((m + mt) / 2).min(initial=0.0))
+    if lo < -1e-8:
+        raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
+
+
 @dataclass(frozen=True)
 class ParamDerivatives:
     """A state and its derivatives with respect to each parameter."""
@@ -76,16 +114,8 @@ class ParamDerivatives:
     def __post_init__(self):
         object.__setattr__(self, "rho", _as_mat(self.rho))
         object.__setattr__(self, "derivs", tuple(np.asarray(d, dtype=complex) for d in self.derivs))
-        if not self.derivs:
-            return
-        stack = np.array(self.derivs)
-        herms = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-        traces = np.abs(np.trace(stack, axis1=1, axis2=2))
-        for mu, (herm, tr) in enumerate(zip(herms, traces)):
-            if herm > DERIV_HERM_TOL:
-                raise ValueError(f"derivative {mu} not Hermitian: defect {herm:.3e}")
-            if tr > DERIV_TRACE_TOL:
-                raise ValueError(f"derivative {mu} not traceless: |trace| {tr:.3e}")
+        if self.derivs:
+            _check_derivs(np.array(self.derivs)[None])
 
     @property
     def n_params(self) -> int:
@@ -99,8 +129,8 @@ class Qfim:
     ``slds`` may be empty: for additively composed matrices (product-state
     streams) the logarithmic derivatives live block-locally on the
     individual factors and only their matrix sum is meaningful, and the
-    reports of :func:`colltherm.protocols.evaluate` drop the SLDs after
-    taking their commutator norm.
+    reports of :func:`colltherm.protocols.evaluate` keep only the SLD
+    commutator norm.
     """
 
     matrix: np.ndarray
@@ -110,13 +140,7 @@ class Qfim:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-        if asym > 1e-9:
-            raise ValueError(f"QFIM not symmetric: defect {asym:.3e}")
-        if m.size:
-            lo = float(np.linalg.eigvalsh((m + m.T) / 2)[0])
-            if lo < -1e-8:
-                raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
+        _check_qfim(m)
 
     @property
     def det(self) -> float:
@@ -125,6 +149,29 @@ class Qfim:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+
+@dataclass(frozen=True, slots=True)
+class QfimStack:
+    """The per-state results of :func:`qfim_stack` for K state families.
+
+    ``matrices`` (K, N, N) are the QFIMs, ``support_dims`` the ranks of the
+    states (eigenvalues above the support cutoff) and ``commutator_norms``
+    (K,) the largest ||[L_i, L_j]||_F of each state's SLDs.  ``eigvecs``
+    (K, d, d) and ``eigen_slds`` (K, N, d, d) hold the SLDs in each state's
+    eigenbasis; :meth:`slds` rotates one state's back.
+    """
+
+    matrices: np.ndarray
+    support_dims: tuple[int, ...]
+    commutator_norms: np.ndarray
+    eigvecs: np.ndarray
+    eigen_slds: np.ndarray
+
+    def slds(self, k: int) -> tuple[np.ndarray, ...]:
+        """The SLDs of state ``k`` in the computational basis."""
+        v = self.eigvecs[k]
+        return tuple(v @ self.eigen_slds[k] @ v.conj().T)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,48 +214,70 @@ class EstimationReport:
     singular: bool
 
 
-def sld(rho, drho, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Symmetric logarithmic derivative of a state family.
+def qfim_stack(stacks, support_cutoff: float = SUPPORT_CUTOFF) -> QfimStack:
+    """QFIMs of K state families at once, each in its state's eigenbasis.
 
-    Solves (L rho + rho L)/2 = drho on the support of rho via the
-    eigendecomposition formula; eigenvalue pairs with a_j + a_k below
-    ``support_cutoff`` are omitted.  Raises if ``drho`` carries weight larger
-    than 1e-8 inside the kernel-kernel block, which means the derivative
-    leaves the family's support and no SLD reproduces it.
+    ``stacks`` is (K, 1 + N, d, d): per family the state rho and its N
+    derivatives.  One stacked eigendecomposition rho = V diag(lambda) V^dag
+    serves all K; with D_i = V^dag (d_i rho) V the SLDs in the eigenbasis
+    are L_i[a, b] = 2 D_i[a, b] / (lambda_a + lambda_b) where that sum
+    reaches ``support_cutoff`` (zero elsewhere), and
+
+        F_ij = sum_ab lambda_a Re(L_i[a, b] conj(L_j[a, b])).
+
+    The commutator norm ||[L_i, L_j]||_F is taken in the eigenbasis too: the
+    Frobenius norm is unitarily invariant, and for Hermitian L_i the
+    commutator is P - P^dag with P = L_i L_j.
+
+    Raises, naming the same quantities as for a single state, if any
+    derivative is not Hermitian or traceless, any state is not Hermitian or
+    its eigendecomposition inexact, any derivative has weight above 1e-8 in
+    the kernel-kernel block of its state (the family leaves its support, and
+    no SLD reproduces it), or any F is not symmetric PSD.
     """
-    w, v = herm_eig(_as_mat(rho))
-    return _slds_eigen(w, v, np.asarray(drho, dtype=complex)[None], support_cutoff)[0]
-
-
-def _slds_eigen(
-    w: np.ndarray, v: np.ndarray, derivs: np.ndarray, support_cutoff: float
-) -> np.ndarray:
-    """:func:`sld` of a stack of derivatives ``(k, d, d)``, given the
-    eigendecomposition ``(w, v)`` of the state."""
-    vh = v.conj().T
-    dr = vh @ derivs @ v
-    s = w[:, None] + w[None, :]
+    stacks = np.asarray(stacks, dtype=complex)
+    derivs = stacks[:, 1:]
+    _check_derivs(derivs)
+    w, v = herm_eig(stacks[:, 0])
+    dr = v.conj().swapaxes(-1, -2)[:, None] @ derivs @ v[:, None]
+    s = w[:, :, None] + w[:, None, :]
     support = s >= support_cutoff
-    kernel_weight = float(np.max(np.abs(dr[:, ~support]), initial=0.0))
+    kernel_weight = float(np.abs(dr).max(where=~support[:, None], initial=0.0))
     if kernel_weight > KERNEL_WEIGHT_TOL:
         raise ValueError(
             "derivative has weight "
             f"{kernel_weight:.3e} connecting the kernel of the state to itself; "
             "the family leaves its support"
         )
-    lmat = np.where(support, 2.0 * dr / np.where(support, s, 1.0), 0.0)
-    return v @ lmat @ vh
+    lt = dr * np.divide(2.0, s, out=np.zeros_like(s), where=support)[:, None]
+    f = np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real
+    f = (f + f.swapaxes(-1, -2)) / 2.0
+    _check_qfim(f)
+    comm = np.zeros(len(w))
+    for i, j in itertools.combinations(range(lt.shape[1]), 2):
+        p = lt[:, i] @ lt[:, j]
+        comm = np.maximum(comm, np.linalg.norm(p - p.conj().swapaxes(-1, -2), axis=(-2, -1)))
+    support_dims = tuple((w > support_cutoff).sum(axis=-1).tolist())
+    return QfimStack(f, support_dims, comm, v, lt)
+
+
+def sld(rho, drho, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """Symmetric logarithmic derivative of a state family.
+
+    Solves (L rho + rho L)/2 = drho on the support of rho through
+    :func:`qfim_stack`; eigenvalue pairs with a_j + a_k below
+    ``support_cutoff`` are omitted.  Raises if ``drho`` carries weight larger
+    than 1e-8 inside the kernel-kernel block, which means the derivative
+    leaves the family's support and no SLD reproduces it.
+    """
+    return qfim(ParamDerivatives(rho, (drho,)), support_cutoff).slds[0]
 
 
 def qfim(pd: ParamDerivatives, support_cutoff: float = SUPPORT_CUTOFF) -> Qfim:
-    """Quantum Fisher information matrix F_ij = Re Tr[rho L_i L_j]."""
-    rho = pd.rho
-    w, v = herm_eig(rho)
-    d = rho.shape[0]
-    slds = _slds_eigen(w, v, np.array(pd.derivs).reshape(pd.n_params, d, d), support_cutoff)
-    f = np.einsum("iab,jba->ij", rho @ slds, slds).real
-    support = int(np.sum(w > support_cutoff))
-    return Qfim((f + f.T) / 2.0, tuple(slds), support)
+    """Quantum Fisher information matrix F_ij = Re Tr[rho L_i L_j], with the
+    SLDs in the computational basis."""
+    qs = qfim_stack(np.array((pd.rho, *pd.derivs))[None], support_cutoff)
+    return Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
 
 
 def classical_fim(rho_fn, theta, povm, h: float | None = None) -> np.ndarray:

@@ -55,14 +55,7 @@ from .channels import (
     thermalization_channel,
     thermalization_channel_dT,
 )
-from .estimation import (
-    EstimationReport,
-    ParamDerivatives,
-    Qfim,
-    build_report,
-    qfim,
-    thermal_fim,
-)
+from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
 from .linalg import DensityMatrix
 
 __all__ = [
@@ -80,8 +73,9 @@ __all__ = [
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
-# at n = 9 took 0.56 s and +106 MB peak RSS, 3 probes x 8 ancillas +149 MB
-# (2-vCPU Xeon, one BLAS thread).
+# at n = 9 took 0.21 s (0.18 s of it the QFIM of the 512-dimensional state) and
+# +94 MB peak RSS, 3 probes x 8 ancillas 0.10 s and +133 MB (2-vCPU Xeon, one
+# BLAS thread).
 SIM_DIM_CAP = 2**11
 
 
@@ -154,16 +148,6 @@ class ProtocolConfig:
         return tuple(i < last or self.apply_rotation_after_last for i in range(self.n_baths))
 
 
-def _commutator_norm(slds: tuple[np.ndarray, ...]) -> float:
-    """Largest Frobenius norm of [L_i, L_j] over SLD pairs."""
-    best = 0.0
-    for i in range(len(slds)):
-        for j in range(i + 1, len(slds)):
-            c = slds[i] @ slds[j] - slds[j] @ slds[i]
-            best = max(best, float(np.linalg.norm(c)))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
@@ -197,11 +181,13 @@ def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndar
     return [(thermalization_channel(b), thermalization_channel_dT(b)) for b in config.baths]
 
 
-def _tangent_qfim(stack) -> tuple[Qfim, float]:
-    """QFIM of one state from its stack (rho, d_1 rho, ..., d_N rho), and
-    the largest commutator norm of its SLDs."""
-    qf = qfim(ParamDerivatives(stack[0], tuple(stack[1:])))
-    return qf, _commutator_norm(qf.slds)
+def _product_report(config: ProtocolConfig, stacks: np.ndarray) -> EstimationReport:
+    """Report on the product of the K states in ``stacks``, each with its
+    temperature derivatives, (K, 1 + N, d, d): their QFIMs add, their
+    supports multiply, and the commutator norm is the largest of any one."""
+    qs = qfim_stack(stacks)
+    qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
+    return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +201,24 @@ def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]
     collision happens, so the ancilla evolves by the composition of the
     reduced collision channels (with rotations interleaved): the n = 1 case
     of the marginal stream.  This is the route the closed forms describe.
-    The report keeps the SLDs.
+    The report keeps the SLDs, in the computational basis.
     """
+    stacks = _single_tangents(config)
+    qs = qfim_stack(stacks)
+    qf = Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
+    report = build_report(qf, thermal_fim(config.baths), qs.commutator_norms[0])
+    return DensityMatrix(stacks[0, 0], (config.ancilla_dim,)), report
+
+
+def _single_tangents(config: ProtocolConfig) -> np.ndarray:
     if config.n_ancillas != 1:
         raise ValueError(f"single_run requires n_ancillas = 1, got {config.n_ancillas}")
-    (stack,) = _stream_tangents(config)
-    qf, comm = _tangent_qfim(stack)
-    report = build_report(qf, thermal_fim(config.baths), comm)
-    return DensityMatrix(stack[0], (config.ancilla_dim,)), report
+    return _stream_tangents(config)
 
 
-def _stream_tangents(config: ProtocolConfig) -> list[np.ndarray]:
+def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
-    the sequential stream, stacked as (1 + N, d, d).
+    the sequential stream, stacked as (n, 1 + N, d, d).
 
     Probe and ancilla marginals are carried as such stacks.  At each
     collision the joint stack of probe (x) ancilla follows the product
@@ -246,7 +237,7 @@ def _stream_tangents(config: ProtocolConfig) -> list[np.ndarray]:
     anc0 = np.zeros((nt, d, d), dtype=complex)
     anc0[0] = operators.basis_state(d, config.ancilla_init)
 
-    out = []
+    out = np.empty((n, nt, d, d), dtype=complex)
     for k in range(n):
         a = anc0
         for i in range(nb):
@@ -261,7 +252,7 @@ def _stream_tangents(config: ProtocolConfig) -> list[np.ndarray]:
                 pv = p.reshape(nt, 4) @ s.T
                 pv[1 + i] += ds @ p[0].reshape(4)
                 probes[i] = pv.reshape(nt, 2, 2)
-        out.append(a)
+        out[k] = a
     return out
 
 
@@ -274,20 +265,12 @@ def multi_ancilla_uncorrelated(config: ProtocolConfig) -> EstimationReport:
     they equal the true single-ancilla marginals for two probes and qubit
     ancillas whose first collision is a full swap (g1 = pi/2), and
     approximate them otherwise (see the module docstring).  All n marginals
-    and their exact derivatives come out of one stream pass.
+    and their exact derivatives come out of one stream pass, and their
+    QFIMs out of one :func:`colltherm.estimation.qfim_stack` call.
     """
     if config.correlated:
         raise ValueError("config.correlated is set; use multi_ancilla_correlated")
-    total = np.zeros((config.n_baths, config.n_baths))
-    comm = 0.0
-    support = 1
-    for stack in _stream_tangents(config):
-        qf_k, comm_k = _tangent_qfim(stack)
-        total += qf_k.matrix
-        comm = max(comm, comm_k)
-        support *= qf_k.support_dim
-    qf = Qfim(total, slds=(), support_dim=support)
-    return build_report(qf, thermal_fim(config.baths), comm)
+    return _product_report(config, _stream_tangents(config))
 
 
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
@@ -380,10 +363,9 @@ def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
     rethermalization channel acting locally on probes), and the probes are
     traced out only at the very end, so whatever correlations the shared
     probes establish between ancillas survive into the measured state.  The
-    report drops the SLDs after taking their commutator norm.
+    report keeps the SLD commutator norm, taken in the state's eigenbasis.
     """
-    qf, comm = _tangent_qfim(_joint_tangents(config))
-    return build_report(replace(qf, slds=()), thermal_fim(config.baths), comm)
+    return _product_report(config, _joint_tangents(config)[None])
 
 
 def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
@@ -406,8 +388,6 @@ def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
 # ---------------------------------------------------------------------------
 
 def _set_angle(config: ProtocolConfig, stage: int, value: float) -> ProtocolConfig:
-    if stage >= config.n_baths:
-        raise ValueError(f"axis refers to bath stage {stage + 1}, config has {config.n_baths}")
     angles = list(config.collision_angles)
     angles[stage] = value * math.pi
     return replace(config, collision_angles=tuple(angles))
@@ -429,10 +409,10 @@ def _set_n_ancillas(config: ProtocolConfig, value: float) -> ProtocolConfig:
     return replace(config, n_ancillas=n)
 
 
+_ANGLE_AXES = {"g_t1_over_pi": 0, "g_t2_over_pi": 1, "g_t3_over_pi": 2}
+
 SWEEP_AXES = {
-    "g_t1_over_pi": lambda c, v: _set_angle(c, 0, v),
-    "g_t2_over_pi": lambda c, v: _set_angle(c, 1, v),
-    "g_t3_over_pi": lambda c, v: _set_angle(c, 2, v),
+    **{name: lambda c, v, i=i: _set_angle(c, i, v) for name, i in _ANGLE_AXES.items()},
     "theta_over_pi": _set_theta,
     "gamma_t": _set_gamma_t,
     "n_ancillas": _set_n_ancillas,
@@ -453,6 +433,11 @@ class SweepGrid:
                 f"unknown sweep axis {self.axis_name!r}; "
                 f"choose from {sorted(SWEEP_AXES)}"
             )
+        stage = _ANGLE_AXES.get(self.axis_name)
+        if stage is not None and stage >= self.fixed.n_baths:
+            raise ValueError(
+                f"axis refers to bath stage {stage + 1}, config has {self.fixed.n_baths}"
+            )
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -464,8 +449,7 @@ class SweepGrid:
 
 def _single_report(config: ProtocolConfig) -> EstimationReport:
     """The report of :func:`single_run` without its SLDs."""
-    report = single_run(config)[1]
-    return replace(report, qfim=replace(report.qfim, slds=()))
+    return _product_report(config, _single_tangents(config))
 
 
 _SCENARIOS = {

@@ -144,6 +144,17 @@ def test_config_error_names_field(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
+    """A two-bath config cannot sweep a third collision angle: the run stops
+    with exit 2 naming ``sweep`` instead of writing a table of failed rows."""
+    text = GOOD_CONFIG + "sweep: {axis: g_t3_over_pi, values: [0.1, 0.2]}\n"
+    cfg = write(tmp_path / "bad.yaml", text)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep: axis refers to bath stage 3, config has 2" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "mangle, needle",
     [

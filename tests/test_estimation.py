@@ -2,7 +2,9 @@
 
 QFIM values are cross-checked through two independent oracles: the qubit
 Bloch-vector formula and a pseudoinverse solve of the SLD equation.  Neither
-shares code with the library's eigendecomposition route.
+shares code with the library's eigendecomposition route.  The stacked kernel
+:func:`qfim_stack` is pinned to the pseudoinverse route on stacks of
+full-rank, pure and rank-deficient states.
 """
 
 import math
@@ -12,22 +14,25 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm.channels import BathSpec
+from colltherm.channels import BathSpec, RotationSpec
 from colltherm.estimation import (
     ETA_ACC_DET_SENTINEL,
     ParamDerivatives,
     Qfim,
     ThermalFim,
+    _check_qfim,
     build_report,
     classical_fim,
     det_singular_threshold,
     eta_metrics,
     finite_diff_derivatives,
     qfim,
+    qfim_stack,
     singularity_test,
     sld,
     thermal_fim,
 )
+from colltherm.protocols import ProtocolConfig, multi_ancilla_uncorrelated
 
 
 def _qubit_family(rng, n_params=2):
@@ -132,6 +137,125 @@ def test_qfim_validation():
         Qfim(np.array([[1.0, 0.2], [0.1, 1.0]]))
     with pytest.raises(ValueError, match="PSD"):
         Qfim(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# stacked eigenbasis kernel
+# ---------------------------------------------------------------------------
+
+def _family_stack(rng, dim, n_params, rank):
+    """(1 + n_params, dim, dim): a random state of the given rank and
+    derivatives D = A rho + rho A^dag - Tr(.) rho, which are Hermitian,
+    traceless and vanish on ker(rho) x ker(rho), as any state family's do."""
+    u = oracles.random_unitary(rng, dim)[:, :rank]
+    p = rng.uniform(0.2, 1.0, size=rank)
+    rho = (u * (p / p.sum())) @ u.conj().T
+    out = [rho]
+    for _ in range(n_params):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        d = a @ rho + rho @ a.conj().T
+        out.append(d - np.trace(d).real * rho)
+    return np.array(out)
+
+
+KERNEL_CASES = [(dim, n, rank) for dim in (2, 3) for n in (2, 3) for rank in range(1, dim + 1)]
+
+
+def _oracle_commutator_norm(stack):
+    slds = [oracles.sld_pinv(stack[0], d) for d in stack[1:]]
+    return max(
+        np.linalg.norm(a @ b - b @ a) for i, a in enumerate(slds) for b in slds[i + 1:]
+    )
+
+
+@pytest.mark.parametrize("dim, n_params, rank", KERNEL_CASES)
+def test_qfim_stack_matches_pseudoinverse_route(rng, dim, n_params, rank):
+    stacks = np.array([_family_stack(rng, dim, n_params, rank) for _ in range(5)])
+    qs = qfim_stack(stacks)
+    assert qs.matrices.shape == (5, n_params, n_params)
+    assert qs.support_dims == (rank,) * 5
+    for k, stack in enumerate(stacks):
+        expected = oracles.qfim_pinv(stack[0], stack[1:])
+        assert np.max(np.abs(qs.matrices[k] - expected)) <= 1e-10 * np.max(np.abs(expected))
+        comm = _oracle_commutator_norm(stack)
+        assert qs.commutator_norms[k] == pytest.approx(comm, rel=1e-10, abs=1e-10)
+        for mine, theirs in zip(qs.slds(k), stack[1:]):
+            npt.assert_allclose(mine, oracles.sld_pinv(stack[0], theirs), atol=1e-10)
+
+
+def test_qfim_stack_equals_states_one_at_a_time(rng):
+    stacks = np.array([_family_stack(rng, 3, 3, rank) for rank in (3, 1, 2, 3)])
+    whole = qfim_stack(stacks)
+    for k in range(len(stacks)):
+        alone = qfim_stack(stacks[k:k + 1])
+        npt.assert_allclose(whole.matrices[k], alone.matrices[0], rtol=1e-13, atol=1e-15)
+        npt.assert_allclose(whole.commutator_norms[k], alone.commutator_norms[0], rtol=1e-13)
+        assert whole.support_dims[k] == alone.support_dims[0]
+        for a, b in zip(whole.slds(k), alone.slds(0)):
+            npt.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+def _offend_deriv_herm(stack):
+    stack[2] += np.array([[0.0, 1e-6], [0.0, 0.0]])
+
+
+def _offend_deriv_trace(stack):
+    stack[2] += 1e-6 * np.eye(2)
+
+
+def _offend_state_herm(stack):
+    stack[0, 0, 1] += 1e-6
+
+
+def _offend_residual(stack):
+    h = 1e9 * stack[0]  # rounding in eigh alone exceeds the residual bound
+    stack[0] = (h + h.conj().T) / 2.0
+
+
+def _offend_support(stack):
+    stack[0] = np.diag([1.0, 0.0])
+    stack[1:] = np.diag([-1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "offend, message",
+    [
+        (_offend_deriv_herm, "derivative 1 not Hermitian: defect 1.000e-06"),
+        (_offend_deriv_trace, "derivative 1 not traceless: [|]trace[|] 2.000e-06"),
+        (_offend_state_herm, "input not Hermitian: defect 1.000e-06 > 1e-10"),
+        (_offend_residual, "eigendecomposition residual"),
+        (_offend_support, "connecting the kernel of the state to itself"),
+    ],
+)
+def test_qfim_stack_checks_every_state(rng, offend, message):
+    """A defect in the state at stack index 2 raises the message a lone
+    state would."""
+    stacks = np.array([_family_stack(rng, 2, 2, 2) for _ in range(4)])
+    offend(stacks[2])
+    with pytest.raises(ValueError, match=message):
+        qfim_stack(stacks)
+    with pytest.raises(ValueError, match=message):
+        qfim_stack(stacks[2:3])
+
+
+def test_qfim_checks_cover_stacks():
+    good = np.eye(2)
+    with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e-01"):
+        _check_qfim(np.array([good, good, [[1.0, 0.2], [0.1, 1.0]]]))
+    with pytest.raises(ValueError, match="QFIM not PSD: min eigenvalue -1.000e"):
+        _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
+
+
+def test_stream_support_dim_is_exact_at_large_n():
+    """The support of the product of n = 70 full-rank qubit marginals is
+    2^70, past the range of a 64-bit integer."""
+    config = ProtocolConfig(
+        baths=(BathSpec(2.0, therm_time=0.5), BathSpec(1.0, therm_time=0.5)),
+        collision_angles=(0.5 * math.pi, 0.3 * math.pi),
+        rotation=RotationSpec(math.pi / 4, "x"),
+        n_ancillas=70,
+    )
+    assert multi_ancilla_uncorrelated(config).qfim.support_dim == 2**70
 
 
 def test_param_derivatives_validation(rng):

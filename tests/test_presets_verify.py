@@ -1,11 +1,14 @@
 """Preset definitions and the built-in oracle suite."""
 
 import ast
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
 from colltherm import oracles
+from colltherm.cli import main
 from colltherm.presets import PRESETS, get_preset
 from colltherm.verify import GROUPS, run_all, run_group
 
@@ -14,6 +17,41 @@ def test_preset_names():
     assert set(PRESETS) == {"fig2", "fig3", "fig4", "fig5"}
     with pytest.raises(ValueError, match="preset"):
         get_preset("fig9")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+FLOAT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim")
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_table_matches_golden(name, tmp_path):
+    """Each preset's table against the committed one in tests/golden
+    (written by ``colltherm run --scenario <name>``), cell by cell: the
+    same rows, axis values, labels, singular flags and errors, and floats
+    within 1e-10 relative.  The determinant of a singular QFIM is rounding
+    noise, so in rows singular on both sides it need only agree within
+    1e-12 (trace / N)^N, the natural size of an N x N determinant."""
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", "--scenario", name, "--out", str(out)]) == 0
+    got, want = _read_rows(out), _read_rows(GOLDEN / f"{name}.csv")
+    assert len(got) == len(want)
+    n = get_preset(name).series[0].grid.fixed.n_baths
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert list(g) == list(w)
+        for col, expected in w.items():
+            cell = f"row {i} {col}: {g[col]} vs {expected}"
+            if col not in FLOAT_COLUMNS:
+                assert g[col] == expected, cell
+            elif col == "det_qfim" and g["singular"] == w["singular"] == "true":
+                scale = (float(w["trace_qfim"]) / n) ** n
+                assert abs(float(g[col]) - float(expected)) <= 1e-12 * scale, cell
+            else:
+                assert math.isclose(float(g[col]), float(expected), rel_tol=1e-10), cell
 
 
 def test_fig2_definition():
