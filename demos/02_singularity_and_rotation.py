@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from colltherm.channels import BathSpec, RotationSpec
-from colltherm.estimation import finite_diff_derivatives, singularity_test
+from colltherm.estimation import ParamDerivatives, singularity_test
 from colltherm.protocols import ProtocolConfig, single_run
 
 T1, T2 = 2.0, 1.0
@@ -32,14 +32,18 @@ def config(theta, enabled=True):
     )
 
 
-def family(cfg):
-    return lambda t: single_run(cfg.at_temperatures(t))[0]
+def derivatives(cfg, h=1e-5):
+    """The final ancilla state and its central-difference (T1, T2) derivatives."""
+    def rho(t):
+        return single_run(cfg.at_temperatures(t))[0].mat
+
+    t = np.array([T1, T2])
+    return ParamDerivatives(rho(t), [(rho(t + e) - rho(t - e)) / (2 * h) for e in h * np.eye(2)])
 
 
 plain = config(0.0, enabled=False)
 _, rep = single_run(plain)
-pd = finite_diff_derivatives(family(plain), np.array([T1, T2]))
-proportional, ratio = singularity_test(pd)
+proportional, ratio = singularity_test(derivatives(plain))
 print("no rotation:")
 print(f"  det F = {rep.qfim.det:.3e}   singular flag: {rep.singular}")
 print(f"  derivatives proportional: {proportional} (d rho/dT1 = {ratio:.4f} * d rho/dT2)")
@@ -49,7 +53,7 @@ print(f"{'theta/pi':>9}  {'det F':>12}  {'proportional':>12}")
 for frac in (0.05, 0.125, 0.25, 0.375, 0.45):
     cfg = config(frac * math.pi)
     _, rep = single_run(cfg)
-    prop, _ = singularity_test(finite_diff_derivatives(family(cfg), np.array([T1, T2])))
+    prop, _ = singularity_test(derivatives(cfg))
     print(f"{frac:9.3f}  {rep.qfim.det:12.3e}  {str(prop):>12}")
 
 print("\nany nontrivial rotation angle restores joint identifiability;")

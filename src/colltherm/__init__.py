@@ -19,7 +19,6 @@ from .channels import (
     collision_unitary_qubit,
     collision_unitary_qubit_qutrit,
     kraus_from_collision,
-    lindblad_generator,
     nbar,
     rotation_superoperator,
     thermal_populations,
@@ -34,10 +33,8 @@ from .estimation import (
     Qfim,
     ThermalFim,
     build_report,
-    classical_fim,
     det_singular_threshold,
     eta_metrics,
-    finite_diff_derivatives,
     qfim,
     singularity_test,
     sld,
@@ -49,8 +46,6 @@ from .linalg import (
     devectorize,
     herm_eig,
     kron,
-    matrix_exp,
-    partial_trace,
     vectorize,
 )
 from .presets import PRESETS, get_preset
@@ -72,15 +67,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BathSpec", "CollisionSpec", "KrausSet", "RotationSpec",
     "collision_superoperator", "collision_unitary", "collision_unitary_qubit",
-    "collision_unitary_qubit_qutrit", "kraus_from_collision",
-    "lindblad_generator", "nbar", "rotation_superoperator",
-    "thermal_populations", "thermal_state", "thermal_state_dT",
-    "thermalization_channel", "thermalization_channel_dT",
+    "collision_unitary_qubit_qutrit", "kraus_from_collision", "nbar",
+    "rotation_superoperator", "thermal_populations", "thermal_state",
+    "thermal_state_dT", "thermalization_channel", "thermalization_channel_dT",
     "EstimationReport", "ParamDerivatives", "Qfim", "ThermalFim",
-    "build_report", "classical_fim", "det_singular_threshold", "eta_metrics",
-    "finite_diff_derivatives", "qfim", "singularity_test", "sld", "thermal_fim",
+    "build_report", "det_singular_threshold", "eta_metrics", "qfim",
+    "singularity_test", "sld", "thermal_fim",
     "DensityMatrix", "choi_matrix", "devectorize", "herm_eig", "kron",
-    "matrix_exp", "partial_trace", "vectorize",
+    "vectorize",
     "PRESETS", "get_preset",
     "ProtocolConfig", "SweepGrid", "evaluate", "multi_ancilla_correlated",
     "multi_ancilla_uncorrelated", "scenario_for", "single_run", "sweep",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, operators
+from . import operators
 from .linalg import DensityMatrix, dag, kron
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "kraus_from_collision",
     "collision_superoperator",
     "rotation_superoperator",
-    "lindblad_generator",
     "thermalization_channel",
     "thermalization_channel_dT",
 ]
@@ -123,7 +122,15 @@ class RotationSpec:
         raise ValueError(f"no rotation generator for ancilla dimension {dim}")
 
     def unitary(self, dim: int) -> np.ndarray:
-        return linalg.matrix_exp(self.generator(dim), scale=-1j * self.theta)
+        """exp(-i theta G) in closed form: ``cos(theta) I - i sin(theta) G``
+        for a Pauli G (G^2 = I), ``I - i sin(theta) G + (cos(theta) - 1) G^2``
+        for spin 1 (G^3 = G; Curtright, Fairlie & Zachos, SIGMA 10, 084
+        (2014))."""
+        g = self.generator(dim)
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        if dim == 2:
+            return c * np.eye(2) - 1j * s * g
+        return np.eye(3) - 1j * s * g + (c - 1.0) * (g @ g)
 
 
 @dataclass(frozen=True)
@@ -215,10 +222,18 @@ def collision_unitary_qubit_qutrit(spec: CollisionSpec) -> np.ndarray:
     Probe factor first (2 x 3 = 6 dimensional).  H commutes with the total
     excitation operator sigma_z/2 (x) I + I (x) S_z, so the unitary is block
     diagonal in excitation sectors; each two-dimensional sector rotates by
-    the Q-matrix element g*tau/sqrt(2).
+    the Q-matrix element g*tau/sqrt(2).  With (probe level, qutrit m) at
+    index 3*level + (1 - m), the sectors |1,+1>, |0,0> and |1,0>, |0,-1> are
+    the index pairs (3, 1) and (4, 2), each the block [[c, -is], [-is, c]];
+    |0,+1> and |1,-1> are left alone.
     """
-    h = kron(operators.SPLUS, operators.Q_MINUS) + kron(operators.SMINUS, operators.Q_PLUS)
-    return linalg.matrix_exp(h, scale=-1j * spec.angle)
+    a = spec.angle / math.sqrt(2.0)
+    c, s = math.cos(a), math.sin(a)
+    u = np.eye(6, dtype=complex)
+    for i, j in ((3, 1), (4, 2)):
+        u[i, i] = u[j, j] = c
+        u[i, j] = u[j, i] = -1j * s
+    return u
 
 
 def collision_unitary(spec: CollisionSpec, ancilla_dim: int = 2) -> np.ndarray:
@@ -274,26 +289,6 @@ def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
     """Vectorized unitary rotation: kron(U, U*)."""
     u = spec.unitary(dim)
     return kron(u, u.conj())
-
-
-def _dissipator(op: np.ndarray) -> np.ndarray:
-    """Vectorized GKSL dissipator D[O] = O.O^dag - 1/2 {O^dag O, .}."""
-    d = op.shape[0]
-    eye = np.eye(d)
-    odo = dag(op) @ op
-    return kron(op, op.conj()) - 0.5 * (kron(odo, eye) + kron(eye, odo.T))
-
-
-def lindblad_generator(bath: BathSpec) -> np.ndarray:
-    """Vectorized Liouvillian of the probe-bath coupling.
-
-    L = gamma (nbar+1) D[sigma_-] + gamma nbar D[sigma_+]; the stationary
-    state is the Gibbs state of the probe at the bath temperature.
-    """
-    n = nbar(bath.omega, bath.temperature)
-    return bath.gamma * (
-        (n + 1.0) * _dissipator(operators.SMINUS) + n * _dissipator(operators.SPLUS)
-    )
 
 
 def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:

@@ -36,11 +36,12 @@ import yaml
 
 from .channels import BathSpec, RotationSpec
 from .estimation import EstimationReport
-from .presets import get_preset
+from .presets import PRESETS, get_preset
 from .protocols import (
     ProtocolConfig,
     SweepGrid,
     SWEEP_AXES,
+    _SCENARIOS,
     _point,
     _sweep_points,
     scenario_for,
@@ -50,7 +51,7 @@ from .verify import GROUPS, run_all, run_group
 __all__ = ["main", "ConfigError", "RunManifest", "load_config"]
 
 MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
-_SCENARIO_NAMES = ("single", "uncorrelated", "correlated", "qutrit")
+_SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 class ConfigError(Exception):
@@ -455,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
 
     p_run = sub.add_parser("run", parents=[common], help="evaluate a preset or a config file")
-    p_run.add_argument("--scenario", choices=("fig2", "fig3", "fig4", "fig5"),
-                       help="preset study to run")
+    p_run.add_argument("--scenario", choices=tuple(PRESETS), help="preset study to run")
     p_run.add_argument("--config", help="YAML config file (alternative to --scenario)")
     p_run.add_argument("--out", required=True, help="output CSV path (JSON summary beside it)")
     p_run.set_defaults(func=cmd_run)

@@ -1,12 +1,11 @@
 """Fisher-information machinery.
 
 Symmetric logarithmic derivatives (SLDs), the quantum Fisher information
-matrix (QFIM), the classical Fisher information of a given POVM, the
-thermal-equilibrium benchmark matrix, the two figures of merit, the
-rank-deficiency (singularity) test for two-parameter qubit families, and a
-finite-difference derivative route.  The protocol evaluators propagate exact
-derivatives; :func:`finite_diff_derivatives` is the independent reference
-they are cross-checked against.
+matrix (QFIM), the thermal-equilibrium benchmark matrix, the two figures of
+merit and the rank-deficiency (singularity) test for two-parameter qubit
+families.  The state derivatives come from the protocol evaluators, which
+propagate them exactly; the test suite cross-checks them against finite
+differences.
 
 Notation: for a state family rho(T_1, ..., T_N), the SLD L_mu solves
 
@@ -59,12 +58,10 @@ __all__ = [
     "sld",
     "qfim",
     "qfim_stack",
-    "classical_fim",
     "thermal_fim",
     "eta_metrics",
     "det_singular_threshold",
     "singularity_test",
-    "finite_diff_derivatives",
     "build_report",
 ]
 
@@ -93,12 +90,13 @@ def _check_derivs(derivs: np.ndarray) -> None:
 
 
 def _check_qfim(m: np.ndarray) -> None:
-    """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9 and
-    PSD down to -1e-8."""
+    """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9
+    relative to its largest entry and PSD down to -1e-8."""
     mt = m.swapaxes(-1, -2)
-    asym = np.abs(m - mt).max(initial=0.0)
-    if asym > 1e-9:
-        raise ValueError(f"QFIM not symmetric: defect {asym:.3e}")
+    asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    bad = asym > 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if bad.any():
+        raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
     lo = float(np.linalg.eigvalsh((m + mt) / 2).min(initial=0.0))
     if lo < -1e-8:
         raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
@@ -251,8 +249,8 @@ def qfim_stack(stacks, support_cutoff: float = SUPPORT_CUTOFF) -> QfimStack:
         )
     lt = dr * np.divide(2.0, s, out=np.zeros_like(s), where=support)[:, None]
     f = np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real
-    f = (f + f.swapaxes(-1, -2)) / 2.0
     _check_qfim(f)
+    f = (f + f.swapaxes(-1, -2)) / 2.0
     comm = np.zeros(len(w))
     for i, j in itertools.combinations(range(lt.shape[1]), 2):
         p = lt[:, i] @ lt[:, j]
@@ -278,45 +276,6 @@ def qfim(pd: ParamDerivatives, support_cutoff: float = SUPPORT_CUTOFF) -> Qfim:
     SLDs in the computational basis."""
     qs = qfim_stack(np.array((pd.rho, *pd.derivs))[None], support_cutoff)
     return Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
-
-
-def classical_fim(rho_fn, theta, povm, h: float | None = None) -> np.ndarray:
-    """Classical Fisher information matrix of a POVM measurement.
-
-    ``rho_fn(theta_vector) -> state`` defines the family; probabilities
-    p_j = Tr[rho Pi_j] are differentiated by central differences (step per
-    coordinate ``max(1e-5, 1e-6 |theta_mu|)`` unless ``h`` is given).
-    Outcomes with p_j < 1e-12 are skipped.
-    """
-    theta = np.asarray(theta, dtype=float)
-    effects = [np.asarray(p, dtype=complex) for p in povm]
-    d = effects[0].shape[0]
-    total = sum(effects)
-    if np.max(np.abs(total - np.eye(d))) > 1e-10:
-        raise ValueError("POVM effects do not sum to the identity")
-    for k, e in enumerate(effects):
-        if float(np.linalg.eigvalsh((e + e.conj().T) / 2)[0]) < -1e-10:
-            raise ValueError(f"POVM effect {k} is not PSD")
-
-    def probs(t):
-        r = _as_mat(rho_fn(t))
-        return np.array([float(np.real(np.trace(r @ e))) for e in effects])
-
-    p0 = probs(theta)
-    n = theta.size
-    grads = np.zeros((n, len(effects)))
-    for mu in range(n):
-        step = h if h is not None else max(1e-5, 1e-6 * abs(theta[mu]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[mu] += step
-        tm[mu] -= step
-        grads[mu] = (probs(tp) - probs(tm)) / (2 * step)
-    f = np.zeros((n, n))
-    for j, pj in enumerate(p0):
-        if pj < 1e-12:
-            continue
-        f += np.outer(grads[:, j], grads[:, j]) / pj
-    return f
 
 
 def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> ThermalFim:
@@ -394,50 +353,6 @@ def singularity_test(pd: ParamDerivatives) -> tuple[bool, float | None]:
     if cs_defect <= 1e-10 and abs(ratio.imag) <= 1e-10 * max(abs(ratio), 1e-30):
         return True, float(ratio.real)
     return False, None
-
-
-def finite_diff_derivatives(rho_fn, theta, h=None) -> ParamDerivatives:
-    """Central-difference derivatives of a parametrized state family.
-
-    ``rho_fn(theta_vector) -> state``.  Step per coordinate defaults to
-    ``max(1e-5, 1e-6 |theta_mu|)``.  Each derivative is computed at the step
-    and at half the step (Richardson consistency check): the two must agree
-    to 1e-6 relative to the derivative scale (floored at 1 for the O(1)
-    parameter magnitudes used here), else the evaluator is reported as
-    non-smooth.  The half-step estimate is returned.
-    """
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    if h is None:
-        steps = [max(1e-5, 1e-6 * abs(t)) for t in theta]
-    elif np.isscalar(h):
-        steps = [float(h)] * n
-    else:
-        steps = [float(x) for x in h]
-
-    base = _as_mat(rho_fn(theta))
-
-    def central(mu, step):
-        tp, tm = theta.copy(), theta.copy()
-        tp[mu] += step
-        tm[mu] -= step
-        return (_as_mat(rho_fn(tp)) - _as_mat(rho_fn(tm))) / (2.0 * step)
-
-    derivs = []
-    for mu in range(n):
-        d_full = central(mu, steps[mu])
-        d_half = central(mu, steps[mu] / 2.0)
-        scale = max(float(np.max(np.abs(d_half))), 1.0)
-        err = float(np.max(np.abs(d_full - d_half)))
-        if err > 1e-6 * scale:
-            raise ValueError(
-                f"finite-difference check failed for parameter {mu}: halving the "
-                f"step changed the derivative by {err:.3e} (scale {scale:.3e}); "
-                "the state family is not smooth at this point"
-            )
-        d_half = (d_half + d_half.conj().T) / 2.0  # strip rounding skew
-        derivs.append(d_half)
-    return ParamDerivatives(base, tuple(derivs))
 
 
 def build_report(

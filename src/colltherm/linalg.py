@@ -14,10 +14,9 @@ the superoperator of a unitary conjugation ``rho -> U rho U^dag`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HERM_TOL",
@@ -30,8 +29,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "herm_eig",
-    "matrix_exp",
-    "partial_trace",
     "choi_matrix",
 ]
 
@@ -61,7 +58,6 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    _checked: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -72,8 +68,7 @@ class DensityMatrix:
             raise ValueError(
                 f"state shape {mat.shape} does not match factor dims {self.dims}"
             )
-        if self._checked:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         mat = self.mat
@@ -131,39 +126,6 @@ def herm_eig(h: np.ndarray, tol: float = 1e-10):
     if resid > EIG_RESIDUAL_TOL:
         raise ValueError(f"eigendecomposition residual {resid:.3e} > {EIG_RESIDUAL_TOL}")
     return w, V
-
-
-def matrix_exp(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) by scaling-and-squaring (scipy's Pade implementation)."""
-    return scipy.linalg.expm(scale * np.asarray(m, dtype=complex))
-
-
-def _ptrace_arr(arr: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace over the factors *not* in ``keep`` (raw-array core)."""
-    dims = tuple(int(d) for d in dims)
-    m = len(dims)
-    keep = tuple(sorted(keep))
-    if not keep:
-        raise ValueError("keep must be a nonempty subset of factor indices")
-    for i in keep:
-        if not 0 <= i < m:
-            raise IndexError(f"factor index {i} out of range for {m} factors")
-    t = arr.reshape(dims + dims)
-    # einsum with integer labels: row axis j gets label j; the matching column
-    # axis gets m+j if kept (stays free) or j if traced (contracts).
-    row = list(range(m))
-    col = [m + j if j in keep else j for j in range(m)]
-    out_labels = [j for j in keep] + [m + j for j in keep]
-    red = np.einsum(t, row + col, out_labels)
-    dkeep = int(np.prod([dims[i] for i in keep]))
-    return red.reshape(dkeep, dkeep)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept factors (trace over the rest)."""
-    red = _ptrace_arr(rho.mat, rho.dims, keep)
-    kept_dims = tuple(rho.dims[i] for i in sorted(keep))
-    return DensityMatrix(red, kept_dims)
 
 
 def choi_matrix(sop: np.ndarray, dim: int) -> np.ndarray:

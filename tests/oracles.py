@@ -4,12 +4,14 @@ The closed forms that ``colltherm verify`` also uses (Gibbs weights, the
 printed channels, the two-collision forms, the single-ancilla state and
 SLDs) live in :mod:`colltherm.oracles`, which imports nothing from the rest
 of the library; they are re-exported here.  This module adds the routes
-only the tests use: matrix exponentials by Taylor series, the
-rethermalization channel as generalized-amplitude-damping Kraus operators,
-QFIMs from the qubit Bloch-vector formula and from a pseudoinverse solve of
-the SLD equation, a brute-force simulation of the two-probe ancilla stream
-on the whole register, and random inputs.  Tests compare library output
-against these, never against the library itself.
+only the tests use: matrix exponentials by Taylor series, the GKSL
+generator of the probe-bath coupling, the rethermalization channel as
+generalized-amplitude-damping Kraus operators, central-difference
+derivatives of a state family, QFIMs from the qubit Bloch-vector formula
+and from a pseudoinverse solve of the SLD equation, a brute-force
+simulation of the two-probe ancilla stream on the whole register, and
+random inputs.  Tests compare library output against these, never against
+the library itself.
 """
 
 import math
@@ -101,8 +103,26 @@ def rotated_single_eta_acc(g1, g2, T1, T2, omega=1.0):
 
 
 # ---------------------------------------------------------------------------
-# rethermalization as generalized amplitude damping
+# rethermalization: the GKSL generator, and generalized amplitude damping
 # ---------------------------------------------------------------------------
+
+SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1| raises the probe energy
+SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| lowers it
+
+
+def _dissipator(op):
+    """Vectorized (row-major) GKSL dissipator D[O] = O.O^dag - 1/2 {O^dag O, .}."""
+    eye = np.eye(op.shape[0])
+    odo = op.conj().T @ op
+    return np.kron(op, op.conj()) - 0.5 * (np.kron(odo, eye) + np.kron(eye, odo.T))
+
+
+def lindblad_generator(omega, T, gamma):
+    """Vectorized Liouvillian gamma (nbar+1) D[sigma_-] + gamma nbar D[sigma_+]
+    of the probe-bath coupling; its stationary state is the Gibbs state."""
+    n = mean_occupation(omega, T)
+    return gamma * ((n + 1.0) * _dissipator(SMINUS) + n * _dissipator(SPLUS))
+
 
 def gad_kraus(omega, T, gamma, t):
     """Kraus operators of the thermal relaxation channel, no exponential of
@@ -126,6 +146,55 @@ def gad_superop(omega, T, gamma, t):
     for k in gad_kraus(omega, T, gamma, t):
         out += np.kron(k, k.conj())
     return out
+
+
+# ---------------------------------------------------------------------------
+# derivatives by central differences
+# ---------------------------------------------------------------------------
+
+def finite_diff_derivatives(rho_fn, theta, h=None):
+    """``(rho, derivs)`` of a state family at ``theta``, as plain arrays.
+
+    ``rho_fn(theta_vector)`` returns a matrix or an object with a ``mat``
+    array.  Step per coordinate defaults to ``max(1e-5, 1e-6 |theta_mu|)``.
+    Each derivative is taken at the step and at half the step (Richardson
+    consistency check): the two must agree to 1e-6 relative to the
+    derivative scale (floored at 1), else the family is reported as not
+    smooth.  The half-step estimate is returned, made exactly Hermitian.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = theta.size
+    if h is None:
+        steps = [max(1e-5, 1e-6 * abs(t)) for t in theta]
+    elif np.isscalar(h):
+        steps = [float(h)] * n
+    else:
+        steps = [float(x) for x in h]
+
+    def state(t):
+        r = rho_fn(t)
+        return np.asarray(getattr(r, "mat", r), dtype=complex)
+
+    def central(mu, step):
+        tp, tm = theta.copy(), theta.copy()
+        tp[mu] += step
+        tm[mu] -= step
+        return (state(tp) - state(tm)) / (2.0 * step)
+
+    derivs = []
+    for mu in range(n):
+        d_full = central(mu, steps[mu])
+        d_half = central(mu, steps[mu] / 2.0)
+        scale = max(float(np.max(np.abs(d_half))), 1.0)
+        err = float(np.max(np.abs(d_full - d_half)))
+        if err > 1e-6 * scale:
+            raise ValueError(
+                f"finite-difference check failed for parameter {mu}: halving the "
+                f"step changed the derivative by {err:.3e} (scale {scale:.3e}); "
+                "the state family is not smooth at this point"
+            )
+        derivs.append((d_half + d_half.conj().T) / 2.0)
+    return state(theta), tuple(derivs)
 
 
 # ---------------------------------------------------------------------------

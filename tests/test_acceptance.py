@@ -38,7 +38,7 @@ from colltherm.channels import (
     thermal_state,
     thermalization_channel,
 )
-from colltherm.estimation import finite_diff_derivatives, qfim, singularity_test, thermal_fim
+from colltherm.estimation import ParamDerivatives, singularity_test, thermal_fim
 from colltherm.linalg import choi_matrix, vectorize
 from colltherm.presets import get_preset
 from colltherm.protocols import (
@@ -145,8 +145,8 @@ def test_criterion_03_singularity_theorem():
         cfg = _two_bath(g1, g2, t1, t2, rotation_enabled=False)
         _, rep = single_run(cfg)
         worst_det = max(worst_det, abs(rep.qfim.det))
-        pd = finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
-        flag, c = singularity_test(pd)
+        pd = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
+        flag, c = singularity_test(ParamDerivatives(*pd))
         assert flag, f"rotation-free family not flagged singular at {(g1, g2, t1, t2)}"
         dv1 = math.sin(g1) ** 2 * math.cos(g2) ** 2 * oracles.dlam0_dT(1.0, t1)
         dv2 = math.sin(g2) ** 2 * oracles.dlam0_dT(1.0, t2)
@@ -161,8 +161,8 @@ def test_criterion_03_singularity_theorem():
         cfg = _two_bath(g1, g2, t1, t2, theta=theta)
         _, rep = single_run(cfg)
         min_det = min(min_det, rep.qfim.det)
-        pd = finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
-        flag, _ = singularity_test(pd)
+        pd = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
+        flag, _ = singularity_test(ParamDerivatives(*pd))
         rotated_ok = rotated_ok and not flag
 
     (equiv,) = run_group("theorem1", seed=SEED, trials=500)
@@ -481,10 +481,10 @@ def _invariant_sweep(seed):
     # finite differences pass their internal step-halving consistency gate
     for _ in range(5):
         g1, g2, t1, t2 = _sample_point(rng)
-        pd = finite_diff_derivatives(
+        _, derivs = oracles.finite_diff_derivatives(
             _state_family(_two_bath(g1, g2, t1, t2)), np.array([t1, t2])
         )
-        samples.append(float(np.real(pd.derivs[0][0, 0])))
+        samples.append(float(np.real(derivs[0][0, 0])))
 
     return defects, tuple(samples)
 

@@ -1,9 +1,12 @@
 """Collision unitaries, Kraus extraction, rotations, rethermalization.
 
-The rethermalization checks are the important ones here: the library writes
-that channel and its temperature derivative in closed form, while the oracle
-builds the same channel from generalized-amplitude-damping Kraus operators
-and a Taylor series exponentiates the library's GKSL generator.  The routes
+The library writes every channel in closed form: the collision and
+rotation unitaries as cosine/sine polynomials of their generators, the
+rethermalization channel and its temperature derivative as a generalized
+amplitude damping.  The oracles build the unitaries by a Taylor series of
+the generators, and the rethermalization channel both from
+generalized-amplitude-damping Kraus operators and as the Taylor-series
+exponential of the GKSL generator in ``tests/oracles.py``.  The routes
 share no code.
 """
 
@@ -21,7 +24,6 @@ from colltherm.channels import (
     collision_unitary_qubit,
     collision_unitary_qubit_qutrit,
     kraus_from_collision,
-    lindblad_generator,
     nbar,
     thermal_populations,
     thermal_state,
@@ -121,14 +123,14 @@ def test_qutrit_collision_unitary_and_conservation(rng):
 
 
 def test_qutrit_collision_against_taylor_series(rng):
-    gt = rng.uniform(0.2, 1.5)
-    u = collision_unitary_qubit_qutrit(CollisionSpec.from_angle(gt))
     sp = np.array([[0, 1], [0, 0]], dtype=complex)
     s = 1.0 / np.sqrt(2.0)
     q_minus = np.array([[0, 0, 0], [s, 0, 0], [0, s, 0]], dtype=complex)
     h = kron(sp, q_minus)
     h = h + h.conj().T
-    npt.assert_allclose(u, oracles.taylor_expm(-1j * gt * h), atol=1e-12)
+    for gt in (rng.uniform(0.2, 1.5), 0.5 * np.pi, np.pi, 4.4, 2.0 * np.pi):
+        u = collision_unitary_qubit_qutrit(CollisionSpec.from_angle(gt))
+        npt.assert_allclose(u, oracles.taylor_expm(-1j * gt * h), atol=1e-12)
 
 
 def test_collision_unitary_dimension_dispatch():
@@ -234,14 +236,19 @@ def test_rotation_superop_quarter_pi_printed_form():
 
 
 def test_rotation_unitary_against_taylor(rng):
-    theta = rng.uniform(0.1, 1.5)
-    for axis, gen2 in (("x", oracles.SX), ("y", oracles.SY), ("z", oracles.SZ)):
-        u = RotationSpec(theta, axis).unitary(2)
-        npt.assert_allclose(u, oracles.taylor_expm(-1j * theta * gen2), atol=1e-12)
-    u3 = RotationSpec(theta, "x").unitary(3)
     s = 1.0 / np.sqrt(2.0)
-    s1x = np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex)
-    npt.assert_allclose(u3, oracles.taylor_expm(-1j * theta * s1x), atol=1e-12)
+    spin1 = {
+        "x": np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex),
+        "y": np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]]),
+        "z": np.diag([1.0, 0.0, -1.0]).astype(complex),
+    }
+    pauli = {"x": oracles.SX, "y": oracles.SY, "z": oracles.SZ}
+    for theta in (rng.uniform(0.1, 1.5), np.pi, 4.0, -5.5, 2.0 * np.pi):
+        for axis in "xyz":
+            spec = RotationSpec(theta, axis)
+            for dim, gen in ((2, pauli[axis]), (3, spin1[axis])):
+                expected = oracles.taylor_expm(-1j * theta * gen)
+                npt.assert_allclose(spec.unitary(dim), expected, atol=1e-12)
 
 
 def test_rotated_composition_matches_printed_form(rng):
@@ -270,7 +277,7 @@ def test_rotated_composition_matches_printed_form(rng):
 def test_generator_annihilates_gibbs_state(rng):
     for _ in range(10):
         bath = BathSpec(rng.uniform(0.4, 4.0), omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.2, 2.0))
-        gen = lindblad_generator(bath)
+        gen = oracles.lindblad_generator(bath.omega, bath.temperature, bath.gamma)
         stationary = vectorize(thermal_state(bath.omega, bath.temperature))
         npt.assert_allclose(gen @ stationary, np.zeros(4), atol=1e-13)
 
@@ -298,7 +305,8 @@ def test_thermalization_channel_is_exponential_of_generator(rng):
             gamma=rng.uniform(0.2, 1.5),
             therm_time=rng.uniform(0.05, 1.5),
         )
-        expected = oracles.taylor_expm(lindblad_generator(bath) * bath.therm_time)
+        gen = oracles.lindblad_generator(bath.omega, bath.temperature, bath.gamma)
+        expected = oracles.taylor_expm(gen * bath.therm_time)
         npt.assert_allclose(thermalization_channel(bath), expected, atol=1e-12)
 
 

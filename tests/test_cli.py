@@ -7,6 +7,8 @@ the console entry point wires straight to the same function.
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -292,3 +294,13 @@ def test_verify_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert main(["verify", "--group", "theorem1", "--trials", "50", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_import_leaves_scipy_unloaded(src_env):
+    """The package needs numpy and PyYAML only: importing the CLI in a fresh
+    interpreter loads no scipy module."""
+    code = "import sys, colltherm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""SLDs, QFIM, classical Fisher information, benchmark, merit figures.
+"""SLDs, QFIM, benchmark, merit figures, the finite-difference oracle.
 
 QFIM values are cross-checked through two independent oracles: the qubit
 Bloch-vector formula and a pseudoinverse solve of the SLD equation.  Neither
@@ -22,10 +22,8 @@ from colltherm.estimation import (
     ThermalFim,
     _check_qfim,
     build_report,
-    classical_fim,
     det_singular_threshold,
     eta_metrics,
-    finite_diff_derivatives,
     qfim,
     qfim_stack,
     singularity_test,
@@ -81,8 +79,7 @@ def test_sld_pure_state_family():
         psi = np.array([c, s], dtype=complex)
         return np.outer(psi, psi.conj())
 
-    pd = finite_diff_derivatives(state, np.array([t]))
-    f = qfim(pd)
+    f = qfim(ParamDerivatives(*oracles.finite_diff_derivatives(state, np.array([t]))))
     psi = np.array([math.cos(t), math.sin(t)], dtype=complex)
     dpsi = np.array([-math.sin(t), math.cos(t)], dtype=complex)
     expected = oracles.qfi_pure(psi, dpsi)
@@ -242,6 +239,14 @@ def test_qfim_checks_cover_stacks():
     good = np.eye(2)
     with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e-01"):
         _check_qfim(np.array([good, good, [[1.0, 0.2], [0.1, 1.0]]]))
+    # the symmetry tolerance is relative to the largest entry, so a change
+    # of units neither trips it nor hides a real skew
+    scaled = 1e12 * np.array([[1.0, 0.2], [0.2, 1.0]])
+    scaled[0, 1] += 1e-4  # 1e-16 relative
+    _check_qfim(np.array([good, scaled]))
+    scaled[0, 1] += 1e4
+    with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e\\+04"):
+        _check_qfim(scaled)
     with pytest.raises(ValueError, match="QFIM not PSD: min eigenvalue -1.000e"):
         _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
 
@@ -264,46 +269,6 @@ def test_param_derivatives_validation(rng):
         ParamDerivatives(rho, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
     with pytest.raises(ValueError, match="traceless"):
         ParamDerivatives(rho, (np.eye(2, dtype=complex),))
-
-
-# ---------------------------------------------------------------------------
-# classical Fisher information
-# ---------------------------------------------------------------------------
-
-def test_classical_fim_diagonal_family_attains_qfim(rng):
-    """For a classical family (diagonal states, energy-basis POVM) the
-    classical and quantum Fisher matrices coincide."""
-
-    def family(t):
-        p = 0.3 + 0.1 * t[0] + 0.05 * t[0] * t[1]
-        return np.diag([p, 1.0 - p]).astype(complex)
-
-    theta = np.array([1.0, 0.5])
-    povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    cf = classical_fim(family, theta, povm)
-    qf = qfim(finite_diff_derivatives(family, theta))
-    npt.assert_allclose(cf, qf.matrix, atol=1e-6)
-
-
-def test_classical_fim_binomial_value():
-    # single parameter, p(t) = t: F = 1/(p(1-p))
-    def family(t):
-        return np.diag([t[0], 1.0 - t[0]]).astype(complex)
-
-    povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    f = classical_fim(family, np.array([0.3]), povm)
-    assert f[0, 0] == pytest.approx(1.0 / (0.3 * 0.7), rel=1e-6)
-
-
-def test_classical_fim_povm_validation(rng):
-    rho = oracles.random_density(rng, 2)
-    fn = lambda t: rho
-    with pytest.raises(ValueError, match="identity"):
-        classical_fim(fn, np.array([0.1]), [np.diag([1.0, 0.0])])
-    with pytest.raises(ValueError, match="PSD"):
-        classical_fim(
-            fn, np.array([0.1]), [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +392,23 @@ def test_finite_diff_matches_analytic_derivative():
         return np.array([[a, b], [b, 1.0 - a]], dtype=complex)
 
     theta = np.array([0.7, 0.9])
-    pd = finite_diff_derivatives(family, theta)
+    _, derivs = oracles.finite_diff_derivatives(family, theta)
     da_dt0 = 0.1 * math.cos(0.7)
     db_dt0 = -0.1 * math.sin(0.7) * 0.9
     expected0 = np.array([[da_dt0, db_dt0], [db_dt0, -da_dt0]])
-    npt.assert_allclose(pd.derivs[0], expected0, atol=1e-9)
+    npt.assert_allclose(derivs[0], expected0, atol=1e-9)
     da_dt1 = 0.05 * 2 * 0.9
     db_dt1 = 0.1 * math.cos(0.7)
     expected1 = np.array([[da_dt1, db_dt1], [db_dt1, -da_dt1]])
-    npt.assert_allclose(pd.derivs[1], expected1, atol=1e-9)
+    npt.assert_allclose(derivs[1], expected1, atol=1e-9)
 
 
 def test_finite_diff_hermitizes_output():
     def family(t):
         return np.diag([0.5 + 0.1 * t[0], 0.5 - 0.1 * t[0]]).astype(complex)
 
-    pd = finite_diff_derivatives(family, np.array([1.0]))
-    npt.assert_array_equal(pd.derivs[0], pd.derivs[0].conj().T)
+    _, derivs = oracles.finite_diff_derivatives(family, np.array([1.0]))
+    npt.assert_array_equal(derivs[0], derivs[0].conj().T)
 
 
 def test_finite_diff_rejects_non_smooth_family():
@@ -455,7 +420,7 @@ def test_finite_diff_rejects_non_smooth_family():
         return np.diag([0.5 + 0.3 * x * abs(x), 0.5 - 0.3 * x * abs(x)]).astype(complex)
 
     with pytest.raises(ValueError, match="not smooth"):
-        finite_diff_derivatives(family, np.array([0.0]))
+        oracles.finite_diff_derivatives(family, np.array([0.0]))
 
 
 def test_finite_diff_respects_explicit_step():
@@ -465,5 +430,5 @@ def test_finite_diff_respects_explicit_step():
         calls.append(float(t[0]))
         return np.diag([0.5 + 0.1 * t[0], 0.5 - 0.1 * t[0]]).astype(complex)
 
-    finite_diff_derivatives(family, np.array([0.0]), h=1e-3)
+    oracles.finite_diff_derivatives(family, np.array([0.0]), h=1e-3)
     assert max(calls) == pytest.approx(1e-3)

@@ -1,4 +1,4 @@
-"""Vectorization, partial traces, eigensolver contract, matrix exponential."""
+"""Vectorization, state invariants, eigensolver contract, Choi matrices."""
 
 import numpy as np
 import numpy.testing as npt
@@ -11,8 +11,6 @@ from colltherm.linalg import (
     devectorize,
     herm_eig,
     kron,
-    matrix_exp,
-    partial_trace,
     vectorize,
 )
 
@@ -74,49 +72,6 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(4) / 4.0, (2, 3))
 
 
-def test_partial_trace_product_state(rng):
-    a = oracles.random_density(rng, 2)
-    b = oracles.random_density(rng, 3)
-    joint = DensityMatrix(kron(a, b), (2, 3))
-    npt.assert_allclose(partial_trace(joint, (0,)).mat, a, atol=1e-14)
-    npt.assert_allclose(partial_trace(joint, (1,)).mat, b, atol=1e-14)
-
-
-def test_partial_trace_against_index_loop(rng):
-    """Compare the einsum partial trace with an explicit index-sum oracle on
-    a correlated tripartite state."""
-    dims = (2, 3, 2)
-    d = int(np.prod(dims))
-    rho = oracles.random_density(rng, d)
-
-    def loop_trace(arr, keep):
-        t = arr.reshape(dims + dims)
-        traced = [k for k in range(3) if k not in keep]
-        out_dim = int(np.prod([dims[k] for k in keep]))
-        out = np.zeros((out_dim,) * 2, dtype=complex)
-        kept_dims = [dims[k] for k in keep]
-        for row in np.ndindex(*dims):
-            for col in np.ndindex(*dims):
-                if any(row[k] != col[k] for k in traced):
-                    continue
-                r = np.ravel_multi_index([row[k] for k in keep], kept_dims)
-                c = np.ravel_multi_index([col[k] for k in keep], kept_dims)
-                out[r, c] += t[row + col]
-        return out
-
-    for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
-        got = partial_trace(DensityMatrix(rho, dims), keep).mat
-        npt.assert_allclose(got, loop_trace(rho, keep), atol=1e-13)
-
-
-def test_partial_trace_requires_kept_factor():
-    mixed = DensityMatrix(np.eye(4) / 4.0, (2, 2))
-    with pytest.raises(ValueError):
-        partial_trace(mixed, ())
-    with pytest.raises(IndexError):
-        partial_trace(mixed, (2,))
-
-
 def test_herm_eig_reconstruction_and_order(rng):
     for dim in (2, 3, 6):
         h = oracles.random_herm_traceless(rng, dim)
@@ -140,12 +95,6 @@ def test_herm_eig_rejects_non_hermitian(rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     with pytest.raises(ValueError, match="Hermitian"):
         herm_eig(m)
-
-
-def test_matrix_exp_against_taylor_series(rng):
-    h = oracles.random_herm_traceless(rng, 4)
-    npt.assert_allclose(matrix_exp(h, scale=-0.3j), oracles.taylor_expm(-0.3j * h), atol=1e-12)
-    npt.assert_allclose(matrix_exp(h), oracles.taylor_expm(h.astype(complex)), atol=1e-10)
 
 
 def test_choi_matrix_of_unitary_is_rank_one(rng):
