@@ -35,7 +35,8 @@ values = tuple(round(0.1 * i, 10) for i in range(1, 10))
 def rows_for(n, mode):
     (s,) = [x for x in preset.series
             if x.labels["n_ancillas"] == n and x.labels["mode"] == mode]
-    return sweep(SweepGrid(s.grid.axis_name, values, s.grid.fixed), s.scenario)
+    grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
+    return [row for row, _ in sweep(grid, s.scenario)]
 
 
 un, co = rows_for(2, "uncorrelated"), rows_for(2, "correlated")

@@ -24,7 +24,8 @@ values = tuple(round(0.04 * i, 10) for i in range(1, 25))  # interior of (0, 1)
 print("three baths T = (2, 1, 3), qutrit stream, g1 = pi/2, g2 = pi/5")
 best = {}
 for s in preset.series:
-    rows = sweep(SweepGrid(s.grid.axis_name, values, s.grid.fixed), s.scenario)
+    grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
+    rows = [row for row, _ in sweep(grid, s.scenario)]
     n = s.labels["n_ancillas"]
     finite = [r for r in rows if math.isfinite(r["eta_acc"])]
     best[n] = max(finite, key=lambda r: r["eta_acc"])

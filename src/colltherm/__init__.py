@@ -50,11 +50,14 @@ from .linalg import (
 )
 from .presets import PRESETS, get_preset
 from .protocols import (
+    MERIT_COLUMNS,
     ProtocolConfig,
     SweepGrid,
+    check_scenario,
     evaluate,
     multi_ancilla_correlated,
     multi_ancilla_uncorrelated,
+    point,
     scenario_for,
     single_run,
     sweep,
@@ -76,9 +79,9 @@ __all__ = [
     "DensityMatrix", "choi_matrix", "devectorize", "herm_eig", "kron",
     "vectorize",
     "PRESETS", "get_preset",
-    "ProtocolConfig", "SweepGrid", "evaluate", "multi_ancilla_correlated",
-    "multi_ancilla_uncorrelated", "scenario_for", "single_run", "sweep",
-    "three_bath_qutrit",
+    "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
+    "multi_ancilla_correlated", "multi_ancilla_uncorrelated", "point",
+    "scenario_for", "single_run", "sweep", "three_bath_qutrit",
     "run_all", "run_group",
     "__version__",
 ]

@@ -7,10 +7,16 @@ Subcommands:
                summary.
 * ``sweep``  — like ``run --config`` but requires the config to contain a
                ``sweep`` block (ad-hoc parameter scans).
-* ``verify`` — run the built-in oracle suite (all groups or ``--group``).
+* ``verify`` — run the built-in oracle suite (all groups or ``--group``);
+               the only subcommand with a ``--seed``.
+
+The CLI is a thin shell over :mod:`colltherm.protocols`: every preset, sweep
+and point goes through its public ``check_scenario``, ``point`` and
+``sweep``, and one loop turns their ``(row, report)`` pairs into a table.
 
 Exit codes: 0 success; 2 configuration error (message names the offending
-field, e.g. ``baths[0].temperature``); 3 numerical failure (some grid rows
+field, e.g. ``baths[0].temperature``, or ``scenario`` when the base config
+breaks its scenario's precondition); 3 numerical failure (some grid rows
 errored; outputs are still written).  ``verify`` exits 1 on the first
 failing oracle.
 
@@ -29,7 +35,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import yaml
@@ -38,44 +43,22 @@ from .channels import BathSpec, RotationSpec
 from .estimation import EstimationReport
 from .presets import PRESETS, get_preset
 from .protocols import (
+    MERIT_COLUMNS,
     ProtocolConfig,
     SweepGrid,
     SWEEP_AXES,
-    _SCENARIOS,
-    _point,
-    _sweep_points,
+    check_scenario,
+    point,
     scenario_for,
+    sweep,
 )
 from .verify import GROUPS, run_all, run_group
 
-__all__ = ["main", "ConfigError", "RunManifest", "load_config"]
-
-MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
-_SCENARIO_NAMES = tuple(_SCENARIOS)
+__all__ = ["main", "ConfigError", "load_config"]
 
 
 class ConfigError(Exception):
     """Configuration problem; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every JSON summary."""
-
-    config_path: str | None
-    scenario: str
-    output_path: str
-    seed: int
-    emitted_at: str
-
-    def as_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "scenario": self.scenario,
-            "output_path": self.output_path,
-            "seed": self.seed,
-            "emitted_at": self.emitted_at,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +104,8 @@ def _parse_bath(entry, path) -> BathSpec:
     gamma_t = _as_number(entry.get("gamma_t", 0.5), f"{path}.gamma_t")
     if gamma_t < 0:
         raise ConfigError(f"{path}.gamma_t: must be >= 0, got {gamma_t}")
+    if gamma == 0 and gamma_t > 0:
+        raise ConfigError(f"{path}.gamma_t: must be 0 when gamma = 0, got {gamma_t}")
     therm_time = gamma_t / gamma if gamma > 0 else 0.0
     try:
         return BathSpec(temperature=temperature, omega=omega, gamma=gamma, therm_time=therm_time)
@@ -150,6 +135,17 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
     return axis, values
 
 
+# top-level scalar fields of ProtocolConfig and their converters
+_SCALARS = {
+    "ancilla_dim": _as_int,
+    "n_ancillas": _as_int,
+    "ancilla_init": _as_int,
+    "rotation_enabled": _as_bool,
+    "correlated": _as_bool,
+    "apply_rotation_after_last": _as_bool,
+}
+
+
 def load_config(path: str):
     """Parse and validate a YAML config file.
 
@@ -166,11 +162,7 @@ def load_config(path: str):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    known = {
-        "baths", "collision_angles_over_pi", "ancilla_dim", "n_ancillas",
-        "ancilla_init", "rotation", "rotation_enabled", "correlated",
-        "apply_rotation_after_last", "scenario", "sweep",
-    }
+    known = {"baths", "collision_angles_over_pi", "rotation", "scenario", "sweep", *_SCALARS}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown field (allowed: {sorted(known)})")
@@ -203,33 +195,17 @@ def load_config(path: str):
         except ValueError as exc:
             raise ConfigError(f"rotation.{exc}") from None
 
-    kwargs = dict(
-        baths=baths,
-        collision_angles=angles,
-        rotation=rotation,
-    )
-    if "ancilla_dim" in raw:
-        kwargs["ancilla_dim"] = _as_int(raw["ancilla_dim"], "ancilla_dim")
-    if "n_ancillas" in raw:
-        kwargs["n_ancillas"] = _as_int(raw["n_ancillas"], "n_ancillas")
-    if "ancilla_init" in raw:
-        kwargs["ancilla_init"] = _as_int(raw["ancilla_init"], "ancilla_init")
-    if "rotation_enabled" in raw:
-        kwargs["rotation_enabled"] = _as_bool(raw["rotation_enabled"], "rotation_enabled")
-    if "correlated" in raw:
-        kwargs["correlated"] = _as_bool(raw["correlated"], "correlated")
-    if "apply_rotation_after_last" in raw:
-        kwargs["apply_rotation_after_last"] = _as_bool(
-            raw["apply_rotation_after_last"], "apply_rotation_after_last"
-        )
+    scalars = {key: convert(raw[key], key) for key, convert in _SCALARS.items() if key in raw}
     try:
-        config = ProtocolConfig(**kwargs)
+        config = ProtocolConfig(baths=baths, collision_angles=angles, rotation=rotation, **scalars)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     scenario = raw.get("scenario") or scenario_for(config)
-    if scenario not in _SCENARIO_NAMES:
-        raise ConfigError(f"scenario: unknown scenario {scenario!r} (allowed: {_SCENARIO_NAMES})")
+    try:
+        check_scenario(scenario, config)
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
 
     grid = None
     if "sweep" in raw:
@@ -304,10 +280,9 @@ def _report_payload(report: EstimationReport) -> dict:
     )
 
 
-def write_summary(path: str, manifest: RunManifest, columns, rows, optimum) -> None:
-    n_errors = sum(1 for r in rows if r.get("error"))
+def write_summary(path: str, manifest: dict, columns, rows, n_errors: int, optimum) -> None:
     payload = {
-        "manifest": manifest.as_dict(),
+        "manifest": manifest,
         "columns": list(columns),
         "n_rows": len(rows),
         "n_errors": n_errors,
@@ -341,7 +316,7 @@ def _summary_path(csv_path: str) -> str:
     return root + ".json"
 
 
-def _emit_outputs(out_path, columns, points, manifest_args) -> int:
+def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
     """Write the table and the summary of (row, report) pairs; the report of
     a failed row is None."""
     rows = [row for row, _report in points]
@@ -352,16 +327,14 @@ def _emit_outputs(out_path, columns, points, manifest_args) -> int:
     if best is not None:
         row, report = best
         optimum = {"row": dict(row), "report": _report_payload(report)}
-    manifest = RunManifest(
-        config_path=manifest_args["config_path"],
-        scenario=manifest_args["scenario"],
-        output_path=os.path.abspath(out_path),
-        seed=manifest_args["seed"],
-        emitted_at=datetime.now(timezone.utc).isoformat(),
-    )
-    write_summary(_summary_path(out_path), manifest, columns, rows, optimum)
-
+    manifest = {
+        "config_path": config_path,
+        "scenario": scenario,
+        "output_path": os.path.abspath(out_path),
+        "emitted_at": datetime.now(timezone.utc).isoformat(),
+    }
     n_errors = sum(1 for r in rows if r.get("error"))
+    write_summary(_summary_path(out_path), manifest, columns, rows, n_errors, optimum)
     if n_errors:
         print(
             f"{n_errors} of {len(rows)} grid points failed; see the error column in {out_path}",
@@ -375,52 +348,47 @@ def _emit_outputs(out_path, columns, points, manifest_args) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_preset(name: str, out_path: str, seed: int) -> int:
+def _series_points(axis: str, series) -> list:
+    """The (row, report) pairs of every (labels, scenario, grid) series in
+    order, each row keyed by the swept ``axis``, then the labels, then
+    :data:`MERIT_COLUMNS`."""
+    return [
+        ({axis: row.pop("axis_value"), **labels, **row}, report)
+        for labels, scenario, grid in series
+        for row, report in sweep(grid, scenario)
+    ]
+
+
+def _run_preset(name: str, out_path: str) -> int:
     preset = get_preset(name)
     columns = (preset.axis_name, *preset.label_columns, *MERIT_COLUMNS)
-    points = []
-    for series in preset.series:
-        for row, report in _sweep_points(series.grid, series.scenario):
-            merged = {preset.axis_name: row.pop("axis_value"), **series.labels, **row}
-            points.append((merged, report))
-    return _emit_outputs(
-        out_path, columns, points,
-        {"config_path": None, "scenario": name, "seed": seed},
-    )
+    series = [(s.labels, s.scenario, s.grid) for s in preset.series]
+    return _emit_outputs(out_path, columns, _series_points(preset.axis_name, series), None, name)
 
 
-def _run_config(config_path: str, out_path: str, seed: int, require_sweep: bool) -> int:
+def _run_config(config_path: str, out_path: str, require_sweep: bool) -> int:
     config, scenario, grid = load_config(config_path)
     if require_sweep and grid is None:
         raise ConfigError("sweep: required block is missing from the config file")
 
     if grid is None:
-        points = [_point(config, scenario)]
-        columns = MERIT_COLUMNS
+        columns, points = MERIT_COLUMNS, [point(config, scenario)]
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
-        points = []
-        for row, report in _sweep_points(grid, scenario):
-            merged = {grid.axis_name: row.pop("axis_value"), **row}
-            points.append((merged, report))
-    return _emit_outputs(
-        out_path, columns, points,
-        {"config_path": os.path.abspath(config_path), "scenario": scenario, "seed": seed},
-    )
+        points = _series_points(grid.axis_name, [({}, scenario, grid)])
+    return _emit_outputs(out_path, columns, points, os.path.abspath(config_path), scenario)
 
 
 def cmd_run(args) -> int:
     if bool(args.scenario) == bool(args.config):
         raise ConfigError("run needs exactly one of --scenario or --config")
     if args.scenario:
-        return _run_preset(args.scenario, args.out, args.seed)
-    return _run_config(args.config, args.out, args.seed, require_sweep=False)
+        return _run_preset(args.scenario, args.out)
+    return _run_config(args.config, args.out, require_sweep=False)
 
 
 def cmd_sweep(args) -> int:
-    if not args.config:
-        raise ConfigError("sweep needs --config with a sweep block")
-    return _run_config(args.config, args.out, args.seed, require_sweep=True)
+    return _run_config(args.config, args.out, require_sweep=True)
 
 
 def cmd_verify(args) -> int:
@@ -452,22 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
-
-    p_run = sub.add_parser("run", parents=[common], help="evaluate a preset or a config file")
+    p_run = sub.add_parser("run", help="evaluate a preset or a config file")
     p_run.add_argument("--scenario", choices=tuple(PRESETS), help="preset study to run")
     p_run.add_argument("--config", help="YAML config file (alternative to --scenario)")
     p_run.add_argument("--out", required=True, help="output CSV path (JSON summary beside it)")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="run the sweep block of a config file")
+    p_sweep = sub.add_parser("sweep", help="run the sweep block of a config file")
     p_sweep.add_argument("--config", required=True, help="YAML config file with a sweep block")
     p_sweep.add_argument("--out", required=True, help="output CSV path (JSON summary beside it)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the built-in oracle suite")
+    p_verify = sub.add_parser("verify", help="run the built-in oracle suite")
+    p_verify.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
     p_verify.add_argument("--group", choices=sorted(GROUPS), help="run a single oracle group")
     p_verify.add_argument("--trials", type=int, default=200,
                           help="randomized trials per group (default 200)")

@@ -105,23 +105,18 @@ def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 def herm_eig(h: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix, or of a stack ``(..., d, d)``
-    of them, with deterministic output.
+    of them.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``V``, stacked like the input.  Each eigenvector's
-    phase is fixed so that its first component of non-negligible magnitude is
-    real and positive, which makes downstream constructions (SLDs in
-    particular) reproducible across runs and BLAS builds.  Raises if any
-    matrix is not Hermitian to ``tol`` or if the largest reconstruction
-    residual exceeds 1e-10.
+    eigenvector columns ``V``, stacked like the input.  Raises if any matrix
+    is not Hermitian to ``tol`` or if the largest reconstruction residual
+    exceeds 1e-10.
     """
     h = np.asarray(h, dtype=complex)
     defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
     if defect > tol:
         raise ValueError(f"input not Hermitian: defect {defect:.3e} > {tol}")
     w, V = np.linalg.eigh(h)
-    lead = np.take_along_axis(V, np.argmax(np.abs(V) > 1e-12, axis=-2)[..., None, :], axis=-2)
-    V = V * (lead / np.abs(lead)).conj()
     resid = np.abs(h @ V - V * w[..., None, :]).max()
     if resid > EIG_RESIDUAL_TOL:
         raise ValueError(f"eigendecomposition residual {resid:.3e} > {EIG_RESIDUAL_TOL}")

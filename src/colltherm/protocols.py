@@ -35,6 +35,14 @@ linear in the state, or bilinear in (probe, ancilla) at a marginal-stream
 collision.  So each evaluator carries the stack (rho, d_1 rho, ..., d_N rho)
 through one pass of the same maps: the product rule at each collision, and
 d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.
+
+The four families are the scenarios ``single``, ``uncorrelated``,
+``correlated`` and ``qutrit``.  One table maps each name to its engine and
+its precondition; :func:`check_scenario` is the one place that rejects an
+unknown name or a config its scenario cannot evaluate, and :func:`evaluate`,
+:func:`sweep` and the evaluators above all go through it.  :func:`point`
+and :func:`sweep` turn reports into the merit rows (:data:`MERIT_COLUMNS`)
+that the CLI writes as tables.
 """
 
 from __future__ import annotations
@@ -67,9 +75,12 @@ __all__ = [
     "multi_ancilla_uncorrelated",
     "multi_ancilla_correlated",
     "three_bath_qutrit",
-    "sweep",
+    "MERIT_COLUMNS",
+    "check_scenario",
     "scenario_for",
     "evaluate",
+    "point",
+    "sweep",
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
@@ -181,15 +192,6 @@ def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndar
     return [(thermalization_channel(b), thermalization_channel_dT(b)) for b in config.baths]
 
 
-def _product_report(config: ProtocolConfig, stacks: np.ndarray) -> EstimationReport:
-    """Report on the product of the K states in ``stacks``, each with its
-    temperature derivatives, (K, 1 + N, d, d): their QFIMs add, their
-    supports multiply, and the commutator norm is the largest of any one."""
-    qs = qfim_stack(stacks)
-    qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
-    return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
-
-
 # ---------------------------------------------------------------------------
 # single ancilla and the marginal stream
 # ---------------------------------------------------------------------------
@@ -203,17 +205,12 @@ def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]
     of the marginal stream.  This is the route the closed forms describe.
     The report keeps the SLDs, in the computational basis.
     """
-    stacks = _single_tangents(config)
+    check_scenario("single", config)
+    stacks = _stream_tangents(config)
     qs = qfim_stack(stacks)
     qf = Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
     report = build_report(qf, thermal_fim(config.baths), qs.commutator_norms[0])
     return DensityMatrix(stacks[0, 0], (config.ancilla_dim,)), report
-
-
-def _single_tangents(config: ProtocolConfig) -> np.ndarray:
-    if config.n_ancillas != 1:
-        raise ValueError(f"single_run requires n_ancillas = 1, got {config.n_ancillas}")
-    return _stream_tangents(config)
 
 
 def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
@@ -268,9 +265,7 @@ def multi_ancilla_uncorrelated(config: ProtocolConfig) -> EstimationReport:
     and their exact derivatives come out of one stream pass, and their
     QFIMs out of one :func:`colltherm.estimation.qfim_stack` call.
     """
-    if config.correlated:
-        raise ValueError("config.correlated is set; use multi_ancilla_correlated")
-    return _product_report(config, _stream_tangents(config))
+    return evaluate(config, "uncorrelated")
 
 
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
@@ -365,7 +360,7 @@ def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
     probes establish between ancillas survive into the measured state.  The
     report keeps the SLD commutator norm, taken in the state's eigenbasis.
     """
-    return _product_report(config, _joint_tangents(config)[None])
+    return evaluate(config, "correlated")
 
 
 def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
@@ -376,11 +371,73 @@ def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
     ancillas; a qubit ancilla is accepted as the diagnostic that shows why a
     two-level carrier cannot jointly resolve three temperatures well.
     """
-    if config.n_baths != 3:
-        raise ValueError(f"three_bath_qutrit requires 3 baths, got {config.n_baths}")
+    return evaluate(config, "qutrit")
+
+
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
+
+# name -> (engine, precondition).  The engine gives the stack of states whose
+# QFIMs add, with their temperature derivatives, (K, 1 + N, d, d); the
+# precondition lists (holds, message) pairs, checked in order.
+_SCENARIOS = {
+    "single": (_stream_tangents, (
+        (lambda c: c.n_ancillas == 1, "single_run requires n_ancillas = 1, got {c.n_ancillas}"),
+    )),
+    "uncorrelated": (_stream_tangents, (
+        (lambda c: not c.correlated, "config.correlated is set; use multi_ancilla_correlated"),
+    )),
+    "correlated": (lambda c: _joint_tangents(c)[None], ()),
+    "qutrit": (_stream_tangents, (
+        (lambda c: c.n_baths == 3, "three_bath_qutrit requires 3 baths, got {c.n_baths}"),
+        (lambda c: not c.correlated, "three_bath_qutrit runs in uncorrelated stream mode"),
+    )),
+}
+
+
+def check_scenario(scenario: str, config: ProtocolConfig | None = None) -> None:
+    """Raise ``ValueError`` unless ``scenario`` names an evaluator and, given a
+    ``config``, the config meets that evaluator's precondition."""
+    try:
+        _, precondition = _SCENARIOS[scenario]
+    except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a YAML list
+        choices = sorted(_SCENARIOS)
+        raise ValueError(f"unknown scenario {scenario!r}; choose from {choices}") from None
+    if config is not None:
+        for holds, message in precondition:
+            if not holds(config):
+                raise ValueError(message.format(c=config))
+
+
+def scenario_for(config: ProtocolConfig) -> str:
+    """Default evaluator for a config: qutrit-style for three baths, the
+    joint simulation when correlations are requested, the reduced-channel
+    route for a lone ancilla, the marginal stream otherwise."""
+    if config.n_baths == 3:
+        return "qutrit"
     if config.correlated:
-        raise ValueError("three_bath_qutrit runs in uncorrelated stream mode")
-    return multi_ancilla_uncorrelated(config)
+        return "correlated"
+    if config.n_ancillas == 1:
+        return "single"
+    return "uncorrelated"
+
+
+def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationReport:
+    """Report of one config from the named (or default) evaluator.
+
+    Reports keep the SLD commutator norm but not the SLDs themselves, so a
+    caller holding many reports holds only small matrices;
+    :func:`single_run` returns the single-ancilla SLDs.
+    """
+    name = scenario or scenario_for(config)
+    check_scenario(name, config)
+    engine, _ = _SCENARIOS[name]
+    # the engine's K states form a product: their QFIMs add, their supports
+    # multiply, and the commutator norm is the largest of any one
+    qs = qfim_stack(engine(config))
+    qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
+    return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +495,8 @@ class SweepGrid:
             raise ValueError(
                 f"axis refers to bath stage {stage + 1}, config has {self.fixed.n_baths}"
             )
+        if self.axis_name == "gamma_t" and any(b.gamma == 0 for b in self.fixed.baths):
+            raise ValueError("gamma_t axis needs gamma > 0 on every bath")
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -447,96 +506,37 @@ class SweepGrid:
         return SWEEP_AXES[self.axis_name](self.fixed, value)
 
 
-def _single_report(config: ProtocolConfig) -> EstimationReport:
-    """The report of :func:`single_run` without its SLDs."""
-    return _product_report(config, _single_tangents(config))
-
-
-_SCENARIOS = {
-    "single": _single_report,
-    "uncorrelated": multi_ancilla_uncorrelated,
-    "correlated": multi_ancilla_correlated,
-    "qutrit": three_bath_qutrit,
-}
-
-
-def scenario_for(config: ProtocolConfig) -> str:
-    """Default evaluator for a config: qutrit-style for three baths, the
-    joint simulation when correlations are requested, the reduced-channel
-    route for a lone ancilla, the marginal stream otherwise."""
-    if config.n_baths == 3:
-        return "qutrit"
-    if config.correlated:
-        return "correlated"
-    if config.n_ancillas == 1:
-        return "single"
-    return "uncorrelated"
-
-
-def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationReport:
-    """Report of one config from the named (or default) evaluator.
-
-    Reports keep the SLD commutator norm but not the SLDs themselves, so a
-    caller holding many reports holds only small matrices;
-    :func:`single_run` returns the single-ancilla SLDs.
-    """
-    name = scenario or scenario_for(config)
-    try:
-        fn = _SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"
-        ) from None
-    return fn(config)
+MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
 
 
 def _failed_row(exc: Exception) -> dict:
-    return {
-        "eta_joint": float("nan"),
-        "eta_acc": float("nan"),
-        "det_qfim": float("nan"),
-        "trace_qfim": float("nan"),
-        "singular": None,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+    nan = float("nan")
+    return dict(zip(MERIT_COLUMNS, (nan, nan, nan, nan, None, f"{type(exc).__name__}: {exc}")))
 
 
-def _point(config: ProtocolConfig, scenario: str) -> tuple[dict, EstimationReport | None]:
-    """The merit row of one config and its report.  A failing evaluation is
-    recorded in the row's ``error`` cell, with ``nan`` merits and no report."""
+def point(config: ProtocolConfig, scenario: str) -> tuple[dict, EstimationReport | None]:
+    """The merit row of one config, keyed by :data:`MERIT_COLUMNS`, and its
+    report.  A failing evaluation is recorded in the row's ``error`` cell,
+    with ``nan`` merits and no report."""
     try:
         rep = evaluate(config, scenario)
     except Exception as exc:  # recorded per row; a sweep continues
         return _failed_row(exc), None
-    row = {
-        "eta_joint": rep.eta_joint,
-        "eta_acc": rep.eta_acc,
-        "det_qfim": rep.qfim.det,
-        "trace_qfim": rep.qfim.trace,
-        "singular": rep.singular,
-        "error": None,
-    }
-    return row, rep
+    merits = (rep.eta_joint, rep.eta_acc, rep.qfim.det, rep.qfim.trace, rep.singular, None)
+    return dict(zip(MERIT_COLUMNS, merits)), rep
 
 
-def _sweep_points(grid: SweepGrid, scenario: str) -> list[tuple[dict, EstimationReport | None]]:
-    """Per grid value, its :func:`sweep` row and its report (None where the
-    point failed), so a caller can use a point's report without evaluating
-    it again."""
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}")
+def sweep(grid: SweepGrid, scenario: str) -> list[tuple[dict, EstimationReport | None]]:
+    """Evaluate the scenario at every grid value, in grid order: one (row,
+    report) pair per value, the row being :func:`point`'s with the value in
+    ``axis_value``.  A failing point records its error in-row, has report
+    None, and the sweep continues; an unknown scenario raises at once."""
+    check_scenario(scenario)
     points = []
     for value in grid.values:
         try:
-            row, rep = _point(grid.at(value), scenario)
+            row, rep = point(grid.at(value), scenario)
         except Exception as exc:  # the grid cannot place this value
             row, rep = _failed_row(exc), None
         points.append(({"axis_value": value, **row}, rep))
     return points
-
-
-def sweep(grid: SweepGrid, scenario: str) -> list[dict]:
-    """Evaluate the scenario at every grid value; one row dict per value, in
-    grid order.  A failing point records its error message in-row and the
-    sweep continues."""
-    return [row for row, _ in _sweep_points(grid, scenario)]

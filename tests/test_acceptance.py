@@ -227,7 +227,7 @@ def test_criterion_04_closed_form_state_and_slds():
 def test_criterion_05_single_sweep_extremum_location():
     # fig2: T = (2, 1), g1 = pi/2, theta = pi/4 about x, one ancilla
     series = get_preset("fig2").series[0]
-    rows = sweep(series.grid, series.scenario)
+    rows = [row for row, _ in sweep(series.grid, series.scenario)]
     assert all(r["error"] is None for r in rows)
     xs = [r["axis_value"] for r in rows]
     closed = [oracles.rotated_single_eta_acc(math.pi / 2, x * math.pi, 2.0, 1.0) for x in xs]
@@ -289,7 +289,7 @@ def test_criterion_06_stream_scaling_and_saturation():
 
     max_joint, max_acc = {}, {}
     for s in series:
-        rows = sweep(s.grid, s.scenario)
+        rows = [row for row, _ in sweep(s.grid, s.scenario)]
         assert all(r["error"] is None for r in rows)
         n = s.labels["n_ancillas"]
         max_joint[n] = max(r["eta_joint"] for r in rows)
@@ -328,7 +328,7 @@ def test_criterion_07_correlated_vs_uncorrelated_agreement():
             if x.labels["n_ancillas"] == n and x.labels["mode"] == mode
         ]
         grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
-        rows = sweep(grid, s.scenario)
+        rows = [row for row, _ in sweep(grid, s.scenario)]
         assert all(r["error"] is None for r in rows)
         return rows
 
@@ -407,7 +407,7 @@ def test_criterion_08_qutrit_three_bath_sweeps():
     best = {}
     for s in preset.series:
         grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
-        rows = sweep(grid, s.scenario)
+        rows = [row for row, _ in sweep(grid, s.scenario)]
         assert all(r["error"] is None for r in rows)
         n = s.labels["n_ancillas"]
         min_det = min(min_det, min(r["det_qfim"] for r in rows))

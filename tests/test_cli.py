@@ -80,6 +80,7 @@ def test_run_single_point_config(tmp_path):
     assert man["config_path"] == os.path.abspath(cfg)
     assert man["scenario"] == "single"
     assert man["output_path"] == str(out)
+    assert "seed" not in man  # only verify is seeded
     report = summary["optimum"]["report"]
     assert len(report["qfim"]) == 2 and len(report["qfim"][0]) == 2
     assert report["eta_joint"] == pytest.approx(float(rows[0]["eta_joint"]), rel=1e-12)
@@ -133,6 +134,16 @@ def test_run_rejects_unknown_preset(tmp_path):
         main(["run", "--scenario", "fig9", "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_belongs_to_verify_alone(tmp_path, command):
+    """Only ``verify`` draws random numbers, so only ``verify`` takes --seed."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -163,14 +174,40 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
         (lambda s: s.replace("collision_angles_over_pi", "collision_angles"), "unknown field"),
         (lambda s: s.replace("axis: x", "axis: q"), "rotation"),
         (lambda s: s + "scenario: bogus\n", "scenario"),
+        (lambda s: s + "scenario: [single]\n", "scenario: unknown scenario ['single']"),
         (lambda s: s + "n_ancillas: 2.5\n", "integer"),
         (lambda s: s + "correlated: 7\n", "true/false"),
+        # a base config its scenario cannot evaluate
+        (lambda s: s + "scenario: single\nn_ancillas: 3\n",
+         "config error: scenario: single_run requires n_ancillas = 1, got 3"),
+        (lambda s: s + "scenario: qutrit\n",
+         "config error: scenario: three_bath_qutrit requires 3 baths, got 2"),
+        (lambda s: s + "scenario: uncorrelated\ncorrelated: true\n",
+         "config error: scenario: config.correlated is set; use multi_ancilla_correlated"),
     ],
 )
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = write(tmp_path / "bad.yaml", mangle(GOOD_CONFIG))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert needle in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.yaml"]  # no table, no summary
+
+
+def test_gamma_t_without_gamma_is_config_error(tmp_path, capsys):
+    """A bath with gamma = 0 cannot have gamma_t > 0: rejected as a config
+    error, whether the bath sets gamma_t or a sweep varies it."""
+    no_gamma = GOOD_CONFIG.replace(
+        "{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 0.0, gamma_t: %s}"
+    )
+    cfg = write(tmp_path / "bad.yaml", no_gamma % "0.5")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: baths[0].gamma_t: must be 0 when gamma = 0, got 0.5" in err
+    swept = no_gamma % "0.0" + "sweep: {axis: gamma_t, values: [0.5, 1.0]}\n"
+    cfg = write(tmp_path / "bad.yaml", swept)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error: sweep: gamma_t axis needs gamma > 0 on every bath" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

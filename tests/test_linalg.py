@@ -82,15 +82,6 @@ def test_herm_eig_reconstruction_and_order(rng):
         npt.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
 
-def test_herm_eig_deterministic_phase(rng):
-    h = oracles.random_herm_traceless(rng, 4)
-    _, v = herm_eig(h)
-    for k in range(4):
-        col = v[:, k]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-
 def test_herm_eig_rejects_non_hermitian(rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     with pytest.raises(ValueError, match="Hermitian"):

@@ -23,6 +23,7 @@ from colltherm.protocols import (
     SIM_DIM_CAP,
     ProtocolConfig,
     SweepGrid,
+    check_scenario,
     evaluate,
     multi_ancilla_correlated,
     multi_ancilla_uncorrelated,
@@ -473,18 +474,25 @@ def test_sweep_axis_setters():
         n_grid.at(2.5)
     with pytest.raises(ValueError, match="stage"):
         SweepGrid("g_t3_over_pi", (0.3,), cfg).at(0.3)
+    no_gamma = two_bath_config(baths=(BathSpec(2.0, gamma=0.0, therm_time=0.0), BathSpec(1.0)))
+    with pytest.raises(ValueError, match="gamma_t axis needs gamma > 0"):
+        SweepGrid("gamma_t", (0.5,), no_gamma)
+    assert SweepGrid("theta_over_pi", (0.25,), no_gamma).at(0.25).baths[0].gamma == 0.0
 
 
 def test_sweep_rows_and_error_capture():
     """A grid point that produces an invalid collision angle records its
-    error in-row; the remaining points still evaluate."""
+    error in-row, with no report; the remaining points still evaluate, each
+    returned with the report a fresh evaluation of that point gives."""
     cfg = two_bath_config()
     grid = SweepGrid("g_t2_over_pi", (-0.2, 0.3, 0.7), cfg)
-    rows = sweep(grid, "single")
-    assert len(rows) == 3
-    assert rows[0]["error"] is not None and "ValueError" in rows[0]["error"]
-    assert math.isnan(rows[0]["eta_joint"])
-    for row in rows[1:]:
+    points = sweep(grid, "single")
+    assert len(points) == 3
+    (bad, bad_rep), *good = points
+    assert bad["error"] is not None and "ValueError" in bad["error"]
+    assert math.isnan(bad["eta_joint"])
+    assert bad_rep is None
+    for row, rep in good:
         assert row["error"] is None
         assert math.isfinite(row["eta_joint"])
         assert row["axis_value"] in (0.3, 0.7)
@@ -497,12 +505,46 @@ def test_sweep_rows_and_error_capture():
             "singular",
             "error",
         }
+        fresh = evaluate(grid.at(row["axis_value"]), "single")
+        npt.assert_array_equal(rep.qfim.matrix, fresh.qfim.matrix)
+        npt.assert_array_equal(rep.thermal.matrix, fresh.thermal.matrix)
+        merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
+        assert [getattr(rep, m) for m in merits] == [getattr(fresh, m) for m in merits]
 
 
 def test_sweep_unknown_scenario():
     grid = SweepGrid("g_t2_over_pi", (0.3,), two_bath_config())
     with pytest.raises(ValueError, match="scenario"):
         sweep(grid, "bogus")
+
+
+@pytest.mark.parametrize(
+    "scenario, config, message",
+    [
+        ("single", two_bath_config(n_ancillas=3), "single_run requires n_ancillas = 1, got 3"),
+        ("uncorrelated", two_bath_config(n_ancillas=2, correlated=True),
+         "config.correlated is set; use multi_ancilla_correlated"),
+        ("qutrit", two_bath_config(), "three_bath_qutrit requires 3 baths, got 2"),
+        ("qutrit", three_bath_config(correlated=True),
+         "three_bath_qutrit runs in uncorrelated stream mode"),
+    ],
+)
+def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, message):
+    """Every route into a scenario raises its precondition's message: the
+    check itself, evaluate, the public evaluator, and a sweep's row."""
+    evaluator = {
+        "single": lambda c: single_run(c)[1],
+        "uncorrelated": multi_ancilla_uncorrelated,
+        "qutrit": three_bath_qutrit,
+    }[scenario]
+    for call in (lambda: check_scenario(scenario, config),
+                 lambda: evaluate(config, scenario),
+                 lambda: evaluator(config)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    ((row, rep),) = sweep(SweepGrid("theta_over_pi", (0.25,), config), scenario)
+    assert row["error"] == f"ValueError: {message}" and rep is None
 
 
 def test_scenario_dispatch():
