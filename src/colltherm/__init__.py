@@ -12,13 +12,12 @@ with two figures of merit against the per-bath thermal benchmark.
 from .channels import (
     BathSpec,
     CollisionSpec,
-    KrausSet,
     RotationSpec,
+    collide,
     collision_superoperator,
     collision_unitary,
     collision_unitary_qubit,
     collision_unitary_qubit_qutrit,
-    kraus_from_collision,
     nbar,
     rotation_superoperator,
     thermal_populations,
@@ -40,14 +39,7 @@ from .estimation import (
     sld,
     thermal_fim,
 )
-from .linalg import (
-    DensityMatrix,
-    choi_matrix,
-    devectorize,
-    herm_eig,
-    kron,
-    vectorize,
-)
+from .linalg import DensityMatrix, choi_matrix, herm_eig
 from .presets import PRESETS, get_preset
 from .protocols import (
     MERIT_COLUMNS,
@@ -61,6 +53,7 @@ from .protocols import (
     scenario_for,
     single_run,
     sweep,
+    sweep_values,
     three_bath_qutrit,
 )
 from .verify import run_all, run_group
@@ -68,20 +61,19 @@ from .verify import run_all, run_group
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec", "CollisionSpec", "KrausSet", "RotationSpec",
+    "BathSpec", "CollisionSpec", "RotationSpec", "collide",
     "collision_superoperator", "collision_unitary", "collision_unitary_qubit",
-    "collision_unitary_qubit_qutrit", "kraus_from_collision", "nbar",
+    "collision_unitary_qubit_qutrit", "nbar",
     "rotation_superoperator", "thermal_populations", "thermal_state",
     "thermal_state_dT", "thermalization_channel", "thermalization_channel_dT",
     "EstimationReport", "ParamDerivatives", "Qfim", "ThermalFim",
     "build_report", "det_singular_threshold", "eta_metrics", "qfim",
     "singularity_test", "sld", "thermal_fim",
-    "DensityMatrix", "choi_matrix", "devectorize", "herm_eig", "kron",
-    "vectorize",
+    "DensityMatrix", "choi_matrix", "herm_eig",
     "PRESETS", "get_preset",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
     "multi_ancilla_correlated", "multi_ancilla_uncorrelated", "point",
-    "scenario_for", "single_run", "sweep", "three_bath_qutrit",
+    "scenario_for", "single_run", "sweep", "sweep_values", "three_bath_qutrit",
     "run_all", "run_group",
     "__version__",
 ]

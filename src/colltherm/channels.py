@@ -6,7 +6,9 @@ This module builds every channel the protocol composes:
 * probe-ancilla collision unitaries for the excitation-exchange coupling
   ``H_int = g (sigma_+ (x) A_- + sigma_- (x) A_+)`` with a qubit or a spin-1
   (qutrit) ancilla,
-* the environment-trace Kraus decomposition of a collision,
+* the collision step itself, :func:`collide`, which the marginal stream
+  runs, and the ancilla channel of one collision with a thermal probe,
+  read off that same step (:func:`collision_superoperator`),
 * ancilla rotations ``exp(-i theta G_axis)`` and their superoperators,
 * the partial-thermalization channel generated by the standard two-level
   GKSL generator with rates ``gamma (nbar + 1)`` (decay) and ``gamma nbar``
@@ -20,7 +22,8 @@ temperature derivatives (:func:`thermal_state_dT`,
 ``exp(-omega/T)``, which underflows to 0 at low temperature instead of
 overflowing.
 
-Superoperators use the row-major vectorization of :mod:`colltherm.linalg`.
+Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
+``|i><j|`` is component ``D*i + j`` of ``rho.reshape(-1)``.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .linalg import DensityMatrix, dag, kron
+from .linalg import DensityMatrix
 
 __all__ = [
     "BathSpec",
     "CollisionSpec",
     "RotationSpec",
-    "KrausSet",
     "thermal_populations",
     "thermal_state",
     "thermal_state_dT",
@@ -45,14 +47,12 @@ __all__ = [
     "collision_unitary_qubit",
     "collision_unitary_qubit_qutrit",
     "collision_unitary",
-    "kraus_from_collision",
+    "collide",
     "collision_superoperator",
     "rotation_superoperator",
     "thermalization_channel",
     "thermalization_channel_dT",
 ]
-
-KRAUS_COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,32 +131,6 @@ class RotationSpec:
         if dim == 2:
             return c * np.eye(2) - 1j * s * g
         return np.eye(3) - 1j * s * g + (c - 1.0) * (g @ g)
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators of a channel; complete to 1e-10 by construction."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_defect(self) -> float:
-        d = self.operators[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
-        for k in self.operators:
-            acc += dag(k) @ k
-        return float(np.max(np.abs(acc - np.eye(d))))
-
-    def validate(self) -> None:
-        defect = self.completeness_defect()
-        if defect > KRAUS_COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness defect {defect:.3e} > {KRAUS_COMPLETENESS_TOL}")
-
-    def superoperator(self) -> np.ndarray:
-        d = self.operators[0].shape[0]
-        sop = np.zeros((d * d, d * d), dtype=complex)
-        for k in self.operators:
-            sop += kron(k, k.conj())
-        return sop
 
 
 def _gibbs(omega: float, T: float) -> tuple[float, float, float]:
@@ -244,51 +218,47 @@ def collision_unitary(spec: CollisionSpec, ancilla_dim: int = 2) -> np.ndarray:
     raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
 
 
-def kraus_from_collision(u: np.ndarray, rho_env: DensityMatrix) -> KrausSet:
-    """Kraus operators of ``rho -> Tr_env[U (rho_env (x) rho) U^dag]``.
+def collide(probe: np.ndarray, ancilla: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One collision ``U (probe (x) ancilla) U^dag`` on tangent stacks.
 
-    ``u`` acts on env (x) ancilla with the environment factor first; the
-    environment must be diagonal in the computational basis (the thermal
-    probe), in which case ``K_ij = sqrt(lambda_j) <i|U|j>`` with <i|.|j>
-    taken on the environment factor.
+    ``probe`` is a (1 + N, 2, 2) stack and ``ancilla`` a (1 + N, d, d) one:
+    a state and its derivatives along N directions.  The joint stack before
+    the collision follows the product rule, entry 0 ``p_0 (x) a_0`` and
+    entry k ``p_k (x) a_0 + p_0 (x) a_k``; ``u`` acts on probe (x) ancilla.
+    Returns the joint stack after the collision, shaped (1 + N, 2, d, 2, d)
+    as [entry, probe row, ancilla row, probe column, ancilla column], so a
+    caller traces out only the factor it no longer needs.
     """
-    env = rho_env.mat
-    off = np.max(np.abs(env - np.diag(np.diag(env))))
-    if off > 1e-12:
-        raise ValueError(
-            f"environment must be diagonal in the computational basis (off-diagonal weight {off:.3e})"
-        )
-    d_env = env.shape[0]
-    u = np.asarray(u)
-    d_anc = u.shape[0] // d_env
-    if d_env * d_anc != u.shape[0]:
-        raise ValueError(
-            f"unitary dimension {u.shape[0]} incompatible with environment dimension {d_env}"
-        )
-    lam = np.real(np.diag(env))
-    ops = []
-    for i in range(d_env):
-        for j in range(d_env):
-            block = u[i * d_anc : (i + 1) * d_anc, j * d_anc : (j + 1) * d_anc]
-            ops.append(np.sqrt(max(lam[j], 0.0)) * block)
-    ks = KrausSet(tuple(ops))
-    ks.validate()
-    return ks
+    nt, d = ancilla.shape[0], ancilla.shape[-1]
+    joint = probe[:, :, None, :, None] * ancilla[0][:, None, :]
+    joint[1:] += probe[0][:, None, :, None] * ancilla[1:, None, :, None, :]
+    return (u @ joint.reshape(nt, 2 * d, 2 * d) @ u.conj().T).reshape(nt, 2, d, 2, d)
 
 
 def collision_superoperator(
     spec: CollisionSpec, bath: BathSpec, ancilla_dim: int = 2
 ) -> np.ndarray:
-    """Vectorized collision channel on the ancilla: sum_k kron(K_k, K_k*)."""
-    u = collision_unitary(spec, ancilla_dim)
-    env = thermal_state(bath.omega, bath.temperature)
-    return kraus_from_collision(u, env).superoperator()
+    """Vectorized collision channel on the ancilla, with a thermal probe,
+    read off :func:`collide`.
+
+    The channel is linear in the ancilla, so :func:`collide` maps derivative
+    entries like states: with entry 0 the thermal probe and a zero ancilla,
+    and the d^2 matrix units ``|j><k|`` as the ancilla's other entries,
+    output entry ``1 + d*j + k`` is ``Phi(|j><k|)``, column ``d*j + k``.
+    """
+    d = ancilla_dim
+    probe = np.zeros((1 + d * d, 2, 2), dtype=complex)
+    probe[0] = thermal_state(bath.omega, bath.temperature).mat
+    units = np.zeros((1 + d * d, d * d), dtype=complex)
+    units[1:] = np.eye(d * d)
+    joint = collide(probe, units.reshape(1 + d * d, d, d), collision_unitary(spec, d))
+    return (joint[1:, 0, :, 0] + joint[1:, 1, :, 1]).reshape(d * d, d * d).T
 
 
 def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
     """Vectorized unitary rotation: kron(U, U*)."""
     u = spec.unitary(dim)
-    return kron(u, u.conj())
+    return np.kron(u, u.conj())
 
 
 def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:

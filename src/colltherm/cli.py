@@ -51,6 +51,7 @@ from .protocols import (
     point,
     scenario_for,
     sweep,
+    sweep_values,
 )
 from .verify import GROUPS, run_all, run_group
 
@@ -128,10 +129,10 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
         start = _as_number(_expect(entry, "start", path, required=True), f"{path}.start")
         stop = _as_number(_expect(entry, "stop", path, required=True), f"{path}.stop")
         step = _as_number(_expect(entry, "step", path, required=True), f"{path}.step")
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{path}: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step))
-        values = tuple(start + i * step for i in range(count + 1))
+        try:
+            values = sweep_values(start, stop, step)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return axis, values
 
 
@@ -201,19 +202,22 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    scenario = raw.get("scenario") or scenario_for(config)
-    try:
-        check_scenario(scenario, config)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-    grid = None
+    grid, placed = None, [config]
     if "sweep" in raw:
         axis, values = _parse_sweep(raw["sweep"], "sweep")
         try:
             grid = SweepGrid(axis, values, config)
+            placed = [grid.at(v) for v in grid.values]
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
+
+    # unnamed, a sweep runs under its last point's scenario: an n_ancillas
+    # series from 1 is a stream, whose n = 1 point is the single run
+    scenario = raw.get("scenario") or scenario_for(placed[-1])
+    try:
+        check_scenario(scenario, config)
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
     return config, scenario, grid
 
 

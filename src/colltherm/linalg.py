@@ -1,15 +1,15 @@
 """Dense complex linear algebra for small multipartite Hilbert spaces.
 
-All heavy lifting happens on plain ``numpy`` arrays (dimension <= 2**9, so
+All heavy lifting happens on plain ``numpy`` arrays (dimension <= 2**11, so
 dense is fine everywhere).  The one convention that matters throughout the
 package is fixed here once:
 
     vectorization is row-major,  |i><j|  ->  component D*i + j,
 
-i.e. ``vectorize(rho) == rho.reshape(-1)`` in C order.  Under this convention
-the superoperator of a unitary conjugation ``rho -> U rho U^dag`` is
-``kron(U, U.conj())`` and the superoperator of ``rho -> A rho B`` is
-``kron(A, B.T)``.
+i.e. ``vec(rho) == rho.reshape(-1)`` in C order, and ``v.reshape(D, D)``
+undoes it.  Under this convention the superoperator of a unitary conjugation
+``rho -> U rho U^dag`` is ``np.kron(U, U.conj())`` and the superoperator of
+``rho -> A rho B`` is ``np.kron(A, B.T)``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ __all__ = [
     "PSD_TOL",
     "EIG_RESIDUAL_TOL",
     "DensityMatrix",
-    "dag",
-    "kron",
-    "vectorize",
-    "devectorize",
     "herm_eig",
     "choi_matrix",
 ]
@@ -36,15 +32,6 @@ HERM_TOL = 1e-12       # max-norm Hermiticity defect allowed in a state
 TRACE_TOL = 1e-12      # |Tr rho - 1| allowed in a state
 PSD_TOL = -1e-10       # most negative eigenvalue allowed in a state
 EIG_RESIDUAL_TOL = 1e-10
-
-
-def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (first factor owns the most significant index)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 @dataclass(frozen=True)
@@ -87,22 +74,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def vectorize(rho: np.ndarray | DensityMatrix) -> np.ndarray:
-    """Flatten a matrix row-major: |i><j| -> component D*i + j."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return mat.reshape(-1)
-
-
-def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`; bit-exact round trip."""
-    v = np.asarray(v)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square for dim {dim}")
-    return v.reshape(dim, dim)
-
-
 def herm_eig(h: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix, or of a stack ``(..., d, d)``
     of them.
@@ -126,7 +97,7 @@ def herm_eig(h: np.ndarray, tol: float = 1e-10):
 def choi_matrix(sop: np.ndarray, dim: int) -> np.ndarray:
     """Choi matrix of a superoperator in the row-major convention.
 
-    For ``S = sum_k kron(K_k, K_k.conj())`` this equals
+    For ``S = sum_k np.kron(K_k, K_k.conj())`` this equals
     ``sum_k vec(K_k) vec(K_k)^dag`` up to index grouping; complete positivity
     of the channel is equivalent to this matrix being PSD.
     """

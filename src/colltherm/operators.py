@@ -9,6 +9,10 @@ Basis conventions used across the package:
   top level and index 2 the bottom.  ``S_z = diag(1, 0, -1)`` and the ladder
   operators ``Q_pm = (S_x +- i S_y)/2`` move one step up/down with matrix
   elements 1/sqrt(2).
+
+The ladder operators appear only inside the closed-form collision unitaries
+of :mod:`colltherm.channels`; this module keeps the rotation generators and
+basis states.
 """
 
 from __future__ import annotations
@@ -16,35 +20,25 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "I2",
     "SX",
     "SY",
     "SZ",
-    "SPLUS",
-    "SMINUS",
     "S1X",
     "S1Y",
     "S1Z",
-    "Q_PLUS",
-    "Q_MINUS",
     "pauli",
     "spin1",
     "basis_state",
 ]
 
-I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
-SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 
 _s = 1.0 / np.sqrt(2.0)
 S1X = np.array([[0, _s, 0], [_s, 0, _s], [0, _s, 0]], dtype=complex)
 S1Y = np.array([[0, -1j * _s, 0], [1j * _s, 0, -1j * _s], [0, 1j * _s, 0]], dtype=complex)
 S1Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-Q_PLUS = (S1X + 1j * S1Y) / 2
-Q_MINUS = (S1X - 1j * S1Y) / 2
 
 _PAULI = {"x": SX, "y": SY, "z": SZ}
 _SPIN1 = {"x": S1X, "y": S1Y, "z": S1Z}

@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import BathSpec, RotationSpec
-from .protocols import ProtocolConfig, SweepGrid
+from .protocols import ProtocolConfig, SweepGrid, sweep_values
 
 __all__ = ["Preset", "PresetSeries", "PRESETS", "get_preset"]
 
@@ -40,11 +38,6 @@ class Preset:
     axis_name: str
     label_columns: tuple[str, ...]
     series: tuple[PresetSeries, ...]
-
-
-def _grid(*, start: float, stop: float, step: float) -> tuple[float, ...]:
-    n = int(round((stop - start) / step))
-    return tuple(float(v) for v in np.linspace(start, stop, n + 1))
 
 
 def _two_bath_base(**overrides) -> ProtocolConfig:
@@ -83,7 +76,7 @@ def _three_bath_base(**overrides) -> ProtocolConfig:
 def _fig2() -> Preset:
     """Single ancilla with the pi/4 rotation: accuracy figure of merit as
     the second collision angle varies, first collision held at phased-SWAP."""
-    grid = SweepGrid("g_t2_over_pi", _grid(start=0.0, stop=1.0, step=0.01), _two_bath_base())
+    grid = SweepGrid("g_t2_over_pi", sweep_values(0.0, 1.0, 0.01), _two_bath_base())
     return Preset(
         name="fig2",
         description="single-ancilla eta_acc versus second collision angle",
@@ -96,7 +89,7 @@ def _fig2() -> Preset:
 def _fig3() -> Preset:
     """Uncorrelated streams: curves over the second collision angle for
     n = 1..6 ancillas at each of three rotation angles."""
-    values = _grid(start=0.0, stop=1.0, step=0.02)
+    values = sweep_values(0.0, 1.0, 0.02)
     series = []
     for theta_over_pi in (1.0 / 6.0, 0.25, 1.0 / 3.0):
         for n in range(1, 7):
@@ -123,7 +116,7 @@ def _fig3() -> Preset:
 
 def _fig4() -> Preset:
     """Correlated versus uncorrelated streams at n = 2 and n = 4."""
-    values = _grid(start=0.0, stop=1.0, step=0.02)
+    values = sweep_values(0.0, 1.0, 0.02)
     series = []
     for n in (2, 4):
         for mode in ("uncorrelated", "correlated"):
@@ -147,7 +140,7 @@ def _fig4() -> Preset:
 def _fig5() -> Preset:
     """Three baths probed by qutrit ancillas: sweep of the third collision
     angle for n = 1, 3, 5."""
-    values = _grid(start=0.0, stop=1.0, step=0.02)
+    values = sweep_values(0.0, 1.0, 0.02)
     series = []
     for n in (1, 3, 5):
         cfg = _three_bath_base(n_ancillas=n)

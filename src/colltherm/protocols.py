@@ -57,6 +57,7 @@ from .channels import (
     BathSpec,
     CollisionSpec,
     RotationSpec,
+    collide,
     collision_unitary,
     thermal_state,
     thermal_state_dT,
@@ -71,6 +72,7 @@ __all__ = [
     "ProtocolConfig",
     "SweepGrid",
     "SWEEP_AXES",
+    "sweep_values",
     "single_run",
     "multi_ancilla_uncorrelated",
     "multi_ancilla_correlated",
@@ -217,12 +219,13 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
     the sequential stream, stacked as (n, 1 + N, d, d).
 
-    Probe and ancilla marginals are carried as such stacks.  At each
-    collision the joint stack of probe (x) ancilla follows the product
-    rule; both marginals are read off it.  Probe i picks up the partial
-    rethermalization channel after each collision (except after the last
-    ancilla, where it can no longer influence anything measured), and its
-    d_i stack entry picks up the channel's own T_i-derivative.  The ancilla
+    Probe and ancilla marginals are carried as such stacks.  Each collision
+    is :func:`colltherm.channels.collide`, whose joint stack of probe (x)
+    ancilla follows the product rule; both marginals are read off it.
+    Probe i picks up the partial rethermalization channel after each
+    collision (except after the last ancilla, where it can no longer
+    influence anything measured), and its d_i stack entry picks up the
+    channel's own T_i-derivative.  The ancilla
     marginals are the true ones only when the probes stay uncorrelated (see
     the module docstring).
     """
@@ -238,10 +241,7 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     for k in range(n):
         a = anc0
         for i in range(nb):
-            p, u = probes[i], steps[i]
-            joint = p[:, :, None, :, None] * a[0][:, None, :]
-            joint[1:] += p[0][:, None, :, None] * a[1:, None, :, None, :]
-            joint = (u @ joint.reshape(nt, 2 * d, 2 * d) @ u.conj().T).reshape(nt, 2, d, 2, d)
+            joint = collide(probes[i], a, steps[i])
             a = joint[:, 0, :, 0] + joint[:, 1, :, 1]
             if k < n - 1:
                 p = np.trace(joint, axis1=2, axis2=4)
@@ -330,17 +330,14 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, pp = 1 + nb, 4**nb
     v = _ancilla_isometry(config)
-    gibbs = [
-        (thermal_state(b.omega, b.temperature).mat, thermal_state_dT(b.omega, b.temperature))
-        for b in config.baths
-    ]
+    gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_probe_tangents(config))]
     reg = _probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp)
     if n > 1:
         # (q, q') -> (b, b', p, p'): collide, then rethermalize; per register,
         # transposed for right-multiplication
-        collide = np.einsum("bpq,crs->bcprqs", v, v.conj()).reshape(d * d, pp, pp)
+        meet = np.einsum("bpq,crs->bcprqs", v, v.conj()).reshape(d * d, pp, pp)
         therm = _probe_product(_rethermalizations(config), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
-        step = np.matmul(therm, collide).reshape(nt, d * d * pp, pp).transpose(0, 2, 1)
+        step = np.matmul(therm, meet).reshape(nt, d * d * pp, pp).transpose(0, 2, 1)
         for _ in range(n - 1):
             grown = (reg.reshape(-1, pp) @ step[0]).reshape(nt, -1, pp)
             grown[1:] += np.matmul(reg[0], step[1:]).reshape(nb, -1, pp)
@@ -474,6 +471,23 @@ SWEEP_AXES = {
     "gamma_t": _set_gamma_t,
     "n_ancillas": _set_n_ancillas,
 }
+
+
+def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """Grid values from ``start`` toward ``stop`` in steps of ``step``.
+
+    ``linspace`` over the largest whole number of steps that fits, counted
+    to 1e-9 relative: the last value is ``stop`` when the span is a whole
+    number of steps, and no value is ever past ``stop``.
+    """
+    if not (step > 0 and stop >= start):
+        raise ValueError("need step > 0 and stop >= start")
+    span = (stop - start) / step
+    n = round(span)
+    if abs(span - n) > 1e-9 * span:
+        n = math.floor(span)
+        stop = min(stop, start + n * step)
+    return tuple(float(v) for v in np.linspace(start, stop, n + 1))
 
 
 @dataclass(frozen=True)

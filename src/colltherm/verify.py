@@ -3,13 +3,17 @@
 Every check here takes its expected value from outside the code under test:
 hand-rolled matrix entries, closed-form states and SLDs and Gibbs weights
 from :mod:`colltherm.oracles` (which imports nothing from the library), so a
-bug in the library cannot hide by agreeing with itself.  Groups:
+bug in the library cannot hide by agreeing with itself.  The collision
+channels checked are :func:`colltherm.channels.collision_superoperator`,
+read off the collision step the evaluators' stream runs.  Groups:
 
 * ``appendix``   — entrywise reproduction of the hand-derived collision
-                   channel, rotation superoperator, composed two-collision
-                   channels, and Kraus operators.
-* ``kraus``      — completeness and complete positivity of the collision
-                   channel over random parameters.
+                   channel, rotation superoperator and composed
+                   two-collision channels.
+* ``kraus``      — the collision channel over random parameters and both
+                   ancilla dimensions: the dual-map identity
+                   ``sum_a S[aa, jk] = delta_jk``, complete positivity, and
+                   trace preservation on a random state.
 * ``fixedpoint`` — the rethermalization channel fixes the Gibbs state,
                    is the identity at t = 0, and contracts toward Gibbs.
 * ``closedform`` — single-ancilla final state and SLDs against the
@@ -30,10 +34,7 @@ from .channels import (
     CollisionSpec,
     RotationSpec,
     collision_superoperator,
-    collision_unitary,
-    kraus_from_collision,
     rotation_superoperator,
-    thermal_state,
     thermalization_channel,
 )
 from .estimation import (
@@ -42,7 +43,7 @@ from .estimation import (
     qfim,
     singularity_test,
 )
-from .linalg import choi_matrix, devectorize, vectorize
+from .linalg import choi_matrix
 from .oracles import (
     closed_form_slds,
     composed_plain_channel,
@@ -114,26 +115,6 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         e2 = collision_superoperator(spec, BathSpec(T2))
         res = max(res, float(np.max(np.abs(e2 @ rot @ e1 - composed_rotated_channel(g, p, q)))))
     out.append(_check("two-collision-composition-rotated", res, 1e-12))
-
-    # Kraus blocks: K_00, K_01, K_11 entrywise; K_10 only up to a global
-    # phase (a phase on one Kraus operator never changes the channel).
-    res, res_phase = 0.0, 0.0
-    for _ in range(max(trials, 20)):
-        gt = rng.uniform(0.0, math.pi)
-        T = rng.uniform(0.5, 4.0)
-        lam0, lam1 = gibbs_weights(1.0, T)
-        c, s = math.cos(gt), math.sin(gt)
-        u = collision_unitary(CollisionSpec.from_angle(gt))
-        ks = kraus_from_collision(u, thermal_state(1.0, T)).operators
-        k00 = math.sqrt(lam0) * np.diag([1.0, c])
-        k01 = -1j * s * math.sqrt(lam1) * np.array([[0, 0], [1, 0]])
-        k10 = s * math.sqrt(lam0) * np.array([[0, 1], [0, 0]])
-        k11 = math.sqrt(lam1) * np.diag([c, 1.0])
-        for got, want in ((ks[0], k00), (ks[1], k01), (ks[3], k11)):
-            res = max(res, float(np.max(np.abs(got - want))))
-        res_phase = max(res_phase, float(np.max(np.abs(np.abs(ks[2]) - np.abs(k10)))))
-    out.append(_check("kraus-blocks-entrywise", res, 1e-12))
-    out.append(_check("kraus-block-10-up-to-phase", res_phase, 1e-12))
     return out
 
 
@@ -144,17 +125,17 @@ def _group_kraus(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         gt = rng.uniform(0.0, math.pi)
         T = rng.uniform(0.5, 4.0)
         dim = int(rng.integers(2, 4))
-        u = collision_unitary(CollisionSpec.from_angle(gt), dim)
-        ks = kraus_from_collision(u, thermal_state(1.0, T))
-        res_comp = max(res_comp, ks.completeness_defect())
-        sop = ks.superoperator()
+        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        # trace of the output as a function of the input: the dual map's unit
+        dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
+        res_comp = max(res_comp, float(np.max(np.abs(dual_unit - np.eye(dim)))))
         lo = float(np.linalg.eigvalsh(choi_matrix(sop, dim))[0])
         res_choi = max(res_choi, max(0.0, -lo))
         # trace preservation on a random state
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = x @ x.conj().T
         rho /= rho.trace()
-        res_tp = max(res_tp, abs(devectorize(sop @ vectorize(rho), dim).trace() - 1.0))
+        res_tp = max(res_tp, abs((sop @ rho.reshape(-1)).reshape(dim, dim).trace() - 1.0))
     out.append(_check("kraus-completeness", res_comp, 1e-10))
     out.append(_check("choi-positive", res_choi, 1e-10))
     out.append(_check("trace-preservation", res_tp, 1e-10))
@@ -171,7 +152,7 @@ def _group_fixedpoint(rng: np.random.Generator, trials: int) -> list[CheckResult
         lam0, lam1 = gibbs_weights(1.0, T)
         gibbs = np.diag([lam0, lam1]).astype(complex)
         ch = thermalization_channel(bath)
-        res_fix = max(res_fix, float(np.max(np.abs(ch @ vectorize(gibbs) - vectorize(gibbs)))))
+        res_fix = max(res_fix, float(np.max(np.abs(ch @ gibbs.reshape(-1) - gibbs.reshape(-1)))))
 
         res_id = max(
             res_id,
@@ -183,7 +164,7 @@ def _group_fixedpoint(rng: np.random.Generator, trials: int) -> list[CheckResult
         rho /= rho.trace()
         long = thermalization_channel(BathSpec(T, therm_time=50.0))
         res_conv = max(
-            res_conv, float(np.max(np.abs(devectorize(long @ vectorize(rho), 2) - gibbs)))
+            res_conv, float(np.max(np.abs((long @ rho.reshape(-1)).reshape(2, 2) - gibbs)))
         )
     out.append(_check("gibbs-fixed-point", res_fix, 1e-10))
     out.append(_check("identity-at-zero-time", res_id, 1e-12))

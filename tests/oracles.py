@@ -4,7 +4,8 @@ The closed forms that ``colltherm verify`` also uses (Gibbs weights, the
 printed channels, the two-collision forms, the single-ancilla state and
 SLDs) live in :mod:`colltherm.oracles`, which imports nothing from the rest
 of the library; they are re-exported here.  This module adds the routes
-only the tests use: matrix exponentials by Taylor series, the GKSL
+only the tests use: matrix exponentials by Taylor series, the qutrit
+collision channel as a Kraus sum over that series, the GKSL
 generator of the probe-bath coupling, the rethermalization channel as
 generalized-amplitude-damping Kraus operators, central-difference
 derivatives of a state family, QFIMs from the qubit Bloch-vector formula
@@ -82,6 +83,25 @@ def printed_collision_unitary(gt):
         ],
         dtype=complex,
     )
+
+
+def qutrit_collision_channel(gt, lam0):
+    """Row-major superoperator of one collision of a qutrit ancilla with a
+    thermal qubit probe (excited weight lam0), as the Kraus sum
+    sum_ij K_ij (x) K_ij* with K_ij = sqrt(lambda_j) <i|U|j>: the blocks of
+    the probe factor of U = exp(-i gt (s+ (x) Q- + s- (x) Q+)), taken by
+    Taylor series."""
+    s = 1.0 / math.sqrt(2.0)
+    s_plus = np.array([[0, 1], [0, 0]], dtype=complex)
+    q_minus = np.array([[0, 0, 0], [s, 0, 0], [0, s, 0]], dtype=complex)
+    h = np.kron(s_plus, q_minus)
+    u = taylor_expm(-1j * gt * (h + h.conj().T)).reshape(2, 3, 2, 3)
+    sop = np.zeros((9, 9), dtype=complex)
+    for j, lam in enumerate((lam0, 1.0 - lam0)):
+        for i in range(2):
+            k = math.sqrt(lam) * u[i, :, j, :]
+            sop += np.kron(k, k.conj())
+    return sop
 
 
 def rotated_single_eta_acc(g1, g2, T1, T2, omega=1.0):

@@ -32,14 +32,12 @@ from colltherm.channels import (
     CollisionSpec,
     RotationSpec,
     collision_superoperator,
-    collision_unitary,
-    kraus_from_collision,
     rotation_superoperator,
     thermal_state,
     thermalization_channel,
 )
 from colltherm.estimation import ParamDerivatives, singularity_test, thermal_fim
-from colltherm.linalg import choi_matrix, vectorize
+from colltherm.linalg import choi_matrix
 from colltherm.presets import get_preset
 from colltherm.protocols import (
     ProtocolConfig,
@@ -451,20 +449,20 @@ def _invariant_sweep(seed):
     for _ in range(30):
         dim = int(rng.integers(2, 4))
         gt, T = rng.uniform(0.0, math.pi), rng.uniform(0.4, 4.0)
-        u = collision_unitary(CollisionSpec.from_angle(gt), dim)
-        ks = kraus_from_collision(u, thermal_state(1.0, T))
-        defects["kraus"] = max(defects["kraus"], ks.completeness_defect())
-        sop = ks.superoperator()
+        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        # the dual-map identity sum_a S[aa, jk] = delta_jk
+        dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
+        defects["kraus"] = max(defects["kraus"], float(np.max(np.abs(dual_unit - np.eye(dim)))))
         lo = float(np.linalg.eigvalsh(choi_matrix(sop, dim))[0])
         defects["choi"] = max(defects["choi"], max(0.0, -lo))
         rho = oracles.random_density(rng, dim)
-        out_trace = complex(np.trace((sop @ vectorize(rho)).reshape(dim, dim)))
+        out_trace = complex(np.trace((sop @ rho.reshape(-1)).reshape(dim, dim)))
         defects["trace"] = max(defects["trace"], abs(out_trace - 1.0))
         samples.append(lo)
 
     for _ in range(20):
         bath = BathSpec(rng.uniform(0.4, 4.0), therm_time=rng.uniform(0.05, 2.0))
-        gibbs = vectorize(thermal_state(bath.omega, bath.temperature))
+        gibbs = thermal_state(bath.omega, bath.temperature).mat.reshape(-1)
         resid = float(np.max(np.abs(thermalization_channel(bath) @ gibbs - gibbs)))
         defects["fixed_point"] = max(defects["fixed_point"], resid)
         samples.append(resid)

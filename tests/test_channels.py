@@ -1,13 +1,16 @@
-"""Collision unitaries, Kraus extraction, rotations, rethermalization.
+"""Collision unitaries, the collision step and its channel, rotations,
+rethermalization.
 
 The library writes every channel in closed form: the collision and
 rotation unitaries as cosine/sine polynomials of their generators, the
 rethermalization channel and its temperature derivative as a generalized
-amplitude damping.  The oracles build the unitaries by a Taylor series of
-the generators, and the rethermalization channel both from
-generalized-amplitude-damping Kraus operators and as the Taylor-series
-exponential of the GKSL generator in ``tests/oracles.py``.  The routes
-share no code.
+amplitude damping.  The collision channel is read off ``collide``, the
+collision step the evaluators' stream runs.  The oracles build the
+unitaries by a Taylor series of the generators, the qutrit collision
+channel as a Kraus sum over environment-trace blocks of that series, and
+the rethermalization channel both from generalized-amplitude-damping Kraus
+operators and as the Taylor-series exponential of the GKSL generator in
+``tests/oracles.py``.  The routes share no code.
 """
 
 import numpy as np
@@ -23,7 +26,6 @@ from colltherm.channels import (
     collision_unitary,
     collision_unitary_qubit,
     collision_unitary_qubit_qutrit,
-    kraus_from_collision,
     nbar,
     thermal_populations,
     thermal_state,
@@ -31,8 +33,8 @@ from colltherm.channels import (
     thermalization_channel,
     thermalization_channel_dT,
 )
-from colltherm.linalg import DensityMatrix, choi_matrix, kron, vectorize
-from colltherm.operators import I2, S1Z, SZ
+from colltherm.linalg import DensityMatrix, choi_matrix
+from colltherm.operators import S1Z, SZ
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def test_qubit_collision_matches_printed_matrix(rng):
 
 def test_qubit_collision_against_taylor_series(rng):
     gt = rng.uniform(0.1, 1.2)
-    h = kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
+    h = np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
     h = h + h.conj().T
     npt.assert_allclose(
         collision_unitary_qubit(CollisionSpec.from_angle(gt)),
@@ -118,7 +120,7 @@ def test_qutrit_collision_unitary_and_conservation(rng):
     assert u.shape == (6, 6)
     npt.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
     # total excitation sigma_z/2 (x) I + I (x) S_z commutes with the coupling
-    n_op = kron(SZ / 2.0, np.eye(3)) + kron(I2, S1Z)
+    n_op = np.kron(SZ / 2.0, np.eye(3)) + np.kron(np.eye(2), S1Z)
     npt.assert_allclose(u @ n_op - n_op @ u, np.zeros((6, 6)), atol=1e-12)
 
 
@@ -126,7 +128,7 @@ def test_qutrit_collision_against_taylor_series(rng):
     sp = np.array([[0, 1], [0, 0]], dtype=complex)
     s = 1.0 / np.sqrt(2.0)
     q_minus = np.array([[0, 0, 0], [s, 0, 0], [0, s, 0]], dtype=complex)
-    h = kron(sp, q_minus)
+    h = np.kron(sp, q_minus)
     h = h + h.conj().T
     for gt in (rng.uniform(0.2, 1.5), 0.5 * np.pi, np.pi, 4.4, 2.0 * np.pi):
         u = collision_unitary_qubit_qutrit(CollisionSpec.from_angle(gt))
@@ -142,47 +144,6 @@ def test_collision_unitary_dimension_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# Kraus extraction
-# ---------------------------------------------------------------------------
-
-def test_kraus_blocks_of_qubit_collision():
-    """The four environment-trace blocks at angle g tau, weights sqrt(lam_j).
-
-    The (1,0) block is compared in magnitude only; its overall phase is
-    unobservable in the channel (and the sign conventions in circulation
-    disagree on it), while the other three blocks are phase-pinned by the
-    diagonal entries.
-    """
-    gt, T = 0.9, 1.7
-    lam0, lam1 = thermal_populations(1.0, T)
-    u = collision_unitary_qubit(CollisionSpec.from_angle(gt))
-    ks = kraus_from_collision(u, thermal_state(1.0, T)).operators
-    c, s = np.cos(gt), np.sin(gt)
-    r0, r1 = np.sqrt(lam0), np.sqrt(lam1)
-    npt.assert_allclose(ks[0], r0 * np.array([[1, 0], [0, c]]), atol=1e-12)
-    npt.assert_allclose(ks[1], r1 * np.array([[0, 0], [-1j * s, 0]]), atol=1e-12)
-    npt.assert_allclose(np.abs(ks[2]), r0 * np.array([[0, s], [0, 0]]), atol=1e-12)
-    npt.assert_allclose(ks[3], r1 * np.array([[c, 0], [0, 1]]), atol=1e-12)
-
-
-def test_kraus_completeness_random(rng):
-    for _ in range(20):
-        dim = int(rng.integers(2, 4))
-        gt = rng.uniform(0.0, np.pi)
-        T = rng.uniform(0.3, 5.0)
-        u = collision_unitary(CollisionSpec.from_angle(gt), dim)
-        ks = kraus_from_collision(u, thermal_state(1.0, T))
-        assert ks.completeness_defect() < 1e-10
-
-
-def test_kraus_rejects_coherent_environment():
-    u = collision_unitary_qubit(CollisionSpec.from_angle(0.3))
-    env = DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]), (2,))
-    with pytest.raises(ValueError, match="diagonal"):
-        kraus_from_collision(u, env)
-
-
-# ---------------------------------------------------------------------------
 # collision channel on the ancilla
 # ---------------------------------------------------------------------------
 
@@ -195,6 +156,29 @@ def test_collision_channel_matches_printed_form(rng):
         npt.assert_allclose(sop, oracles.printed_collision_channel(gt, lam0), atol=1e-12)
 
 
+def test_kraus_completeness_random(rng):
+    """The dual-map identity sum_a S[aa, jk] = delta_jk: the channel keeps
+    the trace of every input, matrix units included."""
+    for _ in range(20):
+        dim = int(rng.integers(2, 4))
+        gt = rng.uniform(0.0, np.pi)
+        T = rng.uniform(0.3, 5.0)
+        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
+        assert np.max(np.abs(dual_unit - np.eye(dim))) < 1e-10
+
+
+def test_qutrit_collision_channel_matches_kraus_oracle(rng):
+    """The d = 3 channel entrywise against the Kraus sum built from the
+    Taylor-series unitary of the qubit-qutrit exchange."""
+    for _ in range(20):
+        gt = rng.uniform(0.0, 2.0 * np.pi)
+        T = rng.uniform(0.3, 5.0)
+        lam0, _ = thermal_populations(1.0, T)
+        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), 3)
+        npt.assert_allclose(sop, oracles.qutrit_collision_channel(gt, lam0), atol=1e-12)
+
+
 def test_collision_channel_is_cptp(rng):
     for dim in (2, 3):
         gt, T = rng.uniform(0.1, 2.8), rng.uniform(0.4, 4.0)
@@ -204,7 +188,7 @@ def test_collision_channel_is_cptp(rng):
         assert w[0] > -1e-10
         assert np.trace(ch).real == pytest.approx(dim, abs=1e-10)
         rho = oracles.random_density(rng, dim)
-        out = (sop @ vectorize(rho)).reshape(dim, dim)
+        out = (sop @ rho.reshape(-1)).reshape(dim, dim)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -278,7 +262,7 @@ def test_generator_annihilates_gibbs_state(rng):
     for _ in range(10):
         bath = BathSpec(rng.uniform(0.4, 4.0), omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.2, 2.0))
         gen = oracles.lindblad_generator(bath.omega, bath.temperature, bath.gamma)
-        stationary = vectorize(thermal_state(bath.omega, bath.temperature))
+        stationary = thermal_state(bath.omega, bath.temperature).mat.reshape(-1)
         npt.assert_allclose(gen @ stationary, np.zeros(4), atol=1e-13)
 
 
@@ -352,7 +336,7 @@ def test_thermalization_long_time_limit(rng):
     bath = BathSpec(2.5, therm_time=50.0)
     sop = thermalization_channel(bath)
     rho = oracles.random_density(rng, 2)
-    out = (sop @ vectorize(rho)).reshape(2, 2)
+    out = (sop @ rho.reshape(-1)).reshape(2, 2)
     npt.assert_allclose(out, thermal_state(bath.omega, bath.temperature).mat, atol=1e-8)
 
 

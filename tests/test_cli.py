@@ -14,7 +14,7 @@ import pytest
 
 from colltherm import cli, protocols
 from colltherm.cli import MERIT_COLUMNS, _fmt_cell, _report_payload, load_config, main
-from colltherm.protocols import evaluate
+from colltherm.protocols import evaluate, point, sweep
 
 GOOD_CONFIG = """\
 baths:
@@ -233,6 +233,47 @@ def test_sweep_explicit_values(tmp_path):
     out = tmp_path / "vals.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert [r["g_t2_over_pi"] for r in read_rows(out)] == ["0.2", "0.4", "0.6"]
+
+
+@pytest.mark.parametrize(
+    "block, want",
+    [
+        ("{axis: g_t2_over_pi, start: 0, stop: 1, step: 0.6}", ["0", "0.6"]),
+        ("{axis: g_t2_over_pi, start: 0.1, stop: 0.9, step: 0.1}",
+         ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"]),
+    ],
+)
+def test_sweep_range_stops_at_stop(tmp_path, block, want):
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + f"sweep: {block}\n")
+    out = tmp_path / "range.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert [r["g_t2_over_pi"] for r in read_rows(out)] == want
+
+
+def test_ancilla_count_sweep_infers_stream_scenario(tmp_path):
+    """An n_ancillas series from 1 with no scenario named runs as a stream;
+    its n = 1 row is the single run of the base config."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + "sweep: {axis: n_ancillas, values: [1, 2, 3]}\n")
+    out = tmp_path / "n.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [r["error"] for r in rows] == ["", "", ""]
+    config, scenario, grid = load_config(cfg)
+    assert scenario == "uncorrelated"
+    assert json.loads((tmp_path / "n.json").read_text())["manifest"]["scenario"] == scenario
+    (first, _), *_ = sweep(grid, scenario)
+    single, _ = point(config, "single")
+    assert {col: first[col] for col in MERIT_COLUMNS} == single
+    assert {col: rows[0][col] for col in MERIT_COLUMNS} == {
+        col: _fmt_cell(single[col]) for col in MERIT_COLUMNS
+    }
+
+
+def test_sweep_value_the_grid_cannot_place_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + "sweep: {axis: n_ancillas, values: [1, 2.5]}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error: sweep: n_ancillas axis needs whole numbers, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):

@@ -1,49 +1,20 @@
-"""Vectorization, state invariants, eigensolver contract, Choi matrices."""
+"""Vectorization convention, state invariants, eigensolver contract, Choi
+matrices."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm.linalg import (
-    DensityMatrix,
-    choi_matrix,
-    devectorize,
-    herm_eig,
-    kron,
-    vectorize,
-)
-
-
-def test_vectorize_basis_convention():
-    # |i><j| must land on component D*i + j (row-major), D = 3 here
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            v = vectorize(e)
-            assert v[3 * i + j] == 1.0
-            assert np.count_nonzero(v) == 1
-
-
-def test_vectorize_round_trip(rng):
-    for dim in (2, 3, 4, 6):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        npt.assert_array_equal(devectorize(vectorize(m)), m)
-        npt.assert_array_equal(devectorize(vectorize(m), dim), m)
-
-
-def test_devectorize_rejects_bad_length():
-    with pytest.raises(ValueError):
-        devectorize(np.zeros(5))
+from colltherm.linalg import DensityMatrix, choi_matrix, herm_eig
 
 
 def test_unitary_conjugation_superop_matches_convention(rng):
-    """kron(U, U*) acting on vec(rho) must equal vec(U rho U^dag)."""
+    """kron(U, U*) acting on the row-major vec(rho) must equal vec(U rho U^dag)."""
     for dim in (2, 3):
         u = oracles.random_unitary(rng, dim)
         rho = oracles.random_density(rng, dim)
-        lhs = devectorize(kron(u, u.conj()) @ vectorize(rho), dim)
+        lhs = (np.kron(u, u.conj()) @ rho.reshape(-1)).reshape(dim, dim)
         npt.assert_allclose(lhs, u @ rho @ u.conj().T, atol=1e-13)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from colltherm import oracles
+from colltherm import channels, oracles, protocols
 from colltherm.cli import main
 from colltherm.presets import PRESETS, get_preset
 from colltherm.verify import GROUPS, run_all, run_group
@@ -120,6 +120,29 @@ def test_run_all_groups_pass():
     for group, checks in results.items():
         for check in checks:
             assert check.ok, f"{group}/{check.name}: residual {check.residual:.3e} {check.detail}"
+
+
+def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
+    """The collision channels verify checks come out of the same collision
+    step the stream evaluator runs: both call ``channels.collide``."""
+    calls, collide = [], channels.collide
+
+    def counting(*args):
+        calls.append(args)
+        return collide(*args)
+
+    monkeypatch.setattr(channels, "collide", counting)
+    monkeypatch.setattr(protocols, "collide", counting)
+    assert all(check.ok for check in run_group("appendix", trials=20))
+    in_verify = len(calls)
+    cfg = protocols.ProtocolConfig(
+        baths=(channels.BathSpec(2.0), channels.BathSpec(1.0)),
+        collision_angles=(0.5 * math.pi, 0.3 * math.pi),
+        n_ancillas=3,
+    )
+    protocols.evaluate(cfg, "uncorrelated")
+    assert in_verify > 0
+    assert len(calls) - in_verify > 0
 
 
 def test_run_group_is_deterministic():

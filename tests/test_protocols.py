@@ -30,6 +30,7 @@ from colltherm.protocols import (
     scenario_for,
     single_run,
     sweep,
+    sweep_values,
     three_bath_qutrit,
 )
 from colltherm.protocols import _joint_tangents, _stream_tangents
@@ -451,6 +452,23 @@ def test_three_bath_qubit_diagnostic_runs():
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+def test_sweep_values_never_pass_stop():
+    """Whole steps end on stop exactly; a partial last step is dropped."""
+    assert sweep_values(0.0, 1.0, 0.6) == (0.0, 0.6)
+    tenths = sweep_values(0.1, 0.9, 0.1)
+    assert len(tenths) == 9 and tenths[0] == 0.1 and tenths[-1] == 0.9
+    assert sweep_values(0.0, 1.0, 0.02) == tuple(np.linspace(0.0, 1.0, 51))
+    assert sweep_values(0.3, 0.3, 0.1) == (0.3,)
+    assert sweep_values(0.0, 0.5, 0.6) == (0.0,)
+    for start, stop, step in ((0.0, 1.0, 0.3), (1e9, 1e9 + 1.0, 0.6), (-2.0, 5.0, 0.7)):
+        values = sweep_values(start, stop, step)
+        assert values[-1] <= stop
+        npt.assert_allclose(np.diff(values), step, rtol=1e-6)
+    for bad in ((0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 0.0, 0.1)):
+        with pytest.raises(ValueError, match="step > 0 and stop >= start"):
+            sweep_values(*bad)
+
 
 def test_sweep_grid_validation():
     cfg = two_bath_config()
