@@ -15,7 +15,7 @@ reference point for every other demo.
 import numpy as np
 
 from colltherm.channels import BathSpec
-from colltherm.estimation import eta_metrics, thermal_fim
+from colltherm.estimation import build_report, thermal_fim
 
 temps = np.concatenate([np.arange(0.2, 1.0, 0.2), np.arange(1.0, 5.5, 0.5)])
 
@@ -29,5 +29,5 @@ best = min(temps, key=lambda t: -thermal_fim([BathSpec(t), BathSpec(1.0)]).matri
 print(f"\nmost sensitive sampled temperature: T = {best:.1f}")
 
 bench = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
-eta_joint, eta_acc = eta_metrics(bench.matrix, bench)
-print(f"benchmark scored against itself: eta_joint = {eta_joint:.3f}, eta_acc = {eta_acc:.3f}")
+rep = build_report(bench.matrix, bench)
+print(f"benchmark scored against itself: eta_joint = {rep.eta_joint:.3f}, eta_acc = {rep.eta_acc:.3f}")

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from colltherm.channels import BathSpec, RotationSpec
-from colltherm.estimation import ParamDerivatives, singularity_test
+from colltherm.estimation import singularity_test
 from colltherm.protocols import ProtocolConfig, single_run
 
 T1, T2 = 2.0, 1.0
@@ -33,12 +33,13 @@ def config(theta, enabled=True):
 
 
 def derivatives(cfg, h=1e-5):
-    """The final ancilla state and its central-difference (T1, T2) derivatives."""
+    """The final ancilla state and its central-difference (T1, T2) derivatives,
+    stacked as (rho, d rho/dT1, d rho/dT2)."""
     def rho(t):
         return single_run(cfg.at_temperatures(t))[0].mat
 
     t = np.array([T1, T2])
-    return ParamDerivatives(rho(t), [(rho(t + e) - rho(t - e)) / (2 * h) for e in h * np.eye(2)])
+    return np.array([rho(t)] + [(rho(t + e) - rho(t - e)) / (2 * h) for e in h * np.eye(2)])
 
 
 plain = config(0.0, enabled=False)

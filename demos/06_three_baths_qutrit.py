@@ -16,7 +16,7 @@ import math
 from dataclasses import replace
 
 from colltherm.presets import get_preset
-from colltherm.protocols import SweepGrid, sweep, three_bath_qutrit
+from colltherm.protocols import SweepGrid, evaluate, sweep
 
 preset = get_preset("fig5")
 values = tuple(round(0.04 * i, 10) for i in range(1, 25))  # interior of (0, 1)
@@ -39,7 +39,7 @@ base = next(s for s in preset.series if s.labels["n_ancillas"] == n_star).grid.f
 angles = list(base.collision_angles)
 angles[2] = opt["axis_value"] * math.pi
 qutrit_cfg = replace(base, collision_angles=tuple(angles))
-qubit_rep = three_bath_qutrit(replace(qutrit_cfg, ancilla_dim=2, ancilla_init=1))
+qubit_rep = evaluate(replace(qutrit_cfg, ancilla_dim=2, ancilla_init=1), "qutrit")
 
 print(f"\nat the n = {n_star} optimum, swapping the qutrit for a qubit gives")
 print(f"  eta_acc = {qubit_rep.eta_acc:8.4f}  (qutrit: {opt['eta_acc']:8.4f})")

@@ -28,15 +28,13 @@ from .channels import (
 )
 from .estimation import (
     EstimationReport,
-    ParamDerivatives,
     Qfim,
+    QfimStack,
     ThermalFim,
     build_report,
     det_singular_threshold,
-    eta_metrics,
-    qfim,
+    qfim_stack,
     singularity_test,
-    sld,
     thermal_fim,
 )
 from .linalg import DensityMatrix, choi_matrix, herm_eig
@@ -47,14 +45,11 @@ from .protocols import (
     SweepGrid,
     check_scenario,
     evaluate,
-    multi_ancilla_correlated,
-    multi_ancilla_uncorrelated,
     point,
     scenario_for,
     single_run,
     sweep,
     sweep_values,
-    three_bath_qutrit,
 )
 from .verify import run_all, run_group
 
@@ -66,14 +61,13 @@ __all__ = [
     "collision_unitary_qubit_qutrit", "nbar",
     "rotation_superoperator", "thermal_populations", "thermal_state",
     "thermal_state_dT", "thermalization_channel", "thermalization_channel_dT",
-    "EstimationReport", "ParamDerivatives", "Qfim", "ThermalFim",
-    "build_report", "det_singular_threshold", "eta_metrics", "qfim",
-    "singularity_test", "sld", "thermal_fim",
+    "EstimationReport", "Qfim", "QfimStack", "ThermalFim",
+    "build_report", "det_singular_threshold", "qfim_stack",
+    "singularity_test", "thermal_fim",
     "DensityMatrix", "choi_matrix", "herm_eig",
     "PRESETS", "get_preset",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
-    "multi_ancilla_correlated", "multi_ancilla_uncorrelated", "point",
-    "scenario_for", "single_run", "sweep", "sweep_values", "three_bath_qutrit",
+    "point", "scenario_for", "single_run", "sweep", "sweep_values",
     "run_all", "run_group",
     "__version__",
 ]

@@ -152,10 +152,8 @@ def thermal_populations(omega: float, T: float) -> tuple[float, float]:
     return lam0, lam1
 
 
-def thermal_state(omega: float, T: float, dim: int = 2) -> DensityMatrix:
+def thermal_state(omega: float, T: float) -> DensityMatrix:
     """Gibbs state of ``H = omega*sigma_z/2`` at temperature T (qubit)."""
-    if dim != 2:
-        raise ValueError(f"thermal_state supports qubit probes only, got dim {dim}")
     lam0, lam1 = thermal_populations(omega, T)
     return DensityMatrix(np.diag([lam0, lam1]).astype(complex), (2,))
 

@@ -25,11 +25,12 @@ Lu & Wang, J. Phys. A 53, 023001 (2020)):
     F_mu,nu = sum_jk a_j Re(<j|L_mu|k> conj(<j|L_nu|k>)).
 
 :func:`qfim_stack` does this for a stack of K states at once, with one
-stacked eigendecomposition; every evaluator goes through it, and
-:func:`qfim` and :func:`sld` add the rotation back to the computational
+stacked eigendecomposition; it is the one QFIM and SLD routine, and
+:meth:`QfimStack.slds` rotates one state's SLDs back to the computational
 basis.
 
-Figures of merit against the thermal benchmark F_th:
+Figures of merit against the thermal benchmark F_th, formed by
+:func:`build_report` alone:
 
     eta_joint = Tr F_Q / Tr F_th
     eta_acc   = ln( det F_Q / det F_th )     (-inf when F_Q is singular)
@@ -44,22 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BathSpec
-from .linalg import DensityMatrix, herm_eig
+from .linalg import herm_eig
 
 __all__ = [
     "SUPPORT_CUTOFF",
     "KERNEL_WEIGHT_TOL",
-    "ETA_ACC_DET_SENTINEL",
-    "ParamDerivatives",
     "Qfim",
     "QfimStack",
     "ThermalFim",
     "EstimationReport",
-    "sld",
-    "qfim",
     "qfim_stack",
     "thermal_fim",
-    "eta_metrics",
     "det_singular_threshold",
     "singularity_test",
     "build_report",
@@ -67,13 +63,8 @@ __all__ = [
 
 SUPPORT_CUTOFF = 1e-12        # eigenvalue-sum cutoff in the SLD construction
 KERNEL_WEIGHT_TOL = 1e-8      # allowed derivative weight inside ker(rho) x ker(rho)
-ETA_ACC_DET_SENTINEL = 1e-14  # det(F_Q) at or below this -> eta_acc = -inf
 DERIV_HERM_TOL = 1e-9
 DERIV_TRACE_TOL = 1e-9
-
-
-def _as_mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
 def _check_derivs(derivs: np.ndarray) -> None:
@@ -100,24 +91,6 @@ def _check_qfim(m: np.ndarray) -> None:
     lo = float(np.linalg.eigvalsh((m + mt) / 2).min(initial=0.0))
     if lo < -1e-8:
         raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
-
-
-@dataclass(frozen=True)
-class ParamDerivatives:
-    """A state and its derivatives with respect to each parameter."""
-
-    rho: np.ndarray
-    derivs: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _as_mat(self.rho))
-        object.__setattr__(self, "derivs", tuple(np.asarray(d, dtype=complex) for d in self.derivs))
-        if self.derivs:
-            _check_derivs(np.array(self.derivs)[None])
-
-    @property
-    def n_params(self) -> int:
-        return len(self.derivs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,8 +173,7 @@ class EstimationReport:
     """Everything a protocol run reports about one parameter point.
 
     ``eta_acc`` is -inf exactly when ``singular`` is true (the flag uses the
-    scaled determinant threshold of :func:`det_singular_threshold`, which is
-    at least as strict as the raw eta-metric sentinel).
+    scaled determinant threshold of :func:`det_singular_threshold`).
     """
 
     qfim: Qfim
@@ -212,14 +184,14 @@ class EstimationReport:
     singular: bool
 
 
-def qfim_stack(stacks, support_cutoff: float = SUPPORT_CUTOFF) -> QfimStack:
+def qfim_stack(stacks) -> QfimStack:
     """QFIMs of K state families at once, each in its state's eigenbasis.
 
     ``stacks`` is (K, 1 + N, d, d): per family the state rho and its N
     derivatives.  One stacked eigendecomposition rho = V diag(lambda) V^dag
     serves all K; with D_i = V^dag (d_i rho) V the SLDs in the eigenbasis
     are L_i[a, b] = 2 D_i[a, b] / (lambda_a + lambda_b) where that sum
-    reaches ``support_cutoff`` (zero elsewhere), and
+    reaches :data:`SUPPORT_CUTOFF` (zero elsewhere), and
 
         F_ij = sum_ab lambda_a Re(L_i[a, b] conj(L_j[a, b])).
 
@@ -239,7 +211,7 @@ def qfim_stack(stacks, support_cutoff: float = SUPPORT_CUTOFF) -> QfimStack:
     w, v = herm_eig(stacks[:, 0])
     dr = v.conj().swapaxes(-1, -2)[:, None] @ derivs @ v[:, None]
     s = w[:, :, None] + w[:, None, :]
-    support = s >= support_cutoff
+    support = s >= SUPPORT_CUTOFF
     kernel_weight = float(np.abs(dr).max(where=~support[:, None], initial=0.0))
     if kernel_weight > KERNEL_WEIGHT_TOL:
         raise ValueError(
@@ -255,27 +227,8 @@ def qfim_stack(stacks, support_cutoff: float = SUPPORT_CUTOFF) -> QfimStack:
     for i, j in itertools.combinations(range(lt.shape[1]), 2):
         p = lt[:, i] @ lt[:, j]
         comm = np.maximum(comm, np.linalg.norm(p - p.conj().swapaxes(-1, -2), axis=(-2, -1)))
-    support_dims = tuple((w > support_cutoff).sum(axis=-1).tolist())
+    support_dims = tuple((w > SUPPORT_CUTOFF).sum(axis=-1).tolist())
     return QfimStack(f, support_dims, comm, v, lt)
-
-
-def sld(rho, drho, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Symmetric logarithmic derivative of a state family.
-
-    Solves (L rho + rho L)/2 = drho on the support of rho through
-    :func:`qfim_stack`; eigenvalue pairs with a_j + a_k below
-    ``support_cutoff`` are omitted.  Raises if ``drho`` carries weight larger
-    than 1e-8 inside the kernel-kernel block, which means the derivative
-    leaves the family's support and no SLD reproduces it.
-    """
-    return qfim(ParamDerivatives(rho, (drho,)), support_cutoff).slds[0]
-
-
-def qfim(pd: ParamDerivatives, support_cutoff: float = SUPPORT_CUTOFF) -> Qfim:
-    """Quantum Fisher information matrix F_ij = Re Tr[rho L_i L_j], with the
-    SLDs in the computational basis."""
-    qs = qfim_stack(np.array((pd.rho, *pd.derivs))[None], support_cutoff)
-    return Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
 
 
 def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> ThermalFim:
@@ -295,24 +248,6 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> ThermalFim:
     return ThermalFim(np.diag(vals))
 
 
-def eta_metrics(qf, thermal: ThermalFim) -> tuple[float, float]:
-    """(eta_joint, eta_acc) of a QFIM against the thermal benchmark.
-
-    eta_acc uses the natural log and returns -inf when det(F_Q) falls at or
-    below the 1e-14 sentinel.  Raises for a degenerate benchmark.
-    """
-    fmat = qf.matrix if isinstance(qf, Qfim) else np.asarray(qf, dtype=float)
-    tr_th = thermal.trace
-    det_th = thermal.det
-    if not (tr_th > 0 and det_th > 0):
-        raise ValueError("degenerate thermal benchmark (zero trace or determinant)")
-    eta_joint = float(np.trace(fmat)) / tr_th
-    det_q = float(np.linalg.det(fmat))
-    if det_q <= ETA_ACC_DET_SENTINEL:
-        return eta_joint, float("-inf")
-    return eta_joint, math.log(det_q / det_th)
-
-
 def det_singular_threshold(fmat: np.ndarray) -> float:
     """Determinant threshold below which the QFIM counts as singular.
 
@@ -327,22 +262,25 @@ def det_singular_threshold(fmat: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.linalg.norm(fmat))) ** n
 
 
-def singularity_test(pd: ParamDerivatives) -> tuple[bool, float | None]:
+def singularity_test(stack) -> tuple[bool, float | None]:
     """Rank-deficiency test for two-parameter qubit families.
 
-    The QFIM of a qubit family rho(T_1, T_2) is singular exactly when
-    d1 rho = c * d2 rho for a real c.  Tested as Cauchy-Schwarz equality of
-    the Frobenius inner product within 1e-10 relative, with the ratio
-    required real to 1e-10; a vanishing derivative is the trivial singular
-    case and reports c = 0.
+    ``stack`` is (3, 2, 2): the state rho and its derivatives d1 rho and
+    d2 rho, which must be Hermitian and traceless.  The QFIM of a qubit
+    family rho(T_1, T_2) is singular exactly when d1 rho = c * d2 rho for a
+    real c.  Tested as Cauchy-Schwarz equality of the Frobenius inner
+    product within 1e-10 relative, with the ratio required real to 1e-10; a
+    vanishing derivative is the trivial singular case and reports c = 0.
 
     Returns ``(singular, c)`` where ``c`` is None for nonsingular input.
     """
-    if pd.rho.shape != (2, 2):
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
         raise ValueError("singularity test is defined for qubit states (dimension 2)")
-    if pd.n_params != 2:
+    if len(stack) != 3:
         raise ValueError("singularity test needs exactly two parameters")
-    d1, d2 = pd.derivs
+    _check_derivs(stack[None, 1:])
+    d1, d2 = stack[1:]
     n1 = float(np.real(np.trace(d1 @ d1)))  # Hermitian: Frobenius norm squared
     n2 = float(np.real(np.trace(d2 @ d2)))
     if n1 <= 1e-28 or n2 <= 1e-28:
@@ -362,21 +300,22 @@ def build_report(
 ) -> EstimationReport:
     """Assemble an :class:`EstimationReport` from a QFIM and its benchmark.
 
-    The singular flag uses the scaled determinant threshold; when set,
-    eta_acc is forced to -inf so that the report invariant "eta_acc finite
-    iff det above threshold" holds even in the sliver between the raw
-    eta-metric sentinel (1e-14) and the flag threshold.
+    The one place the merits are formed.  Raises for a degenerate benchmark.
+    The point is singular when det F_Q is at or below
+    :func:`det_singular_threshold`, and then eta_acc is -inf; otherwise
+    eta_acc = ln(det F_Q / det F_th).
     """
     qf = fmat if isinstance(fmat, Qfim) else Qfim(np.asarray(fmat, float))
-    eta_joint, eta_acc = eta_metrics(qf, thermal)
-    singular = qf.det <= det_singular_threshold(qf.matrix)
-    if singular:
-        eta_acc = float("-inf")
+    tr_th, det_th = thermal.trace, thermal.det
+    if not (tr_th > 0 and det_th > 0):
+        raise ValueError("degenerate thermal benchmark (zero trace or determinant)")
+    det = qf.det
+    singular = det <= det_singular_threshold(qf.matrix)
     return EstimationReport(
         qfim=qf,
         thermal=thermal,
-        eta_joint=eta_joint,
-        eta_acc=eta_acc,
+        eta_joint=qf.trace / tr_th,
+        eta_acc=float("-inf") if singular else math.log(det / det_th),
         sld_commutator_norm=float(sld_commutator_norm),
         singular=singular,
     )

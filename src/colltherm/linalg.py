@@ -22,6 +22,7 @@ __all__ = [
     "HERM_TOL",
     "TRACE_TOL",
     "PSD_TOL",
+    "EIG_HERM_TOL",
     "EIG_RESIDUAL_TOL",
     "DensityMatrix",
     "herm_eig",
@@ -31,6 +32,7 @@ __all__ = [
 HERM_TOL = 1e-12       # max-norm Hermiticity defect allowed in a state
 TRACE_TOL = 1e-12      # |Tr rho - 1| allowed in a state
 PSD_TOL = -1e-10       # most negative eigenvalue allowed in a state
+EIG_HERM_TOL = 1e-10   # max-norm Hermiticity defect allowed in herm_eig input
 EIG_RESIDUAL_TOL = 1e-10
 
 
@@ -74,19 +76,19 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def herm_eig(h: np.ndarray, tol: float = 1e-10):
+def herm_eig(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, or of a stack ``(..., d, d)``
     of them.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and orthonormal
     eigenvector columns ``V``, stacked like the input.  Raises if any matrix
-    is not Hermitian to ``tol`` or if the largest reconstruction residual
-    exceeds 1e-10.
+    is not Hermitian to :data:`EIG_HERM_TOL` or if the largest
+    reconstruction residual exceeds :data:`EIG_RESIDUAL_TOL`.
     """
     h = np.asarray(h, dtype=complex)
     defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
-    if defect > tol:
-        raise ValueError(f"input not Hermitian: defect {defect:.3e} > {tol}")
+    if defect > EIG_HERM_TOL:
+        raise ValueError(f"input not Hermitian: defect {defect:.3e} > {EIG_HERM_TOL}")
     w, V = np.linalg.eigh(h)
     resid = np.abs(h @ V - V * w[..., None, :]).max()
     if resid > EIG_RESIDUAL_TOL:

@@ -7,27 +7,34 @@ probe partially rethermalizes toward its bath between consecutive ancillas.
 At the end the ancillas are measured, and the temperature vector of the
 baths is what the measurement estimates.
 
-* :func:`single_run` — one ancilla; the probes are fresh and thermal, so its
-  state is exactly the composition of the reduced collision channels.
-* :func:`multi_ancilla_uncorrelated` — sequential stream that tracks the
-  single-system marginals of probes and ancillas only; the n-ancilla state
-  is taken to be the tensor product of the recorded ancilla marginals and
-  the QFIM is the sum of per-ancilla QFIMs.  Each ancilla meets the probe
-  marginals rather than the probes' joint state, so the recorded ancilla
-  marginals are the true ones only while the probes stay uncorrelated:
-  for two probes and qubit ancillas whose first collision is a full swap
-  (g1 = pi/2, as in fig2-fig4).  Otherwise they are an approximation to the
-  joint simulation's single-ancilla marginals; at n = 2 the second one is
-  off by 4.85e-3 (largest entry) at g1 = g2 = 0.3 pi, T = (2, 1), and by
-  2.4e-3 in fig5's three-bath qutrit base config.
-* :func:`multi_ancilla_correlated` — full joint simulation of probes and
-  ancillas, probes traced out only at the end; keeps the ancilla-ancilla
-  correlations the product-of-marginals mode discards.  The register grows:
-  each ancilla joins when it arrives, its whole pass through the probes
-  composed into one isometry, and the last ancilla's collision is fused
-  with the probe trace (see :func:`_joint_tangents`).
-* :func:`three_bath_qutrit` — three probes with a qutrit ancilla stream
-  (product-of-marginals mode); a qubit ancilla is allowed as a diagnostic.
+The four families are the scenarios of :func:`evaluate`, the one
+evaluator call:
+
+* ``single`` — one ancilla; the probes are fresh and thermal, so its state
+  is exactly the composition of the reduced collision channels.
+  :func:`single_run` evaluates it too and also returns the final state and
+  the SLDs.
+* ``uncorrelated`` — sequential stream that tracks the single-system
+  marginals of probes and ancillas only; the n-ancilla state is taken to be
+  the tensor product of the recorded ancilla marginals, so the QFIM is the
+  sum of per-ancilla QFIMs.  Each ancilla meets the probe marginals rather
+  than the probes' joint state, so the recorded ancilla marginals are the
+  true ones only while the probes stay uncorrelated: for two probes and
+  qubit ancillas whose first collision is a full swap (g1 = pi/2, as in
+  fig2-fig4).  Otherwise they are an approximation to the joint
+  simulation's single-ancilla marginals; at n = 2 the second one is off by
+  4.85e-3 (largest entry) at g1 = g2 = 0.3 pi, T = (2, 1), and by 2.4e-3 in
+  fig5's three-bath qutrit base config.
+* ``correlated`` — full joint simulation of probes and ancillas, probes
+  traced out only at the end; keeps the ancilla-ancilla correlations the
+  product-of-marginals mode discards.  The register grows: each ancilla
+  joins when it arrives, its whole pass through the probes composed into
+  one isometry, and the last ancilla's collision is fused with the probe
+  trace (see :func:`_joint_tangents`).
+* ``qutrit`` — three probes with a qutrit ancilla stream
+  (product-of-marginals mode); a qubit ancilla is accepted as the
+  diagnostic that shows why a two-level carrier cannot jointly resolve
+  three temperatures well.
 
 Temperature derivatives are exact.  The temperatures enter only through the
 probes' Gibbs states and the rethermalization channels; every other map is
@@ -36,11 +43,10 @@ collision.  So each evaluator carries the stack (rho, d_1 rho, ..., d_N rho)
 through one pass of the same maps: the product rule at each collision, and
 d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.
 
-The four families are the scenarios ``single``, ``uncorrelated``,
-``correlated`` and ``qutrit``.  One table maps each name to its engine and
-its precondition; :func:`check_scenario` is the one place that rejects an
-unknown name or a config its scenario cannot evaluate, and :func:`evaluate`,
-:func:`sweep` and the evaluators above all go through it.  :func:`point`
+One table maps each scenario name to its engine and its precondition;
+:func:`check_scenario` is the one place that rejects an unknown name or a
+config its scenario cannot evaluate, and :func:`evaluate`, :func:`sweep`
+and :func:`single_run` all go through it.  :func:`point`
 and :func:`sweep` turn reports into the merit rows (:data:`MERIT_COLUMNS`)
 that the CLI writes as tables.
 """
@@ -74,9 +80,6 @@ __all__ = [
     "SWEEP_AXES",
     "sweep_values",
     "single_run",
-    "multi_ancilla_uncorrelated",
-    "multi_ancilla_correlated",
-    "three_bath_qutrit",
     "MERIT_COLUMNS",
     "check_scenario",
     "scenario_for",
@@ -128,6 +131,9 @@ class ProtocolConfig:
                 f"collision_angles: need one per bath ({n_baths}), got "
                 f"{len(self.collision_angles)}"
             )
+        for g in self.collision_angles:
+            if not g >= 0:
+                raise ValueError(f"collision_angles: must be >= 0, got {g}")
         if self.n_ancillas < 1:
             raise ValueError(f"n_ancillas: must be >= 1, got {self.n_ancillas}")
         if self.ancilla_init is None:
@@ -253,21 +259,6 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     return out
 
 
-def multi_ancilla_uncorrelated(config: ProtocolConfig) -> EstimationReport:
-    """Stream report with ancilla-ancilla correlations discarded.
-
-    The joint state is taken to be the tensor product of the stream's
-    recorded ancilla marginals, so the QFIM is additive: F = sum_k F(rho_k).
-    Those marginals come from a stream that tracks probe marginals only;
-    they equal the true single-ancilla marginals for two probes and qubit
-    ancillas whose first collision is a full swap (g1 = pi/2), and
-    approximate them otherwise (see the module docstring).  All n marginals
-    and their exact derivatives come out of one stream pass, and their
-    QFIMs out of one :func:`colltherm.estimation.qfim_stack` call.
-    """
-    return evaluate(config, "uncorrelated")
-
-
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
     """One ancilla's whole pass as an isometry V from the probes into
     ancilla (x) probes, shaped (d, P, P) as V[b, p, q].
@@ -348,29 +339,6 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     return out.transpose(order).reshape(nt, d**n, d**n)
 
 
-def multi_ancilla_correlated(config: ProtocolConfig) -> EstimationReport:
-    """Full joint simulation; QFIM on the complete n-ancilla state.
-
-    Probes and ancillas evolve as one closed register (with the
-    rethermalization channel acting locally on probes), and the probes are
-    traced out only at the very end, so whatever correlations the shared
-    probes establish between ancillas survive into the measured state.  The
-    report keeps the SLD commutator norm, taken in the state's eigenbasis.
-    """
-    return evaluate(config, "correlated")
-
-
-def three_bath_qutrit(config: ProtocolConfig) -> EstimationReport:
-    """Three-temperature stream report (product-of-marginals mode).
-
-    With three probes the stream's recorded ancilla marginals are in general
-    an approximation (see :func:`multi_ancilla_uncorrelated`).  Expects qutrit
-    ancillas; a qubit ancilla is accepted as the diagnostic that shows why a
-    two-level carrier cannot jointly resolve three temperatures well.
-    """
-    return evaluate(config, "qutrit")
-
-
 # ---------------------------------------------------------------------------
 # the scenario table
 # ---------------------------------------------------------------------------
@@ -383,12 +351,12 @@ _SCENARIOS = {
         (lambda c: c.n_ancillas == 1, "single_run requires n_ancillas = 1, got {c.n_ancillas}"),
     )),
     "uncorrelated": (_stream_tangents, (
-        (lambda c: not c.correlated, "config.correlated is set; use multi_ancilla_correlated"),
+        (lambda c: not c.correlated, "config.correlated is set; use scenario 'correlated'"),
     )),
     "correlated": (lambda c: _joint_tangents(c)[None], ()),
     "qutrit": (_stream_tangents, (
-        (lambda c: c.n_baths == 3, "three_bath_qutrit requires 3 baths, got {c.n_baths}"),
-        (lambda c: not c.correlated, "three_bath_qutrit runs in uncorrelated stream mode"),
+        (lambda c: c.n_baths == 3, "qutrit requires 3 baths, got {c.n_baths}"),
+        (lambda c: not c.correlated, "qutrit runs in uncorrelated stream mode"),
     )),
 }
 
@@ -421,7 +389,8 @@ def scenario_for(config: ProtocolConfig) -> str:
 
 
 def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationReport:
-    """Report of one config from the named (or default) evaluator.
+    """Report of one config from the named (or default) scenario: the one
+    evaluator call.
 
     Reports keep the SLD commutator norm but not the SLDs themselves, so a
     caller holding many reports holds only small matrices;

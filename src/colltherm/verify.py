@@ -37,12 +37,7 @@ from .channels import (
     rotation_superoperator,
     thermalization_channel,
 )
-from .estimation import (
-    ParamDerivatives,
-    det_singular_threshold,
-    qfim,
-    singularity_test,
-)
+from .estimation import det_singular_threshold, qfim_stack, singularity_test
 from .linalg import choi_matrix
 from .oracles import (
     closed_form_slds,
@@ -216,8 +211,9 @@ def _group_closedform(rng: np.random.Generator, trials: int) -> list[CheckResult
 
 
 def _random_family(rng: np.random.Generator):
-    """Random full-rank qubit state with two random traceless derivatives;
-    proportional (including one vanishing) derivatives half the time."""
+    """Random full-rank qubit state with two random traceless derivatives,
+    stacked as (rho, d1 rho, d2 rho); proportional (including one vanishing)
+    derivatives half the time."""
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     qmat, _ = np.linalg.qr(x)
     w = rng.uniform(0.05, 0.45)
@@ -242,7 +238,7 @@ def _random_family(rng: np.random.Generator):
     else:
         d2 = rand_deriv()
         expect = False
-    return ParamDerivatives(rho, (d1, d2)), expect
+    return np.array((rho, d1, d2)), expect
 
 
 def _group_theorem1(rng: np.random.Generator, trials: int) -> list[CheckResult]:
@@ -250,15 +246,16 @@ def _group_theorem1(rng: np.random.Generator, trials: int) -> list[CheckResult]:
     disagrees = 0
     worst = ""
     for i in range(n):
-        pd, expect = _random_family(rng)
-        prop, _c = singularity_test(pd)
-        f = qfim(pd)
-        by_det = f.det <= det_singular_threshold(f.matrix)
+        stack, expect = _random_family(rng)
+        prop, _c = singularity_test(stack)
+        f = qfim_stack(stack[None]).matrices[0]
+        det = float(np.linalg.det(f))
+        by_det = det <= det_singular_threshold(f)
         if prop != by_det or prop != expect:
             disagrees += 1
             if not worst:
                 worst = (
-                    f"trial {i}: proportional={prop}, det={f.det:.3e}, constructed={expect}"
+                    f"trial {i}: proportional={prop}, det={det:.3e}, constructed={expect}"
                 )
     frac = disagrees / n
     return [

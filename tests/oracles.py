@@ -173,7 +173,8 @@ def gad_superop(omega, T, gamma, t):
 # ---------------------------------------------------------------------------
 
 def finite_diff_derivatives(rho_fn, theta, h=None):
-    """``(rho, derivs)`` of a state family at ``theta``, as plain arrays.
+    """The stack ``(rho, d_1 rho, ..., d_N rho)`` of a state family at
+    ``theta``, shaped (1 + N, d, d).
 
     ``rho_fn(theta_vector)`` returns a matrix or an object with a ``mat``
     array.  Step per coordinate defaults to ``max(1e-5, 1e-6 |theta_mu|)``.
@@ -214,7 +215,7 @@ def finite_diff_derivatives(rho_fn, theta, h=None):
                 "the state family is not smooth at this point"
             )
         derivs.append((d_half + d_half.conj().T) / 2.0)
-    return state(theta), tuple(derivs)
+    return np.array([state(theta), *derivs])
 
 
 # ---------------------------------------------------------------------------

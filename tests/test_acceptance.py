@@ -36,7 +36,7 @@ from colltherm.channels import (
     thermal_state,
     thermalization_channel,
 )
-from colltherm.estimation import ParamDerivatives, singularity_test, thermal_fim
+from colltherm.estimation import singularity_test, thermal_fim
 from colltherm.linalg import choi_matrix
 from colltherm.presets import get_preset
 from colltherm.protocols import (
@@ -45,7 +45,6 @@ from colltherm.protocols import (
     evaluate,
     single_run,
     sweep,
-    three_bath_qutrit,
 )
 from colltherm.verify import run_group
 
@@ -143,8 +142,8 @@ def test_criterion_03_singularity_theorem():
         cfg = _two_bath(g1, g2, t1, t2, rotation_enabled=False)
         _, rep = single_run(cfg)
         worst_det = max(worst_det, abs(rep.qfim.det))
-        pd = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
-        flag, c = singularity_test(ParamDerivatives(*pd))
+        stack = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
+        flag, c = singularity_test(stack)
         assert flag, f"rotation-free family not flagged singular at {(g1, g2, t1, t2)}"
         dv1 = math.sin(g1) ** 2 * math.cos(g2) ** 2 * oracles.dlam0_dT(1.0, t1)
         dv2 = math.sin(g2) ** 2 * oracles.dlam0_dT(1.0, t2)
@@ -159,8 +158,8 @@ def test_criterion_03_singularity_theorem():
         cfg = _two_bath(g1, g2, t1, t2, theta=theta)
         _, rep = single_run(cfg)
         min_det = min(min_det, rep.qfim.det)
-        pd = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
-        flag, _ = singularity_test(ParamDerivatives(*pd))
+        stack = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
+        flag, _ = singularity_test(stack)
         rotated_ok = rotated_ok and not flag
 
     (equiv,) = run_group("theorem1", seed=SEED, trials=500)
@@ -420,7 +419,7 @@ def test_criterion_08_qutrit_three_bath_sweeps():
     angles[2] = opt["axis_value"] * math.pi
     qutrit_cfg = replace(base, collision_angles=tuple(angles))
     qubit_cfg = replace(qutrit_cfg, ancilla_dim=2, ancilla_init=1)
-    qubit_acc = three_bath_qutrit(qubit_cfg).eta_acc
+    qubit_acc = evaluate(qubit_cfg, "qutrit").eta_acc
     qutrit_acc = opt["eta_acc"]
 
     ok = min_det > 0.0 and max_joint < 1.0 and qubit_acc < qutrit_acc
@@ -479,9 +478,9 @@ def _invariant_sweep(seed):
     # finite differences pass their internal step-halving consistency gate
     for _ in range(5):
         g1, g2, t1, t2 = _sample_point(rng)
-        _, derivs = oracles.finite_diff_derivatives(
+        derivs = oracles.finite_diff_derivatives(
             _state_family(_two_bath(g1, g2, t1, t2)), np.array([t1, t2])
-        )
+        )[1:]
         samples.append(float(np.real(derivs[0][0, 0])))
 
     return defects, tuple(samples)

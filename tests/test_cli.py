@@ -181,9 +181,20 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
         (lambda s: s + "scenario: single\nn_ancillas: 3\n",
          "config error: scenario: single_run requires n_ancillas = 1, got 3"),
         (lambda s: s + "scenario: qutrit\n",
-         "config error: scenario: three_bath_qutrit requires 3 baths, got 2"),
+         "config error: scenario: qutrit requires 3 baths, got 2"),
         (lambda s: s + "scenario: uncorrelated\ncorrelated: true\n",
-         "config error: scenario: config.correlated is set; use multi_ancilla_correlated"),
+         "config error: scenario: config.correlated is set; use scenario 'correlated'"),
+        # non-finite numbers and negative collision angles
+        (lambda s: s.replace("[0.5, 0.3]", "[.nan, 0.3]"),
+         "config error: collision_angles_over_pi[0]: expected a finite number, got nan"),
+        (lambda s: s.replace("{theta_over_pi: 0.25, axis: x}", "{theta_over_pi: .nan}"),
+         "config error: rotation.theta_over_pi: expected a finite number, got nan"),
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma_t: .nan}"),
+         "config error: baths[0].gamma_t: expected a finite number, got nan"),
+        (lambda s: s.replace("{temperature: 1.0,", "{temperature: .inf,"),
+         "config error: baths[1].temperature: expected a finite number, got inf"),
+        (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
+         "config error: collision_angles: must be >= 0, got -1.57"),
     ],
 )
 def test_config_rejections(tmp_path, capsys, mangle, needle):
@@ -270,10 +281,21 @@ def test_ancilla_count_sweep_infers_stream_scenario(tmp_path):
 
 
 def test_sweep_value_the_grid_cannot_place_is_config_error(tmp_path, capsys):
-    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + "sweep: {axis: n_ancillas, values: [1, 2.5]}\n")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "config error: sweep: n_ancillas axis needs whole numbers, got 2.5" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    cases = [
+        ("{axis: n_ancillas, values: [1, 2.5]}",
+         "config error: sweep: n_ancillas axis needs whole numbers, got 2.5"),
+        ("{axis: g_t1_over_pi, values: [-0.5, 0.5]}",
+         "config error: sweep: collision_angles: must be >= 0, got -1.57"),
+        ("{axis: theta_over_pi, values: [0.25, .nan]}",
+         "config error: sweep.values[1]: expected a finite number, got nan"),
+        ("{axis: gamma_t, start: 0, stop: .inf, step: 0.5}",
+         "config error: sweep.stop: expected a finite number, got inf"),
+    ]
+    for block, message in cases:
+        cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + f"sweep: {block}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.yaml"]  # no table, no summary
 
 
 def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
@@ -300,17 +322,18 @@ def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
 
 
 def test_sweep_error_rows_exit_code(tmp_path, capsys):
-    """A grid point with an invalid angle: outputs written, exit 3."""
+    """A grid point the evaluator cannot compute (a joint register over the
+    dimension cap): outputs written, exit 3."""
     cfg = write(
         tmp_path / "cfg.yaml",
-        GOOD_CONFIG + "sweep:\n  axis: g_t2_over_pi\n  values: [-0.2, 0.3, 0.7]\n",
+        GOOD_CONFIG + "correlated: true\nsweep:\n  axis: n_ancillas\n  values: [2, 3, 10]\n",
     )
     out = tmp_path / "err.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
     assert "1 of 3 grid points failed" in capsys.readouterr().err
     rows = read_rows(out)
-    assert "ValueError" in rows[0]["error"]
-    assert rows[1]["error"] == "" and rows[2]["error"] == ""
+    assert "ValueError" in rows[2]["error"]
+    assert rows[0]["error"] == "" and rows[1]["error"] == ""
     summary = json.loads((tmp_path / "err.json").read_text())
     assert summary["n_errors"] == 1
     # optimum must come from the healthy rows

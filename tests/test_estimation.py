@@ -16,28 +16,24 @@ import pytest
 import oracles
 from colltherm.channels import BathSpec, RotationSpec
 from colltherm.estimation import (
-    ETA_ACC_DET_SENTINEL,
-    ParamDerivatives,
     Qfim,
     ThermalFim,
     _check_qfim,
     build_report,
     det_singular_threshold,
-    eta_metrics,
-    qfim,
     qfim_stack,
     singularity_test,
-    sld,
     thermal_fim,
 )
-from colltherm.protocols import ProtocolConfig, multi_ancilla_uncorrelated
+from colltherm.protocols import ProtocolConfig, evaluate
 
 
 def _qubit_family(rng, n_params=2):
-    """Random full-rank qubit state with random traceless Hermitian derivs."""
+    """Random full-rank qubit state with random traceless Hermitian derivs,
+    stacked as (1 + n_params, 2, 2)."""
     rho = oracles.random_density(rng, 2, min_eig=0.1)
-    derivs = tuple(0.3 * oracles.random_herm_traceless(rng, 2) for _ in range(n_params))
-    return ParamDerivatives(rho, derivs)
+    derivs = [0.3 * oracles.random_herm_traceless(rng, 2) for _ in range(n_params)]
+    return np.array([rho, *derivs])
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +45,7 @@ def test_sld_solves_defining_equation(rng):
         for _ in range(10):
             rho = oracles.random_density(rng, dim, min_eig=0.05)
             drho = oracles.random_herm_traceless(rng, dim)
-            l = sld(rho, drho)
+            (l,) = qfim_stack(np.array([[rho, drho]])).slds(0)
             npt.assert_allclose(l, l.conj().T, atol=1e-12)
             npt.assert_allclose((l @ rho + rho @ l) / 2.0, drho, atol=1e-8)
 
@@ -57,7 +53,8 @@ def test_sld_solves_defining_equation(rng):
 def test_sld_matches_pseudoinverse_route(rng):
     rho = oracles.random_density(rng, 3, min_eig=0.05)
     drho = oracles.random_herm_traceless(rng, 3)
-    npt.assert_allclose(sld(rho, drho), oracles.sld_pinv(rho, drho), atol=1e-8)
+    (l,) = qfim_stack(np.array([[rho, drho]])).slds(0)
+    npt.assert_allclose(l, oracles.sld_pinv(rho, drho), atol=1e-8)
 
 
 def test_sld_rejects_derivative_leaving_support():
@@ -66,7 +63,7 @@ def test_sld_rejects_derivative_leaving_support():
     rho = np.diag([1.0, 0.0]).astype(complex)
     drho = np.diag([-1.0, 1.0]).astype(complex)
     with pytest.raises(ValueError, match="support"):
-        sld(rho, drho)
+        qfim_stack(np.array([[rho, drho]]))
 
 
 def test_sld_pure_state_family():
@@ -79,12 +76,12 @@ def test_sld_pure_state_family():
         psi = np.array([c, s], dtype=complex)
         return np.outer(psi, psi.conj())
 
-    f = qfim(ParamDerivatives(*oracles.finite_diff_derivatives(state, np.array([t]))))
+    qs = qfim_stack(oracles.finite_diff_derivatives(state, np.array([t]))[None])
     psi = np.array([math.cos(t), math.sin(t)], dtype=complex)
     dpsi = np.array([-math.sin(t), math.cos(t)], dtype=complex)
     expected = oracles.qfi_pure(psi, dpsi)
-    assert f.matrix[0, 0] == pytest.approx(expected, rel=1e-7)
-    assert f.support_dim == 1
+    assert qs.matrices[0, 0, 0] == pytest.approx(expected, rel=1e-7)
+    assert qs.support_dims[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -93,26 +90,26 @@ def test_sld_pure_state_family():
 
 def test_qfim_matches_bloch_formula(rng):
     for _ in range(20):
-        pd = _qubit_family(rng)
-        f = qfim(pd)
-        expected = oracles.qfim_bloch(pd.rho, pd.derivs)
-        npt.assert_allclose(f.matrix, expected, atol=1e-9)
+        stack = _qubit_family(rng)
+        f = qfim_stack(stack[None]).matrices[0]
+        expected = oracles.qfim_bloch(stack[0], stack[1:])
+        npt.assert_allclose(f, expected, atol=1e-9)
 
 
 def test_qfim_matches_pseudoinverse_route_qutrit(rng):
     for _ in range(10):
         rho = oracles.random_density(rng, 3, min_eig=0.05)
-        derivs = tuple(0.2 * oracles.random_herm_traceless(rng, 3) for _ in range(2))
-        pd = ParamDerivatives(rho, derivs)
-        npt.assert_allclose(qfim(pd).matrix, oracles.qfim_pinv(rho, derivs), atol=1e-8)
+        derivs = [0.2 * oracles.random_herm_traceless(rng, 3) for _ in range(2)]
+        f = qfim_stack(np.array([[rho, *derivs]])).matrices[0]
+        npt.assert_allclose(f, oracles.qfim_pinv(rho, derivs), atol=1e-8)
 
 
 def test_qfim_symmetry_and_psd(rng):
-    pd = _qubit_family(rng, n_params=3)
-    f = qfim(pd)
-    npt.assert_array_equal(f.matrix, f.matrix.T)
-    assert np.linalg.eigvalsh(f.matrix)[0] > -1e-8
-    assert len(f.slds) == 3
+    qs = qfim_stack(_qubit_family(rng, n_params=3)[None])
+    f = qs.matrices[0]
+    npt.assert_array_equal(f, f.T)
+    assert np.linalg.eigvalsh(f)[0] > -1e-8
+    assert len(qs.slds(0)) == 3
 
 
 def test_qfim_additive_on_product_states(rng):
@@ -120,13 +117,12 @@ def test_qfim_additive_on_product_states(rng):
     own dependence; derivatives of the product by the product rule."""
     pa = _qubit_family(rng)
     pb = _qubit_family(rng)
-    rho_joint = np.kron(pa.rho, pb.rho)
-    derivs = tuple(
-        np.kron(da, pb.rho) + np.kron(pa.rho, db) for da, db in zip(pa.derivs, pb.derivs)
-    )
-    f_joint = qfim(ParamDerivatives(rho_joint, derivs))
-    f_sum = qfim(pa).matrix + qfim(pb).matrix
-    npt.assert_allclose(f_joint.matrix, f_sum, atol=1e-8)
+    joint = [np.kron(pa[0], pb[0])] + [
+        np.kron(da, pb[0]) + np.kron(pa[0], db) for da, db in zip(pa[1:], pb[1:])
+    ]
+    f_joint = qfim_stack(np.array([joint])).matrices[0]
+    f_sum = qfim_stack(np.array([pa, pb])).matrices.sum(axis=0)
+    npt.assert_allclose(f_joint, f_sum, atol=1e-8)
 
 
 def test_qfim_validation():
@@ -260,15 +256,7 @@ def test_stream_support_dim_is_exact_at_large_n():
         rotation=RotationSpec(math.pi / 4, "x"),
         n_ancillas=70,
     )
-    assert multi_ancilla_uncorrelated(config).qfim.support_dim == 2**70
-
-
-def test_param_derivatives_validation(rng):
-    rho = oracles.random_density(rng, 2)
-    with pytest.raises(ValueError, match="Hermitian"):
-        ParamDerivatives(rho, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
-    with pytest.raises(ValueError, match="traceless"):
-        ParamDerivatives(rho, (np.eye(2, dtype=complex),))
+    assert evaluate(config, "uncorrelated").qfim.support_dim == 2**70
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +292,22 @@ def test_thermal_fim_is_diagonal_and_validates():
 # merit figures
 # ---------------------------------------------------------------------------
 
-def test_eta_metrics_identity_and_scaling():
+def test_build_report_merits_identity_and_scaling():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
-    ej, ea = eta_metrics(Qfim(th.matrix), th)
-    assert ej == pytest.approx(1.0, abs=1e-12)
-    assert ea == pytest.approx(0.0, abs=1e-12)
-    ej2, ea2 = eta_metrics(Qfim(2.0 * th.matrix), th)
-    assert ej2 == pytest.approx(2.0, abs=1e-12)
-    assert ea2 == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+    rep = build_report(Qfim(th.matrix), th)
+    assert rep.eta_joint == pytest.approx(1.0, abs=1e-12)
+    assert rep.eta_acc == pytest.approx(0.0, abs=1e-12)
+    rep2 = build_report(Qfim(2.0 * th.matrix), th)
+    assert rep2.eta_joint == pytest.approx(2.0, abs=1e-12)
+    assert rep2.eta_acc == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_eta_acc_singular_sentinel():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
     f = np.array([[0.1, 0.0], [0.0, 0.0]])
-    ej, ea = eta_metrics(Qfim(f), th)
-    assert math.isinf(ea) and ea < 0
-    assert ej > 0
+    rep = build_report(Qfim(f), th)
+    assert math.isinf(rep.eta_acc) and rep.eta_acc < 0
+    assert rep.eta_joint > 0
 
 
 def test_det_singular_threshold_scales_with_norm():
@@ -330,8 +318,8 @@ def test_det_singular_threshold_scales_with_norm():
 
 def test_build_report_forces_eta_acc_on_singular_flag():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
-    # det = 1e-13: above the raw eta sentinel (1e-14) but below the flag
-    # threshold for an O(1)-norm matrix -> must still be reported -inf
+    # det = 1e-13 is positive but below the flag threshold for an O(1)-norm
+    # matrix -> reported singular with eta_acc = -inf
     f = np.array([[1.0, 0.0], [0.0, 1e-13]])
     rep = build_report(f, th)
     assert rep.singular
@@ -349,7 +337,7 @@ def test_singularity_test_proportional_derivatives(rng):
     rho = oracles.random_density(rng, 2, min_eig=0.1)
     d1 = 0.4 * oracles.random_herm_traceless(rng, 2)
     for c in (-1.7, 0.3, 2.0):
-        flag, ratio = singularity_test(ParamDerivatives(rho, (d1, c * d1)))
+        flag, ratio = singularity_test(np.array([rho, d1, c * d1]))
         assert flag
         # derivs are (d1, c*d1): the reported ratio is d1 per unit of d2
         assert ratio == pytest.approx(1.0 / c, rel=1e-10)
@@ -358,14 +346,13 @@ def test_singularity_test_proportional_derivatives(rng):
 def test_singularity_test_zero_derivative(rng):
     rho = oracles.random_density(rng, 2, min_eig=0.1)
     d1 = 0.4 * oracles.random_herm_traceless(rng, 2)
-    flag, ratio = singularity_test(ParamDerivatives(rho, (d1, np.zeros((2, 2)))))
+    flag, ratio = singularity_test(np.array([rho, d1, np.zeros((2, 2))]))
     assert flag and ratio == 0.0
 
 
 def test_singularity_test_independent_derivatives(rng):
     for _ in range(20):
-        pd = _qubit_family(rng)
-        flag, ratio = singularity_test(pd)
+        flag, ratio = singularity_test(_qubit_family(rng))
         assert not flag and ratio is None
 
 
@@ -373,10 +360,17 @@ def test_singularity_test_input_validation(rng):
     rho3 = oracles.random_density(rng, 3)
     d3 = oracles.random_herm_traceless(rng, 3)
     with pytest.raises(ValueError, match="qubit"):
-        singularity_test(ParamDerivatives(rho3, (d3, d3)))
-    pd1 = _qubit_family(rng, n_params=1)
+        singularity_test(np.array([rho3, d3, d3]))
     with pytest.raises(ValueError, match="two parameters"):
-        singularity_test(pd1)
+        singularity_test(_qubit_family(rng, n_params=1))
+    stack = _qubit_family(rng)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="derivative 1 not Hermitian: defect 1.000e-06"):
+        singularity_test(stack)
+    stack = _qubit_family(rng)
+    stack[1] += 1e-6 * np.eye(2)
+    with pytest.raises(ValueError, match="derivative 0 not traceless"):
+        singularity_test(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ def test_finite_diff_matches_analytic_derivative():
         return np.array([[a, b], [b, 1.0 - a]], dtype=complex)
 
     theta = np.array([0.7, 0.9])
-    _, derivs = oracles.finite_diff_derivatives(family, theta)
+    derivs = oracles.finite_diff_derivatives(family, theta)[1:]
     da_dt0 = 0.1 * math.cos(0.7)
     db_dt0 = -0.1 * math.sin(0.7) * 0.9
     expected0 = np.array([[da_dt0, db_dt0], [db_dt0, -da_dt0]])
@@ -407,7 +401,7 @@ def test_finite_diff_hermitizes_output():
     def family(t):
         return np.diag([0.5 + 0.1 * t[0], 0.5 - 0.1 * t[0]]).astype(complex)
 
-    _, derivs = oracles.finite_diff_derivatives(family, np.array([1.0]))
+    derivs = oracles.finite_diff_derivatives(family, np.array([1.0]))[1:]
     npt.assert_array_equal(derivs[0], derivs[0].conj().T)
 
 

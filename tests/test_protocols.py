@@ -25,16 +25,13 @@ from colltherm.protocols import (
     SweepGrid,
     check_scenario,
     evaluate,
-    multi_ancilla_correlated,
-    multi_ancilla_uncorrelated,
     scenario_for,
     single_run,
     sweep,
     sweep_values,
-    three_bath_qutrit,
 )
 from colltherm.protocols import _joint_tangents, _stream_tangents
-from colltherm.estimation import ParamDerivatives, qfim
+from colltherm.estimation import qfim_stack
 
 
 def two_bath_config(**overrides):
@@ -211,8 +208,8 @@ def test_full_swap_reads_second_bath_only():
 def test_stream_routes_agree_at_one_ancilla():
     cfg = two_bath_config()
     _, rep_single = single_run(cfg)
-    rep_stream = multi_ancilla_uncorrelated(cfg)
-    rep_joint = multi_ancilla_correlated(replace(cfg, correlated=True))
+    rep_stream = evaluate(cfg, "uncorrelated")
+    rep_joint = evaluate(replace(cfg, correlated=True), "correlated")
     npt.assert_allclose(rep_stream.qfim.matrix, rep_single.qfim.matrix, atol=1e-9)
     npt.assert_allclose(rep_joint.qfim.matrix, rep_single.qfim.matrix, atol=1e-9)
     assert rep_stream.eta_joint == pytest.approx(rep_single.eta_joint, rel=1e-8)
@@ -221,7 +218,7 @@ def test_stream_routes_agree_at_one_ancilla():
 def test_qutrit_stream_agrees_with_single_run_at_one_ancilla():
     cfg = three_bath_config()
     _, rep_single = single_run(cfg)
-    rep_stream = three_bath_qutrit(cfg)
+    rep_stream = evaluate(cfg, "qutrit")
     npt.assert_allclose(rep_stream.qfim.matrix, rep_single.qfim.matrix, atol=1e-9)
 
 
@@ -229,15 +226,15 @@ def test_uncorrelated_additivity_against_product_qfim():
     """The stream report must equal a brute-force QFIM of the tensor product
     of the recorded marginals."""
     cfg = two_bath_config(n_ancillas=2, collision_angles=(0.5 * math.pi, 0.3 * math.pi))
-    rep = multi_ancilla_uncorrelated(cfg)
+    rep = evaluate(cfg, "uncorrelated")
 
     def joint(tvec):
         stacks = _stream_tangents(cfg.at_temperatures(tvec))
         return np.kron(stacks[0][0], stacks[1][0])
 
-    pd = oracles.finite_diff_derivatives(joint, np.array(cfg.temperatures))
-    brute = qfim(ParamDerivatives(*pd))
-    npt.assert_allclose(rep.qfim.matrix, brute.matrix, atol=1e-8)
+    stack = oracles.finite_diff_derivatives(joint, np.array(cfg.temperatures))
+    brute = qfim_stack(stack[None]).matrices[0]
+    npt.assert_allclose(rep.qfim.matrix, brute, atol=1e-8)
 
 
 def test_correlated_reduces_to_fresh_singles_under_full_rethermalization():
@@ -248,14 +245,14 @@ def test_correlated_reduces_to_fresh_singles_under_full_rethermalization():
         collision_angles=(0.5 * math.pi, 0.3 * math.pi),
     )
     _, rep1 = single_run(single_cfg)
-    rep2 = multi_ancilla_correlated(replace(single_cfg, n_ancillas=2, correlated=True))
+    rep2 = evaluate(replace(single_cfg, n_ancillas=2, correlated=True), "correlated")
     npt.assert_allclose(rep2.qfim.matrix, 2.0 * rep1.qfim.matrix, atol=1e-6)
 
 
 def test_uncorrelated_rejects_correlated_config():
     cfg = two_bath_config(n_ancillas=2, correlated=True)
     with pytest.raises(ValueError, match="correlated"):
-        multi_ancilla_uncorrelated(cfg)
+        evaluate(cfg, "uncorrelated")
 
 
 def test_correlated_dimension_cap():
@@ -263,7 +260,7 @@ def test_correlated_dimension_cap():
     cfg = two_bath_config(n_ancillas=10, correlated=True)
     assert cfg.joint_dim() > SIM_DIM_CAP
     with pytest.raises(ValueError, match="cap"):
-        multi_ancilla_correlated(cfg)
+        evaluate(cfg, "correlated")
 
 
 def test_correlated_seven_ancillas_extend_the_six_ancilla_stream():
@@ -271,7 +268,7 @@ def test_correlated_seven_ancillas_extend_the_six_ancilla_stream():
     ancillas, stack and all, are the n = 6 stream, since the seventh meets
     the probes only after they left; so the QFIM can only grow."""
     cfg = two_bath_config(n_ancillas=7, correlated=True)
-    rep = multi_ancilla_correlated(cfg)
+    rep = evaluate(cfg, "correlated")
     assert np.all(np.isfinite(rep.qfim.matrix))
     assert math.isfinite(rep.eta_joint) and math.isfinite(rep.eta_acc)
     assert not rep.singular
@@ -280,7 +277,7 @@ def test_correlated_seven_ancillas_extend_the_six_ancilla_stream():
     stack6 = _joint_tangents(replace(cfg, n_ancillas=6))
     reduced = np.einsum("xiaja->xij", stack7.reshape(3, 64, 2, 64, 2))
     npt.assert_allclose(reduced, stack6, atol=1e-12)
-    growth = rep.qfim.matrix - multi_ancilla_correlated(replace(cfg, n_ancillas=6)).qfim.matrix
+    growth = rep.qfim.matrix - evaluate(replace(cfg, n_ancillas=6), "correlated").qfim.matrix
     assert np.min(np.linalg.eigvalsh(growth)) > -1e-9
 
 
@@ -302,7 +299,7 @@ def test_correlated_three_probe_qutrit_register_against_single_ancilla_routes():
         baths=tuple(BathSpec(t, therm_time=50.0) for t in (2.0, 1.0, 3.0)),
     )
     _, rep1 = single_run(replace(reset, n_ancillas=1, correlated=False))
-    npt.assert_allclose(multi_ancilla_correlated(reset).qfim.matrix, 2.0 * rep1.qfim.matrix, atol=1e-6)
+    npt.assert_allclose(evaluate(reset, "correlated").qfim.matrix, 2.0 * rep1.qfim.matrix, atol=1e-6)
 
 
 @pytest.mark.parametrize("g1_over_pi", [0.5, 0.3])
@@ -373,7 +370,7 @@ def test_tangent_derivatives_match_finite_differences(config):
         stacks = _stream_tangents
     temps = np.array(config.temperatures)
     for k, stack in enumerate(stacks(config)):
-        rho, derivs = oracles.finite_diff_derivatives(
+        rho, *derivs = oracles.finite_diff_derivatives(
             lambda t, k=k: stacks(config.at_temperatures(t))[k][0], temps
         )
         npt.assert_allclose(rho, stack[0], atol=0.0)
@@ -389,7 +386,7 @@ def test_long_fig3_streams_give_finite_reports(n):
     derivative trace check there) gives a finite report at every g2."""
     for g2 in (0.25, 0.5, 0.75):
         cfg = two_bath_config(n_ancillas=n, collision_angles=(0.5 * math.pi, g2 * math.pi))
-        rep = multi_ancilla_uncorrelated(cfg)
+        rep = evaluate(cfg, "uncorrelated")
         assert np.all(np.isfinite(rep.qfim.matrix))
         assert math.isfinite(rep.eta_joint)
         assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
@@ -427,25 +424,25 @@ def test_extreme_temperatures_give_finite_report_or_named_error(T):
 # three baths
 # ---------------------------------------------------------------------------
 
-def test_three_bath_qutrit_validation():
+def test_qutrit_scenario_validation():
     with pytest.raises(ValueError, match="3 baths"):
-        three_bath_qutrit(two_bath_config())
+        evaluate(two_bath_config(), "qutrit")
     with pytest.raises(ValueError, match="uncorrelated"):
-        three_bath_qutrit(three_bath_config(correlated=True))
+        evaluate(three_bath_config(correlated=True), "qutrit")
 
 
 def test_three_bath_decoupled_stage_gives_zero_row():
     """g3 = 0: the third bath never touches the ancilla, so its row and
     column of the QFIM vanish and the report flags the singularity."""
     cfg = three_bath_config(collision_angles=(0.5 * math.pi, 0.2 * math.pi, 0.0))
-    rep = three_bath_qutrit(cfg)
+    rep = evaluate(cfg, "qutrit")
     npt.assert_allclose(rep.qfim.matrix[2, :], np.zeros(3), atol=1e-12)
     assert rep.singular and math.isinf(rep.eta_acc)
 
 
 def test_three_bath_qubit_diagnostic_runs():
     cfg = three_bath_config(ancilla_dim=2)
-    rep = three_bath_qutrit(cfg)
+    rep = evaluate(cfg, "qutrit")
     assert rep.qfim.matrix.shape == (3, 3)
 
 
@@ -541,23 +538,19 @@ def test_sweep_unknown_scenario():
     [
         ("single", two_bath_config(n_ancillas=3), "single_run requires n_ancillas = 1, got 3"),
         ("uncorrelated", two_bath_config(n_ancillas=2, correlated=True),
-         "config.correlated is set; use multi_ancilla_correlated"),
-        ("qutrit", two_bath_config(), "three_bath_qutrit requires 3 baths, got 2"),
+         "config.correlated is set; use scenario 'correlated'"),
+        ("qutrit", two_bath_config(), "qutrit requires 3 baths, got 2"),
         ("qutrit", three_bath_config(correlated=True),
-         "three_bath_qutrit runs in uncorrelated stream mode"),
+         "qutrit runs in uncorrelated stream mode"),
     ],
 )
 def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, message):
     """Every route into a scenario raises its precondition's message: the
-    check itself, evaluate, the public evaluator, and a sweep's row."""
-    evaluator = {
-        "single": lambda c: single_run(c)[1],
-        "uncorrelated": multi_ancilla_uncorrelated,
-        "qutrit": three_bath_qutrit,
-    }[scenario]
-    for call in (lambda: check_scenario(scenario, config),
-                 lambda: evaluate(config, scenario),
-                 lambda: evaluator(config)):
+    check itself, evaluate, single_run for its scenario, and a sweep's row."""
+    calls = [lambda: check_scenario(scenario, config), lambda: evaluate(config, scenario)]
+    if scenario == "single":
+        calls.append(lambda: single_run(config))
+    for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
