@@ -36,7 +36,7 @@ def derivatives(cfg, h=1e-5):
     """The final ancilla state and its central-difference (T1, T2) derivatives,
     stacked as (rho, d rho/dT1, d rho/dT2)."""
     def rho(t):
-        return single_run(cfg.at_temperatures(t))[0].mat
+        return single_run(cfg.at_temperatures(t))[0]
 
     t = np.array([T1, T2])
     return np.array([rho(t)] + [(rho(t + e) - rho(t - e)) / (2 * h) for e in h * np.eye(2)])

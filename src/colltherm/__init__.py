@@ -37,7 +37,7 @@ from .estimation import (
     singularity_test,
     thermal_fim,
 )
-from .linalg import DensityMatrix, choi_matrix, herm_eig
+from .linalg import choi_matrix, herm_eig
 from .presets import PRESETS, get_preset
 from .protocols import (
     MERIT_COLUMNS,
@@ -64,7 +64,7 @@ __all__ = [
     "EstimationReport", "Qfim", "QfimStack", "ThermalFim",
     "build_report", "det_singular_threshold", "qfim_stack",
     "singularity_test", "thermal_fim",
-    "DensityMatrix", "choi_matrix", "herm_eig",
+    "choi_matrix", "herm_eig",
     "PRESETS", "get_preset",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
     "point", "scenario_for", "single_run", "sweep", "sweep_values",

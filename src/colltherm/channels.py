@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .linalg import DensityMatrix
 
 __all__ = [
     "BathSpec",
@@ -152,10 +151,11 @@ def thermal_populations(omega: float, T: float) -> tuple[float, float]:
     return lam0, lam1
 
 
-def thermal_state(omega: float, T: float) -> DensityMatrix:
-    """Gibbs state of ``H = omega*sigma_z/2`` at temperature T (qubit)."""
+def thermal_state(omega: float, T: float) -> np.ndarray:
+    """Gibbs state of ``H = omega*sigma_z/2`` at temperature T (qubit), a
+    2 x 2 complex array."""
     lam0, lam1 = thermal_populations(omega, T)
-    return DensityMatrix(np.diag([lam0, lam1]).astype(complex), (2,))
+    return np.array([[lam0, 0.0], [0.0, lam1]], dtype=complex)
 
 
 def thermal_state_dT(omega: float, T: float) -> np.ndarray:
@@ -163,7 +163,7 @@ def thermal_state_dT(omega: float, T: float) -> np.ndarray:
     d lambda_0/dT = (omega/T^2) lambda_0 lambda_1."""
     lam0, lam1, x = _gibbs(omega, T)
     d = lam0 * lam1 * x / T
-    return np.diag([d, -d]).astype(complex)
+    return np.array([[d, 0.0], [0.0, -d]], dtype=complex)
 
 
 def nbar(omega: float, T: float) -> float:
@@ -246,7 +246,7 @@ def collision_superoperator(
     """
     d = ancilla_dim
     probe = np.zeros((1 + d * d, 2, 2), dtype=complex)
-    probe[0] = thermal_state(bath.omega, bath.temperature).mat
+    probe[0] = thermal_state(bath.omega, bath.temperature)
     units = np.zeros((1 + d * d, d * d), dtype=complex)
     units[1:] = np.eye(d * d)
     joint = collide(probe, units.reshape(1 + d * d, d, d), collision_unitary(spec, d))

@@ -65,6 +65,10 @@ SUPPORT_CUTOFF = 1e-12        # eigenvalue-sum cutoff in the SLD construction
 KERNEL_WEIGHT_TOL = 1e-8      # allowed derivative weight inside ker(rho) x ker(rho)
 DERIV_HERM_TOL = 1e-9
 DERIV_TRACE_TOL = 1e-9
+# |Tr rho - 1| allowed in a state: a marginal stream's trace drifts linearly
+# in n (8.6e-10 at n = 10^4 for three probes and a qutrit ancilla)
+STATE_TRACE_TOL = 1e-9
+STATE_PSD_TOL = 1e-10         # most negative state eigenvalue allowed (eigensolver noise)
 
 
 def _check_derivs(derivs: np.ndarray) -> None:
@@ -203,12 +207,27 @@ def qfim_stack(stacks) -> QfimStack:
     derivative is not Hermitian or traceless, any state is not Hermitian or
     its eigendecomposition inexact, any derivative has weight above 1e-8 in
     the kernel-kernel block of its state (the family leaves its support, and
-    no SLD reproduces it), or any F is not symmetric PSD.
+    no SLD reproduces it), or any F is not symmetric PSD.  Every state must
+    also have unit trace to :data:`STATE_TRACE_TOL` and no eigenvalue below
+    ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
+    anyway, and the message names the offending state's stack index.
     """
     stacks = np.asarray(stacks, dtype=complex)
     derivs = stacks[:, 1:]
     _check_derivs(derivs)
     w, v = herm_eig(stacks[:, 0])
+    trace_defect = np.abs(w.sum(axis=-1) - 1.0)
+    lowest = w[:, 0]
+    bad = ~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not trace_defect[k] <= STATE_TRACE_TOL:
+            raise ValueError(
+                f"state {k} of the stack: trace defect {trace_defect[k]:.3e} > {STATE_TRACE_TOL}"
+            )
+        raise ValueError(
+            f"state {k} of the stack not PSD: min eigenvalue {lowest[k]:.3e} < -{STATE_PSD_TOL}"
+        )
     dr = v.conj().swapaxes(-1, -2)[:, None] @ derivs @ v[:, None]
     s = w[:, :, None] + w[:, None, :]
     support = s >= SUPPORT_CUTOFF

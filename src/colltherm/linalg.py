@@ -14,66 +14,17 @@ undoes it.  Under this convention the superoperator of a unitary conjugation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "HERM_TOL",
-    "TRACE_TOL",
-    "PSD_TOL",
     "EIG_HERM_TOL",
     "EIG_RESIDUAL_TOL",
-    "DensityMatrix",
     "herm_eig",
     "choi_matrix",
 ]
 
-HERM_TOL = 1e-12       # max-norm Hermiticity defect allowed in a state
-TRACE_TOL = 1e-12      # |Tr rho - 1| allowed in a state
-PSD_TOL = -1e-10       # most negative eigenvalue allowed in a state
 EIG_HERM_TOL = 1e-10   # max-norm Hermiticity defect allowed in herm_eig input
 EIG_RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A state together with its tensor-factor dimensions.
-
-    Invariants (checked on construction): square with dimension
-    ``prod(dims)``, Hermitian to 1e-12, unit trace to 1e-12, and positive
-    semidefinite to -1e-10 (eigensolver noise floor).
-    """
-
-    mat: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = int(np.prod(self.dims))
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"state shape {mat.shape} does not match factor dims {self.dims}"
-            )
-        self.validate()
-
-    def validate(self) -> None:
-        mat = self.mat
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERM_TOL:
-            raise ValueError(f"state not Hermitian: defect {herm:.3e} > {HERM_TOL}")
-        tr = abs(mat.trace() - 1.0)
-        if tr > TRACE_TOL:
-            raise ValueError(f"state trace defect {tr:.3e} > {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < PSD_TOL:
-            raise ValueError(f"state not PSD: min eigenvalue {lo:.3e} < {PSD_TOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def herm_eig(h: np.ndarray):

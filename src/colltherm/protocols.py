@@ -12,8 +12,9 @@ evaluator call:
 
 * ``single`` — one ancilla; the probes are fresh and thermal, so its state
   is exactly the composition of the reduced collision channels.
-  :func:`single_run` evaluates it too and also returns the final state and
-  the SLDs.
+  :func:`single_run` evaluates it too and also returns the final state (a
+  d x d array, checked like every state inside
+  :func:`colltherm.estimation.qfim_stack`) and the SLDs.
 * ``uncorrelated`` — sequential stream that tracks the single-system
   marginals of probes and ancillas only; the n-ancilla state is taken to be
   the tensor product of the recorded ancilla marginals, so the QFIM is the
@@ -41,7 +42,9 @@ probes' Gibbs states and the rethermalization channels; every other map is
 linear in the state, or bilinear in (probe, ancilla) at a marginal-stream
 collision.  So each evaluator carries the stack (rho, d_1 rho, ..., d_N rho)
 through one pass of the same maps: the product rule at each collision, and
-d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.
+d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.  The
+states reach :func:`colltherm.estimation.qfim_stack` as plain arrays, and
+it checks each one's trace and positivity on the eigenvalues it computes.
 
 One table maps each scenario name to its engine and its precondition;
 :func:`check_scenario` is the one place that rejects an unknown name or a
@@ -71,7 +74,6 @@ from .channels import (
     thermalization_channel_dT,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
-from .linalg import DensityMatrix
 
 __all__ = [
     "SIM_DIM_CAP",
@@ -177,7 +179,7 @@ def _probe_tangents(config: ProtocolConfig) -> list[np.ndarray]:
     out = []
     for i, b in enumerate(config.baths):
         p = np.zeros((1 + config.n_baths, 2, 2), dtype=complex)
-        p[0] = thermal_state(b.omega, b.temperature).mat
+        p[0] = thermal_state(b.omega, b.temperature)
         p[1 + i] = thermal_state_dT(b.omega, b.temperature)
         out.append(p)
     return out
@@ -185,13 +187,14 @@ def _probe_tangents(config: ProtocolConfig) -> list[np.ndarray]:
 
 def _stage_unitaries(config: ProtocolConfig) -> list[np.ndarray]:
     """Per bath stage, the collision unitary on probe (x) ancilla followed by
-    the ancilla rotation where that stage has one."""
+    the ancilla rotation R where that stage has one.  (I (x) R) u acts on
+    the ancilla row index alone, so R multiplies each probe row block of u."""
     d = config.ancilla_dim
-    rot = np.kron(np.eye(2), config.rotation.unitary(d)) if config.rotation_enabled else None
+    rot = config.rotation.unitary(d) if config.rotation_enabled else None
     out = []
     for g, rotated in zip(config.collision_angles, config._rotation_stages()):
         u = collision_unitary(CollisionSpec.from_angle(g), d)
-        out.append(rot @ u if rotated else u)
+        out.append((rot @ u.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d) if rotated else u)
     return out
 
 
@@ -204,8 +207,10 @@ def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndar
 # single ancilla and the marginal stream
 # ---------------------------------------------------------------------------
 
-def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]:
-    """One ancilla through all probes; returns (final state, report).
+def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
+    """One ancilla through all probes; returns (final state, report), the
+    state a d x d complex array whose unit trace and positivity
+    :func:`colltherm.estimation.qfim_stack` has checked.
 
     With a single ancilla every probe is still in equilibrium when the
     collision happens, so the ancilla evolves by the composition of the
@@ -218,7 +223,7 @@ def single_run(config: ProtocolConfig) -> tuple[DensityMatrix, EstimationReport]
     qs = qfim_stack(stacks)
     qf = Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
     report = build_report(qf, thermal_fim(config.baths), qs.commutator_norms[0])
-    return DensityMatrix(stacks[0, 0], (config.ancilla_dim,)), report
+    return stacks[0, 0], report
 
 
 def _stream_tangents(config: ProtocolConfig) -> np.ndarray:

@@ -195,11 +195,11 @@ def _group_closedform(rng: np.random.Generator, trials: int) -> list[CheckResult
 
         state, _rep = single_run(_two_bath_config(g1, g2, T1, T2, rotation_enabled=False))
         v = plain_final_v(g1, g2, p, q)
-        res_plain = max(res_plain, float(np.max(np.abs(state.mat - np.diag([v, 1 - v])))))
+        res_plain = max(res_plain, float(np.max(np.abs(state - np.diag([v, 1 - v])))))
 
         state, rep = single_run(_two_bath_config(g1, g2, T1, T2))
         res_rot = max(
-            res_rot, float(np.max(np.abs(state.mat - rotated_final_state(g1, g2, p, q))))
+            res_rot, float(np.max(np.abs(state - rotated_final_state(g1, g2, p, q))))
         )
         l1, l2 = closed_form_slds(g1, g2, T1, T2)
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[0] - l1))))

@@ -10,9 +10,9 @@ generator of the probe-bath coupling, the rethermalization channel as
 generalized-amplitude-damping Kraus operators, central-difference
 derivatives of a state family, QFIMs from the qubit Bloch-vector formula
 and from a pseudoinverse solve of the SLD equation, a brute-force
-simulation of the two-probe ancilla stream on the whole register, and
-random inputs.  Tests compare library output against these, never against
-the library itself.
+simulation of the two-probe ancilla stream on the whole register, that
+stream's stationary limit by a linear solve, and random inputs.  Tests
+compare library output against these, never against the library itself.
 """
 
 import math
@@ -176,12 +176,12 @@ def finite_diff_derivatives(rho_fn, theta, h=None):
     """The stack ``(rho, d_1 rho, ..., d_N rho)`` of a state family at
     ``theta``, shaped (1 + N, d, d).
 
-    ``rho_fn(theta_vector)`` returns a matrix or an object with a ``mat``
-    array.  Step per coordinate defaults to ``max(1e-5, 1e-6 |theta_mu|)``.
-    Each derivative is taken at the step and at half the step (Richardson
-    consistency check): the two must agree to 1e-6 relative to the
-    derivative scale (floored at 1), else the family is reported as not
-    smooth.  The half-step estimate is returned, made exactly Hermitian.
+    ``rho_fn(theta_vector)`` returns the state matrix.  Step per
+    coordinate defaults to ``max(1e-5, 1e-6 |theta_mu|)``.  Each derivative
+    is taken at the step and at half the step (Richardson consistency
+    check): the two must agree to 1e-6 relative to the derivative scale
+    (floored at 1), else the family is reported as not smooth.  The
+    half-step estimate is returned, made exactly Hermitian.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.size
@@ -193,8 +193,7 @@ def finite_diff_derivatives(rho_fn, theta, h=None):
         steps = [float(x) for x in h]
 
     def state(t):
-        r = rho_fn(t)
-        return np.asarray(getattr(r, "mat", r), dtype=complex)
+        return np.asarray(rho_fn(t), dtype=complex)
 
     def central(mu, step):
         tp, tm = theta.copy(), theta.copy()
@@ -332,6 +331,65 @@ def joint_stream_state(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0
                 rho = sum(kr @ rho @ kr.conj().T for kr in relax[i])
     d = 2**n
     return np.einsum("pipj->ij", rho.reshape(4, d, 4, d))
+
+
+def _gad_superop_dT(omega, T, gamma, t):
+    """d/dT of :func:`gad_superop` by the sixth-order central difference
+    with step 2e-3 T.  Its truncation grows like (2e-3 omega / T)^6: about
+    1e-12 relative at omega / T = 3, 2e-10 at omega / T = 10."""
+    h = 2e-3 * T
+    weights = {1: 45.0, 2: -9.0, 3: 1.0}
+    return sum(
+        w * (gad_superop(omega, T + j * h, gamma, t) - gad_superop(omega, T - j * h, gamma, t))
+        for j, w in weights.items()
+    ) / (60.0 * h)
+
+
+def stationary_ancilla_family(angles, temps, theta=math.pi / 4, omega=1.0, gamma=1.0, t=0.5):
+    """Long-stream limit of the two-probe stream of :func:`joint_stream_state`:
+    the state an ancilla leaves in once the probes' joint state R is
+    stationary, and its two temperature derivatives, stacked as (3, 2, 2).
+
+    One ancilla's pass is the isometry V from the probes into probes (x)
+    ancilla (collision with probe 1, the x rotation, collision with probe
+    2, ancilla in |1>), and one step of the stream maps R to
+    M(R) = (Phi_1 (x) Phi_2)(Tr_a V R V^dag).  R* solves (I - M) R* = 0 with
+    Tr R* = 1; its tangents solve (I - M) d_i R* = (d_i M) R* with
+    Tr d_i R* = 0, d_i M having d Phi_i / dT_i in place of Phi_i.  Each is
+    one least-squares solve with the trace row appended.  The ancilla's
+    state and tangents are Tr_P V (.) V^dag of R* and its tangents.
+    """
+    u = (
+        embed_on_qubits(printed_collision_unitary(angles[1]), (1, 2), 3)
+        @ embed_on_qubits(rotation_x(theta), (2,), 3)
+        @ embed_on_qubits(printed_collision_unitary(angles[0]), (0, 2), 3)
+    )
+    v = u[:, 1::2]  # register index 2 * probes + ancilla; ancilla enters |1>
+    chans = [
+        [f(omega, x, gamma, t).reshape(2, 2, 2, 2) for f in (gad_superop, _gad_superop_dT)]
+        for x in temps
+    ]
+
+    def meet(r):  # (4, 4) probes -> (4, 2, 4, 2) probes (x) ancilla
+        return (v @ r @ v.conj().T).reshape(4, 2, 4, 2)
+
+    def step(r, deriv=None):
+        s1, s2 = (chans[i][1 if i == deriv else 0] for i in (0, 1))
+        probes = np.einsum("pbqb->pq", meet(r)).reshape(2, 2, 2, 2)
+        out = np.einsum("acbd,egfh,bfdh->aecg", s1, s2, probes)
+        return out.reshape(4, 4)
+
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    m = np.array([step(e).reshape(-1) for e in units]).T
+    lhs = np.vstack([np.eye(16) - m, np.eye(4).reshape(1, 16)])
+
+    def solve(rhs, trace):
+        x = np.linalg.lstsq(lhs, np.append(rhs.reshape(-1), trace), rcond=None)[0]
+        return x.reshape(4, 4)
+
+    r_star = solve(np.zeros((4, 4)), 1.0)
+    tangents = [solve(step(r_star, deriv=i), 0.0) for i in (0, 1)]
+    return np.array([np.einsum("pipj->ij", meet(r)) for r in (r_star, *tangents)])
 
 
 def ancilla_marginals(rho, n):

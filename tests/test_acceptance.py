@@ -197,12 +197,12 @@ def test_criterion_04_closed_form_state_and_slds():
         p, _ = oracles.gibbs_weights(1.0, t1)
         q, _ = oracles.gibbs_weights(1.0, t2)
         res_state = max(
-            res_state, float(np.max(np.abs(state.mat - oracles.rotated_final_state(g1, g2, p, q))))
+            res_state, float(np.max(np.abs(state - oracles.rotated_final_state(g1, g2, p, q))))
         )
         l1, l2 = oracles.closed_form_slds(g1, g2, t1, t2)
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[0] - l1))))
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[1] - l2))))
-        if float(np.linalg.eigvalsh(state.mat)[0]) > 1e-12:  # full rank
+        if float(np.linalg.eigvalsh(state)[0]) > 1e-12:  # full rank
             min_comm = min(min_comm, rep.sld_commutator_norm)
 
     ok = res_state <= 1e-10 and res_sld <= 1e-8 and min_comm > 1e-10
@@ -461,7 +461,7 @@ def _invariant_sweep(seed):
 
     for _ in range(20):
         bath = BathSpec(rng.uniform(0.4, 4.0), therm_time=rng.uniform(0.05, 2.0))
-        gibbs = thermal_state(bath.omega, bath.temperature).mat.reshape(-1)
+        gibbs = thermal_state(bath.omega, bath.temperature).reshape(-1)
         resid = float(np.max(np.abs(thermalization_channel(bath) @ gibbs - gibbs)))
         defects["fixed_point"] = max(defects["fixed_point"], resid)
         samples.append(resid)

@@ -8,6 +8,7 @@ full-rank, pure and rank-deficient states.
 """
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -229,6 +230,26 @@ def test_qfim_stack_checks_every_state(rng, offend, message):
         qfim_stack(stacks)
     with pytest.raises(ValueError, match=message):
         qfim_stack(stacks[2:3])
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (np.diag([0.7, 0.7]), "state 2 of the stack: trace defect 4.000e-01 > 1e-09"),
+        (np.diag([1.2, -0.2]), "state 2 of the stack not PSD: min eigenvalue -2.000e-01 < -1e-10"),
+    ],
+    ids=["trace", "psd"],
+)
+def test_qfim_stack_rejects_non_states(rng, state, message):
+    """A state of the wrong trace or with a negative eigenvalue is rejected
+    from the eigenvalues the QFIM uses, naming its index in the stack; its
+    valid derivatives leave the state check the only one to trip."""
+    stacks = np.array([_family_stack(rng, 2, 2, 2) for _ in range(4)])
+    stacks[2, 0] = state
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qfim_stack(stacks)
+    stacks[2, 0] = np.diag([0.5, 0.5 + 5e-10])  # inside the 1e-9 trace tolerance
+    assert qfim_stack(stacks).support_dims == (2,) * 4
 
 
 def test_qfim_checks_cover_stacks():

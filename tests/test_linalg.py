@@ -1,12 +1,13 @@
-"""Vectorization convention, state invariants, eigensolver contract, Choi
-matrices."""
+"""Vectorization convention, eigensolver contract, Choi matrices.  The
+state checks (unit trace, positivity) live in ``qfim_stack`` and are tested
+with it."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm.linalg import DensityMatrix, choi_matrix, herm_eig
+from colltherm.linalg import choi_matrix, herm_eig
 
 
 def test_unitary_conjugation_superop_matches_convention(rng):
@@ -16,31 +17,6 @@ def test_unitary_conjugation_superop_matches_convention(rng):
         rho = oracles.random_density(rng, dim)
         lhs = (np.kron(u, u.conj()) @ rho.reshape(-1)).reshape(dim, dim)
         npt.assert_allclose(lhs, u @ rho @ u.conj().T, atol=1e-13)
-
-
-class TestDensityMatrix:
-    def test_accepts_valid_state(self, rng):
-        rho = oracles.random_density(rng, 4)
-        dm = DensityMatrix(rho, (2, 2))
-        assert dm.dim == 4
-        assert dm.dims == (2, 2)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(m, (2,))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.diag([0.7, 0.7]).astype(complex), (2,))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="PSD"):
-            DensityMatrix(np.diag([1.2, -0.2]).astype(complex), (2,))
-
-    def test_rejects_dims_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            DensityMatrix(np.eye(4) / 4.0, (2, 3))
 
 
 def test_herm_eig_reconstruction_and_order(rng):
