@@ -23,12 +23,11 @@ from colltherm.protocols import ProtocolConfig, single_run
 T1, T2 = 2.0, 1.0
 
 
-def config(theta, enabled=True):
+def config(theta):
     return ProtocolConfig(
         baths=(BathSpec(T1, therm_time=0.5), BathSpec(T2, therm_time=0.5)),
         collision_angles=(0.5 * math.pi, 0.3 * math.pi),
         rotation=RotationSpec(theta, "x"),
-        rotation_enabled=enabled,
     )
 
 
@@ -42,7 +41,7 @@ def derivatives(cfg, h=1e-5):
     return np.array([rho(t)] + [(rho(t + e) - rho(t - e)) / (2 * h) for e in h * np.eye(2)])
 
 
-plain = config(0.0, enabled=False)
+plain = config(0.0)
 _, rep = single_run(plain)
 proportional, ratio = singularity_test(derivatives(plain))
 print("no rotation:")

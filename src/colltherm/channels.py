@@ -13,7 +13,9 @@ This module builds every channel the protocol composes:
 * the partial-thermalization channel generated by the standard two-level
   GKSL generator with rates ``gamma (nbar + 1)`` (decay) and ``gamma nbar``
   (excitation): a generalized amplitude-damping channel, written in closed
-  form, whose unique fixed point is the thermal state.
+  form, whose unique fixed point is the thermal state.  It depends on the
+  rate and the time only through their product gamma*t, so a bath carries
+  that product alone (:attr:`BathSpec.therm_time`).
 
 Temperatures enter the protocol only through the thermal probe state and the
 partial-thermalization channel, so those two also come with their exact
@@ -37,7 +39,6 @@ from . import operators
 
 __all__ = [
     "BathSpec",
-    "CollisionSpec",
     "RotationSpec",
     "thermal_populations",
     "thermal_state",
@@ -57,12 +58,12 @@ __all__ = [
 @dataclass(frozen=True)
 class BathSpec:
     """One bath and its probe: temperature (units of hbar*omega/k_B), probe
-    frequency, probe-bath coupling rate gamma, and the thermalization time
-    granted between successive ancilla collisions."""
+    frequency, and ``therm_time``, the dimensionless rethermalization
+    strength gamma*t (probe-bath coupling rate times the time granted
+    between successive ancilla collisions)."""
 
     temperature: float
     omega: float = 1.0
-    gamma: float = 1.0
     therm_time: float = 0.5
 
     def __post_init__(self):
@@ -70,35 +71,11 @@ class BathSpec:
             raise ValueError(f"temperature: must be > 0, got {self.temperature}")
         if not self.omega > 0:
             raise ValueError(f"omega: must be > 0, got {self.omega}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma: must be >= 0, got {self.gamma}")
         if self.therm_time < 0:
             raise ValueError(f"therm_time: must be >= 0, got {self.therm_time}")
 
     def at_temperature(self, T: float) -> "BathSpec":
-        return BathSpec(T, self.omega, self.gamma, self.therm_time)
-
-
-@dataclass(frozen=True)
-class CollisionSpec:
-    """Collision coupling g and duration tau; only the angle g*tau matters."""
-
-    g: float
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"g: must be >= 0, got {self.g}")
-        if self.tau < 0:
-            raise ValueError(f"tau: must be >= 0, got {self.tau}")
-
-    @property
-    def angle(self) -> float:
-        return self.g * self.tau
-
-    @classmethod
-    def from_angle(cls, angle: float) -> "CollisionSpec":
-        return cls(g=float(angle), tau=1.0)
+        return BathSpec(T, self.omega, self.therm_time)
 
 
 @dataclass(frozen=True)
@@ -174,22 +151,24 @@ def nbar(omega: float, T: float) -> float:
     return math.exp(-x) / -math.expm1(-x)
 
 
-def collision_unitary_qubit(spec: CollisionSpec) -> np.ndarray:
-    """exp(-i H tau) for the qubit-qubit exchange H = g(s+ s- + s- s+).
+def collision_unitary_qubit(angle: float) -> np.ndarray:
+    """exp(-i H tau) for the qubit-qubit exchange H = g(s+ s- + s- s+), as a
+    function of the collision angle g*tau.
 
     H couples only |01> and |10>, so the exponential is the 2x2-rotation
     block form [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] with
     c = cos(g tau), s = sin(g tau): both off-diagonal entries carry -i, as
     required by unitarity of the exponential of a real-symmetric coupling.
     """
-    c, s = math.cos(spec.angle), math.sin(spec.angle)
+    c, s = math.cos(angle), math.sin(angle)
     return np.array(
         [[1, 0, 0, 0], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex
     )
 
 
-def collision_unitary_qubit_qutrit(spec: CollisionSpec) -> np.ndarray:
-    """exp(-i H tau) for the qubit-qutrit exchange H = g(s+ Q- + s- Q+).
+def collision_unitary_qubit_qutrit(angle: float) -> np.ndarray:
+    """exp(-i H tau) for the qubit-qutrit exchange H = g(s+ Q- + s- Q+), as a
+    function of the collision angle g*tau.
 
     Probe factor first (2 x 3 = 6 dimensional).  H commutes with the total
     excitation operator sigma_z/2 (x) I + I (x) S_z, so the unitary is block
@@ -199,7 +178,7 @@ def collision_unitary_qubit_qutrit(spec: CollisionSpec) -> np.ndarray:
     the index pairs (3, 1) and (4, 2), each the block [[c, -is], [-is, c]];
     |0,+1> and |1,-1> are left alone.
     """
-    a = spec.angle / math.sqrt(2.0)
+    a = angle / math.sqrt(2.0)
     c, s = math.cos(a), math.sin(a)
     u = np.eye(6, dtype=complex)
     for i, j in ((3, 1), (4, 2)):
@@ -208,11 +187,11 @@ def collision_unitary_qubit_qutrit(spec: CollisionSpec) -> np.ndarray:
     return u
 
 
-def collision_unitary(spec: CollisionSpec, ancilla_dim: int = 2) -> np.ndarray:
+def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     if ancilla_dim == 2:
-        return collision_unitary_qubit(spec)
+        return collision_unitary_qubit(angle)
     if ancilla_dim == 3:
-        return collision_unitary_qubit_qutrit(spec)
+        return collision_unitary_qubit_qutrit(angle)
     raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
 
 
@@ -233,11 +212,9 @@ def collide(probe: np.ndarray, ancilla: np.ndarray, u: np.ndarray) -> np.ndarray
     return (u @ joint.reshape(nt, 2 * d, 2 * d) @ u.conj().T).reshape(nt, 2, d, 2, d)
 
 
-def collision_superoperator(
-    spec: CollisionSpec, bath: BathSpec, ancilla_dim: int = 2
-) -> np.ndarray:
-    """Vectorized collision channel on the ancilla, with a thermal probe,
-    read off :func:`collide`.
+def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) -> np.ndarray:
+    """Vectorized collision channel of angle g*tau on the ancilla, with a
+    thermal probe, read off :func:`collide`.
 
     The channel is linear in the ancilla, so :func:`collide` maps derivative
     entries like states: with entry 0 the thermal probe and a zero ancilla,
@@ -249,7 +226,7 @@ def collision_superoperator(
     probe[0] = thermal_state(bath.omega, bath.temperature)
     units = np.zeros((1 + d * d, d * d), dtype=complex)
     units[1:] = np.eye(d * d)
-    joint = collide(probe, units.reshape(1 + d * d, d, d), collision_unitary(spec, d))
+    joint = collide(probe, units.reshape(1 + d * d, d, d), collision_unitary(angle, d))
     return (joint[1:, 0, :, 0] + joint[1:, 1, :, 1]).reshape(d * d, d * d).T
 
 
@@ -264,11 +241,11 @@ def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:
 
     Returns (lambda_0, lambda_1, e, d lambda_0/dT, d ln(e)/dT) with
     e = exp(-Gamma t) the population damping factor and
-    Gamma = gamma (2 nbar + 1) the population relaxation rate.
+    Gamma t = gamma t (2 nbar + 1), gamma t being ``bath.therm_time``.
     """
     lam0, lam1, x = _gibbs(bath.omega, bath.temperature)
     n = nbar(bath.omega, bath.temperature)
-    gt = bath.gamma * bath.therm_time
+    gt = bath.therm_time
     dn = n * (n + 1.0) * x / bath.temperature
     e = math.exp(-gt * (2.0 * n + 1.0))
     return lam0, lam1, e, lam0 * lam1 * x / bath.temperature, -2.0 * gt * dn
@@ -283,7 +260,8 @@ def _population_coherence_map(p00, p03, p30, p33, coh) -> np.ndarray:
 
 
 def thermalization_channel(bath: BathSpec) -> np.ndarray:
-    """Partial-thermalization channel exp(L * therm_time) (4x4 superoperator).
+    """Partial-thermalization channel exp(L t) (4x4 superoperator), with
+    gamma*t = ``bath.therm_time``.
 
     The generalized amplitude-damping closed form: populations relax toward
     the Gibbs weights by the factor e = exp(-Gamma t), coherences decay by

@@ -94,43 +94,51 @@ def _as_bool(value, path):
     return value
 
 
+def _reject_unknown(mapping, known, path=""):
+    for key in mapping:
+        if key not in known:
+            field = f"{path}.{key}" if path else key
+            raise ConfigError(f"{field}: unknown field (allowed: {sorted(known)})")
+
+
 def _parse_bath(entry, path) -> BathSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected a mapping with a 'temperature' key")
-    known = {"temperature", "omega", "gamma", "gamma_t"}
-    for key in entry:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field (allowed: {sorted(known)})")
+    _reject_unknown(entry, {"temperature", "omega", "gamma_t"}, path)
     temperature = _as_number(_expect(entry, "temperature", path, required=True), f"{path}.temperature")
     omega = _as_number(entry.get("omega", 1.0), f"{path}.omega")
-    gamma = _as_number(entry.get("gamma", 1.0), f"{path}.gamma")
     gamma_t = _as_number(entry.get("gamma_t", 0.5), f"{path}.gamma_t")
     if gamma_t < 0:
         raise ConfigError(f"{path}.gamma_t: must be >= 0, got {gamma_t}")
-    if gamma == 0 and gamma_t > 0:
-        raise ConfigError(f"{path}.gamma_t: must be 0 when gamma = 0, got {gamma_t}")
-    therm_time = gamma_t / gamma if gamma > 0 else 0.0
     try:
-        return BathSpec(temperature=temperature, omega=omega, gamma=gamma, therm_time=therm_time)
+        return BathSpec(temperature=temperature, omega=omega, therm_time=gamma_t)
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from None
+
+
+_RANGE_KEYS = ("start", "stop", "step")
 
 
 def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected a mapping with an 'axis' key")
+    _reject_unknown(entry, {"axis", "values", *_RANGE_KEYS}, path)
     axis = _expect(entry, "axis", path, required=True)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"{path}.axis: unknown axis {axis!r} (allowed: {sorted(SWEEP_AXES)})")
     if "values" in entry:
+        mixed = [key for key in _RANGE_KEYS if key in entry]
+        if mixed:
+            raise ConfigError(f"{path}: give values or start/stop/step, not both (got {mixed})")
         raw = entry["values"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.values: expected a nonempty list of numbers")
         values = tuple(_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
     else:
-        start = _as_number(_expect(entry, "start", path, required=True), f"{path}.start")
-        stop = _as_number(_expect(entry, "stop", path, required=True), f"{path}.stop")
-        step = _as_number(_expect(entry, "step", path, required=True), f"{path}.step")
+        start, stop, step = (
+            _as_number(_expect(entry, key, path, required=True), f"{path}.{key}")
+            for key in _RANGE_KEYS
+        )
         try:
             values = sweep_values(start, stop, step)
         except ValueError as exc:
@@ -143,9 +151,7 @@ _SCALARS = {
     "ancilla_dim": _as_int,
     "n_ancillas": _as_int,
     "ancilla_init": _as_int,
-    "rotation_enabled": _as_bool,
     "correlated": _as_bool,
-    "apply_rotation_after_last": _as_bool,
 }
 
 
@@ -165,10 +171,8 @@ def load_config(path: str):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    known = {"baths", "collision_angles_over_pi", "rotation", "scenario", "sweep", *_SCALARS}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field (allowed: {sorted(known)})")
+    _reject_unknown(raw, {"baths", "collision_angles_over_pi", "rotation", "scenario", "sweep",
+                          *_SCALARS})
 
     baths_raw = _expect(raw, "baths", "config", required=True)
     if not isinstance(baths_raw, list) or not baths_raw:
@@ -188,9 +192,7 @@ def load_config(path: str):
         rot_raw = raw["rotation"]
         if not isinstance(rot_raw, dict):
             raise ConfigError("rotation: expected a mapping")
-        for key in rot_raw:
-            if key not in ("theta_over_pi", "axis"):
-                raise ConfigError(f"rotation.{key}: unknown field")
+        _reject_unknown(rot_raw, {"theta_over_pi", "axis"}, "rotation")
         theta = _as_number(rot_raw.get("theta_over_pi", 0.25), "rotation.theta_over_pi") * math.pi
         axis = rot_raw.get("axis", "x")
         try:
@@ -215,7 +217,9 @@ def load_config(path: str):
 
     # unnamed, a sweep runs under its last point's scenario: an n_ancillas
     # series from 1 is a stream, whose n = 1 point is the single run
-    scenario = raw.get("scenario") or scenario_for(placed[-1])
+    scenario = raw.get("scenario")
+    if scenario is None:
+        scenario = scenario_for(placed[-1])
     try:
         check_scenario(scenario, config)
     except ValueError as exc:
@@ -441,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
     p_verify.add_argument("--group", choices=sorted(GROUPS), help="run a single oracle group")
     p_verify.add_argument("--trials", type=int, default=200,
-                          help="randomized trials per group (default 200)")
+                          help="randomized trials per group (default 200); every group runs "
+                          "at least 20, theorem1 at least 100")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -43,14 +43,13 @@ class Preset:
 def _two_bath_base(**overrides) -> ProtocolConfig:
     base = dict(
         baths=(
-            BathSpec(temperature=2.0, omega=1.0, gamma=1.0, therm_time=0.5),
-            BathSpec(temperature=1.0, omega=1.0, gamma=1.0, therm_time=0.5),
+            BathSpec(temperature=2.0, omega=1.0, therm_time=0.5),
+            BathSpec(temperature=1.0, omega=1.0, therm_time=0.5),
         ),
         collision_angles=(0.5 * math.pi, 0.0),
         ancilla_dim=2,
         n_ancillas=1,
         rotation=RotationSpec(math.pi / 4, "x"),
-        rotation_enabled=True,
     )
     base.update(overrides)
     return ProtocolConfig(**base)
@@ -59,15 +58,14 @@ def _two_bath_base(**overrides) -> ProtocolConfig:
 def _three_bath_base(**overrides) -> ProtocolConfig:
     base = dict(
         baths=(
-            BathSpec(temperature=2.0, omega=1.0, gamma=1.0, therm_time=0.5),
-            BathSpec(temperature=1.0, omega=1.0, gamma=1.0, therm_time=0.5),
-            BathSpec(temperature=3.0, omega=1.0, gamma=1.0, therm_time=0.5),
+            BathSpec(temperature=2.0, omega=1.0, therm_time=0.5),
+            BathSpec(temperature=1.0, omega=1.0, therm_time=0.5),
+            BathSpec(temperature=3.0, omega=1.0, therm_time=0.5),
         ),
         collision_angles=(0.5 * math.pi, 0.2 * math.pi, 0.0),
         ancilla_dim=3,
         n_ancillas=1,
         rotation=RotationSpec(math.pi / 4, "x"),
-        rotation_enabled=True,
     )
     base.update(overrides)
     return ProtocolConfig(**base)

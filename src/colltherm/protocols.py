@@ -2,8 +2,9 @@
 
 Four experiment families share one physical loop.  A stream of identically
 prepared ancillas passes, one at a time, through every probe in order; a
-local rotation follows each collision except (by default) the last; each
-probe partially rethermalizes toward its bath between consecutive ancillas.
+local rotation follows each collision but the last (a fixed unitary there
+cannot change a QFIM); each probe partially rethermalizes toward its bath,
+with strength gamma*t (``BathSpec.therm_time``), between consecutive ancillas.
 At the end the ancillas are measured, and the temperature vector of the
 baths is what the measurement estimates.
 
@@ -64,7 +65,6 @@ import numpy as np
 from . import operators
 from .channels import (
     BathSpec,
-    CollisionSpec,
     RotationSpec,
     collide,
     collision_unitary,
@@ -101,11 +101,11 @@ SIM_DIM_CAP = 2**11
 class ProtocolConfig:
     """Full specification of one protocol run.
 
-    ``collision_angles`` are the products g*tau in radians, one per bath
-    stage.  ``rotation`` is applied to the ancilla after every collision
-    except the last; ``apply_rotation_after_last`` adds the trailing one
-    (which cannot change any QFIM — it is a fixed unitary — but resolves an
-    ambiguity in how the composed channel is written down).
+    ``baths`` carry each bath's temperature, probe frequency and
+    rethermalization strength gamma*t.  ``collision_angles`` are the
+    products g*tau in radians, one per bath stage.  ``rotation`` is applied
+    to the ancilla after every collision except the last; ``RotationSpec(0.0)``
+    leaves the ancilla alone between collisions.
     """
 
     baths: tuple[BathSpec, ...]
@@ -114,9 +114,7 @@ class ProtocolConfig:
     n_ancillas: int = 1
     ancilla_init: int | None = None
     rotation: RotationSpec = field(default_factory=lambda: RotationSpec(math.pi / 4))
-    rotation_enabled: bool = True
     correlated: bool = False
-    apply_rotation_after_last: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "baths", tuple(self.baths))
@@ -161,13 +159,6 @@ class ProtocolConfig:
         baths = tuple(b.at_temperature(float(t)) for b, t in zip(self.baths, temps))
         return replace(self, baths=baths)
 
-    def _rotation_stages(self) -> tuple[bool, ...]:
-        """Which collision stages are followed by the ancilla rotation."""
-        if not self.rotation_enabled:
-            return (False,) * self.n_baths
-        last = self.n_baths - 1
-        return tuple(i < last or self.apply_rotation_after_last for i in range(self.n_baths))
-
 
 # ---------------------------------------------------------------------------
 # building blocks of the tangent pass
@@ -187,15 +178,13 @@ def _probe_tangents(config: ProtocolConfig) -> list[np.ndarray]:
 
 def _stage_unitaries(config: ProtocolConfig) -> list[np.ndarray]:
     """Per bath stage, the collision unitary on probe (x) ancilla followed by
-    the ancilla rotation R where that stage has one.  (I (x) R) u acts on
-    the ancilla row index alone, so R multiplies each probe row block of u."""
+    the ancilla rotation R, on every stage but the last.  (I (x) R) u acts
+    on the ancilla row index alone, so R multiplies each probe row block of
+    u."""
     d = config.ancilla_dim
-    rot = config.rotation.unitary(d) if config.rotation_enabled else None
-    out = []
-    for g, rotated in zip(config.collision_angles, config._rotation_stages()):
-        u = collision_unitary(CollisionSpec.from_angle(g), d)
-        out.append((rot @ u.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d) if rotated else u)
-    return out
+    rot = config.rotation.unitary(d)
+    *rotated, last = (collision_unitary(g, d) for g in config.collision_angles)
+    return [(rot @ u.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d) for u in rotated] + [last]
 
 
 def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -426,7 +415,7 @@ def _set_theta(config: ProtocolConfig, value: float) -> ProtocolConfig:
 
 
 def _set_gamma_t(config: ProtocolConfig, value: float) -> ProtocolConfig:
-    baths = tuple(replace(b, therm_time=value / b.gamma) for b in config.baths)
+    baths = tuple(replace(b, therm_time=value) for b in config.baths)
     return replace(config, baths=baths)
 
 
@@ -483,8 +472,6 @@ class SweepGrid:
             raise ValueError(
                 f"axis refers to bath stage {stage + 1}, config has {self.fixed.n_baths}"
             )
-        if self.axis_name == "gamma_t" and any(b.gamma == 0 for b in self.fixed.baths):
-            raise ValueError("gamma_t axis needs gamma > 0 on every bath")
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):

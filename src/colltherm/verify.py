@@ -31,7 +31,6 @@ import numpy as np
 
 from .channels import (
     BathSpec,
-    CollisionSpec,
     RotationSpec,
     collision_superoperator,
     rotation_superoperator,
@@ -78,7 +77,7 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         gt = rng.uniform(0.0, math.pi)
         T = rng.uniform(0.5, 4.0)
         lam0, _ = gibbs_weights(1.0, T)
-        got = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T))
+        got = collision_superoperator(gt, BathSpec(T))
         res = max(res, float(np.max(np.abs(got - printed_collision_channel(gt, lam0)))))
     out.append(_check("collision-channel-entrywise", res, 1e-12))
 
@@ -92,9 +91,8 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
         p, _ = gibbs_weights(1.0, T1)
         q, _ = gibbs_weights(1.0, T2)
-        spec = CollisionSpec.from_angle(gt)
-        e1 = collision_superoperator(spec, BathSpec(T1))
-        e2 = collision_superoperator(spec, BathSpec(T2))
+        e1 = collision_superoperator(gt, BathSpec(T1))
+        e2 = collision_superoperator(gt, BathSpec(T2))
         res = max(res, float(np.max(np.abs(e2 @ e1 - composed_plain_channel(gt, p, q)))))
     out.append(_check("two-collision-composition-plain", res, 1e-12))
 
@@ -105,9 +103,8 @@ def _group_appendix(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
         p, _ = gibbs_weights(1.0, T1)
         q, _ = gibbs_weights(1.0, T2)
-        spec = CollisionSpec.from_angle(g)
-        e1 = collision_superoperator(spec, BathSpec(T1))
-        e2 = collision_superoperator(spec, BathSpec(T2))
+        e1 = collision_superoperator(g, BathSpec(T1))
+        e2 = collision_superoperator(g, BathSpec(T2))
         res = max(res, float(np.max(np.abs(e2 @ rot @ e1 - composed_rotated_channel(g, p, q)))))
     out.append(_check("two-collision-composition-rotated", res, 1e-12))
     return out
@@ -120,7 +117,7 @@ def _group_kraus(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         gt = rng.uniform(0.0, math.pi)
         T = rng.uniform(0.5, 4.0)
         dim = int(rng.integers(2, 4))
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        sop = collision_superoperator(gt, BathSpec(T), dim)
         # trace of the output as a function of the input: the dual map's unit
         dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
         res_comp = max(res_comp, float(np.max(np.abs(dual_unit - np.eye(dim)))))
@@ -167,12 +164,11 @@ def _group_fixedpoint(rng: np.random.Generator, trials: int) -> list[CheckResult
     return out
 
 
-def _two_bath_config(g1, g2, T1, T2, rotation_enabled=True) -> ProtocolConfig:
+def _two_bath_config(g1, g2, T1, T2, theta=math.pi / 4) -> ProtocolConfig:
     return ProtocolConfig(
         baths=(BathSpec(T1), BathSpec(T2)),
         collision_angles=(g1, g2),
-        rotation=RotationSpec(math.pi / 4, "x"),
-        rotation_enabled=rotation_enabled,
+        rotation=RotationSpec(theta, "x"),
     )
 
 
@@ -193,7 +189,7 @@ def _group_closedform(rng: np.random.Generator, trials: int) -> list[CheckResult
         p, _ = gibbs_weights(1.0, T1)
         q, _ = gibbs_weights(1.0, T2)
 
-        state, _rep = single_run(_two_bath_config(g1, g2, T1, T2, rotation_enabled=False))
+        state, _rep = single_run(_two_bath_config(g1, g2, T1, T2, theta=0.0))
         v = plain_final_v(g1, g2, p, q)
         res_plain = max(res_plain, float(np.max(np.abs(state - np.diag([v, 1 - v])))))
 

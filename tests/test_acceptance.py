@@ -29,14 +29,13 @@ import pytest
 import oracles
 from colltherm.channels import (
     BathSpec,
-    CollisionSpec,
     RotationSpec,
     collision_superoperator,
     rotation_superoperator,
     thermal_state,
     thermalization_channel,
 )
-from colltherm.estimation import singularity_test, thermal_fim
+from colltherm.estimation import qfim_stack, singularity_test, thermal_fim
 from colltherm.linalg import choi_matrix
 from colltherm.presets import get_preset
 from colltherm.protocols import (
@@ -46,6 +45,7 @@ from colltherm.protocols import (
     single_run,
     sweep,
 )
+from colltherm.protocols import _joint_tangents, _stream_tangents
 from colltherm.verify import run_group
 
 SEED = 20250825
@@ -55,12 +55,11 @@ def _line(num: int, ok: bool, detail: str) -> None:
     print(f"CRITERION {num}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-def _two_bath(g1, g2, t1, t2, theta=math.pi / 4, rotation_enabled=True):
+def _two_bath(g1, g2, t1, t2, theta=math.pi / 4):
     return ProtocolConfig(
         baths=(BathSpec(t1, therm_time=0.5), BathSpec(t2, therm_time=0.5)),
         collision_angles=(g1, g2),
         rotation=RotationSpec(theta, "x"),
-        rotation_enabled=rotation_enabled,
     )
 
 
@@ -93,7 +92,7 @@ def test_criterion_02_channel_matrix_oracles():
     for _ in range(20):
         gt, T = rng.uniform(0.0, math.pi), rng.uniform(0.5, 4.0)
         lam0, _ = oracles.gibbs_weights(1.0, T)
-        got = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T))
+        got = collision_superoperator(gt, BathSpec(T))
         res_coll = max(res_coll, float(np.max(np.abs(got - oracles.printed_collision_channel(gt, lam0)))))
 
     rot = rotation_superoperator(RotationSpec(math.pi / 4, "x"), 2)
@@ -105,8 +104,7 @@ def test_criterion_02_channel_matrix_oracles():
         t1, t2 = rng.uniform(0.5, 4.0, size=2)
         p, _ = oracles.gibbs_weights(1.0, t1)
         q, _ = oracles.gibbs_weights(1.0, t2)
-        spec = CollisionSpec.from_angle(gt)
-        got = collision_superoperator(spec, BathSpec(t2)) @ collision_superoperator(spec, BathSpec(t1))
+        got = collision_superoperator(gt, BathSpec(t2)) @ collision_superoperator(gt, BathSpec(t1))
         res_comp = max(res_comp, float(np.max(np.abs(got - oracles.composed_plain_channel(gt, p, q)))))
 
     ok = max(res_coll, res_rot, res_comp) <= 1e-12
@@ -139,7 +137,7 @@ def test_criterion_03_singularity_theorem():
     worst_det, worst_ratio = 0.0, 0.0
     for _ in range(10):
         g1, g2, t1, t2 = _sample_point(rng)
-        cfg = _two_bath(g1, g2, t1, t2, rotation_enabled=False)
+        cfg = _two_bath(g1, g2, t1, t2, theta=0.0)
         _, rep = single_run(cfg)
         worst_det = max(worst_det, abs(rep.qfim.det))
         stack = oracles.finite_diff_derivatives(_state_family(cfg), np.array([t1, t2]))
@@ -448,7 +446,7 @@ def _invariant_sweep(seed):
     for _ in range(30):
         dim = int(rng.integers(2, 4))
         gt, T = rng.uniform(0.0, math.pi), rng.uniform(0.4, 4.0)
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        sop = collision_superoperator(gt, BathSpec(T), dim)
         # the dual-map identity sum_a S[aa, jk] = delta_jk
         dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
         defects["kraus"] = max(defects["kraus"], float(np.max(np.abs(dual_unit - np.eye(dim)))))
@@ -508,19 +506,26 @@ def test_criterion_09_invariant_suite_reproducible():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_trailing_rotation_invariance():
+    """R after the last collision (R^(x)n on a joint register) applied to
+    the engine's final stack leaves the evaluator's QFIM unchanged."""
+    base = _two_bath(0.5 * math.pi, 0.3 * math.pi, 2.0, 1.0)
     configs = {
-        "single": _two_bath(0.5 * math.pi, 0.3 * math.pi, 2.0, 1.0),
-        "uncorrelated n=3": replace(
-            _two_bath(0.5 * math.pi, 0.3 * math.pi, 2.0, 1.0), n_ancillas=3
-        ),
-        "correlated n=2": replace(
-            _two_bath(0.5 * math.pi, 0.3 * math.pi, 2.0, 1.0), n_ancillas=2, correlated=True
+        "single": (base, _stream_tangents),
+        "uncorrelated n=3": (replace(base, n_ancillas=3), _stream_tangents),
+        "correlated n=2": (
+            replace(base, n_ancillas=2, correlated=True), lambda c: _joint_tangents(c)[None]
         ),
     }
     worst = 0.0
-    for cfg in configs.values():
+    for cfg, engine in configs.values():
+        stack = engine(cfg)
+        r = cfg.rotation.unitary(cfg.ancilla_dim)
+        trailing = r
+        while trailing.shape[0] < stack.shape[-1]:
+            trailing = np.kron(trailing, r)
+        rotated = trailing @ stack @ trailing.conj().T
         f0 = evaluate(cfg).qfim.matrix
-        f1 = evaluate(replace(cfg, apply_rotation_after_last=True)).qfim.matrix
+        f1 = qfim_stack(rotated).matrices.sum(axis=0)
         worst = max(worst, float(np.max(np.abs(f0 - f1))))
     ok = worst < 1e-8
     _line(10, ok, f"largest QFIM entry change from a trailing rotation: {worst:.2e} (tol 1e-8)")

@@ -20,7 +20,6 @@ import pytest
 import oracles
 from colltherm.channels import (
     BathSpec,
-    CollisionSpec,
     RotationSpec,
     collision_superoperator,
     collision_unitary,
@@ -35,6 +34,7 @@ from colltherm.channels import (
 )
 from colltherm.linalg import choi_matrix
 from colltherm.operators import S1Z, SZ
+from colltherm.protocols import ProtocolConfig
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,8 @@ def test_temperature_validation():
         thermal_populations(1.0, 0.0)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(temperature=-1.0)
-    with pytest.raises(ValueError, match="g"):
-        CollisionSpec(g=-0.2)
+    with pytest.raises(ValueError, match="collision_angles: must be >= 0"):
+        ProtocolConfig(baths=(BathSpec(2.0), BathSpec(1.0)), collision_angles=(-0.2, 0.1))
     with pytest.raises(ValueError, match="axis"):
         RotationSpec(0.1, axis="q")
 
@@ -94,7 +94,7 @@ def test_qubit_collision_matches_printed_matrix(rng):
     """Block-rotation form with -i sin(g tau) on both off-diagonals."""
     for _ in range(10):
         gt = rng.uniform(0.0, np.pi)
-        u = collision_unitary_qubit(CollisionSpec.from_angle(gt))
+        u = collision_unitary_qubit(gt)
         npt.assert_allclose(u, oracles.printed_collision_unitary(gt), atol=1e-12)
 
 
@@ -103,14 +103,14 @@ def test_qubit_collision_against_taylor_series(rng):
     h = np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
     h = h + h.conj().T
     npt.assert_allclose(
-        collision_unitary_qubit(CollisionSpec.from_angle(gt)),
+        collision_unitary_qubit(gt),
         oracles.taylor_expm(-1j * gt * h),
         atol=1e-12,
     )
 
 
 def test_qubit_collision_invariant_sectors():
-    u = collision_unitary_qubit(CollisionSpec.from_angle(0.7))
+    u = collision_unitary_qubit(0.7)
     assert u[0, 0] == pytest.approx(1.0)
     assert u[3, 3] == pytest.approx(1.0)
     npt.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
@@ -118,7 +118,7 @@ def test_qubit_collision_invariant_sectors():
 
 def test_qutrit_collision_unitary_and_conservation(rng):
     gt = rng.uniform(0.2, 2.5)
-    u = collision_unitary_qubit_qutrit(CollisionSpec.from_angle(gt))
+    u = collision_unitary_qubit_qutrit(gt)
     assert u.shape == (6, 6)
     npt.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
     # total excitation sigma_z/2 (x) I + I (x) S_z commutes with the coupling
@@ -133,16 +133,15 @@ def test_qutrit_collision_against_taylor_series(rng):
     h = np.kron(sp, q_minus)
     h = h + h.conj().T
     for gt in (rng.uniform(0.2, 1.5), 0.5 * np.pi, np.pi, 4.4, 2.0 * np.pi):
-        u = collision_unitary_qubit_qutrit(CollisionSpec.from_angle(gt))
+        u = collision_unitary_qubit_qutrit(gt)
         npt.assert_allclose(u, oracles.taylor_expm(-1j * gt * h), atol=1e-12)
 
 
 def test_collision_unitary_dimension_dispatch():
-    spec = CollisionSpec.from_angle(0.4)
-    assert collision_unitary(spec, 2).shape == (4, 4)
-    assert collision_unitary(spec, 3).shape == (6, 6)
+    assert collision_unitary(0.4, 2).shape == (4, 4)
+    assert collision_unitary(0.4, 3).shape == (6, 6)
     with pytest.raises(ValueError):
-        collision_unitary(spec, 4)
+        collision_unitary(0.4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ def test_collision_channel_matches_printed_form(rng):
         gt = rng.uniform(0.0, np.pi)
         T = rng.uniform(0.3, 5.0)
         lam0, _ = thermal_populations(1.0, T)
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T))
+        sop = collision_superoperator(gt, BathSpec(T))
         npt.assert_allclose(sop, oracles.printed_collision_channel(gt, lam0), atol=1e-12)
 
 
@@ -165,7 +164,7 @@ def test_kraus_completeness_random(rng):
         dim = int(rng.integers(2, 4))
         gt = rng.uniform(0.0, np.pi)
         T = rng.uniform(0.3, 5.0)
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        sop = collision_superoperator(gt, BathSpec(T), dim)
         dual_unit = np.einsum("aajk->jk", sop.reshape(dim, dim, dim, dim))
         assert np.max(np.abs(dual_unit - np.eye(dim))) < 1e-10
 
@@ -177,14 +176,14 @@ def test_qutrit_collision_channel_matches_kraus_oracle(rng):
         gt = rng.uniform(0.0, 2.0 * np.pi)
         T = rng.uniform(0.3, 5.0)
         lam0, _ = thermal_populations(1.0, T)
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), 3)
+        sop = collision_superoperator(gt, BathSpec(T), 3)
         npt.assert_allclose(sop, oracles.qutrit_collision_channel(gt, lam0), atol=1e-12)
 
 
 def test_collision_channel_is_cptp(rng):
     for dim in (2, 3):
         gt, T = rng.uniform(0.1, 2.8), rng.uniform(0.4, 4.0)
-        sop = collision_superoperator(CollisionSpec.from_angle(gt), BathSpec(T), dim)
+        sop = collision_superoperator(gt, BathSpec(T), dim)
         ch = choi_matrix(sop, dim)
         w = np.linalg.eigvalsh(ch)
         assert w[0] > -1e-10
@@ -203,9 +202,8 @@ def test_two_collision_composition_plain(rng):
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
         p, _ = thermal_populations(1.0, T1)
         q, _ = thermal_populations(1.0, T2)
-        spec = CollisionSpec.from_angle(gt)
-        composed = collision_superoperator(spec, BathSpec(T2)) @ collision_superoperator(
-            spec, BathSpec(T1)
+        composed = collision_superoperator(gt, BathSpec(T2)) @ collision_superoperator(
+            gt, BathSpec(T1)
         )
         npt.assert_allclose(composed, oracles.composed_plain_channel(gt, p, q), atol=1e-12)
 
@@ -246,12 +244,11 @@ def test_rotated_composition_matches_printed_form(rng):
         T1, T2 = rng.uniform(0.5, 4.0, size=2)
         p, _ = thermal_populations(1.0, T1)
         q, _ = thermal_populations(1.0, T2)
-        spec = CollisionSpec.from_angle(g)
         rot = rotation_superoperator(RotationSpec(np.pi / 4, "x"), 2)
         composed = (
-            collision_superoperator(spec, BathSpec(T2))
+            collision_superoperator(g, BathSpec(T2))
             @ rot
-            @ collision_superoperator(spec, BathSpec(T1))
+            @ collision_superoperator(g, BathSpec(T1))
         )
         npt.assert_allclose(composed, oracles.composed_rotated_channel(g, p, q), atol=1e-12)
 
@@ -262,38 +259,30 @@ def test_rotated_composition_matches_printed_form(rng):
 
 def test_generator_annihilates_gibbs_state(rng):
     for _ in range(10):
-        bath = BathSpec(rng.uniform(0.4, 4.0), omega=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.2, 2.0))
-        gen = oracles.lindblad_generator(bath.omega, bath.temperature, bath.gamma)
-        stationary = thermal_state(bath.omega, bath.temperature).reshape(-1)
+        T, omega, gamma = rng.uniform(0.4, 4.0), rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0)
+        gen = oracles.lindblad_generator(omega, T, gamma)
+        stationary = thermal_state(omega, T).reshape(-1)
         npt.assert_allclose(gen @ stationary, np.zeros(4), atol=1e-13)
 
 
 def test_thermalization_channel_matches_damping_kraus(rng):
-    """exp(L t) vs the closed-form damping Kraus route, entrywise."""
+    """exp(L t) vs the closed-form damping Kraus route, entrywise; the bath
+    carries gamma*t, the oracle takes gamma and t apart."""
     for _ in range(20):
-        bath = BathSpec(
-            rng.uniform(0.4, 4.0),
-            omega=rng.uniform(0.7, 2.0),
-            gamma=rng.uniform(0.2, 1.5),
-            therm_time=rng.uniform(0.05, 1.5),
-        )
-        got = thermalization_channel(bath)
-        expected = oracles.gad_superop(bath.omega, bath.temperature, bath.gamma, bath.therm_time)
-        npt.assert_allclose(got, expected, atol=1e-12)
+        T, omega = rng.uniform(0.4, 4.0), rng.uniform(0.7, 2.0)
+        gamma, t = rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
+        got = thermalization_channel(BathSpec(T, omega=omega, therm_time=gamma * t))
+        npt.assert_allclose(got, oracles.gad_superop(omega, T, gamma, t), atol=1e-12)
 
 
 def test_thermalization_channel_is_exponential_of_generator(rng):
     """The closed form equals exp(L t) of the GKSL generator it documents."""
     for _ in range(10):
-        bath = BathSpec(
-            rng.uniform(0.4, 4.0),
-            omega=rng.uniform(0.7, 2.0),
-            gamma=rng.uniform(0.2, 1.5),
-            therm_time=rng.uniform(0.05, 1.5),
-        )
-        gen = oracles.lindblad_generator(bath.omega, bath.temperature, bath.gamma)
-        expected = oracles.taylor_expm(gen * bath.therm_time)
-        npt.assert_allclose(thermalization_channel(bath), expected, atol=1e-12)
+        T, omega = rng.uniform(0.4, 4.0), rng.uniform(0.7, 2.0)
+        gamma, t = rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
+        expected = oracles.taylor_expm(oracles.lindblad_generator(omega, T, gamma) * t)
+        got = thermalization_channel(BathSpec(T, omega=omega, therm_time=gamma * t))
+        npt.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_temperature_derivatives_match_central_differences(rng):
@@ -311,7 +300,7 @@ def test_temperature_derivatives_match_central_differences(rng):
         fd = (oracles.gad_superop(omega, T + h, gamma, t)
               - oracles.gad_superop(omega, T - h, gamma, t)) / (2 * h)
         npt.assert_allclose(
-            thermalization_channel_dT(BathSpec(T, omega=omega, gamma=gamma, therm_time=t)),
+            thermalization_channel_dT(BathSpec(T, omega=omega, therm_time=gamma * t)),
             fd,
             atol=1e-8,
         )

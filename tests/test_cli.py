@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,20 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: baths[1].temperature: expected a finite number, got inf"),
         (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
          "config error: collision_angles: must be >= 0, got -1.57"),
+        # gamma*t is one number, gamma_t; the rotation is turned off by theta 0
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 1.0}"),
+         "config error: baths[0].gamma: unknown field"),
+        (lambda s: s + "rotation_enabled: false\n", "config error: rotation_enabled: unknown field"),
+        # a scenario that is present but falsy is named, not inferred
+        (lambda s: s + "scenario: false\n", "config error: scenario: unknown scenario False;"),
+        (lambda s: s + "scenario: 0\n", "config error: scenario: unknown scenario 0;"),
+        (lambda s: s + "scenario: ''\n", "config error: scenario: unknown scenario '';"),
+        # a sweep block takes only its own keys, and one of its two forms
+        (lambda s: s + SWEEP_BLOCK.replace("step:", "stepp:"), "config error: sweep.stepp: unknown field"),
+        (lambda s: s + "sweep: {axis: g_t2_over_pi, valeus: [0.5]}\n",
+         "config error: sweep.valeus: unknown field"),
+        (lambda s: s + SWEEP_BLOCK + "  values: [0.5]\n",
+         "config error: sweep: give values or start/stop/step, not both"),
     ],
 )
 def test_config_rejections(tmp_path, capsys, mangle, needle):
@@ -204,21 +219,16 @@ def test_config_rejections(tmp_path, capsys, mangle, needle):
     assert os.listdir(tmp_path) == ["bad.yaml"]  # no table, no summary
 
 
-def test_gamma_t_without_gamma_is_config_error(tmp_path, capsys):
-    """A bath with gamma = 0 cannot have gamma_t > 0: rejected as a config
-    error, whether the bath sets gamma_t or a sweep varies it."""
-    no_gamma = GOOD_CONFIG.replace(
-        "{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 0.0, gamma_t: %s}"
-    )
-    cfg = write(tmp_path / "bad.yaml", no_gamma % "0.5")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "config error: baths[0].gamma_t: must be 0 when gamma = 0, got 0.5" in err
-    swept = no_gamma % "0.0" + "sweep: {axis: gamma_t, values: [0.5, 1.0]}\n"
-    cfg = write(tmp_path / "bad.yaml", swept)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "config error: sweep: gamma_t axis needs gamma > 0 on every bath" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+def test_readme_schema_block_loads_and_runs(tmp_path):
+    """The README's "Config file schema" YAML block is a working config."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config file schema (YAML)", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = write(tmp_path / "schema.yaml", block)
+    config, scenario, grid = load_config(cfg)
+    assert scenario == "single" and grid.axis_name == "g_t2_over_pi"
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "schema.csv")]) == 0
+    assert len(read_rows(tmp_path / "schema.csv")) == len(grid.values)
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -68,7 +68,7 @@ def test_fig2_definition():
     assert cfg.collision_angles[0] == pytest.approx(0.5 * math.pi)
     assert cfg.rotation.theta == pytest.approx(math.pi / 4)
     assert cfg.rotation.axis == "x"
-    assert all(b.therm_time == 0.5 and b.gamma == 1.0 for b in cfg.baths)
+    assert all(b.therm_time == 0.5 for b in cfg.baths)
 
 
 def test_fig3_definition():
