@@ -39,7 +39,7 @@ base = next(s for s in preset.series if s.labels["n_ancillas"] == n_star).grid.f
 angles = list(base.collision_angles)
 angles[2] = opt["axis_value"] * math.pi
 qutrit_cfg = replace(base, collision_angles=tuple(angles))
-qubit_rep = evaluate(replace(qutrit_cfg, ancilla_dim=2, ancilla_init=1), "qutrit")
+qubit_rep = evaluate(replace(qutrit_cfg, ancilla_dim=2), "qutrit")
 
 print(f"\nat the n = {n_star} optimum, swapping the qutrit for a qubit gives")
 print(f"  eta_acc = {qubit_rep.eta_acc:8.4f}  (qutrit: {opt['eta_acc']:8.4f})")

@@ -90,19 +90,14 @@ class RotationSpec:
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")
 
-    def generator(self, dim: int) -> np.ndarray:
-        if dim == 2:
-            return operators.pauli(self.axis)
-        if dim == 3:
-            return operators.spin1(self.axis)
-        raise ValueError(f"no rotation generator for ancilla dimension {dim}")
-
     def unitary(self, dim: int) -> np.ndarray:
         """exp(-i theta G) in closed form: ``cos(theta) I - i sin(theta) G``
         for a Pauli G (G^2 = I), ``I - i sin(theta) G + (cos(theta) - 1) G^2``
         for spin 1 (G^3 = G; Curtright, Fairlie & Zachos, SIGMA 10, 084
         (2014))."""
-        g = self.generator(dim)
+        if dim not in operators.GENERATORS:
+            raise ValueError(f"no rotation generator for ancilla dimension {dim}")
+        g = operators.GENERATORS[dim][self.axis]
         c, s = math.cos(self.theta), math.sin(self.theta)
         if dim == 2:
             return c * np.eye(2) - 1j * s * g

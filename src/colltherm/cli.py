@@ -66,11 +66,13 @@ class ConfigError(Exception):
 # config file
 # ---------------------------------------------------------------------------
 
-def _expect(mapping, key, path, *, required=False, default=None):
+def _field(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _required(mapping, key, path=""):
     if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
+        raise ConfigError(f"{_field(path, key)}: required field is missing")
     return mapping[key]
 
 
@@ -97,15 +99,14 @@ def _as_bool(value, path):
 def _reject_unknown(mapping, known, path=""):
     for key in mapping:
         if key not in known:
-            field = f"{path}.{key}" if path else key
-            raise ConfigError(f"{field}: unknown field (allowed: {sorted(known)})")
+            raise ConfigError(f"{_field(path, key)}: unknown field (allowed: {sorted(known)})")
 
 
 def _parse_bath(entry, path) -> BathSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected a mapping with a 'temperature' key")
     _reject_unknown(entry, {"temperature", "omega", "gamma_t"}, path)
-    temperature = _as_number(_expect(entry, "temperature", path, required=True), f"{path}.temperature")
+    temperature = _as_number(_required(entry, "temperature", path), f"{path}.temperature")
     omega = _as_number(entry.get("omega", 1.0), f"{path}.omega")
     gamma_t = _as_number(entry.get("gamma_t", 0.5), f"{path}.gamma_t")
     if gamma_t < 0:
@@ -123,7 +124,7 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected a mapping with an 'axis' key")
     _reject_unknown(entry, {"axis", "values", *_RANGE_KEYS}, path)
-    axis = _expect(entry, "axis", path, required=True)
+    axis = _required(entry, "axis", path)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"{path}.axis: unknown axis {axis!r} (allowed: {sorted(SWEEP_AXES)})")
     if "values" in entry:
@@ -136,7 +137,7 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
         values = tuple(_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
     else:
         start, stop, step = (
-            _as_number(_expect(entry, key, path, required=True), f"{path}.{key}")
+            _as_number(_required(entry, key, path), f"{path}.{key}")
             for key in _RANGE_KEYS
         )
         try:
@@ -150,7 +151,6 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
 _SCALARS = {
     "ancilla_dim": _as_int,
     "n_ancillas": _as_int,
-    "ancilla_init": _as_int,
     "correlated": _as_bool,
 }
 
@@ -174,12 +174,12 @@ def load_config(path: str):
     _reject_unknown(raw, {"baths", "collision_angles_over_pi", "rotation", "scenario", "sweep",
                           *_SCALARS})
 
-    baths_raw = _expect(raw, "baths", "config", required=True)
+    baths_raw = _required(raw, "baths")
     if not isinstance(baths_raw, list) or not baths_raw:
         raise ConfigError("baths: expected a nonempty list")
     baths = tuple(_parse_bath(b, f"baths[{i}]") for i, b in enumerate(baths_raw))
 
-    angles_raw = _expect(raw, "collision_angles_over_pi", "config", required=True)
+    angles_raw = _required(raw, "collision_angles_over_pi")
     if not isinstance(angles_raw, list):
         raise ConfigError("collision_angles_over_pi: expected a list of numbers")
     angles = tuple(

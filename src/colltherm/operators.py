@@ -10,26 +10,17 @@ Basis conventions used across the package:
   operators ``Q_pm = (S_x +- i S_y)/2`` move one step up/down with matrix
   elements 1/sqrt(2).
 
-The ladder operators appear only inside the closed-form collision unitaries
-of :mod:`colltherm.channels`; this module keeps the rotation generators and
-basis states.
+In both bases the last index, ``dim - 1``, is the bottom level, where every
+ancilla starts.  The ladder operators appear only inside the closed-form
+collision unitaries of :mod:`colltherm.channels`; this module keeps the
+rotation generators, looked up as ``GENERATORS[dim][axis]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "SX",
-    "SY",
-    "SZ",
-    "S1X",
-    "S1Y",
-    "S1Z",
-    "pauli",
-    "spin1",
-    "basis_state",
-]
+__all__ = ["SX", "SY", "SZ", "S1X", "S1Y", "S1Z", "GENERATORS"]
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,28 +31,9 @@ S1X = np.array([[0, _s, 0], [_s, 0, _s], [0, _s, 0]], dtype=complex)
 S1Y = np.array([[0, -1j * _s, 0], [1j * _s, 0, -1j * _s], [0, 1j * _s, 0]], dtype=complex)
 S1Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
-_PAULI = {"x": SX, "y": SY, "z": SZ}
-_SPIN1 = {"x": S1X, "y": S1Y, "z": S1Z}
-
-
-def pauli(axis: str) -> np.ndarray:
-    try:
-        return _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}") from None
-
-
-def spin1(axis: str) -> np.ndarray:
-    try:
-        return _SPIN1[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}") from None
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Density matrix |index><index| on a dim-dimensional space."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[index, index] = 1.0
-    return rho
+# rotation generator per ancilla dimension and axis: Pauli for a qubit,
+# spin 1 for a qutrit
+GENERATORS = {
+    2: {"x": SX, "y": SY, "z": SZ},
+    3: {"x": S1X, "y": S1Y, "z": S1Z},
+}

@@ -33,8 +33,9 @@ class PresetSeries:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
-    description: str
+    """One study: the swept axis, the label columns that tell its curves
+    apart, and the curves."""
+
     axis_name: str
     label_columns: tuple[str, ...]
     series: tuple[PresetSeries, ...]
@@ -76,8 +77,6 @@ def _fig2() -> Preset:
     the second collision angle varies, first collision held at phased-SWAP."""
     grid = SweepGrid("g_t2_over_pi", sweep_values(0.0, 1.0, 0.01), _two_bath_base())
     return Preset(
-        name="fig2",
-        description="single-ancilla eta_acc versus second collision angle",
         axis_name="g_t2_over_pi",
         label_columns=(),
         series=(PresetSeries({}, "single", grid),),
@@ -103,9 +102,6 @@ def _fig3() -> Preset:
                 )
             )
     return Preset(
-        name="fig3",
-        description="uncorrelated-stream merits versus second collision angle, "
-        "by ancilla count and rotation angle",
         axis_name="g_t2_over_pi",
         label_columns=("n_ancillas", "theta_over_pi"),
         series=tuple(series),
@@ -127,8 +123,6 @@ def _fig4() -> Preset:
                 )
             )
     return Preset(
-        name="fig4",
-        description="correlated versus uncorrelated stream merits",
         axis_name="g_t2_over_pi",
         label_columns=("mode", "n_ancillas"),
         series=tuple(series),
@@ -150,15 +144,13 @@ def _fig5() -> Preset:
             )
         )
     return Preset(
-        name="fig5",
-        description="three-bath qutrit-stream merits versus third collision angle",
         axis_name="g_t3_over_pi",
         label_columns=("n_ancillas",),
         series=tuple(series),
     )
 
 
-PRESETS = {p.name: p for p in (_fig2(), _fig3(), _fig4(), _fig5())}
+PRESETS = {"fig2": _fig2(), "fig3": _fig3(), "fig4": _fig4(), "fig5": _fig5()}
 
 
 def get_preset(name: str) -> Preset:

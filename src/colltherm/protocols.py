@@ -62,7 +62,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import operators
 from .channels import (
     BathSpec,
     RotationSpec,
@@ -105,14 +104,15 @@ class ProtocolConfig:
     rethermalization strength gamma*t.  ``collision_angles`` are the
     products g*tau in radians, one per bath stage.  ``rotation`` is applied
     to the ancilla after every collision except the last; ``RotationSpec(0.0)``
-    leaves the ancilla alone between collisions.
+    leaves the ancilla alone between collisions.  Every ancilla starts in
+    its bottom level, index ``ancilla_dim - 1``, so ``replace(config,
+    ancilla_dim=2)`` turns a qutrit stream into a qubit one.
     """
 
     baths: tuple[BathSpec, ...]
     collision_angles: tuple[float, ...]
     ancilla_dim: int = 2
     n_ancillas: int = 1
-    ancilla_init: int | None = None
     rotation: RotationSpec = field(default_factory=lambda: RotationSpec(math.pi / 4))
     correlated: bool = False
 
@@ -136,13 +136,6 @@ class ProtocolConfig:
                 raise ValueError(f"collision_angles: must be >= 0, got {g}")
         if self.n_ancillas < 1:
             raise ValueError(f"n_ancillas: must be >= 1, got {self.n_ancillas}")
-        if self.ancilla_init is None:
-            object.__setattr__(self, "ancilla_init", self.ancilla_dim - 1)
-        if not 0 <= self.ancilla_init < self.ancilla_dim:
-            raise ValueError(
-                f"ancilla_init: index {self.ancilla_init} out of range for "
-                f"dimension {self.ancilla_dim}"
-            )
 
     @property
     def n_baths(self) -> int:
@@ -235,7 +228,7 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     steps = _stage_unitaries(config)
     therm = _rethermalizations(config) if n > 1 else []
     anc0 = np.zeros((nt, d, d), dtype=complex)
-    anc0[0] = operators.basis_state(d, config.ancilla_init)
+    anc0[0, d - 1, d - 1] = 1.0
 
     out = np.empty((n, nt, d, d), dtype=complex)
     for k in range(n):
@@ -259,7 +252,8 @@ def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
 
     The stage collisions and their rotations compose into one unitary W on
     ancilla (x) probes (probe 0 most significant); the ancilla arrives in
-    |a0>, so only the columns of W with ancilla input a0 are kept.
+    its bottom level d - 1, so only the columns of W with that ancilla input
+    are kept.
     """
     nb, d = config.n_baths, config.ancilla_dim
     p = 2**nb
@@ -267,7 +261,7 @@ def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
     for i, u in enumerate(_stage_unitaries(config)):
         t = np.tensordot(u.reshape(2, d, 2, d), w, axes=([2, 3], [1 + i, 0]))
         w = np.moveaxis(t, (0, 1), (1 + i, 0))
-    return w.reshape(d, p, d, p)[:, :, config.ancilla_init, :]
+    return w.reshape(d, p, d, p)[:, :, d - 1, :]
 
 
 def _probe_product(pairs, shape) -> np.ndarray:

@@ -416,7 +416,7 @@ def test_criterion_08_qutrit_three_bath_sweeps():
     angles = list(base.collision_angles)
     angles[2] = opt["axis_value"] * math.pi
     qutrit_cfg = replace(base, collision_angles=tuple(angles))
-    qubit_cfg = replace(qutrit_cfg, ancilla_dim=2, ancilla_init=1)
+    qubit_cfg = replace(qutrit_cfg, ancilla_dim=2)
     qubit_acc = evaluate(qubit_cfg, "qutrit").eta_acc
     qutrit_acc = opt["eta_acc"]
 

@@ -233,6 +233,8 @@ def test_rotation_unitary_against_taylor(rng):
             for dim, gen in ((2, pauli[axis]), (3, spin1[axis])):
                 expected = oracles.taylor_expm(-1j * theta * gen)
                 npt.assert_allclose(spec.unitary(dim), expected, atol=1e-12)
+    with pytest.raises(ValueError, match="no rotation generator for ancilla dimension 4"):
+        RotationSpec(0.3).unitary(4)
 
 
 def test_rotated_composition_matches_printed_form(rng):

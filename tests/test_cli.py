@@ -210,6 +210,19 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: sweep.valeus: unknown field"),
         (lambda s: s + SWEEP_BLOCK + "  values: [0.5]\n",
          "config error: sweep: give values or start/stop/step, not both"),
+        # every ancilla starts in its bottom level; there is no start index
+        (lambda s: s + "ancilla_init: 1\n", "config error: ancilla_init: unknown field"),
+        # a missing required field is named like every other field
+        (lambda s: s[s.index("collision_angles_over_pi"):],
+         "config error: baths: required field is missing"),
+        (lambda s: s.replace("collision_angles_over_pi: [0.5, 0.3]\n", ""),
+         "config error: collision_angles_over_pi: required field is missing"),
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{gamma_t: 0.5}"),
+         "config error: baths[0].temperature: required field is missing"),
+        (lambda s: s + SWEEP_BLOCK.replace("  axis: g_t2_over_pi\n", ""),
+         "config error: sweep.axis: required field is missing"),
+        (lambda s: s + SWEEP_BLOCK.replace("  step: 0.1\n", ""),
+         "config error: sweep.step: required field is missing"),
     ],
 )
 def test_config_rejections(tmp_path, capsys, mangle, needle):
