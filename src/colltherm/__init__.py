@@ -12,7 +12,7 @@ with two figures of merit against the per-bath thermal benchmark.
 from .channels import (
     BathSpec,
     RotationSpec,
-    collide,
+    collision_maps,
     collision_superoperator,
     collision_unitary,
     collision_unitary_qubit,
@@ -55,7 +55,7 @@ from .verify import run_all, run_group
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec", "RotationSpec", "collide",
+    "BathSpec", "RotationSpec", "collision_maps",
     "collision_superoperator", "collision_unitary", "collision_unitary_qubit",
     "collision_unitary_qubit_qutrit", "nbar",
     "rotation_superoperator", "thermal_populations", "thermal_state",

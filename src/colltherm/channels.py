@@ -6,9 +6,11 @@ This module builds every channel the protocol composes:
 * probe-ancilla collision unitaries for the excitation-exchange coupling
   ``H_int = g (sigma_+ (x) A_- + sigma_- (x) A_+)`` with a qubit or a spin-1
   (qutrit) ancilla,
-* the collision step itself, :func:`collide`, which the marginal stream
-  runs, and the ancilla channel of one collision with a thermal probe,
-  read off that same step (:func:`collision_superoperator`),
+* the collision as two bilinear maps of (probe, ancilla), one giving the
+  ancilla and one the probe (:func:`collision_maps`), which the marginal
+  stream runs, and the ancilla channel of one collision with a thermal
+  probe, that same ancilla map contracted with the Gibbs state
+  (:func:`collision_superoperator`),
 * ancilla rotations ``exp(-i theta G_axis)`` and their superoperators,
 * the partial-thermalization channel generated by the standard two-level
   GKSL generator with rates ``gamma (nbar + 1)`` (decay) and ``gamma nbar``
@@ -47,7 +49,7 @@ __all__ = [
     "collision_unitary_qubit",
     "collision_unitary_qubit_qutrit",
     "collision_unitary",
-    "collide",
+    "collision_maps",
     "collision_superoperator",
     "rotation_superoperator",
     "thermalization_channel",
@@ -190,39 +192,52 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
 
 
-def collide(probe: np.ndarray, ancilla: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One collision ``U (probe (x) ancilla) U^dag`` on tangent stacks.
+# Pauli coefficients in and out: vec(p) = _PAULI_HALF^T c, c = _PAULI_DUAL vec(p)
+_PAULI_HALF = 0.5 * operators.PAULI.reshape(4, 4)
+_PAULI_DUAL = operators.PAULI.reshape(4, 4).conj()
 
-    ``probe`` is a (1 + N, 2, 2) stack and ``ancilla`` a (1 + N, d, d) one:
-    a state and its derivatives along N directions.  The joint stack before
-    the collision follows the product rule, entry 0 ``p_0 (x) a_0`` and
-    entry k ``p_k (x) a_0 + p_0 (x) a_k``; ``u`` acts on probe (x) ancilla.
-    Returns the joint stack after the collision, shaped (1 + N, 2, d, 2, d)
-    as [entry, probe row, ancilla row, probe column, ancilla column], so a
-    caller traces out only the factor it no longer needs.
+
+def collision_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The collision ``X -> u X u^dag`` on probe (x) ancilla as two bilinear
+    maps of (probe, ancilla): the probe in Pauli coefficients
+    ``c_mu = Tr(sigma_mu p)`` (:data:`colltherm.operators.PAULI`), the
+    ancilla vectorized.
+
+    ``u`` is a (..., 2d, 2d) stack of unitaries, probe factor first.  The
+    ancilla map ``A``, shaped (..., 4, d^2, d^2), gives the ancilla after
+    the collision, ``vec(a') = sum_mu c_mu A[mu] vec(a)``; the probe map
+    ``B``, shaped (..., 4, 4, d^2), gives the probe's Pauli coefficients,
+    ``c'_nu = B[nu, mu, j] c_mu vec(a)_j``.  Both are read off the joint
+    state ``u (sigma_mu / 2 (x) |A><C|) u^dag`` of every input pair, which
+    is ``u (x) u*`` applied to that input, and both are linear in each
+    factor, so a tangent stack goes through them by the product rule.
+    ``B`` contracted with a Hermitian ancilla is real.
     """
-    nt, d = ancilla.shape[0], ancilla.shape[-1]
-    joint = probe[:, :, None, :, None] * ancilla[0][:, None, :]
-    joint[1:] += probe[0][:, None, :, None] * ancilla[1:, None, :, None, :]
-    return (u @ joint.reshape(nt, 2 * d, 2 * d) @ u.conj().T).reshape(nt, 2, d, 2, d)
+    d = u.shape[-1] // 2
+    batch = u.shape[:-2]
+    u4 = u.reshape(batch + (2, d, 2, d))
+    u4c = u4.conj()
+    # the partial traces of u (x) u*: over the probe's output pair for the
+    # ancilla, over the ancilla's for the probe, indexed [.., P, Q, .., A, C]
+    # by the input pair (P, Q) of the probe and (A, C) of the ancilla
+    to_ancilla = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4c)
+    to_probe = np.einsum("...pbPA,...qbQC->...pqPQAC", u4, u4c)
+    to_ancilla = _PAULI_HALF @ to_ancilla.reshape(batch + (4, d**4))
+    to_probe = _PAULI_DUAL @ to_probe.reshape(batch + (4, 4 * d * d))
+    return (
+        to_ancilla.reshape(batch + (4, d * d, d * d)),
+        _PAULI_HALF @ to_probe.reshape(batch + (4, 4, d * d)),
+    )
 
 
 def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) -> np.ndarray:
     """Vectorized collision channel of angle g*tau on the ancilla, with a
-    thermal probe, read off :func:`collide`.
-
-    The channel is linear in the ancilla, so :func:`collide` maps derivative
-    entries like states: with entry 0 the thermal probe and a zero ancilla,
-    and the d^2 matrix units ``|j><k|`` as the ancilla's other entries,
-    output entry ``1 + d*j + k`` is ``Phi(|j><k|)``, column ``d*j + k``.
+    thermal probe: the ancilla map of :func:`collision_maps` contracted
+    with the Gibbs state's Pauli coefficients (1, 0, 0, lambda_0 - lambda_1).
     """
-    d = ancilla_dim
-    probe = np.zeros((1 + d * d, 2, 2), dtype=complex)
-    probe[0] = thermal_state(bath.omega, bath.temperature)
-    units = np.zeros((1 + d * d, d * d), dtype=complex)
-    units[1:] = np.eye(d * d)
-    joint = collide(probe, units.reshape(1 + d * d, d, d), collision_unitary(angle, d))
-    return (joint[1:, 0, :, 0] + joint[1:, 1, :, 1]).reshape(d * d, d * d).T
+    lam0, lam1 = thermal_populations(bath.omega, bath.temperature)
+    to_ancilla, _ = collision_maps(collision_unitary(angle, ancilla_dim))
+    return to_ancilla[0] + (lam0 - lam1) * to_ancilla[3]
 
 
 def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:

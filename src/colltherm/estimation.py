@@ -65,8 +65,9 @@ SUPPORT_CUTOFF = 1e-12        # eigenvalue-sum cutoff in the SLD construction
 KERNEL_WEIGHT_TOL = 1e-8      # allowed derivative weight inside ker(rho) x ker(rho)
 DERIV_HERM_TOL = 1e-9
 DERIV_TRACE_TOL = 1e-9
-# |Tr rho - 1| allowed in a state: a marginal stream's trace drifts linearly
-# in n (8.6e-10 at n = 10^4 for three probes and a qutrit ancilla)
+# |Tr rho - 1| allowed in a state.  The evaluators keep traces at rounding:
+# 3.3e-16 over 10^4 ancillas of a three-probe qutrit marginal stream, whose
+# probes never propagate their trace
 STATE_TRACE_TOL = 1e-9
 STATE_PSD_TOL = 1e-10         # most negative state eigenvalue allowed (eigensolver noise)
 

@@ -19,7 +19,9 @@ evaluator call:
 * ``uncorrelated`` — sequential stream that tracks the single-system
   marginals of probes and ancillas only; the n-ancilla state is taken to be
   the tensor product of the recorded ancilla marginals, so the QFIM is the
-  sum of per-ancilla QFIMs.  Each ancilla meets the probe marginals rather
+  sum of per-ancilla QFIMs.  It runs stage by stage, every ancilla at once,
+  with each probe carried as its Pauli coefficients (see
+  :func:`_stream_tangents`).  Each ancilla meets the probe marginals rather
   than the probes' joint state, so the recorded ancilla marginals are the
   true ones only while the probes stay uncorrelated: for two probes and
   qubit ancillas whose first collision is a full swap (g1 = pi/2, as in
@@ -65,7 +67,7 @@ import numpy as np
 from .channels import (
     BathSpec,
     RotationSpec,
-    collide,
+    collision_maps,
     collision_unitary,
     thermal_state,
     thermal_state_dT,
@@ -73,6 +75,7 @@ from .channels import (
     thermalization_channel_dT,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
+from .operators import PAULI
 
 __all__ = [
     "SIM_DIM_CAP",
@@ -157,27 +160,27 @@ class ProtocolConfig:
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
 
-def _probe_tangents(config: ProtocolConfig) -> list[np.ndarray]:
+def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per probe, its Gibbs state and temperature derivatives stacked as
-    (1 + N, 2, 2); probe i depends on T_i alone."""
-    out = []
+    (N, 1 + N, 2, 2); probe i depends on T_i alone."""
+    nb = config.n_baths
+    out = np.zeros((nb, 1 + nb, 2, 2), dtype=complex)
     for i, b in enumerate(config.baths):
-        p = np.zeros((1 + config.n_baths, 2, 2), dtype=complex)
-        p[0] = thermal_state(b.omega, b.temperature)
-        p[1 + i] = thermal_state_dT(b.omega, b.temperature)
-        out.append(p)
+        out[i, 0] = thermal_state(b.omega, b.temperature)
+        out[i, 1 + i] = thermal_state_dT(b.omega, b.temperature)
     return out
 
 
-def _stage_unitaries(config: ProtocolConfig) -> list[np.ndarray]:
+def _stage_unitaries(config: ProtocolConfig) -> np.ndarray:
     """Per bath stage, the collision unitary on probe (x) ancilla followed by
-    the ancilla rotation R, on every stage but the last.  (I (x) R) u acts
-    on the ancilla row index alone, so R multiplies each probe row block of
-    u."""
-    d = config.ancilla_dim
-    rot = config.rotation.unitary(d)
-    *rotated, last = (collision_unitary(g, d) for g in config.collision_angles)
-    return [(rot @ u.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d) for u in rotated] + [last]
+    the ancilla rotation R, on every stage but the last, stacked as (N, 2d,
+    2d).  (I (x) R) u acts on the ancilla row index alone, so R multiplies
+    each probe row block of u."""
+    nb, d = config.n_baths, config.ancilla_dim
+    us = np.array([collision_unitary(g, d) for g in config.collision_angles])
+    rotated = config.rotation.unitary(d) @ us[:-1].reshape(nb - 1, 2, d, 2 * d)
+    us[:-1] = rotated.reshape(nb - 1, 2 * d, 2 * d)
+    return us
 
 
 def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -212,38 +215,68 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
     the sequential stream, stacked as (n, 1 + N, d, d).
 
-    Probe and ancilla marginals are carried as such stacks.  Each collision
-    is :func:`colltherm.channels.collide`, whose joint stack of probe (x)
-    ancilla follows the product rule; both marginals are read off it.
-    Probe i picks up the partial rethermalization channel after each
-    collision (except after the last ancilla, where it can no longer
-    influence anything measured), and its d_i stack entry picks up the
-    channel's own T_i-derivative.  The ancilla
-    marginals are the true ones only when the probes stay uncorrelated (see
-    the module docstring).
+    Stage i of ancilla k needs only stage i - 1 of ancilla k and stage i of
+    ancilla k - 1, so the stream runs stage by stage, all n ancillas at
+    once, on the maps of :func:`colltherm.channels.collision_maps` (built
+    for every stage in one step).  Ancilla stacks are vectorized, (1 + N,
+    d^2); probe stacks are Pauli coefficients, (1 + N, 4), whose identity
+    coefficient (1 for the state, 0 for the derivatives) is never
+    propagated, so probe traces stay exact however long the stream.
+
+    Within stage i every incoming ancilla is known, so probe i's passage
+    from ancilla k to k + 1 is a fixed linear map of its stack: the probe
+    map contracted with ancilla k, then the rethermalization S_i, with the
+    product rule on the derivatives and d S_i / dT_i added to the d_i
+    entry.  The n - 1 maps are built in one batched step; the sequential
+    part is one small real matmul per ancilla.  No probe rethermalizes
+    after the last ancilla, where it can no longer influence anything
+    measured.  The ancilla outputs then take one batched matmul.  They are
+    the true marginals only when the probes stay uncorrelated (see the
+    module docstring).
     """
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
-    nt = 1 + nb
-    probes = _probe_tangents(config)
-    steps = _stage_unitaries(config)
-    therm = _rethermalizations(config) if n > 1 else []
-    anc0 = np.zeros((nt, d, d), dtype=complex)
-    anc0[0, d - 1, d - 1] = 1.0
+    nt, dd = 1 + nb, d * d
+    to_ancilla, to_probe = collision_maps(_stage_unitaries(config))
+    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(nb, 4 * dd, dd)
+    pauli = PAULI.reshape(4, 4)
+    probes = (_probe_tangents(config).reshape(nb, nt, 4) @ pauli.conj().T).real
+    if n > 1:
+        # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
+        # probe map, identity row dropped: (nb, 2, 4, 4 d^2)
+        therm = (pauli.conj() @ np.array(_rethermalizations(config)) @ pauli.T).real / 2
+        probe_maps = therm @ to_probe.reshape(nb, 1, 4, 4 * dd)
+        probe_maps[:, :, 0] = 0.0
+    anc = np.zeros((n, nt, dd), dtype=complex)
+    anc[:, 0, dd - 1] = 1.0
+    diag = np.arange(nt)
 
-    out = np.empty((n, nt, d, d), dtype=complex)
-    for k in range(n):
-        a = anc0
-        for i in range(nb):
-            joint = collide(probes[i], a, steps[i])
-            a = joint[:, 0, :, 0] + joint[:, 1, :, 1]
-            if k < n - 1:
-                p = np.trace(joint, axis1=2, axis2=4)
-                s, ds = therm[i]
-                pv = p.reshape(nt, 4) @ s.T
-                pv[1 + i] += ds @ p[0].reshape(4)
-                probes[i] = pv.reshape(nt, 2, 2)
-        out[k] = a
-    return out
+    for i in range(nb):
+        coef = np.empty((n, nt * 4))
+        coef[0] = probes[i].reshape(-1)
+        if n > 1:
+            # g[k, t]: S_i after the probe map with entry t of ancilla k,
+            # plus d S_i after it with entry 0 for t = 1 + i
+            maps = (anc[:-1] @ probe_maps[i].reshape(32, dd).T).real
+            maps = maps.reshape(n - 1, nt, 2, 4, 4)
+            g = maps[:, :, 0]
+            g[:, 1 + i] += maps[:, 0, 1]
+            # one step of the flattened probe stack: entry t takes g[k, 0] of
+            # itself plus, for t >= 1, g[k, t] of the state entry; the state's
+            # identity coefficient stays 1 and the derivatives' stay 0
+            step = np.zeros((n - 1, nt, 4, nt, 4))
+            step[:, diag, :, diag, :] = g[:, 0]
+            step[:, 1:, :, 0, :] = g[:, 1:]
+            step[:, 0, 0, 0, 0] = 1.0
+            w = coef[0]
+            for k, m in enumerate(step.reshape(n - 1, nt * 4, nt * 4), start=1):
+                w = coef[k] = m @ w
+        # probe (x) ancilla by the product rule: entry 0 is c_0 (x) a_0, entry
+        # t >= 1 is c_t (x) a_0 + c_0 (x) a_t
+        c = coef.reshape(n, nt, 4, 1)
+        joint = c * anc[:, :1, None]
+        joint[:, 1:] += c[:, :1] * anc[:, 1:, None]
+        anc = joint.reshape(n, nt, 4 * dd) @ ancilla_maps[i]
+    return anc.reshape(n, nt, d, d)
 
 
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:

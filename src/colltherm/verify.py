@@ -5,7 +5,8 @@ hand-rolled matrix entries, closed-form states and SLDs and Gibbs weights
 from :mod:`colltherm.oracles` (which imports nothing from the library), so a
 bug in the library cannot hide by agreeing with itself.  The collision
 channels checked are :func:`colltherm.channels.collision_superoperator`,
-read off the collision step the evaluators' stream runs.  Groups:
+the ancilla map of the collision maps the evaluators' stream runs
+(:func:`colltherm.channels.collision_maps`).  Groups:
 
 * ``appendix``   — entrywise reproduction of the hand-derived collision
                    channel, rotation superoperator and composed

@@ -10,8 +10,9 @@ generator of the probe-bath coupling, the rethermalization channel as
 generalized-amplitude-damping Kraus operators, central-difference
 derivatives of a state family, QFIMs from the qubit Bloch-vector formula
 and from a pseudoinverse solve of the SLD equation, a brute-force
-simulation of the two-probe ancilla stream on the whole register, that
-stream's stationary limit by a linear solve, and random inputs.  Tests
+simulation of the two-probe ancilla stream on the whole register, the
+same stream with probe marginals only, by ``kron`` and partial traces,
+that stream's stationary limit by a linear solve, and random inputs.  Tests
 compare library output against these, never against the library itself.
 """
 
@@ -331,6 +332,36 @@ def joint_stream_state(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0
                 rho = sum(kr @ rho @ kr.conj().T for kr in relax[i])
     d = 2**n
     return np.einsum("pipj->ij", rho.reshape(4, d, 4, d))
+
+
+def marginal_stream_states(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0, t=0.5):
+    """Final state of every ancilla of the two-probe stream when only the
+    single-system marginals are kept, stacked as (n, 2, 2).
+
+    Ancilla by ancilla: ancilla k starts in |1> and meets probe 1's
+    marginal, then probe 2's.  Each meeting forms probe (x) ancilla with
+    ``kron``, applies the printed collision unitary (followed by the x
+    rotation by ``theta`` on the ancilla after probe 1), and keeps both
+    partial traces; each probe then relaxes by the generalized-amplitude-
+    damping channel, except after the last ancilla.  Unlike
+    :func:`joint_stream_state`, the probes never become correlated.
+    """
+    probes = [np.diag(gibbs_weights(omega, T)).astype(complex) for T in temps]
+    relax = [gad_superop(omega, T, gamma, t) for T in temps]
+    turn = np.kron(np.eye(2), rotation_x(theta))
+    out = []
+    for k in range(n):
+        a = np.diag([0.0, 1.0]).astype(complex)
+        for i in (0, 1):
+            u = printed_collision_unitary(angles[i])
+            if i == 0:
+                u = turn @ u
+            joint = (u @ np.kron(probes[i], a) @ u.conj().T).reshape(2, 2, 2, 2)
+            a = np.einsum("pipj->ij", joint)
+            p = np.einsum("ipjp->ij", joint)
+            probes[i] = (relax[i] @ p.reshape(-1)).reshape(2, 2) if k < n - 1 else p
+        out.append(a)
+    return np.array(out)
 
 
 def _gad_superop_dT(omega, T, gamma, t):

@@ -4,8 +4,9 @@ rethermalization.
 The library writes every channel in closed form: the collision and
 rotation unitaries as cosine/sine polynomials of their generators, the
 rethermalization channel and its temperature derivative as a generalized
-amplitude damping.  The collision channel is read off ``collide``, the
-collision step the evaluators' stream runs.  The oracles build the
+amplitude damping.  The collision channel is the ancilla map of
+``collision_maps``, the collision maps the evaluators' stream runs,
+contracted with the thermal probe.  The oracles build the
 unitaries by a Taylor series of the generators, the qutrit collision
 channel as a Kraus sum over environment-trace blocks of that series, and
 the rethermalization channel both from generalized-amplitude-damping Kraus

@@ -124,25 +124,34 @@ def test_run_all_groups_pass():
 
 def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
     """The collision channels verify checks come out of the same collision
-    step the stream evaluator runs: both call ``channels.collide``."""
-    calls, collide = [], channels.collide
+    maps the stream evaluators run: verify's ``appendix`` group and each of
+    ``single``, ``uncorrelated`` and ``qutrit`` call
+    ``channels.collision_maps``."""
+    calls, collision_maps = [], channels.collision_maps
 
-    def counting(*args):
-        calls.append(args)
-        return collide(*args)
+    def counting(u):
+        calls.append(u)
+        return collision_maps(u)
 
-    monkeypatch.setattr(channels, "collide", counting)
-    monkeypatch.setattr(protocols, "collide", counting)
+    monkeypatch.setattr(channels, "collision_maps", counting)
+    monkeypatch.setattr(protocols, "collision_maps", counting)
     assert all(check.ok for check in run_group("appendix", trials=20))
-    in_verify = len(calls)
-    cfg = protocols.ProtocolConfig(
-        baths=(channels.BathSpec(2.0), channels.BathSpec(1.0)),
-        collision_angles=(0.5 * math.pi, 0.3 * math.pi),
-        n_ancillas=3,
-    )
-    protocols.evaluate(cfg, "uncorrelated")
+    in_verify, counts = len(calls), {}
+    baths = tuple(channels.BathSpec(t) for t in (2.0, 1.0, 0.5))
+    for scenario, n_baths, dim, n in (
+        ("single", 2, 2, 1), ("uncorrelated", 2, 2, 3), ("qutrit", 3, 3, 3)
+    ):
+        cfg = protocols.ProtocolConfig(
+            baths=baths[:n_baths],
+            collision_angles=(0.5 * math.pi, 0.3 * math.pi, 0.4 * math.pi)[:n_baths],
+            ancilla_dim=dim,
+            n_ancillas=n,
+        )
+        before = len(calls)
+        protocols.evaluate(cfg, scenario)
+        counts[scenario] = len(calls) - before
     assert in_verify > 0
-    assert len(calls) - in_verify > 0
+    assert counts == {"single": 1, "uncorrelated": 1, "qutrit": 1}
 
 
 def test_run_group_is_deterministic():

@@ -331,6 +331,43 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
         npt.assert_allclose(final, stack[0], rtol=0, atol=1e-12)
 
 
+def test_stream_matches_ancilla_major_marginal_oracle(rng):
+    """The marginal stream's states equal ``oracles.marginal_stream_states``
+    (kron and partial traces, ancilla by ancilla) to 1e-12 for two probes
+    with g1 != pi/2, where they differ from the joint simulation's ancilla
+    marginals."""
+    for n in (2, 5, 16):
+        temps = tuple(np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=2)))
+        angles = tuple(rng.uniform(0.05, 0.95, size=2) * math.pi)
+        cfg = two_bath_config(
+            baths=tuple(BathSpec(t) for t in temps), collision_angles=angles, n_ancillas=n
+        )
+        expected = oracles.marginal_stream_states(angles, temps, n)
+        npt.assert_allclose(_stream_tangents(cfg)[:, 0], expected, rtol=0, atol=1e-12)
+    angles, temps = (0.3 * math.pi, 0.3 * math.pi), (2.0, 1.0)
+    joint = oracles.ancilla_marginals(oracles.joint_stream_state(angles, temps, 2), 2)
+    assert np.max(np.abs(oracles.marginal_stream_states(angles, temps, 2)[1] - joint[1])) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        two_bath_config(collision_angles=(0.3 * math.pi, 0.6 * math.pi)),
+        two_bath_config(ancilla_dim=3),
+        three_bath_config(ancilla_dim=2),
+        three_bath_config(),
+    ],
+    ids=["2-probe-qubit", "2-probe-qutrit", "3-probe-qubit", "3-probe-qutrit"],
+)
+def test_stream_prefix_is_the_shorter_stream(config):
+    """Ancilla k of the stream depends on ancillas 0..k only: the first m
+    ancillas of a 16-ancilla stream equal the m-ancilla stream to 1e-13."""
+    full = _stream_tangents(replace(config, n_ancillas=16))
+    for m in (1, 2, 7, 15):
+        prefix = _stream_tangents(replace(config, n_ancillas=m))
+        npt.assert_allclose(prefix, full[:m], rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # exact temperature derivatives
 # ---------------------------------------------------------------------------
@@ -423,16 +460,22 @@ def test_ten_thousand_ancilla_stream_gives_finite_report(rng):
 
 
 def test_long_qutrit_stream_passes_the_state_trace_check():
-    """The marginal stream's trace drifts linearly in n: about 7e-11 by the
-    1,000th ancilla of this three-probe qutrit stream.  The state check
-    inside ``qfim_stack`` allows 1e-9, so the stream still gives a finite
-    report (a 1e-12 check would reject it)."""
+    """The marginal stream keeps traces at rounding however long it runs:
+    the probes' identity coefficients are never propagated.  Over 10^4
+    ancillas of this three-probe qutrit stream every state's trace is 1 and
+    every derivative's 0 to 1e-12, and the report is finite and raises no
+    warning."""
     cfg = three_bath_config(
         baths=tuple(BathSpec(t, therm_time=0.5) for t in (2.0, 1.0, 0.5)),
         collision_angles=tuple(g * math.pi for g in (0.5, 0.31, 0.4)),
-        n_ancillas=1000,
+        n_ancillas=10_000,
     )
-    rep = evaluate(cfg, "qutrit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = np.trace(_stream_tangents(cfg), axis1=-2, axis2=-1)
+        rep = evaluate(cfg, "qutrit")
+    assert np.max(np.abs(traces[:, 0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(traces[:, 1:])) <= 1e-12
     assert np.all(np.isfinite(rep.qfim.matrix))
     assert math.isfinite(rep.eta_joint) and math.isfinite(rep.eta_acc)
 
