@@ -29,9 +29,7 @@ from .estimation import (
     EstimationReport,
     Qfim,
     QfimStack,
-    ThermalFim,
     build_report,
-    det_singular_threshold,
     qfim_stack,
     singularity_test,
     thermal_fim,
@@ -60,8 +58,7 @@ __all__ = [
     "collision_unitary_qubit_qutrit", "nbar",
     "rotation_superoperator", "thermal_populations", "thermal_state",
     "thermal_state_dT", "thermalization_channel", "thermalization_channel_dT",
-    "EstimationReport", "Qfim", "QfimStack", "ThermalFim",
-    "build_report", "det_singular_threshold", "qfim_stack",
+    "EstimationReport", "Qfim", "QfimStack", "build_report", "qfim_stack",
     "singularity_test", "thermal_fim",
     "choi_matrix", "herm_eig",
     "PRESETS", "get_preset",

@@ -279,7 +279,7 @@ def _report_payload(report: EstimationReport) -> dict:
     return _json_safe(
         {
             "qfim": [[float(x) for x in row] for row in report.qfim.matrix],
-            "thermal_fim_diag": [float(x) for x in report.thermal.matrix.diagonal()],
+            "thermal_fim_diag": [float(x) for x in report.thermal],
             "eta_joint": report.eta_joint,
             "eta_acc": report.eta_acc,
             "det_qfim": report.qfim.det,

@@ -29,8 +29,9 @@ stacked eigendecomposition; it is the one QFIM and SLD routine, and
 :meth:`QfimStack.slds` rotates one state's SLDs back to the computational
 basis.
 
-Figures of merit against the thermal benchmark F_th, formed by
-:func:`build_report` alone:
+Figures of merit against the thermal benchmark F_th = diag(F_th^i), held
+as the per-bath vector of :func:`thermal_fim`, formed with the singular
+flag by :func:`build_report` alone:
 
     eta_joint = Tr F_Q / Tr F_th
     eta_acc   = ln( det F_Q / det F_th )     (-inf when F_Q is singular)
@@ -52,11 +53,9 @@ __all__ = [
     "KERNEL_WEIGHT_TOL",
     "Qfim",
     "QfimStack",
-    "ThermalFim",
     "EstimationReport",
     "qfim_stack",
     "thermal_fim",
-    "det_singular_threshold",
     "singularity_test",
     "build_report",
 ]
@@ -102,21 +101,16 @@ def _check_qfim(m: np.ndarray) -> None:
 class Qfim:
     """QFIM with the SLDs it was built from.
 
-    ``slds`` may be empty: for additively composed matrices (product-state
-    streams) the logarithmic derivatives live block-locally on the
-    individual factors and only their matrix sum is meaningful, and the
-    reports of :func:`colltherm.protocols.evaluate` keep only the SLD
-    commutator norm.
+    A plain record: :func:`qfim_stack` has checked the matrix.  ``slds`` may
+    be empty: for additively composed matrices (product-state streams) the
+    logarithmic derivatives live block-locally on the individual factors
+    and only their matrix sum is meaningful, and the reports of
+    :func:`colltherm.protocols.evaluate` keep only the SLD commutator norm.
     """
 
     matrix: np.ndarray
     slds: tuple[np.ndarray, ...] = ()
     support_dim: int = 0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        _check_qfim(m)
 
     @property
     def det(self) -> float:
@@ -151,38 +145,16 @@ class QfimStack:
 
 
 @dataclass(frozen=True, slots=True)
-class ThermalFim:
-    """Diagonal benchmark matrix of per-bath equilibrium Fisher informations."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - np.diag(np.diag(m)))) > 0:
-            raise ValueError("thermal benchmark must be diagonal")
-        if np.any(np.diag(m) < 0):
-            raise ValueError("thermal benchmark entries must be nonnegative")
-
-    @property
-    def det(self) -> float:
-        return float(np.prod(np.diag(self.matrix)))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-@dataclass(frozen=True, slots=True)
 class EstimationReport:
     """Everything a protocol run reports about one parameter point.
 
-    ``eta_acc`` is -inf exactly when ``singular`` is true (the flag uses the
-    scaled determinant threshold of :func:`det_singular_threshold`).
+    ``thermal`` is the (N,) vector of per-bath benchmarks F_th^i.
+    ``eta_acc`` is -inf exactly when ``singular`` is true (the rule is
+    :func:`build_report`'s).
     """
 
     qfim: Qfim
-    thermal: ThermalFim
+    thermal: np.ndarray
     eta_joint: float
     eta_acc: float
     sld_commutator_norm: float
@@ -251,35 +223,19 @@ def qfim_stack(stacks) -> QfimStack:
     return QfimStack(f, support_dims, comm, v, lt)
 
 
-def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> ThermalFim:
-    """Benchmark matrix diag(F_th^i), the energy-measurement Fisher
+def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
+    """The (N,) benchmark vector of F_th^i, the energy-measurement Fisher
     information of each probe at equilibrium:
 
         F_th = Var(H) / T^4 = omega^2 sech^2(omega / 2T) / (4 T^4).
     """
     vals = []
     for b in baths:
-        if not b.temperature > 0:
-            raise ValueError(f"temperature: must be > 0, got {b.temperature}")
         x = b.omega / b.temperature
         q = math.exp(-x)  # sech^2(x/2) = 4 q / (1 + q)^2 without overflow
         sech2 = 4.0 * q / (1.0 + q) ** 2
         vals.append(sech2 * x / b.temperature * x / b.temperature / 4.0)
-    return ThermalFim(np.diag(vals))
-
-
-def det_singular_threshold(fmat: np.ndarray) -> float:
-    """Determinant threshold below which the QFIM counts as singular.
-
-    1e-12 scaled by max(1, ||F||_F)^N: the determinant of an N x N matrix
-    has the norm's N-th power as its natural magnitude, and its rounding
-    floor grows the same way, so a fixed cutoff would misclassify
-    large-norm rank-deficient matrices.  For the O(1)-norm matrices the
-    protocols produce this reduces to a plain 1e-12.
-    """
-    fmat = np.asarray(fmat, dtype=float)
-    n = fmat.shape[0]
-    return 1e-12 * max(1.0, float(np.linalg.norm(fmat))) ** n
+    return np.array(vals)
 
 
 def singularity_test(stack) -> tuple[bool, float | None]:
@@ -314,23 +270,25 @@ def singularity_test(stack) -> tuple[bool, float | None]:
 
 
 def build_report(
-    fmat: np.ndarray | Qfim,
-    thermal: ThermalFim,
+    qf: Qfim,
+    thermal: np.ndarray,
     sld_commutator_norm: float = 0.0,
 ) -> EstimationReport:
-    """Assemble an :class:`EstimationReport` from a QFIM and its benchmark.
+    """Assemble an :class:`EstimationReport` from a QFIM and the benchmark
+    vector of :func:`thermal_fim`: the one place the merits and the
+    singular flag are formed.  Raises for a degenerate benchmark.
 
-    The one place the merits are formed.  Raises for a degenerate benchmark.
-    The point is singular when det F_Q is at or below
-    :func:`det_singular_threshold`, and then eta_acc is -inf; otherwise
-    eta_acc = ln(det F_Q / det F_th).
+    The point is singular when det F_Q <= 1e-12 max(1, ||F_Q||_F)^N, and
+    then eta_acc is -inf; otherwise eta_acc = ln(det F_Q / det F_th).  The
+    determinant of an N x N matrix, and its rounding floor, scale as the
+    norm's N-th power, so a fixed cutoff would misclassify large-norm
+    rank-deficient matrices; at O(1) norm the rule is a plain 1e-12.
     """
-    qf = fmat if isinstance(fmat, Qfim) else Qfim(np.asarray(fmat, float))
-    tr_th, det_th = thermal.trace, thermal.det
+    tr_th, det_th = float(thermal.sum()), float(thermal.prod())
     if not (tr_th > 0 and det_th > 0):
         raise ValueError("degenerate thermal benchmark (zero trace or determinant)")
     det = qf.det
-    singular = det <= det_singular_threshold(qf.matrix)
+    singular = det <= 1e-12 * max(1.0, float(np.linalg.norm(qf.matrix))) ** len(qf.matrix)
     return EstimationReport(
         qfim=qf,
         thermal=thermal,

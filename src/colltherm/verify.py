@@ -20,7 +20,9 @@ the ancilla map of the collision maps the evaluators' stream runs
 * ``closedform`` — single-ancilla final state and SLDs against the
                    closed-form expressions.
 * ``theorem1``   — randomized equivalence of the derivative-proportionality
-                   singularity criterion with the determinant criterion.
+                   singularity criterion with the determinant criterion,
+                   read as the singular flag of
+                   :func:`colltherm.estimation.build_report`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .channels import (
     rotation_superoperator,
     thermalization_channel,
 )
-from .estimation import det_singular_threshold, qfim_stack, singularity_test
+from .estimation import Qfim, build_report, qfim_stack, singularity_test
 from .linalg import choi_matrix
+from .operators import SX, SY, SZ
 from .oracles import (
     closed_form_slds,
     composed_plain_channel,
@@ -219,10 +222,7 @@ def _random_family(rng: np.random.Generator):
     def rand_deriv():
         a = rng.normal(size=3)
         a /= np.linalg.norm(a)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]])
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        return a[0] * sx + a[1] * sy + a[2] * sz
+        return a[0] * SX + a[1] * SY + a[2] * SZ
 
     d1 = rand_deriv()
     mode = rng.uniform()
@@ -245,14 +245,13 @@ def _group_theorem1(rng: np.random.Generator, trials: int) -> list[CheckResult]:
     for i in range(n):
         stack, expect = _random_family(rng)
         prop, _c = singularity_test(stack)
-        f = qfim_stack(stack[None]).matrices[0]
-        det = float(np.linalg.det(f))
-        by_det = det <= det_singular_threshold(f)
-        if prop != by_det or prop != expect:
+        rep = build_report(Qfim(qfim_stack(stack[None]).matrices[0]), np.ones(2))
+        if prop != rep.singular or prop != expect:
             disagrees += 1
             if not worst:
                 worst = (
-                    f"trial {i}: proportional={prop}, det={det:.3e}, constructed={expect}"
+                    f"trial {i}: proportional={prop}, det={rep.qfim.det:.3e}, "
+                    f"constructed={expect}"
                 )
     frac = disagrees / n
     return [

@@ -73,7 +73,7 @@ def _state_family(cfg):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_thermal_benchmark_values():
-    got = np.diag(thermal_fim([BathSpec(2.0), BathSpec(1.0), BathSpec(3.0)]).matrix)
+    got = thermal_fim([BathSpec(2.0), BathSpec(1.0), BathSpec(3.0)])
     want = (0.015, 0.197, 0.003)
     tol = (0.001, 0.001, 0.0005)
     ok = all(abs(g - w) <= t for g, w, t in zip(got, want, tol))

@@ -15,18 +15,17 @@ import numpy.testing as npt
 import pytest
 
 import oracles
+from colltherm import estimation
 from colltherm.channels import BathSpec, RotationSpec
 from colltherm.estimation import (
     Qfim,
-    ThermalFim,
     _check_qfim,
     build_report,
-    det_singular_threshold,
     qfim_stack,
     singularity_test,
     thermal_fim,
 )
-from colltherm.protocols import ProtocolConfig, evaluate
+from colltherm.protocols import ProtocolConfig, evaluate, single_run
 
 
 def _qubit_family(rng, n_params=2):
@@ -124,13 +123,6 @@ def test_qfim_additive_on_product_states(rng):
     f_joint = qfim_stack(np.array([joint])).matrices[0]
     f_sum = qfim_stack(np.array([pa, pb])).matrices.sum(axis=0)
     npt.assert_allclose(f_joint, f_sum, atol=1e-8)
-
-
-def test_qfim_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        Qfim(np.array([[1.0, 0.2], [0.1, 1.0]]))
-    with pytest.raises(ValueError, match="PSD"):
-        Qfim(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +260,41 @@ def test_qfim_checks_cover_stacks():
         _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
 
 
+def test_each_evaluation_checks_its_qfim_once(monkeypatch):
+    """``_check_qfim`` runs once per ``evaluate`` of every scenario and once
+    per ``single_run``: inside ``qfim_stack``, on the stack of QFIMs before
+    they are symmetrised, and not again on their sum."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return _check_qfim(m)
+
+    monkeypatch.setattr(estimation, "_check_qfim", counting)
+    baths = tuple(BathSpec(t) for t in (2.0, 1.0, 0.5))
+    counts = {}
+    for scenario, n_baths, dim, n in (
+        ("single", 2, 2, 1), ("uncorrelated", 2, 2, 3),
+        ("correlated", 2, 2, 3), ("qutrit", 3, 3, 3),
+    ):
+        cfg = ProtocolConfig(
+            baths=baths[:n_baths],
+            collision_angles=(0.5 * math.pi, 0.3 * math.pi, 0.4 * math.pi)[:n_baths],
+            ancilla_dim=dim,
+            n_ancillas=n,
+            correlated=scenario == "correlated",
+        )
+        before = len(calls)
+        evaluate(cfg, scenario)
+        counts[scenario] = len(calls) - before
+    before = len(calls)
+    single_run(ProtocolConfig(baths=baths[:2], collision_angles=(0.5 * math.pi, 0.3 * math.pi)))
+    counts["single_run"] = len(calls) - before
+    assert counts == {
+        "single": 1, "uncorrelated": 1, "correlated": 1, "qutrit": 1, "single_run": 1
+    }
+
+
 def test_stream_support_dim_is_exact_at_large_n():
     """The support of the product of n = 70 full-rank qubit marginals is
     2^70, past the range of a 64-bit integer."""
@@ -290,23 +317,21 @@ def test_thermal_fim_against_binomial_oracle(rng):
     optimal for a diagonal family."""
     for _ in range(15):
         omega, T = rng.uniform(0.4, 2.5), rng.uniform(0.3, 5.0)
-        got = thermal_fim([BathSpec(T, omega=omega)]).matrix[0, 0]
+        got = thermal_fim([BathSpec(T, omega=omega)])[0]
         assert got == pytest.approx(oracles.thermal_fisher_binomial(omega, T), rel=1e-12)
 
 
 def test_thermal_fim_reference_values():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0), BathSpec(3.0)])
-    npt.assert_allclose(
-        np.diag(th.matrix), [0.01468773, 0.19661193, 0.00300225], atol=5e-9
-    )
+    npt.assert_allclose(th, [0.01468773, 0.19661193, 0.00300225], atol=5e-9)
 
 
-def test_thermal_fim_is_diagonal_and_validates():
-    th = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
-    assert th.matrix.shape == (2, 2)
-    assert th.matrix[0, 1] == 0.0
-    with pytest.raises(ValueError, match="diagonal"):
-        ThermalFim(np.array([[1.0, 0.1], [0.1, 1.0]]))
+def test_thermal_fim_is_a_per_bath_vector():
+    """One benchmark per bath, in bath order: the diagonal of F_th."""
+    baths = [BathSpec(2.0), BathSpec(1.0), BathSpec(3.0, omega=2.0)]
+    th = thermal_fim(baths)
+    assert th.shape == (3,) and th.dtype == float
+    assert list(th) == [thermal_fim([b])[0] for b in baths]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +340,10 @@ def test_thermal_fim_is_diagonal_and_validates():
 
 def test_build_report_merits_identity_and_scaling():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0)])
-    rep = build_report(Qfim(th.matrix), th)
+    rep = build_report(Qfim(np.diag(th)), th)
     assert rep.eta_joint == pytest.approx(1.0, abs=1e-12)
     assert rep.eta_acc == pytest.approx(0.0, abs=1e-12)
-    rep2 = build_report(Qfim(2.0 * th.matrix), th)
+    rep2 = build_report(Qfim(2.0 * np.diag(th)), th)
     assert rep2.eta_joint == pytest.approx(2.0, abs=1e-12)
     assert rep2.eta_acc == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
@@ -332,9 +357,22 @@ def test_eta_acc_singular_sentinel():
 
 
 def test_det_singular_threshold_scales_with_norm():
-    assert det_singular_threshold(np.eye(2) * 0.01) == pytest.approx(1e-12)
-    big = det_singular_threshold(np.eye(2) * 100.0)
-    assert big == pytest.approx(1e-12 * (100.0 * math.sqrt(2.0)) ** 2, rel=1e-12)
+    """The singular flag holds at det F <= 1e-12 * max(1, ||F||_F)^N:
+    a plain 1e-12 up to unit norm, (1e-6 * ||F||_F)^2 for a 2 x 2 F above
+    it.  Pinned with determinants 1 % either side of the threshold."""
+    th = np.ones(2)
+
+    def singular(a, b):
+        return build_report(Qfim(np.diag([a, b])), th).singular
+
+    for a in (1e-3, 0.5):  # ||F||_F <= 1: the threshold is 1e-12
+        assert singular(a, 0.99e-12 / a)
+        assert not singular(a, 1.01e-12 / a)
+    # ||F||_F = 100 with a 2 x 2 F: the threshold is 1e-8
+    assert singular(100.0, 0.99e-10)
+    assert not singular(100.0, 1.01e-10)
+    # an absolute 1e-12 would call this rank-deficient matrix nonsingular
+    assert singular(100.0, 1e-11)
 
 
 def test_build_report_forces_eta_acc_on_singular_flag():
@@ -342,10 +380,10 @@ def test_build_report_forces_eta_acc_on_singular_flag():
     # det = 1e-13 is positive but below the flag threshold for an O(1)-norm
     # matrix -> reported singular with eta_acc = -inf
     f = np.array([[1.0, 0.0], [0.0, 1e-13]])
-    rep = build_report(f, th)
+    rep = build_report(Qfim(f), th)
     assert rep.singular
     assert math.isinf(rep.eta_acc) and rep.eta_acc < 0
-    rep_ok = build_report(np.eye(2) * 0.1, th)
+    rep_ok = build_report(Qfim(np.eye(2) * 0.1), th)
     assert not rep_ok.singular
     assert math.isfinite(rep_ok.eta_acc)
 

@@ -194,12 +194,12 @@ def test_full_swap_reads_second_bath_only():
     final, rep = single_run(cfg)
     q, _ = thermal_populations(1.0, 1.0)
     npt.assert_allclose(final, np.diag([q, 1.0 - q]), atol=1e-12)
-    benchmark = thermal_fim(cfg.baths).matrix
+    benchmark = thermal_fim(cfg.baths)
     # the T1 derivative is finite-difference noise (~1e-11): squared on the
     # diagonal, multiplied by the O(1) bath-2 SLD in the cross entry
     assert rep.qfim.matrix[0, 0] < 1e-20
     assert abs(rep.qfim.matrix[0, 1]) < 1e-10
-    assert rep.qfim.matrix[1, 1] == pytest.approx(benchmark[1, 1], abs=1e-6)
+    assert rep.qfim.matrix[1, 1] == pytest.approx(benchmark[1], abs=1e-6)
     assert rep.singular
 
 
@@ -503,7 +503,7 @@ def test_extreme_temperatures_give_finite_report_or_named_error(T):
                 assert "degenerate thermal benchmark" in str(exc)
                 continue
             assert np.all(np.isfinite(rep.qfim.matrix))
-            assert np.all(np.isfinite(rep.thermal.matrix))
+            assert np.all(np.isfinite(rep.thermal))
             assert math.isfinite(rep.eta_joint)
             assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
 
@@ -534,8 +534,9 @@ def _random_config(rng, scenario):
 @pytest.mark.parametrize("scenario", ["single", "uncorrelated", "correlated", "qutrit"])
 def test_rescaling_units_leaves_eta_joint_and_scales_the_qfim(rng, scenario):
     """Every (omega, T) scaled by c leaves each state unchanged and scales
-    each d/dT by 1/c, so eta_joint stays put and trace F_Q scales by c^-2,
-    both to 1e-10 relative (40 draws, c from 1e-3 to 1e3).
+    each d/dT by 1/c, so eta_joint stays put and trace F_Q and every
+    per-bath benchmark F_th^i scale by c^-2, all to 1e-10 relative (40
+    draws, c from 1e-3 to 1e3).
 
     ``eta_acc`` and ``singular`` are not asserted: the singular flag compares
     det F_Q (units of T^-4) with an absolute floor, so it flips with the
@@ -556,6 +557,7 @@ def test_rescaling_units_leaves_eta_joint_and_scales_the_qfim(rng, scenario):
             rep = evaluate(scaled, scenario)
             assert rep.eta_joint == pytest.approx(base.eta_joint, rel=1e-10)
             assert rep.qfim.trace * c**2 == pytest.approx(base.qfim.trace, rel=1e-10)
+            npt.assert_allclose(rep.thermal * c**2, base.thermal, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +658,7 @@ def test_sweep_rows_and_error_capture():
         }
         fresh = evaluate(grid.at(row["axis_value"]), "single")
         npt.assert_array_equal(rep.qfim.matrix, fresh.qfim.matrix)
-        npt.assert_array_equal(rep.thermal.matrix, fresh.thermal.matrix)
+        npt.assert_array_equal(rep.thermal, fresh.thermal)
         merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
         assert [getattr(rep, m) for m in merits] == [getattr(fresh, m) for m in merits]
 
