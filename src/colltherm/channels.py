@@ -192,52 +192,54 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
 
 
-# Pauli coefficients in and out: vec(p) = _PAULI_HALF^T c, c = _PAULI_DUAL vec(p)
-_PAULI_HALF = 0.5 * operators.PAULI.reshape(4, 4)
-_PAULI_DUAL = operators.PAULI.reshape(4, 4).conj()
+# Pauli coefficients (I, X, Z) in and out: vec(p) = _PAULI_HALF^T c, c = 2 _PAULI_HALF vec(p)
+_PAULI_HALF = 0.5 * operators.PAULI.reshape(3, 4)
+
+
+def _ancilla_map(u: np.ndarray) -> np.ndarray:
+    """The ancilla map of :func:`collision_maps` alone."""
+    d, batch = u.shape[-1] // 2, u.shape[:-2]
+    u4 = u.reshape(batch + (2, d, 2, d))
+    # u (x) u* traced over the probe's output pair: [.., P, Q, a, c, A, C]
+    m = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4.conj())
+    return (_PAULI_HALF @ m.reshape(batch + (4, d**4))).reshape(batch + (3, d * d, d * d))
 
 
 def collision_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The collision ``X -> u X u^dag`` on probe (x) ancilla as two bilinear
-    maps of (probe, ancilla): the probe in Pauli coefficients
-    ``c_mu = Tr(sigma_mu p)`` (:data:`colltherm.operators.PAULI`), the
-    ancilla vectorized.
+    maps of (probe, ancilla): the probe in its Pauli coefficients
+    ``c_mu = Tr(sigma_mu p)`` over (I, X, Z) (:data:`colltherm.operators.PAULI`),
+    the ancilla vectorized.
 
     ``u`` is a (..., 2d, 2d) stack of unitaries, probe factor first.  The
-    ancilla map ``A``, shaped (..., 4, d^2, d^2), gives the ancilla after
+    ancilla map ``A``, shaped (..., 3, d^2, d^2), gives the ancilla after
     the collision, ``vec(a') = sum_mu c_mu A[mu] vec(a)``; the probe map
-    ``B``, shaped (..., 4, 4, d^2), gives the probe's Pauli coefficients,
+    ``B``, shaped (..., 3, 3, d^2), gives the probe's Pauli coefficients,
     ``c'_nu = B[nu, mu, j] c_mu vec(a)_j``.  Both are read off the joint
     state ``u (sigma_mu / 2 (x) |A><C|) u^dag`` of every input pair, which
     is ``u (x) u*`` applied to that input, and both are linear in each
     factor, so a tangent stack goes through them by the product rule.
-    ``B`` contracted with a Hermitian ancilla is real.
+    A real probe has Y coefficient 0.  ``A`` is exact for any ``u``; ``B``
+    drops the outgoing probe's Y coefficient, exact for a real ``u`` and real
+    inputs (the evaluators' phase gauge), where both maps are real.
     """
-    d = u.shape[-1] // 2
-    batch = u.shape[:-2]
+    d, batch = u.shape[-1] // 2, u.shape[:-2]
     u4 = u.reshape(batch + (2, d, 2, d))
-    u4c = u4.conj()
-    # the partial traces of u (x) u*: over the probe's output pair for the
-    # ancilla, over the ancilla's for the probe, indexed [.., P, Q, .., A, C]
-    # by the input pair (P, Q) of the probe and (A, C) of the ancilla
-    to_ancilla = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4c)
-    to_probe = np.einsum("...pbPA,...qbQC->...pqPQAC", u4, u4c)
-    to_ancilla = _PAULI_HALF @ to_ancilla.reshape(batch + (4, d**4))
-    to_probe = _PAULI_DUAL @ to_probe.reshape(batch + (4, 4 * d * d))
-    return (
-        to_ancilla.reshape(batch + (4, d * d, d * d)),
-        _PAULI_HALF @ to_probe.reshape(batch + (4, 4, d * d)),
-    )
+    # the partial trace of u (x) u* over the ancilla's output pair, indexed
+    # [.., p, q, P, Q, A, C] by the probe's output pair, then the input pairs
+    to_probe = np.einsum("...pbPA,...qbQC->...pqPQAC", u4, u4.conj())
+    to_probe = operators.PAULI.reshape(3, 4) @ to_probe.reshape(batch + (4, 4 * d * d))
+    return _ancilla_map(u), _PAULI_HALF @ to_probe.reshape(batch + (3, 4, d * d))
 
 
 def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) -> np.ndarray:
     """Vectorized collision channel of angle g*tau on the ancilla, with a
     thermal probe: the ancilla map of :func:`collision_maps` contracted
-    with the Gibbs state's Pauli coefficients (1, 0, 0, lambda_0 - lambda_1).
+    with the Gibbs state's Pauli coefficients (1, 0, lambda_0 - lambda_1).
     """
     lam0, lam1 = thermal_populations(bath.omega, bath.temperature)
-    to_ancilla, _ = collision_maps(collision_unitary(angle, ancilla_dim))
-    return to_ancilla[0] + (lam0 - lam1) * to_ancilla[3]
+    to_ancilla = _ancilla_map(collision_unitary(angle, ancilla_dim))
+    return to_ancilla[0] + (lam0 - lam1) * to_ancilla[2]
 
 
 def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
@@ -262,11 +264,9 @@ def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:
 
 
 def _population_coherence_map(p00, p03, p30, p33, coh) -> np.ndarray:
-    """4x4 superoperator that maps the populations (rho_00, rho_11) by
+    """Real 4x4 superoperator that maps the populations (rho_00, rho_11) by
     [[p00, p03], [p30, p33]] and scales both coherences by ``coh``."""
-    return np.array(
-        [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]], dtype=complex
-    )
+    return np.array([[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]])
 
 
 def thermalization_channel(bath: BathSpec) -> np.ndarray:

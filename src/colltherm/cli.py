@@ -304,20 +304,13 @@ def write_summary(path: str, manifest: dict, columns, rows, n_errors: int, optim
 def _pick_optimum(points):
     """Best (row, report): largest finite eta_acc, falling back to largest
     eta_joint."""
-    finite = [
-        (row, report)
-        for row, report in points
-        if not row.get("error") and math.isfinite(row.get("eta_acc", float("-inf")))
-    ]
-    if finite:
-        return max(finite, key=lambda item: item[0]["eta_acc"])
-    usable = [
-        (row, report)
-        for row, report in points
-        if not row.get("error") and math.isfinite(row.get("eta_joint", float("nan")))
-    ]
-    if usable:
-        return max(usable, key=lambda item: item[0]["eta_joint"])
+    for merit in ("eta_acc", "eta_joint"):
+        finite = [
+            item for item in points
+            if not item[0].get("error") and math.isfinite(item[0].get(merit, math.nan))
+        ]
+        if finite:
+            return max(finite, key=lambda item: item[0][merit])
     return None
 
 

@@ -165,10 +165,11 @@ def qfim_stack(stacks) -> QfimStack:
     """QFIMs of K state families at once, each in its state's eigenbasis.
 
     ``stacks`` is (K, 1 + N, d, d): per family the state rho and its N
-    derivatives.  One stacked eigendecomposition rho = V diag(lambda) V^dag
-    serves all K; with D_i = V^dag (d_i rho) V the SLDs in the eigenbasis
-    are L_i[a, b] = 2 D_i[a, b] / (lambda_a + lambda_b) where that sum
-    reaches :data:`SUPPORT_CUTOFF` (zero elsewhere), and
+    derivatives, real or complex (a real stack stays real throughout).  One
+    stacked eigendecomposition rho = V diag(lambda) V^dag serves all K;
+    with D_i = V^dag (d_i rho) V the SLDs in the eigenbasis are
+    L_i[a, b] = 2 D_i[a, b] / (lambda_a + lambda_b) where that sum reaches
+    :data:`SUPPORT_CUTOFF` (zero elsewhere), and
 
         F_ij = sum_ab lambda_a Re(L_i[a, b] conj(L_j[a, b])).
 
@@ -185,7 +186,7 @@ def qfim_stack(stacks) -> QfimStack:
     ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
     anyway, and the message names the offending state's stack index.
     """
-    stacks = np.asarray(stacks, dtype=complex)
+    stacks = np.asarray(stacks)
     derivs = stacks[:, 1:]
     _check_derivs(derivs)
     w, v = herm_eig(stacks[:, 0])

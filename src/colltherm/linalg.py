@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small multipartite Hilbert spaces.
+"""Dense real or complex linear algebra for small multipartite Hilbert spaces.
 
 All heavy lifting happens on plain ``numpy`` arrays (dimension <= 2**11, so
 dense is fine everywhere).  The one convention that matters throughout the
@@ -32,11 +32,11 @@ def herm_eig(h: np.ndarray):
     of them.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``V``, stacked like the input.  Raises if any matrix
-    is not Hermitian to :data:`EIG_HERM_TOL` or if the largest
-    reconstruction residual exceeds :data:`EIG_RESIDUAL_TOL`.
+    eigenvector columns ``V``, stacked like the input, real for a real input.
+    Raises if any matrix is not Hermitian to :data:`EIG_HERM_TOL` or if the
+    largest reconstruction residual exceeds :data:`EIG_RESIDUAL_TOL`.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
     if defect > EIG_HERM_TOL:
         raise ValueError(f"input not Hermitian: defect {defect:.3e} > {EIG_HERM_TOL}")

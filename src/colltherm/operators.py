@@ -26,9 +26,9 @@ __all__ = ["SX", "SY", "SZ", "PAULI", "S1X", "S1Y", "S1Z", "GENERATORS"]
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-# (I, X, Y, Z): a qubit state is sum_mu c_mu PAULI[mu] / 2 with Pauli
-# coefficients c_mu = Tr(PAULI[mu] rho), c_0 its trace
-PAULI = np.array([np.eye(2), SX, SY, SZ])
+# (I, X, Z): a real qubit state is sum_mu c_mu PAULI[mu] / 2 with Pauli
+# coefficients c_mu = Tr(PAULI[mu] rho), c_0 its trace (its Y one is 0)
+PAULI = np.array([np.eye(2), SX, SZ]).real
 
 _s = 1.0 / np.sqrt(2.0)
 S1X = np.array([[0, _s, 0], [_s, 0, _s], [0, _s, 0]], dtype=complex)

@@ -41,35 +41,24 @@ class Preset:
     series: tuple[PresetSeries, ...]
 
 
-def _two_bath_base(**overrides) -> ProtocolConfig:
+def _base(temperatures, collision_angles, ancilla_dim, **overrides) -> ProtocolConfig:
     base = dict(
-        baths=(
-            BathSpec(temperature=2.0, omega=1.0, therm_time=0.5),
-            BathSpec(temperature=1.0, omega=1.0, therm_time=0.5),
-        ),
-        collision_angles=(0.5 * math.pi, 0.0),
-        ancilla_dim=2,
+        baths=tuple(BathSpec(temperature=t, omega=1.0, therm_time=0.5) for t in temperatures),
+        collision_angles=collision_angles,
+        ancilla_dim=ancilla_dim,
         n_ancillas=1,
         rotation=RotationSpec(math.pi / 4, "x"),
     )
     base.update(overrides)
     return ProtocolConfig(**base)
+
+
+def _two_bath_base(**overrides) -> ProtocolConfig:
+    return _base((2.0, 1.0), (0.5 * math.pi, 0.0), 2, **overrides)
 
 
 def _three_bath_base(**overrides) -> ProtocolConfig:
-    base = dict(
-        baths=(
-            BathSpec(temperature=2.0, omega=1.0, therm_time=0.5),
-            BathSpec(temperature=1.0, omega=1.0, therm_time=0.5),
-            BathSpec(temperature=3.0, omega=1.0, therm_time=0.5),
-        ),
-        collision_angles=(0.5 * math.pi, 0.2 * math.pi, 0.0),
-        ancilla_dim=3,
-        n_ancillas=1,
-        rotation=RotationSpec(math.pi / 4, "x"),
-    )
-    base.update(overrides)
-    return ProtocolConfig(**base)
+    return _base((2.0, 1.0, 3.0), (0.5 * math.pi, 0.2 * math.pi, 0.0), 3, **overrides)
 
 
 def _fig2() -> Preset:

@@ -49,6 +49,14 @@ d_i Phi_i (rho) added to d_i rho wherever probe i rethermalizes.  The
 states reach :func:`colltherm.estimation.qfim_stack` as plain arrays, and
 it checks each one's trace and positivity on the eigenvalues it computes.
 
+Every engine runs in real arithmetic, in the phase gauge T = diag(i^level)
+on each ancilla: each -i sin of the exchange becomes a real +-sin and
+T G_x T^dag = G_y, so every stage unitary, state and derivative is real, and
+a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
+(the gauge's phase can move onto the probes instead, whose states and
+rethermalizations it leaves alone), a z rotation, such a phase itself, as
+theta = 0; :func:`single_run` turns the state and SLDs it returns back.
+
 One table maps each scenario name to its engine and its precondition;
 :func:`check_scenario` is the one place that rejects an unknown name or a
 config its scenario cannot evaluate, and :func:`evaluate`, :func:`sweep`
@@ -67,6 +75,7 @@ import numpy as np
 from .channels import (
     BathSpec,
     RotationSpec,
+    _ancilla_map,
     collision_maps,
     collision_unitary,
     thermal_state,
@@ -93,10 +102,15 @@ __all__ = [
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
-# at n = 9 took 0.21 s (0.18 s of it the QFIM of the 512-dimensional state) and
-# +94 MB peak RSS, 3 probes x 8 ancillas 0.10 s and +133 MB (2-vCPU Xeon, one
+# at n = 9 took 0.15 s (0.10 s of it the QFIM of the 512-dimensional state) and
+# +46 MB peak RSS, 3 probes x 8 ancillas 0.10 s and +71 MB (2-vCPU Xeon, one
 # BLAS thread).
 SIM_DIM_CAP = 2**11
+
+# the phase gauge T = diag(i^level) per ancilla dimension (module docstring);
+# T u T^dag on probe (x) ancilla is u times the phases t_a conj(t_b)
+_GAUGE = {d: 1j ** np.arange(d) for d in (2, 3)}
+_GAUGE_PHASES = {d: np.tile(np.outer(t, t.conj()), (2, 2)) for d, t in _GAUGE.items()}
 
 
 @dataclass(frozen=True)
@@ -162,25 +176,37 @@ class ProtocolConfig:
 
 def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per probe, its Gibbs state and temperature derivatives stacked as
-    (N, 1 + N, 2, 2); probe i depends on T_i alone."""
+    (N, 1 + N, 2, 2), real; probe i depends on T_i alone."""
     nb = config.n_baths
-    out = np.zeros((nb, 1 + nb, 2, 2), dtype=complex)
+    out = np.zeros((nb, 1 + nb, 2, 2))
     for i, b in enumerate(config.baths):
-        out[i, 0] = thermal_state(b.omega, b.temperature)
-        out[i, 1 + i] = thermal_state_dT(b.omega, b.temperature)
+        out[i, 0] = thermal_state(b.omega, b.temperature).real
+        out[i, 1 + i] = thermal_state_dT(b.omega, b.temperature).real
     return out
 
 
 def _stage_unitaries(config: ProtocolConfig) -> np.ndarray:
     """Per bath stage, the collision unitary on probe (x) ancilla followed by
     the ancilla rotation R, on every stage but the last, stacked as (N, 2d,
-    2d).  (I (x) R) u acts on the ancilla row index alone, so R multiplies
-    each probe row block of u."""
+    2d), real in the phase gauge (see the module docstring).  (I (x) R) u
+    acts on the ancilla row index alone, so R multiplies each probe row
+    block of u."""
     nb, d = config.n_baths, config.ancilla_dim
     us = np.array([collision_unitary(g, d) for g in config.collision_angles])
-    rotated = config.rotation.unitary(d) @ us[:-1].reshape(nb - 1, 2, d, 2 * d)
-    us[:-1] = rotated.reshape(nb - 1, 2 * d, 2 * d)
+    us = np.ascontiguousarray((us * _GAUGE_PHASES[d]).real)
+    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
+    r = RotationSpec(theta, "y").unitary(d).real
+    us[:-1] = (r @ us[:-1].reshape(nb - 1, 2, d, 2 * d)).reshape(nb - 1, 2 * d, 2 * d)
     return us
+
+
+def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
+    """Engine operators on m ancillas, (..., d^m, d^m), as complex arrays in
+    the computational basis: T^dag (.) T per ancilla for an x rotation."""
+    t = np.ones(1, dtype=complex)
+    while config.rotation.axis == "x" and len(t) < x.shape[-1]:
+        t = np.kron(t, _GAUGE[config.ancilla_dim])
+    return t.conj()[:, None] * x * t
 
 
 def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -194,21 +220,22 @@ def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndar
 
 def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     """One ancilla through all probes; returns (final state, report), the
-    state a d x d complex array whose unit trace and positivity
+    state a d x d complex array in the computational basis, turned back from
+    the engine's gauge, whose unit trace and positivity
     :func:`colltherm.estimation.qfim_stack` has checked.
 
     With a single ancilla every probe is still in equilibrium when the
     collision happens, so the ancilla evolves by the composition of the
     reduced collision channels (with rotations interleaved): the n = 1 case
     of the marginal stream.  This is the route the closed forms describe.
-    The report keeps the SLDs, in the computational basis.
+    The report keeps the SLDs, in the computational basis too.
     """
     check_scenario("single", config)
     stacks = _stream_tangents(config)
     qs = qfim_stack(stacks)
-    qf = Qfim(qs.matrices[0], qs.slds(0), qs.support_dims[0])
+    qf = Qfim(qs.matrices[0], tuple(_ungauge(np.array(qs.slds(0)), config)), qs.support_dims[0])
     report = build_report(qf, thermal_fim(config.baths), qs.commutator_norms[0])
-    return stacks[0, 0], report
+    return _ungauge(stacks[0, 0], config), report
 
 
 def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
@@ -219,63 +246,65 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     ancilla k - 1, so the stream runs stage by stage, all n ancillas at
     once, on the maps of :func:`colltherm.channels.collision_maps` (built
     for every stage in one step).  Ancilla stacks are vectorized, (1 + N,
-    d^2); probe stacks are Pauli coefficients, (1 + N, 4), whose identity
-    coefficient (1 for the state, 0 for the derivatives) is never
-    propagated, so probe traces stay exact however long the stream.
+    d^2); probe stacks are Pauli coefficients (I, X, Z), (1 + N, 3): a real
+    probe has Y coefficient 0.  The identity coefficient (1 for the state, 0
+    for the derivatives) is never propagated, so probe traces stay exact.
 
     Within stage i every incoming ancilla is known, so probe i's passage
     from ancilla k to k + 1 is a fixed linear map of its stack: the probe
     map contracted with ancilla k, then the rethermalization S_i, with the
     product rule on the derivatives and d S_i / dT_i added to the d_i
     entry.  The n - 1 maps are built in one batched step; the sequential
-    part is one small real matmul per ancilla.  No probe rethermalizes
-    after the last ancilla, where it can no longer influence anything
-    measured.  The ancilla outputs then take one batched matmul.  They are
-    the true marginals only when the probes stay uncorrelated (see the
-    module docstring).
+    part is one small matmul per ancilla.  No probe rethermalizes after the
+    last ancilla, so a lone ancilla needs neither the probe map nor the
+    rethermalizations.  The ancilla outputs then take one batched matmul.
+    They are the true marginals only when the probes stay uncorrelated (see
+    the module docstring).
     """
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, dd = 1 + nb, d * d
-    to_ancilla, to_probe = collision_maps(_stage_unitaries(config))
-    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(nb, 4 * dd, dd)
-    pauli = PAULI.reshape(4, 4)
-    probes = (_probe_tangents(config).reshape(nb, nt, 4) @ pauli.conj().T).real
+    us = _stage_unitaries(config)
+    pauli = PAULI.reshape(3, 4)
+    probes = _probe_tangents(config).reshape(nb, nt, 4) @ pauli.T
     if n > 1:
+        to_ancilla, to_probe = collision_maps(us)
         # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
-        # probe map, identity row dropped: (nb, 2, 4, 4 d^2)
-        therm = (pauli.conj() @ np.array(_rethermalizations(config)) @ pauli.T).real / 2
-        probe_maps = therm @ to_probe.reshape(nb, 1, 4, 4 * dd)
+        # probe map, identity row dropped: (nb, 2, 3, 3 d^2)
+        therm = pauli @ np.array(_rethermalizations(config)) @ pauli.T / 2
+        probe_maps = therm @ to_probe.reshape(nb, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
-    anc = np.zeros((n, nt, dd), dtype=complex)
+    else:
+        to_ancilla = _ancilla_map(us)
+    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(nb, 3 * dd, dd)
+    anc = np.zeros((n, nt, dd))
     anc[:, 0, dd - 1] = 1.0
     diag = np.arange(nt)
 
     for i in range(nb):
-        coef = np.empty((n, nt * 4))
+        coef = np.empty((n, nt * 3))
         coef[0] = probes[i].reshape(-1)
         if n > 1:
             # g[k, t]: S_i after the probe map with entry t of ancilla k,
             # plus d S_i after it with entry 0 for t = 1 + i
-            maps = (anc[:-1] @ probe_maps[i].reshape(32, dd).T).real
-            maps = maps.reshape(n - 1, nt, 2, 4, 4)
+            maps = (anc[:-1] @ probe_maps[i].reshape(-1, dd).T).reshape(n - 1, nt, 2, 3, 3)
             g = maps[:, :, 0]
             g[:, 1 + i] += maps[:, 0, 1]
             # one step of the flattened probe stack: entry t takes g[k, 0] of
             # itself plus, for t >= 1, g[k, t] of the state entry; the state's
             # identity coefficient stays 1 and the derivatives' stay 0
-            step = np.zeros((n - 1, nt, 4, nt, 4))
+            step = np.zeros((n - 1, nt, 3, nt, 3))
             step[:, diag, :, diag, :] = g[:, 0]
             step[:, 1:, :, 0, :] = g[:, 1:]
             step[:, 0, 0, 0, 0] = 1.0
             w = coef[0]
-            for k, m in enumerate(step.reshape(n - 1, nt * 4, nt * 4), start=1):
+            for k, m in enumerate(step.reshape(n - 1, nt * 3, nt * 3), start=1):
                 w = coef[k] = m @ w
         # probe (x) ancilla by the product rule: entry 0 is c_0 (x) a_0, entry
         # t >= 1 is c_t (x) a_0 + c_0 (x) a_t
-        c = coef.reshape(n, nt, 4, 1)
+        c = coef.reshape(n, nt, 3, 1)
         joint = c * anc[:, :1, None]
         joint[:, 1:] += c[:, :1] * anc[:, 1:, None]
-        anc = joint.reshape(n, nt, 4 * dd) @ ancilla_maps[i]
+        anc = joint.reshape(n, nt, 3 * dd) @ ancilla_maps[i]
     return anc.reshape(n, nt, d, d)
 
 
@@ -290,7 +319,7 @@ def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
     """
     nb, d = config.n_baths, config.ancilla_dim
     p = 2**nb
-    w = np.eye(d * p, dtype=complex).reshape((d,) + (2,) * nb + (d * p,))
+    w = np.eye(d * p).reshape((d,) + (2,) * nb + (d * p,))
     for i, u in enumerate(_stage_unitaries(config)):
         t = np.tensordot(u.reshape(2, d, 2, d), w, axes=([2, 3], [1 + i, 0]))
         w = np.moveaxis(t, (0, 1), (1 + i, 0))
@@ -308,7 +337,7 @@ def _probe_product(pairs, shape) -> np.ndarray:
     superoperators give (1 + N, P, P, P, P).
     """
     nt = 1 + len(pairs)
-    out = np.ones((nt, 1, 1, 1, 1), dtype=complex)
+    out = np.ones((nt, 1, 1, 1, 1))
     for i, (x, dx) in enumerate(pairs):
         f = np.array([dx if m == 1 + i else x for m in range(nt)]).reshape((nt,) + shape)
         grown = tuple(a * b for a, b in zip(out.shape[1:], shape))

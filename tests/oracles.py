@@ -303,15 +303,17 @@ def rotation_x(theta):
     return math.cos(theta) * np.eye(2, dtype=complex) - 1j * math.sin(theta) * SX
 
 
-def joint_stream_state(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0, t=0.5):
+def joint_stream_state(
+    angles, temps, n, rotation=rotation_x(math.pi / 4), omega=1.0, gamma=1.0, t=0.5
+):
     """Final n-ancilla state of the two-probe stream.
 
     Register: probe 1, probe 2, ancillas 1..n, every ancilla starting in the
-    ground state |1>.  Ancilla k collides with probe 1, turns by ``theta``
-    about x, then collides with probe 2; each probe relaxes by the
-    generalized-amplitude-damping channel after every ancilla but the last.
-    The probes are traced out at the end, so every correlation the probes
-    mediate between ancillas is kept.
+    ground state |1>.  Ancilla k collides with probe 1, turns by the 2 x 2
+    unitary ``rotation`` (default pi/4 about x), then collides with probe 2;
+    each probe relaxes by the generalized-amplitude-damping channel after
+    every ancilla but the last.  The probes are traced out at the end, so
+    every correlation the probes mediate between ancillas is kept.
     """
     nq = 2 + n
     ground = np.diag([0.0, 1.0]).astype(complex)
@@ -326,7 +328,7 @@ def joint_stream_state(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0
         for i in (0, 1):
             u = embed_on_qubits(printed_collision_unitary(angles[i]), (i, 2 + k), nq)
             if i == 0:
-                u = embed_on_qubits(rotation_x(theta), (2 + k,), nq) @ u
+                u = embed_on_qubits(rotation, (2 + k,), nq) @ u
             rho = u @ rho @ u.conj().T
             if k < n - 1:
                 rho = sum(kr @ rho @ kr.conj().T for kr in relax[i])
@@ -334,21 +336,23 @@ def joint_stream_state(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0
     return np.einsum("pipj->ij", rho.reshape(4, d, 4, d))
 
 
-def marginal_stream_states(angles, temps, n, theta=math.pi / 4, omega=1.0, gamma=1.0, t=0.5):
+def marginal_stream_states(
+    angles, temps, n, rotation=rotation_x(math.pi / 4), omega=1.0, gamma=1.0, t=0.5
+):
     """Final state of every ancilla of the two-probe stream when only the
     single-system marginals are kept, stacked as (n, 2, 2).
 
     Ancilla by ancilla: ancilla k starts in |1> and meets probe 1's
     marginal, then probe 2's.  Each meeting forms probe (x) ancilla with
-    ``kron``, applies the printed collision unitary (followed by the x
-    rotation by ``theta`` on the ancilla after probe 1), and keeps both
+    ``kron``, applies the printed collision unitary (followed by the 2 x 2
+    unitary ``rotation`` on the ancilla after probe 1), and keeps both
     partial traces; each probe then relaxes by the generalized-amplitude-
     damping channel, except after the last ancilla.  Unlike
     :func:`joint_stream_state`, the probes never become correlated.
     """
     probes = [np.diag(gibbs_weights(omega, T)).astype(complex) for T in temps]
     relax = [gad_superop(omega, T, gamma, t) for T in temps]
-    turn = np.kron(np.eye(2), rotation_x(theta))
+    turn = np.kron(np.eye(2), rotation)
     out = []
     for k in range(n):
         a = np.diag([0.0, 1.0]).astype(complex)

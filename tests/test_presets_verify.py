@@ -125,16 +125,17 @@ def test_run_all_groups_pass():
 def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
     """The collision channels verify checks come out of the same collision
     maps the stream evaluators run: verify's ``appendix`` group and each of
-    ``single``, ``uncorrelated`` and ``qutrit`` call
-    ``channels.collision_maps``."""
-    calls, collision_maps = [], channels.collision_maps
+    ``single``, ``uncorrelated`` and ``qutrit`` build the ancilla map of
+    ``channels.collision_maps`` once, through ``channels._ancilla_map``
+    (a lone ancilla needs no probe map, so ``single`` builds that alone)."""
+    calls, ancilla_map = [], channels._ancilla_map
 
     def counting(u):
         calls.append(u)
-        return collision_maps(u)
+        return ancilla_map(u)
 
-    monkeypatch.setattr(channels, "collision_maps", counting)
-    monkeypatch.setattr(protocols, "collision_maps", counting)
+    monkeypatch.setattr(channels, "_ancilla_map", counting)
+    monkeypatch.setattr(protocols, "_ancilla_map", counting)
     assert all(check.ok for check in run_group("appendix", trials=20))
     in_verify, counts = len(calls), {}
     baths = tuple(channels.BathSpec(t) for t in (2.0, 1.0, 0.5))

@@ -4,8 +4,10 @@ The load-bearing checks: the single-ancilla evaluator against the analytic
 final state (both with and without the interleaved rotation), the three
 evaluation routes agreeing where they must (n = 1; full rethermalization),
 additivity of the marginal-product stream against a brute-force QFIM on
-the tensor product, and the evaluators' exact temperature derivatives
-against central differences.
+the tensor product, the evaluators' exact temperature derivatives
+against central differences, and the real phase gauge the engines run in:
+float64 stacks, and every rotation axis against oracles that rotate as
+given.
 """
 
 import math
@@ -17,8 +19,15 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm.channels import BathSpec, RotationSpec, thermal_populations
+from colltherm import protocols
+from colltherm.channels import (
+    BathSpec,
+    RotationSpec,
+    collision_unitary_qubit_qutrit,
+    thermal_populations,
+)
 from colltherm.estimation import thermal_fim
+from colltherm.linalg import herm_eig
 from colltherm.protocols import (
     SIM_DIM_CAP,
     ProtocolConfig,
@@ -30,7 +39,7 @@ from colltherm.protocols import (
     sweep,
     sweep_values,
 )
-from colltherm.protocols import _joint_tangents, _stream_tangents
+from colltherm.protocols import _joint_tangents, _stream_tangents, _ungauge
 from colltherm.estimation import qfim_stack
 
 
@@ -311,11 +320,12 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
     simulation of the oracle within 1e-12, at fig4's angles (g1 = pi/2,
     g2 = 0.3 pi) and at g1 = g2 = 0.3 pi; its derivatives equal the
     oracle's central differences.  At n = 1 the single-ancilla route gives
-    the same state."""
+    the same state.  The register runs in the phase gauge, so it is compared
+    in the computational basis, through the un-gauge ``single_run`` uses."""
     angles = (g1_over_pi * math.pi, 0.3 * math.pi)
     temps = (2.0, 1.0)
     cfg = two_bath_config(collision_angles=angles, n_ancillas=n, correlated=True)
-    stack = _joint_tangents(cfg)
+    stack = _ungauge(_joint_tangents(cfg), cfg)
     npt.assert_allclose(stack[0], oracles.joint_stream_state(angles, temps, n), rtol=0, atol=1e-12)
     h = 1e-5
     for mu in range(2):
@@ -335,7 +345,8 @@ def test_stream_matches_ancilla_major_marginal_oracle(rng):
     """The marginal stream's states equal ``oracles.marginal_stream_states``
     (kron and partial traces, ancilla by ancilla) to 1e-12 for two probes
     with g1 != pi/2, where they differ from the joint simulation's ancilla
-    marginals."""
+    marginals.  The stream runs in the phase gauge, so it is compared in the
+    computational basis, through the un-gauge ``single_run`` uses."""
     for n in (2, 5, 16):
         temps = tuple(np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=2)))
         angles = tuple(rng.uniform(0.05, 0.95, size=2) * math.pi)
@@ -343,7 +354,9 @@ def test_stream_matches_ancilla_major_marginal_oracle(rng):
             baths=tuple(BathSpec(t) for t in temps), collision_angles=angles, n_ancillas=n
         )
         expected = oracles.marginal_stream_states(angles, temps, n)
-        npt.assert_allclose(_stream_tangents(cfg)[:, 0], expected, rtol=0, atol=1e-12)
+        npt.assert_allclose(
+            _ungauge(_stream_tangents(cfg)[:, 0], cfg), expected, rtol=0, atol=1e-12
+        )
     angles, temps = (0.3 * math.pi, 0.3 * math.pi), (2.0, 1.0)
     joint = oracles.ancilla_marginals(oracles.joint_stream_state(angles, temps, 2), 2)
     assert np.max(np.abs(oracles.marginal_stream_states(angles, temps, 2)[1] - joint[1])) > 1e-3
@@ -366,6 +379,125 @@ def test_stream_prefix_is_the_shorter_stream(config):
     for m in (1, 2, 7, 15):
         prefix = _stream_tangents(replace(config, n_ancillas=m))
         npt.assert_allclose(prefix, full[:m], rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the phase gauge and the rotation axis
+# ---------------------------------------------------------------------------
+
+def _affine_derivatives(state, temps):
+    """Exact d rho / dT_i of a single-ancilla state at omega = 1: with fresh
+    probes the state is affine in each probe's excited weight lambda_0(T_i),
+    so the secant in that weight from T_i to 2 T_i, times d lambda_0 / dT_i,
+    is the derivative up to rounding."""
+    derivs = []
+    for i, t in enumerate(temps):
+        moved = list(temps)
+        moved[i] = 2.0 * t
+        weight = oracles.gibbs_weights(1.0, 2.0 * t)[0] - oracles.gibbs_weights(1.0, t)[0]
+        derivs.append(oracles.dlam0_dT(1.0, t) * (state(moved) - state(temps)) / weight)
+    return derivs
+
+
+def _dense_qutrit_single(angles, temps, rotation):
+    """One qutrit ancilla through fresh thermal probes, densely: per stage
+    Tr_p u (p_i (x) a) u^dag with u = ``collision_unitary_qubit_qutrit``,
+    then ``rotation`` on the ancilla after every stage but the last."""
+    a = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    for i, (g, t) in enumerate(zip(angles, temps)):
+        u = collision_unitary_qubit_qutrit(g)
+        joint = u @ np.kron(np.diag(oracles.gibbs_weights(1.0, t)), a) @ u.conj().T
+        a = np.einsum("pipj->ij", joint.reshape(2, 3, 2, 3))
+        if i < len(angles) - 1:
+            a = rotation @ a @ rotation.conj().T
+    return a
+
+
+def _assert_single_run_matches(cfg, state):
+    """``single_run``'s state and SLDs against ``state(temps)`` and the
+    pseudoinverse SLDs of its exact derivatives, to 1e-12."""
+    temps = cfg.temperatures
+    final, rep = single_run(cfg)
+    rho = state(temps)
+    assert final.dtype == complex
+    npt.assert_allclose(final, rho, rtol=0, atol=1e-12)
+    slds = [oracles.sld_pinv(rho, d) for d in _affine_derivatives(state, temps)]
+    npt.assert_allclose(np.array(rep.qfim.slds), slds, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_rotation_axes_match_oracles_that_rotate_as_given(rng, axis):
+    """The engines run every axis in the real phase gauge, x and y as the
+    same unitaries and z at theta = 0; the oracles apply
+    ``RotationSpec(theta, axis).unitary`` as it is, in the computational
+    basis.  For n = 1..3 the un-gauged joint register and marginal stream
+    equal the brute-force oracles to 1e-12, and ``single_run``'s state and
+    SLDs equal the oracle's state and the SLDs of its exact derivatives,
+    for qubit ancillas and for a qutrit ancilla behind three probes."""
+    for _ in range(3):
+        temps = tuple(np.exp(rng.uniform(math.log(0.5), math.log(3.0), size=2)))
+        angles = tuple(rng.uniform(0.05, 0.95, size=2) * math.pi)
+        spec = RotationSpec(float(rng.uniform(0.05, 0.95) * math.pi), axis)
+        r = spec.unitary(2)
+        cfg = two_bath_config(
+            baths=tuple(BathSpec(t) for t in temps), collision_angles=angles, rotation=spec
+        )
+        for n in (1, 2, 3):
+            joint = _joint_tangents(replace(cfg, n_ancillas=n, correlated=True))[0]
+            npt.assert_allclose(
+                _ungauge(joint, cfg), oracles.joint_stream_state(angles, temps, n, r),
+                rtol=0, atol=1e-12,
+            )
+            marginals = _stream_tangents(replace(cfg, n_ancillas=n))[:, 0]
+            npt.assert_allclose(
+                _ungauge(marginals, cfg), oracles.marginal_stream_states(angles, temps, n, r),
+                rtol=0, atol=1e-12,
+            )
+        _assert_single_run_matches(
+            cfg, lambda tv: oracles.marginal_stream_states(angles, tv, 1, r)[0]
+        )
+    spec = RotationSpec(float(rng.uniform(0.05, 0.95) * math.pi), axis)
+    qutrit = three_bath_config(rotation=spec)
+    _assert_single_run_matches(
+        qutrit,
+        lambda tv: _dense_qutrit_single(qutrit.collision_angles, tv, spec.unitary(3)),
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        two_bath_config(),
+        two_bath_config(n_ancillas=3),
+        two_bath_config(n_ancillas=3, correlated=True),
+        three_bath_config(n_ancillas=2),
+        three_bath_config(n_ancillas=2, correlated=True),
+    ],
+    ids=["single", "uncorrelated", "correlated", "qutrit", "correlated-qutrit"],
+)
+@pytest.mark.parametrize("axis", "xyz")
+def test_engines_run_in_float64(config, axis):
+    """Every engine stack is float64 in the phase gauge, whatever the axis,
+    and the QFIM kernel keeps it real: ``herm_eig`` of a real matrix gives
+    float64 eigenvectors."""
+    config = replace(config, rotation=RotationSpec(0.3 * math.pi, axis))
+    stack = _joint_tangents(config) if config.correlated else _stream_tangents(config)
+    assert stack.dtype == np.float64
+    _, vecs = herm_eig(stack.reshape((-1,) + stack.shape[-2:])[0])
+    assert vecs.dtype == np.float64
+
+
+def test_a_lone_ancilla_builds_no_probe_map(monkeypatch):
+    """With one ancilla no probe is propagated, so the stream builds neither
+    the probe map of ``collision_maps`` nor the rethermalizations."""
+    def unused(*args):
+        raise AssertionError("built for a lone ancilla")
+
+    monkeypatch.setattr(protocols, "collision_maps", unused)
+    monkeypatch.setattr(protocols, "_rethermalizations", unused)
+    for cfg, scenario in ((two_bath_config(), "single"), (three_bath_config(), "qutrit")):
+        assert np.isfinite(evaluate(cfg, scenario).qfim.matrix).all()
+    single_run(two_bath_config())
 
 
 # ---------------------------------------------------------------------------
