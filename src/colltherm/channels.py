@@ -248,45 +248,37 @@ def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
-def _damping(bath: BathSpec) -> tuple[float, float, float, float, float]:
-    """Closed-form data of the partial-thermalization channel.
-
-    Returns (lambda_0, lambda_1, e, d lambda_0/dT, d ln(e)/dT) with
-    e = exp(-Gamma t) the population damping factor and
-    Gamma t = gamma t (2 nbar + 1), gamma t being ``bath.therm_time``.
+def _gad_pair(bath: BathSpec) -> np.ndarray:
+    """The partial-thermalization channel and its T-derivative, stacked as
+    (2, 4, 4) real, in one pass: each maps the populations (rho_00, rho_11)
+    by a 2x2 matrix and scales both coherences.  Populations relax toward
+    the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar + 1)
+    with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).
     """
     lam0, lam1, x = _gibbs(bath.omega, bath.temperature)
     n = nbar(bath.omega, bath.temperature)
     gt = bath.therm_time
-    dn = n * (n + 1.0) * x / bath.temperature
     e = math.exp(-gt * (2.0 * n + 1.0))
-    return lam0, lam1, e, lam0 * lam1 * x / bath.temperature, -2.0 * gt * dn
-
-
-def _population_coherence_map(p00, p03, p30, p33, coh) -> np.ndarray:
-    """Real 4x4 superoperator that maps the populations (rho_00, rho_11) by
-    [[p00, p03], [p30, p33]] and scales both coherences by ``coh``."""
-    return np.array([[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]])
+    dlog = -2.0 * gt * (n * (n + 1.0) * x / bath.temperature)  # d ln(e) / dT
+    # a: d lambda_0 / dT times (1 - e)
+    a, de, r = lam0 * lam1 * x / bath.temperature * (1.0 - e), e * dlog, math.sqrt(e)
+    return np.array([
+        [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]]
+        for p00, p03, p30, p33, coh in (
+            (e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e), r),
+            (a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, 0.5 * r * dlog),
+        )
+    ])
 
 
 def thermalization_channel(bath: BathSpec) -> np.ndarray:
     """Partial-thermalization channel exp(L t) (4x4 superoperator), with
-    gamma*t = ``bath.therm_time``.
-
-    The generalized amplitude-damping closed form: populations relax toward
-    the Gibbs weights by the factor e = exp(-Gamma t), coherences decay by
-    sqrt(e).
-    """
-    lam0, lam1, e, _, _ = _damping(bath)
-    return _population_coherence_map(
-        e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e), math.sqrt(e)
-    )
+    gamma*t = ``bath.therm_time``: the generalized amplitude-damping closed
+    form, slice 0 of :func:`_gad_pair`."""
+    return _gad_pair(bath)[0]
 
 
 def thermalization_channel_dT(bath: BathSpec) -> np.ndarray:
-    """Temperature derivative of :func:`thermalization_channel`, entrywise."""
-    lam0, lam1, e, dlam0, dlog = _damping(bath)
-    a, de = dlam0 * (1.0 - e), e * dlog
-    return _population_coherence_map(
-        a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, 0.5 * math.sqrt(e) * dlog
-    )
+    """Temperature derivative of :func:`thermalization_channel`, entrywise:
+    slice 1 of :func:`_gad_pair`."""
+    return _gad_pair(bath)[1]

@@ -13,6 +13,7 @@ Subcommands:
 The CLI is a thin shell over :mod:`colltherm.protocols`: every preset, sweep
 and point goes through its public ``check_scenario``, ``point`` and
 ``sweep``, and one loop turns their ``(row, report)`` pairs into a table.
+``main`` builds one argument parser per process, on its first call.
 
 Exit codes: 0 success; 2 configuration error (message names the offending
 field, e.g. ``baths[0].temperature``, or ``scenario`` when the base config
@@ -444,8 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on main's first call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,19 +106,19 @@ class Qfim:
     logarithmic derivatives live block-locally on the individual factors
     and only their matrix sum is meaningful, and the reports of
     :func:`colltherm.protocols.evaluate` keep only the SLD commutator norm.
+    ``det`` and ``trace`` are formed once, at construction, so the report,
+    the merit row and the summary share one factorisation.
     """
 
     matrix: np.ndarray
     slds: tuple[np.ndarray, ...] = ()
     support_dim: int = 0
+    det: float = field(init=False)
+    trace: float = field(init=False)
 
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
+    def __post_init__(self):
+        object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
+        object.__setattr__(self, "trace", float(np.trace(self.matrix)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,12 +76,10 @@ from .channels import (
     BathSpec,
     RotationSpec,
     _ancilla_map,
+    _gad_pair,
+    _gibbs,
     collision_maps,
     collision_unitary,
-    thermal_state,
-    thermal_state_dT,
-    thermalization_channel,
-    thermalization_channel_dT,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
 from .operators import PAULI
@@ -180,8 +178,10 @@ def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
     nb = config.n_baths
     out = np.zeros((nb, 1 + nb, 2, 2))
     for i, b in enumerate(config.baths):
-        out[i, 0] = thermal_state(b.omega, b.temperature).real
-        out[i, 1 + i] = thermal_state_dT(b.omega, b.temperature).real
+        lam0, lam1, x = _gibbs(b.omega, b.temperature)
+        d = lam0 * lam1 * x / b.temperature  # d lambda_0 / dT
+        out[i, 0, 0, 0], out[i, 0, 1, 1] = lam0, lam1
+        out[i, 1 + i, 0, 0], out[i, 1 + i, 1, 1] = d, -d
     return out
 
 
@@ -209,9 +209,9 @@ def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
     return t.conj()[:, None] * x * t
 
 
-def _rethermalizations(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per probe, its rethermalization superoperator and that map's T-derivative."""
-    return [(thermalization_channel(b), thermalization_channel_dT(b)) for b in config.baths]
+def _rethermalizations(config: ProtocolConfig) -> np.ndarray:
+    """Per probe, its rethermalization superoperator and its T-derivative: (N, 2, 4, 4)."""
+    return np.array([_gad_pair(b) for b in config.baths])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
         to_ancilla, to_probe = collision_maps(us)
         # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
         # probe map, identity row dropped: (nb, 2, 3, 3 d^2)
-        therm = pauli @ np.array(_rethermalizations(config)) @ pauli.T / 2
+        therm = pauli @ _rethermalizations(config) @ pauli.T / 2
         probe_maps = therm @ to_probe.reshape(nb, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     else:

@@ -420,6 +420,68 @@ def test_verify_deterministic_output(capsys):
     assert capsys.readouterr().out == first
 
 
+# ---------------------------------------------------------------------------
+# argument parser
+# ---------------------------------------------------------------------------
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """``main`` builds the parser on its first call and reuses it for every
+    subcommand; ``build_parser`` still hands out a fresh one."""
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["verify", "--group", "appendix", "--trials", "20"]) == 0
+    assert len(calls) == 1
+    assert build() is not build() and build() is not cli._parser
+
+
+def test_bad_argument_after_good_call_still_exits_2(tmp_path, monkeypatch, capsys):
+    """A reused parser rejects a bad argument as a fresh one does, and the
+    next good call still succeeds."""
+    monkeypatch.setattr(cli, "_parser", None)
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--scenario", "fig9", "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert "argument --scenario: invalid choice: 'fig9'" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_reused_parser_keeps_namespaces_apart(tmp_path, monkeypatch):
+    """A ``run --scenario`` call leaves no attribute in the namespace of the
+    ``sweep --config`` call that follows it on the same parser."""
+    parser, seen = cli.build_parser(), []
+    parse = parser.parse_args
+
+    def recording(argv):
+        args = parse(argv)
+        seen.append(dict(vars(args)))
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    monkeypatch.setattr(cli, "_parser", parser)
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    assert main(["run", "--scenario", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]) == 0
+    run_ns, sweep_ns = seen
+    assert run_ns["scenario"] == "fig2" and run_ns["config"] is None
+    assert sweep_ns == {
+        "command": "sweep", "config": cfg, "out": str(tmp_path / "sweep.csv"),
+        "func": cli.cmd_sweep,
+    }
+
+
 def test_cli_import_leaves_scipy_unloaded(src_env):
     """The package needs numpy and PyYAML only: importing the CLI in a fresh
     interpreter loads no scipy module."""

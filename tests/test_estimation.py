@@ -7,6 +7,7 @@ shares code with the library's eigendecomposition route.  The stacked kernel
 full-rank, pure and rank-deficient states.
 """
 
+import dataclasses
 import math
 import re
 
@@ -25,7 +26,7 @@ from colltherm.estimation import (
     singularity_test,
     thermal_fim,
 )
-from colltherm.protocols import ProtocolConfig, evaluate, single_run
+from colltherm.protocols import ProtocolConfig, evaluate, point, single_run
 
 
 def _qubit_family(rng, n_params=2):
@@ -386,6 +387,32 @@ def test_build_report_forces_eta_acc_on_singular_flag():
     rep_ok = build_report(Qfim(np.eye(2) * 0.1), th)
     assert not rep_ok.singular
     assert math.isfinite(rep_ok.eta_acc)
+
+
+def test_qfim_stores_det_and_trace(rng):
+    """``Qfim`` forms det and trace once, at construction, bit for bit as
+    numpy does; ``replace`` forms both anew, and neither can be assigned."""
+    a, b = rng.normal(size=(2, 3, 3))
+    m, m2 = a @ a.T, b @ b.T
+    qf = Qfim(m)
+    assert type(qf.det) is float and type(qf.trace) is float
+    assert qf.det == float(np.linalg.det(m)) and qf.trace == float(np.trace(m))
+    qf2 = dataclasses.replace(qf, matrix=m2)
+    assert qf2.det == float(np.linalg.det(m2)) and qf2.trace == float(np.trace(m2))
+    assert qf2.det != qf.det
+    for attr in ("det", "trace"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(qf, attr, 0.0)
+
+
+def test_point_merit_cells_are_the_reports_stored_values():
+    """The merit row reads the report's stored determinant and trace: the
+    very objects, not a second factorisation."""
+    cfg = ProtocolConfig((BathSpec(2.0), BathSpec(1.0)), (0.5 * math.pi, 0.3 * math.pi),
+                         n_ancillas=3)
+    row, rep = point(cfg, "uncorrelated")
+    assert row["det_qfim"] is rep.qfim.det
+    assert row["trace_qfim"] is rep.qfim.trace
 
 
 # ---------------------------------------------------------------------------
