@@ -15,15 +15,11 @@ from .channels import (
     collision_maps,
     collision_superoperator,
     collision_unitary,
-    collision_unitary_qubit,
-    collision_unitary_qubit_qutrit,
     nbar,
     rotation_superoperator,
     thermal_populations,
     thermal_state,
-    thermal_state_dT,
     thermalization_channel,
-    thermalization_channel_dT,
 )
 from .estimation import (
     EstimationReport,
@@ -54,10 +50,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec", "RotationSpec", "collision_maps",
-    "collision_superoperator", "collision_unitary", "collision_unitary_qubit",
-    "collision_unitary_qubit_qutrit", "nbar",
+    "collision_superoperator", "collision_unitary", "nbar",
     "rotation_superoperator", "thermal_populations", "thermal_state",
-    "thermal_state_dT", "thermalization_channel", "thermalization_channel_dT",
+    "thermalization_channel",
     "EstimationReport", "Qfim", "QfimStack", "build_report", "qfim_stack",
     "singularity_test", "thermal_fim",
     "choi_matrix", "herm_eig",

@@ -20,11 +20,11 @@ This module builds every channel the protocol composes:
   that product alone (:attr:`BathSpec.therm_time`).
 
 Temperatures enter the protocol only through the thermal probe state and the
-partial-thermalization channel, so those two also come with their exact
-temperature derivatives (:func:`thermal_state_dT`,
-:func:`thermalization_channel_dT`).  Gibbs quantities are written through
-``exp(-omega/T)``, which underflows to 0 at low temperature instead of
-overflowing.
+partial-thermalization channel.  The Gibbs weights and d lambda_0/dT are
+written once (:func:`_gibbs`), and the channel is built together with its
+exact temperature derivative (:func:`_gad_pair`); the evaluators run those
+two.  Gibbs quantities are written through ``exp(-omega/T)``, which
+underflows to 0 at low temperature instead of overflowing.
 
 Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
 ``|i><j|`` is component ``D*i + j`` of ``rho.reshape(-1)``.
@@ -44,17 +44,20 @@ __all__ = [
     "RotationSpec",
     "thermal_populations",
     "thermal_state",
-    "thermal_state_dT",
     "nbar",
-    "collision_unitary_qubit",
-    "collision_unitary_qubit_qutrit",
     "collision_unitary",
     "collision_maps",
     "collision_superoperator",
     "rotation_superoperator",
     "thermalization_channel",
-    "thermalization_channel_dT",
 ]
+
+
+def _check_finite(**fields: float) -> None:
+    """Reject a non-finite value, naming its field."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,7 @@ class BathSpec:
     therm_time: float = 0.5
 
     def __post_init__(self):
+        _check_finite(temperature=self.temperature, omega=self.omega, therm_time=self.therm_time)
         if not self.temperature > 0:
             raise ValueError(f"temperature: must be > 0, got {self.temperature}")
         if not self.omega > 0:
@@ -89,6 +93,7 @@ class RotationSpec:
     axis: str = "x"
 
     def __post_init__(self):
+        _check_finite(theta=self.theta)
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")
 
@@ -107,12 +112,16 @@ class RotationSpec:
 
 
 def _gibbs(omega: float, T: float) -> tuple[float, float, float]:
-    """(lambda_0, lambda_1, omega/T), overflow-free for omega > 0."""
+    """(lambda_0, lambda_1, d lambda_0/dT), overflow-free for omega > 0, with
+    d lambda_0/dT = (omega/T^2) lambda_0 lambda_1.  The one place that
+    derivative is written: the probe tangents, :func:`_gad_pair` and the
+    thermal benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
     x = omega / T
     b = math.exp(-x)
-    return b / (1.0 + b), 1.0 / (1.0 + b), x
+    lam0, lam1 = b / (1.0 + b), 1.0 / (1.0 + b)
+    return lam0, lam1, lam0 * lam1 * x / T
 
 
 def thermal_populations(omega: float, T: float) -> tuple[float, float]:
@@ -121,8 +130,7 @@ def thermal_populations(omega: float, T: float) -> tuple[float, float]:
     With energies E = (+omega/2, -omega/2) for basis (|0>, |1>):
     lambda_0 = 1/(1 + e^{omega/T}) < lambda_1.
     """
-    lam0, lam1, _ = _gibbs(omega, T)
-    return lam0, lam1
+    return _gibbs(omega, T)[:2]
 
 
 def thermal_state(omega: float, T: float) -> np.ndarray:
@@ -130,14 +138,6 @@ def thermal_state(omega: float, T: float) -> np.ndarray:
     2 x 2 complex array."""
     lam0, lam1 = thermal_populations(omega, T)
     return np.array([[lam0, 0.0], [0.0, lam1]], dtype=complex)
-
-
-def thermal_state_dT(omega: float, T: float) -> np.ndarray:
-    """d/dT of the qubit Gibbs state: diag(1, -1) d lambda_0/dT, with
-    d lambda_0/dT = (omega/T^2) lambda_0 lambda_1."""
-    lam0, lam1, x = _gibbs(omega, T)
-    d = lam0 * lam1 * x / T
-    return np.array([[d, 0.0], [0.0, -d]], dtype=complex)
 
 
 def nbar(omega: float, T: float) -> float:
@@ -148,48 +148,32 @@ def nbar(omega: float, T: float) -> float:
     return math.exp(-x) / -math.expm1(-x)
 
 
-def collision_unitary_qubit(angle: float) -> np.ndarray:
-    """exp(-i H tau) for the qubit-qubit exchange H = g(s+ s- + s- s+), as a
-    function of the collision angle g*tau.
-
-    H couples only |01> and |10>, so the exponential is the 2x2-rotation
-    block form [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] with
-    c = cos(g tau), s = sin(g tau): both off-diagonal entries carry -i, as
-    required by unitarity of the exponential of a real-symmetric coupling.
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array(
-        [[1, 0, 0, 0], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex
-    )
-
-
-def collision_unitary_qubit_qutrit(angle: float) -> np.ndarray:
-    """exp(-i H tau) for the qubit-qutrit exchange H = g(s+ Q- + s- Q+), as a
-    function of the collision angle g*tau.
-
-    Probe factor first (2 x 3 = 6 dimensional).  H commutes with the total
-    excitation operator sigma_z/2 (x) I + I (x) S_z, so the unitary is block
-    diagonal in excitation sectors; each two-dimensional sector rotates by
-    the Q-matrix element g*tau/sqrt(2).  With (probe level, qutrit m) at
-    index 3*level + (1 - m), the sectors |1,+1>, |0,0> and |1,0>, |0,-1> are
-    the index pairs (3, 1) and (4, 2), each the block [[c, -is], [-is, c]];
-    |0,+1> and |1,-1> are left alone.
-    """
-    a = angle / math.sqrt(2.0)
-    c, s = math.cos(a), math.sin(a)
-    u = np.eye(6, dtype=complex)
-    for i, j in ((3, 1), (4, 2)):
-        u[i, i] = u[j, j] = c
-        u[i, j] = u[j, i] = -1j * s
-    return u
+# per ancilla dimension: g*tau over each sector's angle, and the sectors' index pairs
+_EXCHANGE_SECTORS = {2: (1.0, ((1, 2),)), 3: (math.sqrt(2.0), ((3, 1), (4, 2)))}
 
 
 def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
-    if ancilla_dim == 2:
-        return collision_unitary_qubit(angle)
-    if ancilla_dim == 3:
-        return collision_unitary_qubit_qutrit(angle)
-    raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
+    """exp(-i H tau) for the exchange H = g(s+ A- + s- A+) of the probe qubit
+    with a qubit (A = s) or qutrit (A = Q) ancilla, as a function of the
+    collision angle g*tau; probe factor first.
+
+    H conserves the total excitation, so the unitary is the identity plus
+    the block [[c, -is], [-is, c]] on each excitation sector of
+    ``_EXCHANGE_SECTORS`` (both off-diagonals carry -i, as unitarity
+    requires).  Qubit: |01>, |10> at g*tau.  Qutrit, with (probe level, m)
+    at index 3*level + (1 - m): |1,+1>, |0,0> and |1,0>, |0,-1> at the
+    Q-matrix element g*tau/sqrt(2); |0,+1> and |1,-1> are left alone.
+    """
+    if ancilla_dim not in _EXCHANGE_SECTORS:
+        raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
+    scale, sectors = _EXCHANGE_SECTORS[ancilla_dim]
+    a = angle / scale
+    c, s = math.cos(a), math.sin(a)
+    u = np.eye(2 * ancilla_dim, dtype=complex)
+    for i, j in sectors:
+        u[i, i] = u[j, j] = c
+        u[i, j] = u[j, i] = -1j * s
+    return u
 
 
 # Pauli coefficients (I, X, Z) in and out: vec(p) = _PAULI_HALF^T c, c = 2 _PAULI_HALF vec(p)
@@ -255,13 +239,12 @@ def _gad_pair(bath: BathSpec) -> np.ndarray:
     the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar + 1)
     with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).
     """
-    lam0, lam1, x = _gibbs(bath.omega, bath.temperature)
-    n = nbar(bath.omega, bath.temperature)
+    lam0, lam1, dlam0 = _gibbs(bath.omega, bath.temperature)
+    n, x = nbar(bath.omega, bath.temperature), bath.omega / bath.temperature
     gt = bath.therm_time
     e = math.exp(-gt * (2.0 * n + 1.0))
     dlog = -2.0 * gt * (n * (n + 1.0) * x / bath.temperature)  # d ln(e) / dT
-    # a: d lambda_0 / dT times (1 - e)
-    a, de, r = lam0 * lam1 * x / bath.temperature * (1.0 - e), e * dlog, math.sqrt(e)
+    a, de, r = dlam0 * (1.0 - e), e * dlog, math.sqrt(e)
     return np.array([
         [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]]
         for p00, p03, p30, p33, coh in (
@@ -276,9 +259,3 @@ def thermalization_channel(bath: BathSpec) -> np.ndarray:
     gamma*t = ``bath.therm_time``: the generalized amplitude-damping closed
     form, slice 0 of :func:`_gad_pair`."""
     return _gad_pair(bath)[0]
-
-
-def thermalization_channel_dT(bath: BathSpec) -> np.ndarray:
-    """Temperature derivative of :func:`thermalization_channel`, entrywise:
-    slice 1 of :func:`_gad_pair`."""
-    return _gad_pair(bath)[1]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import BathSpec
+from .channels import BathSpec, _gibbs
 from .linalg import herm_eig
 
 __all__ = [
@@ -226,17 +226,13 @@ def qfim_stack(stacks) -> QfimStack:
 
 def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
     """The (N,) benchmark vector of F_th^i, the energy-measurement Fisher
-    information of each probe at equilibrium:
+    information of each probe at equilibrium, with d lambda_0/dT from
+    :func:`colltherm.channels._gibbs`:
 
-        F_th = Var(H) / T^4 = omega^2 sech^2(omega / 2T) / (4 T^4).
+        F_th = (omega/T^2) d lambda_0/dT = omega^2 sech^2(omega / 2T) / (4 T^4).
     """
-    vals = []
-    for b in baths:
-        x = b.omega / b.temperature
-        q = math.exp(-x)  # sech^2(x/2) = 4 q / (1 + q)^2 without overflow
-        sech2 = 4.0 * q / (1.0 + q) ** 2
-        vals.append(sech2 * x / b.temperature * x / b.temperature / 4.0)
-    return np.array(vals)
+    return np.array([b.omega / b.temperature**2 * _gibbs(b.omega, b.temperature)[2]
+                     for b in baths])
 
 
 def singularity_test(stack) -> tuple[bool, float | None]:

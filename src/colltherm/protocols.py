@@ -76,6 +76,7 @@ from .channels import (
     BathSpec,
     RotationSpec,
     _ancilla_map,
+    _check_finite,
     _gad_pair,
     _gibbs,
     collision_maps,
@@ -147,6 +148,7 @@ class ProtocolConfig:
                 f"{len(self.collision_angles)}"
             )
         for g in self.collision_angles:
+            _check_finite(collision_angles=g)
             if not g >= 0:
                 raise ValueError(f"collision_angles: must be >= 0, got {g}")
         if self.n_ancillas < 1:
@@ -178,8 +180,7 @@ def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
     nb = config.n_baths
     out = np.zeros((nb, 1 + nb, 2, 2))
     for i, b in enumerate(config.baths):
-        lam0, lam1, x = _gibbs(b.omega, b.temperature)
-        d = lam0 * lam1 * x / b.temperature  # d lambda_0 / dT
+        lam0, lam1, d = _gibbs(b.omega, b.temperature)
         out[i, 0, 0, 0], out[i, 0, 1, 1] = lam0, lam1
         out[i, 1 + i, 0, 0], out[i, 1 + i, 1, 1] = d, -d
     return out

@@ -22,16 +22,14 @@ import oracles
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
+    _gad_pair,
+    _gibbs,
     collision_superoperator,
     collision_unitary,
-    collision_unitary_qubit,
-    collision_unitary_qubit_qutrit,
     nbar,
     thermal_populations,
     thermal_state,
-    thermal_state_dT,
     thermalization_channel,
-    thermalization_channel_dT,
 )
 from colltherm.linalg import choi_matrix
 from colltherm.operators import S1Z, SZ
@@ -87,6 +85,24 @@ def test_temperature_validation():
         RotationSpec(0.1, axis="q")
 
 
+_TWO_BATHS = (BathSpec(2.0), BathSpec(1.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field, build", [
+    ("temperature", lambda v: BathSpec(v)),
+    ("omega", lambda v: BathSpec(2.0, omega=v)),
+    ("therm_time", lambda v: BathSpec(2.0, therm_time=v)),
+    ("theta", lambda v: RotationSpec(v)),
+    ("collision_angles", lambda v: ProtocolConfig(baths=_TWO_BATHS, collision_angles=(0.1, v))),
+])
+def test_non_finite_inputs_rejected(field, build, value):
+    """The public constructors refuse nan and inf, naming the field, before
+    any closed form sees them."""
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        build(value)
+
+
 # ---------------------------------------------------------------------------
 # collision unitaries
 # ---------------------------------------------------------------------------
@@ -95,23 +111,25 @@ def test_qubit_collision_matches_printed_matrix(rng):
     """Block-rotation form with -i sin(g tau) on both off-diagonals."""
     for _ in range(10):
         gt = rng.uniform(0.0, np.pi)
-        u = collision_unitary_qubit(gt)
+        u = collision_unitary(gt, 2)
         npt.assert_allclose(u, oracles.printed_collision_unitary(gt), atol=1e-12)
 
 
-def test_qubit_collision_against_taylor_series(rng):
-    gt = rng.uniform(0.1, 1.2)
-    h = np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
+@pytest.mark.parametrize("ancilla_dim", [2, 3])
+def test_collision_unitary_against_taylor_series(rng, ancilla_dim):
+    """exp(-i g tau (s+ (x) A- + h.c.)) by series, A- the qubit lowering
+    operator or the qutrit Q- with matrix elements 1/sqrt(2)."""
+    element = 1.0 if ancilla_dim == 2 else 1.0 / np.sqrt(2.0)
+    a_minus = np.diag(np.full(ancilla_dim - 1, element), -1)
+    h = np.kron(np.array([[0, 1], [0, 0]]), a_minus)
     h = h + h.conj().T
-    npt.assert_allclose(
-        collision_unitary_qubit(gt),
-        oracles.taylor_expm(-1j * gt * h),
-        atol=1e-12,
-    )
+    for gt in (rng.uniform(0.1, 1.5), 0.5 * np.pi, np.pi, 4.4, 2.0 * np.pi):
+        u = collision_unitary(gt, ancilla_dim)
+        npt.assert_allclose(u, oracles.taylor_expm(-1j * gt * h), atol=1e-12)
 
 
 def test_qubit_collision_invariant_sectors():
-    u = collision_unitary_qubit(0.7)
+    u = collision_unitary(0.7, 2)
     assert u[0, 0] == pytest.approx(1.0)
     assert u[3, 3] == pytest.approx(1.0)
     npt.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
@@ -119,23 +137,12 @@ def test_qubit_collision_invariant_sectors():
 
 def test_qutrit_collision_unitary_and_conservation(rng):
     gt = rng.uniform(0.2, 2.5)
-    u = collision_unitary_qubit_qutrit(gt)
+    u = collision_unitary(gt, 3)
     assert u.shape == (6, 6)
     npt.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
     # total excitation sigma_z/2 (x) I + I (x) S_z commutes with the coupling
     n_op = np.kron(SZ / 2.0, np.eye(3)) + np.kron(np.eye(2), S1Z)
     npt.assert_allclose(u @ n_op - n_op @ u, np.zeros((6, 6)), atol=1e-12)
-
-
-def test_qutrit_collision_against_taylor_series(rng):
-    sp = np.array([[0, 1], [0, 0]], dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    q_minus = np.array([[0, 0, 0], [s, 0, 0], [0, s, 0]], dtype=complex)
-    h = np.kron(sp, q_minus)
-    h = h + h.conj().T
-    for gt in (rng.uniform(0.2, 1.5), 0.5 * np.pi, np.pi, 4.4, 2.0 * np.pi):
-        u = collision_unitary_qubit_qutrit(gt)
-        npt.assert_allclose(u, oracles.taylor_expm(-1j * gt * h), atol=1e-12)
 
 
 def test_collision_unitary_dimension_dispatch():
@@ -289,26 +296,23 @@ def test_thermalization_channel_is_exponential_of_generator(rng):
 
 
 def test_temperature_derivatives_match_central_differences(rng):
-    """d/dT of the Gibbs state and of the rethermalization channel against
-    central differences of the oracles' Gibbs weights and Kraus channel."""
+    """d lambda_0/dT of ``_gibbs`` against the oracles' closed form, and the
+    T-derivative slice of ``_gad_pair`` (the one the evaluators run) against
+    central differences of the oracles' Kraus channel."""
     for _ in range(20):
         omega, gamma, t = rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
         T = rng.uniform(0.4, 4.0)
         h = 1e-5 * T
-        npt.assert_allclose(
-            thermal_state_dT(omega, T),
-            np.diag([oracles.dlam0_dT(omega, T), -oracles.dlam0_dT(omega, T)]),
-            atol=1e-14,
-        )
+        assert _gibbs(omega, T)[2] == pytest.approx(oracles.dlam0_dT(omega, T), abs=1e-14)
         fd = (oracles.gad_superop(omega, T + h, gamma, t)
               - oracles.gad_superop(omega, T - h, gamma, t)) / (2 * h)
         npt.assert_allclose(
-            thermalization_channel_dT(BathSpec(T, omega=omega, therm_time=gamma * t)),
+            _gad_pair(BathSpec(T, omega=omega, therm_time=gamma * t))[1],
             fd,
             atol=1e-8,
         )
     still = BathSpec(2.0, therm_time=0.0)
-    npt.assert_array_equal(thermalization_channel_dT(still), np.zeros((4, 4)))
+    npt.assert_array_equal(_gad_pair(still)[1], np.zeros((4, 4)))
 
 
 def test_thermalization_channel_identity_at_zero_time():

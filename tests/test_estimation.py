@@ -322,6 +322,19 @@ def test_thermal_fim_against_binomial_oracle(rng):
         assert got == pytest.approx(oracles.thermal_fisher_binomial(omega, T), rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [1e-3, 1.0, 1e3])
+def test_thermal_fim_over_whole_range(T):
+    """F_th against (omega/T^2)^2 / (2 cosh(omega/2T))^2 for omega/T from
+    1e-3 to 700, and exactly 0 once exp(-omega/T) underflows (omega/T =
+    746).  The binomial oracle is not used here: it squares a derivative
+    that underflows at large omega/T."""
+    for x in np.geomspace(1e-3, 700.0, 60):
+        omega = x * T
+        expected = (omega / T**2) ** 2 / (2.0 * math.cosh(omega / (2.0 * T))) ** 2
+        assert thermal_fim([BathSpec(T, omega=omega)])[0] == pytest.approx(expected, rel=1e-12)
+    assert thermal_fim([BathSpec(T, omega=746.0 * T)])[0] == 0.0
+
+
 def test_thermal_fim_reference_values():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0), BathSpec(3.0)])
     npt.assert_allclose(th, [0.01468773, 0.19661193, 0.00300225], atol=5e-9)

@@ -23,7 +23,7 @@ from colltherm import protocols
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
-    collision_unitary_qubit_qutrit,
+    collision_unitary,
     thermal_populations,
 )
 from colltherm.estimation import thermal_fim
@@ -401,11 +401,11 @@ def _affine_derivatives(state, temps):
 
 def _dense_qutrit_single(angles, temps, rotation):
     """One qutrit ancilla through fresh thermal probes, densely: per stage
-    Tr_p u (p_i (x) a) u^dag with u = ``collision_unitary_qubit_qutrit``,
+    Tr_p u (p_i (x) a) u^dag with u = ``collision_unitary(g, 3)``,
     then ``rotation`` on the ancilla after every stage but the last."""
     a = np.diag([0.0, 0.0, 1.0]).astype(complex)
     for i, (g, t) in enumerate(zip(angles, temps)):
-        u = collision_unitary_qubit_qutrit(g)
+        u = collision_unitary(g, 3)
         joint = u @ np.kron(np.diag(oracles.gibbs_weights(1.0, t)), a) @ u.conj().T
         a = np.einsum("pipj->ij", joint.reshape(2, 3, 2, 3))
         if i < len(angles) - 1:
