@@ -116,6 +116,7 @@ def _gibbs(omega: float, T: float) -> tuple[float, float, float]:
     d lambda_0/dT = (omega/T^2) lambda_0 lambda_1.  The one place that
     derivative is written: the probe tangents, :func:`_gad_pair` and the
     thermal benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
+    _check_finite(omega=omega, temperature=T)
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
     x = omega / T
@@ -142,6 +143,7 @@ def thermal_state(omega: float, T: float) -> np.ndarray:
 
 def nbar(omega: float, T: float) -> float:
     """Bose occupation of the bath mode at the probe frequency."""
+    _check_finite(omega=omega, temperature=T)
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
     x = omega / T
@@ -166,6 +168,7 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     """
     if ancilla_dim not in _EXCHANGE_SECTORS:
         raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
+    _check_finite(angle=angle)
     scale, sectors = _EXCHANGE_SECTORS[ancilla_dim]
     a = angle / scale
     c, s = math.cos(a), math.sin(a)

@@ -67,6 +67,7 @@ that the CLI writes as tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -101,7 +102,7 @@ __all__ = [
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
-# at n = 9 took 0.15 s (0.10 s of it the QFIM of the 512-dimensional state) and
+# at n = 9 took 0.16 s (0.12 s of it the QFIM of the 512-dimensional state) and
 # +46 MB peak RSS, 3 probes x 8 ancillas 0.10 s and +71 MB (2-vCPU Xeon, one
 # BLAS thread).
 SIM_DIM_CAP = 2**11
@@ -140,6 +141,9 @@ class ProtocolConfig:
         n_baths = len(self.baths)
         if n_baths not in (2, 3):
             raise ValueError(f"baths: need 2 or 3 stages, got {n_baths}")
+        for name, value in (("ancilla_dim", self.ancilla_dim), ("n_ancillas", self.n_ancillas)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
         if self.ancilla_dim not in (2, 3):
             raise ValueError(f"ancilla_dim: must be 2 or 3, got {self.ancilla_dim}")
         if len(self.collision_angles) != n_baths:
@@ -309,22 +313,25 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     return anc.reshape(n, nt, d, d)
 
 
+# per probe count, stage i on V[c, probes..., q]: u[x, a, y, c] takes (c, probe i's y) to (a, x)
+_STAGE_SUBSCRIPTS = {2: ("xayc,cyfq->axfq", "xayc,ceyq->aexq"),
+                     3: ("xayc,cyfgq->axfgq", "xayc,ceygq->aexgq", "xayc,cefyq->aefxq")}
+
+
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
     """One ancilla's whole pass as an isometry V from the probes into
     ancilla (x) probes, shaped (d, P, P) as V[b, p, q].
 
-    The stage collisions and their rotations compose into one unitary W on
-    ancilla (x) probes (probe 0 most significant); the ancilla arrives in
-    its bottom level d - 1, so only the columns of W with that ancilla input
-    are kept.
+    The ancilla arrives in its bottom level d - 1, so V starts as the P
+    columns of the identity on ancilla (x) probes (probe 0 most significant)
+    with that ancilla input; each stage collision and its rotation then acts
+    on those columns alone, one einsum per stage.
     """
-    nb, d = config.n_baths, config.ancilla_dim
-    p = 2**nb
-    w = np.eye(d * p).reshape((d,) + (2,) * nb + (d * p,))
-    for i, u in enumerate(_stage_unitaries(config)):
-        t = np.tensordot(u.reshape(2, d, 2, d), w, axes=([2, 3], [1 + i, 0]))
-        w = np.moveaxis(t, (0, 1), (1 + i, 0))
-    return w.reshape(d, p, d, p)[:, :, d - 1, :]
+    nb, d, p = config.n_baths, config.ancilla_dim, 2**config.n_baths
+    v = np.eye(d * p)[:, (d - 1) * p:].reshape((d,) + (2,) * nb + (p,))
+    for sub, u in zip(_STAGE_SUBSCRIPTS[nb], _stage_unitaries(config)):
+        v = np.einsum(sub, u.reshape(2, d, 2, d), v)
+    return v.reshape(d, p, p)
 
 
 def _probe_product(pairs, shape) -> np.ndarray:
@@ -335,15 +342,26 @@ def _probe_product(pairs, shape) -> np.ndarray:
     ``pairs`` holds per probe (value, derivative), each reshaped to
     ``shape`` = (row, col, row', col'); the product keeps that grouping, so
     (2, 2, 1, 1) states give (1 + N, P, P, 1, 1) and (2, 2, 2, 2)
-    superoperators give (1 + N, P, P, P, P).
+    superoperators give (1 + N, P, P, P, P); it starts from probe 0's stack.
     """
     nt = 1 + len(pairs)
-    out = np.ones((nt, 1, 1, 1, 1))
-    for i, (x, dx) in enumerate(pairs):
-        f = np.array([dx if m == 1 + i else x for m in range(nt)]).reshape((nt,) + shape)
+    stacks = (np.array([dx if m == 1 + i else x for m in range(nt)]).reshape((nt,) + shape)
+              for i, (x, dx) in enumerate(pairs))
+    out = next(stacks)
+    for f in stacks:
         grown = tuple(a * b for a, b in zip(out.shape[1:], shape))
         out = np.einsum("xabcd,xefgh->xaebfcgdh", out, f).reshape((nt,) + grown)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _register_order(d: int, n: int) -> np.ndarray:
+    """Read-only gather of a flat (b_1, b'_1, ..., b_n, b'_n) register into
+    rows, then columns.  SIM_DIM_CAP bounds the keys: about 3.3 MB in all."""
+    index = np.arange(d ** (2 * n)).reshape((d,) * (2 * n))
+    index = index.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
@@ -361,7 +379,7 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     by (x)_i Phi_i, composed into the same map; the derivative kicks
     Phi_0 (x) ... (x) d Phi_m (x) ... act on register 0.  The last ancilla's
     map is fused with the probe trace, sum_p V_p R V_p^dag, so the final
-    register with probes is never formed.
+    register with probes is never formed; a gather cached per (d, n) orders the result.
     """
     jd = config.joint_dim()
     if jd > SIM_DIM_CAP:
@@ -385,9 +403,8 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
             grown[1:] += np.matmul(reg[0], step[1:]).reshape(nb, -1, pp)
             reg = grown
     last = np.einsum("bpq,cps->qsbc", v, v.conj()).reshape(pp, d * d)
-    out = (reg.reshape(-1, pp) @ last).reshape((nt,) + (d, d) * n)
-    order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
-    return out.transpose(order).reshape(nt, d**n, d**n)
+    out = (reg.reshape(-1, pp) @ last).reshape(nt, -1)
+    return out.take(_register_order(d, n), axis=1).reshape(nt, d**n, d**n)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,19 @@ _TWO_BATHS = (BathSpec(2.0), BathSpec(1.0))
     ("therm_time", lambda v: BathSpec(2.0, therm_time=v)),
     ("theta", lambda v: RotationSpec(v)),
     ("collision_angles", lambda v: ProtocolConfig(baths=_TWO_BATHS, collision_angles=(0.1, v))),
+    pytest.param("angle", lambda v: collision_unitary(v, 2), id="collision_unitary-angle"),
+    pytest.param("angle", lambda v: collision_unitary(v, 3), id="collision_unitary_3-angle"),
+    pytest.param("omega", lambda v: thermal_populations(v, 1.0), id="thermal_populations-omega"),
+    pytest.param("temperature", lambda v: thermal_populations(1.0, v),
+                 id="thermal_populations-temperature"),
+    pytest.param("omega", lambda v: thermal_state(v, 1.0), id="thermal_state-omega"),
+    pytest.param("temperature", lambda v: thermal_state(1.0, v), id="thermal_state-temperature"),
+    pytest.param("omega", lambda v: nbar(v, 1.0), id="nbar-omega"),
+    pytest.param("temperature", lambda v: nbar(1.0, v), id="nbar-temperature"),
 ])
 def test_non_finite_inputs_rejected(field, build, value):
-    """The public constructors refuse nan and inf, naming the field, before
-    any closed form sees them."""
+    """The public constructors and closed forms refuse nan and inf, naming
+    the field or argument, before any arithmetic sees them."""
     with pytest.raises(ValueError, match=f"^{field}: must be finite"):
         build(value)
 

@@ -88,6 +88,15 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="n_ancillas"):
             two_bath_config(n_ancillas=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ancilla_dim", 2.0), ("ancilla_dim", True), ("ancilla_dim", "2"),
+        ("n_ancillas", 2.0), ("n_ancillas", 2.5), ("n_ancillas", True), ("n_ancillas", "3"),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        """A float, bool or string size is refused by name before numpy sees it."""
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            two_bath_config(**{field: value})
+
     def test_replace_ancilla_dim_swaps_the_carrier(self):
         """A qutrit config with a qubit swapped in (the diagnostic of
         criterion 8) builds, and reports what the qubit config built
@@ -314,7 +323,7 @@ def test_correlated_three_probe_qutrit_register_against_single_ancilla_routes():
 
 
 @pytest.mark.parametrize("g1_over_pi", [0.5, 0.3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
     """The growing register's state equals the full-register Kraus
     simulation of the oracle within 1e-12, at fig4's angles (g1 = pi/2,
@@ -339,6 +348,20 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
     if n == 1:
         final, _ = single_run(replace(cfg, correlated=False))
         npt.assert_allclose(final, stack[0], rtol=0, atol=1e-12)
+
+
+def test_register_order_is_built_once_per_shape_and_read_only():
+    """Two correlated evaluations at the same (d, n) build the final
+    reorder index once; the cached index cannot be written."""
+    protocols._register_order.cache_clear()
+    cfg = two_bath_config(n_ancillas=3, correlated=True)
+    evaluate(cfg, "correlated")
+    evaluate(cfg.at_temperatures((1.5, 0.7)), "correlated")
+    info = protocols._register_order.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    index = protocols._register_order(2, 3)
+    assert not index.flags.writeable
+    npt.assert_array_equal(np.sort(index), np.arange(2**6))
 
 
 def test_stream_matches_ancilla_major_marginal_oracle(rng):
