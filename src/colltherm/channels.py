@@ -33,6 +33,7 @@ Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,18 @@ def _check_finite(**fields: float) -> None:
             raise ValueError(f"{name}: must be finite, got {value}")
 
 
+def _as_floats(spec, *names: str) -> None:
+    """Store each named field of a frozen spec as a float, refusing a bool or
+    a non-real value by name, so that a field's bits, not the type it came
+    in as, decide what the maps built from it compute."""
+    for name in names:
+        value = getattr(spec, name)
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a real number, got {value!r}")
+            object.__setattr__(spec, name, float(value))
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """One bath and its probe: temperature (units of hbar*omega/k_B), probe
@@ -72,6 +85,7 @@ class BathSpec:
     therm_time: float = 0.5
 
     def __post_init__(self):
+        _as_floats(self, "temperature", "omega", "therm_time")
         _check_finite(temperature=self.temperature, omega=self.omega, therm_time=self.therm_time)
         if not self.temperature > 0:
             raise ValueError(f"temperature: must be > 0, got {self.temperature}")
@@ -93,6 +107,7 @@ class RotationSpec:
     axis: str = "x"
 
     def __post_init__(self):
+        _as_floats(self, "theta")
         _check_finite(theta=self.theta)
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")

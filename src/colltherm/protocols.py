@@ -57,6 +57,15 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 
+The marginal stream (``single``, ``uncorrelated``, ``qutrit``) keeps the
+last call's ancilla stacks after each stage but the last, read-only, in one
+module slot that every call replaces.  Stage i reads only bath i, angle i,
+the rotation and the sizes, so a call whose first stages read the same
+values, bit for bit, as the call before (consecutive points of a sweep along
+a later stage's angle) starts from the stored stack and runs only the rest,
+and reports what a fresh call reports.  The joint simulation composes every
+stage into one isometry per ancilla, so it has no stage prefix to keep.
+
 One table maps each scenario name to its engine and its precondition;
 :func:`check_scenario` is the one place that rejects an unknown name or a
 config its scenario cannot evaluate, and :func:`evaluate`, :func:`sweep`
@@ -141,6 +150,13 @@ class ProtocolConfig:
         n_baths = len(self.baths)
         if n_baths not in (2, 3):
             raise ValueError(f"baths: need 2 or 3 stages, got {n_baths}")
+        for i, bath in enumerate(self.baths):
+            if not isinstance(bath, BathSpec):
+                raise ValueError(f"baths[{i}]: must be a BathSpec, got {bath!r}")
+        if not isinstance(self.rotation, RotationSpec):
+            raise ValueError(f"rotation: must be a RotationSpec, got {self.rotation!r}")
+        if not isinstance(self.correlated, bool):
+            raise ValueError(f"correlated: must be a bool, got {self.correlated!r}")
         for name, value in (("ancilla_dim", self.ancilla_dim), ("n_ancillas", self.n_ancillas)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name}: must be an integer, got {value!r}")
@@ -178,30 +194,31 @@ class ProtocolConfig:
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
 
-def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
-    """Per probe, its Gibbs state and temperature derivatives stacked as
-    (N, 1 + N, 2, 2), real; probe i depends on T_i alone."""
+def _probe_tangents(config: ProtocolConfig, first: int = 0) -> np.ndarray:
+    """Per probe from stage ``first`` on, its Gibbs state and temperature
+    derivatives stacked as (N - first, 1 + N, 2, 2), real; probe i depends
+    on T_i alone."""
     nb = config.n_baths
-    out = np.zeros((nb, 1 + nb, 2, 2))
-    for i, b in enumerate(config.baths):
+    out = np.zeros((nb - first, 1 + nb, 2, 2))
+    for k, b in enumerate(config.baths[first:]):
         lam0, lam1, d = _gibbs(b.omega, b.temperature)
-        out[i, 0, 0, 0], out[i, 0, 1, 1] = lam0, lam1
-        out[i, 1 + i, 0, 0], out[i, 1 + i, 1, 1] = d, -d
+        out[k, 0, 0, 0], out[k, 0, 1, 1] = lam0, lam1
+        out[k, 1 + first + k, 0, 0], out[k, 1 + first + k, 1, 1] = d, -d
     return out
 
 
-def _stage_unitaries(config: ProtocolConfig) -> np.ndarray:
-    """Per bath stage, the collision unitary on probe (x) ancilla followed by
-    the ancilla rotation R, on every stage but the last, stacked as (N, 2d,
-    2d), real in the phase gauge (see the module docstring).  (I (x) R) u
-    acts on the ancilla row index alone, so R multiplies each probe row
-    block of u."""
-    nb, d = config.n_baths, config.ancilla_dim
-    us = np.array([collision_unitary(g, d) for g in config.collision_angles])
+def _stage_unitaries(config: ProtocolConfig, first: int = 0) -> np.ndarray:
+    """Per bath stage from ``first`` on, the collision unitary on probe (x)
+    ancilla followed by the ancilla rotation R, on every stage but the last,
+    stacked as (N - first, 2d, 2d), real in the phase gauge (see the module
+    docstring).  (I (x) R) u acts on the ancilla row index alone, so R
+    multiplies each probe row block of u."""
+    m, d = config.n_baths - first - 1, config.ancilla_dim
+    us = np.array([collision_unitary(g, d) for g in config.collision_angles[first:]])
     us = np.ascontiguousarray((us * _GAUGE_PHASES[d]).real)
     theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
     r = RotationSpec(theta, "y").unitary(d).real
-    us[:-1] = (r @ us[:-1].reshape(nb - 1, 2, d, 2 * d)).reshape(nb - 1, 2 * d, 2 * d)
+    us[:-1] = (r @ us[:-1].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
     return us
 
 
@@ -214,9 +231,10 @@ def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
     return t.conj()[:, None] * x * t
 
 
-def _rethermalizations(config: ProtocolConfig) -> np.ndarray:
-    """Per probe, its rethermalization superoperator and its T-derivative: (N, 2, 4, 4)."""
-    return np.array([_gad_pair(b) for b in config.baths])
+def _rethermalizations(config: ProtocolConfig, first: int = 0) -> np.ndarray:
+    """Per probe from stage ``first`` on, its rethermalization superoperator
+    and its T-derivative: (N - first, 2, 4, 4)."""
+    return np.array([_gad_pair(b) for b in config.baths[first:]])
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +261,40 @@ def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     return _ungauge(stacks[0, 0], config), report
 
 
+# The last marginal-stream call's config and its ancilla stacks after each
+# stage but the last, read-only, as one tuple that every call replaces: a
+# reader always gets a config together with its own stacks.
+_stream_prefix: tuple | None = None
+
+
+def _same(x: float, y: float) -> bool:
+    """Whether two finite floats are equal bit for bit: 0.0 and -0.0 differ."""
+    return x == y and (x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
+def _shared_stages(config: ProtocolConfig, prev: ProtocolConfig) -> int:
+    """How many leading stages but the last ``config`` shares with ``prev``:
+    stage i reads bath i, angle i, the rotation and the sizes alone.  The
+    specs are frozen, so one object has the same bits wherever it is used;
+    any other pair is compared field by field, failing at the first
+    difference."""
+    rot, prev_rot = config.rotation, prev.rotation
+    if (config.n_ancillas != prev.n_ancillas or config.ancilla_dim != prev.ancilla_dim
+            or config.n_baths != prev.n_baths
+            or rot is not prev_rot and not (rot.axis == prev_rot.axis
+                                            and _same(rot.theta, prev_rot.theta))):
+        return 0
+    shared = 0
+    for b, g, pb, pg in zip(config.baths[:-1], config.collision_angles,
+                            prev.baths, prev.collision_angles):
+        if not (_same(g, pg) and (b is pb or _same(b.temperature, pb.temperature)
+                                  and _same(b.omega, pb.omega)
+                                  and _same(b.therm_time, pb.therm_time))):
+            break
+        shared += 1
+    return shared
+
+
 def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
     the sequential stream, stacked as (n, 1 + N, d, d).
@@ -250,7 +302,7 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     Stage i of ancilla k needs only stage i - 1 of ancilla k and stage i of
     ancilla k - 1, so the stream runs stage by stage, all n ancillas at
     once, on the maps of :func:`colltherm.channels.collision_maps` (built
-    for every stage in one step).  Ancilla stacks are vectorized, (1 + N,
+    for every stage it runs in one step).  Ancilla stacks are vectorized, (1 + N,
     d^2); probe stacks are Pauli coefficients (I, X, Z), (1 + N, 3): a real
     probe has Y coefficient 0.  The identity coefficient (1 for the state, 0
     for the derivatives) is never propagated, so probe traces stay exact.
@@ -265,33 +317,45 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     rethermalizations.  The ancilla outputs then take one batched matmul.
     They are the true marginals only when the probes stay uncorrelated (see
     the module docstring).
+
+    A call that shares its first stages with the last call (see
+    :func:`_shared_stages`) starts from the ancilla stacks that call left
+    in ``_stream_prefix`` after them, and builds and runs only the rest.
     """
+    global _stream_prefix
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, dd = 1 + nb, d * d
-    us = _stage_unitaries(config)
+    prev = _stream_prefix
+    first = _shared_stages(config, prev[0]) if prev is not None else 0
+    kept = prev[1][:first] if first else ()
+    ns = nb - first  # the stages this call builds and runs
+    us = _stage_unitaries(config, first)
     pauli = PAULI.reshape(3, 4)
-    probes = _probe_tangents(config).reshape(nb, nt, 4) @ pauli.T
+    probes = _probe_tangents(config, first).reshape(ns, nt, 4) @ pauli.T
     if n > 1:
         to_ancilla, to_probe = collision_maps(us)
         # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
-        # probe map, identity row dropped: (nb, 2, 3, 3 d^2)
-        therm = pauli @ _rethermalizations(config) @ pauli.T / 2
-        probe_maps = therm @ to_probe.reshape(nb, 1, 3, 3 * dd)
+        # probe map, identity row dropped: (ns, 2, 3, 3 d^2)
+        therm = pauli @ _rethermalizations(config, first) @ pauli.T / 2
+        probe_maps = therm @ to_probe.reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     else:
         to_ancilla = _ancilla_map(us)
-    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(nb, 3 * dd, dd)
-    anc = np.zeros((n, nt, dd))
-    anc[:, 0, dd - 1] = 1.0
+    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(ns, 3 * dd, dd)
+    if first:
+        anc = kept[-1]
+    else:
+        anc = np.zeros((n, nt, dd))
+        anc[:, 0, dd - 1] = 1.0
     diag = np.arange(nt)
 
-    for i in range(nb):
+    for s, i in enumerate(range(first, nb)):
         coef = np.empty((n, nt * 3))
-        coef[0] = probes[i].reshape(-1)
+        coef[0] = probes[s].reshape(-1)
         if n > 1:
             # g[k, t]: S_i after the probe map with entry t of ancilla k,
             # plus d S_i after it with entry 0 for t = 1 + i
-            maps = (anc[:-1] @ probe_maps[i].reshape(-1, dd).T).reshape(n - 1, nt, 2, 3, 3)
+            maps = (anc[:-1] @ probe_maps[s].reshape(-1, dd).T).reshape(n - 1, nt, 2, 3, 3)
             g = maps[:, :, 0]
             g[:, 1 + i] += maps[:, 0, 1]
             # one step of the flattened probe stack: entry t takes g[k, 0] of
@@ -309,7 +373,11 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
         c = coef.reshape(n, nt, 3, 1)
         joint = c * anc[:, :1, None]
         joint[:, 1:] += c[:, :1] * anc[:, 1:, None]
-        anc = joint.reshape(n, nt, 3 * dd) @ ancilla_maps[i]
+        anc = joint.reshape(n, nt, 3 * dd) @ ancilla_maps[s]
+        if i < nb - 1:
+            anc.setflags(write=False)
+            kept += (anc,)
+    _stream_prefix = (config, kept)
     return anc.reshape(n, nt, d, d)
 
 

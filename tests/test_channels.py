@@ -112,6 +112,33 @@ def test_non_finite_inputs_rejected(field, build, value):
         build(value)
 
 
+_SPEC_FIELDS = [
+    ("temperature", lambda v: BathSpec(v)),
+    ("omega", lambda v: BathSpec(2.0, omega=v)),
+    ("therm_time", lambda v: BathSpec(2.0, therm_time=v)),
+    ("theta", lambda v: RotationSpec(v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "2", None, 1j],
+                         ids=["bool", "numpy-bool", "str", "None", "complex"])
+@pytest.mark.parametrize("field, build", _SPEC_FIELDS)
+def test_spec_fields_must_be_real_numbers(field, build, value):
+    """A bool or a non-real value is refused by name, before any closed form
+    sees it."""
+    with pytest.raises(ValueError, match=f"^{field}: must be a real number"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2)], ids=["int", "f32", "i64"])
+@pytest.mark.parametrize("field, build", _SPEC_FIELDS)
+def test_spec_fields_are_stored_as_floats(field, build, value):
+    """Any real number is stored as a Python float of the same value, so
+    the maps built from a spec depend on the value alone."""
+    stored = getattr(build(value), field)
+    assert type(stored) is float and stored == 2.0
+
+
 # ---------------------------------------------------------------------------
 # collision unitaries
 # ---------------------------------------------------------------------------

@@ -424,6 +424,36 @@ def test_verify_deterministic_output(capsys):
 # argument parser
 # ---------------------------------------------------------------------------
 
+def _stream_sweep_config(g1_over_pi, theta_over_pi, start):
+    return f"""\
+baths:
+  - {{temperature: 2.0, gamma_t: 0.5}}
+  - {{temperature: 1.0, gamma_t: 0.5}}
+collision_angles_over_pi: [{g1_over_pi}, 0.3]
+rotation: {{theta_over_pi: {theta_over_pi}, axis: x}}
+n_ancillas: 3
+sweep: {{axis: g_t2_over_pi, start: {start}, stop: 0.9, step: 0.2}}
+"""
+
+
+def test_sweep_table_does_not_depend_on_the_series_before(tmp_path):
+    """The stream reuses the stages a point shares with the call before it,
+    from whatever series that call came: in one process, each sweep's table
+    is byte for byte the table of the same sweep run with the stored prefix
+    emptied, also right after a series that starts where it ends or whose
+    config differs only in the sign of a zero g_t1 or theta."""
+    runs = [("0.5", "0.25", "0.1"), ("0.5", "0.25", "0.5"),
+            ("0.0", "0.0", "0.1"), ("-0.0", "0.0", "0.1"), ("-0.0", "-0.0", "0.1")]
+    for k, run in enumerate(runs):
+        cfg = write(tmp_path / f"cfg{k}.yaml", _stream_sweep_config(*run))
+        after, fresh = tmp_path / f"after{k}.csv", tmp_path / f"fresh{k}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(after)]) in (0, 3)
+        protocols._stream_prefix = None
+        assert main(["sweep", "--config", cfg, "--out", str(fresh)]) in (0, 3)
+        assert len(read_rows(after)) == (5 if run[2] == "0.1" else 3)
+        assert after.read_bytes() == fresh.read_bytes()
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     """``main`` builds the parser on its first call and reuses it for every
     subcommand; ``build_parser`` still hands out a fresh one."""

@@ -30,6 +30,7 @@ from colltherm.estimation import thermal_fim
 from colltherm.linalg import herm_eig
 from colltherm.protocols import (
     SIM_DIM_CAP,
+    SWEEP_AXES,
     ProtocolConfig,
     SweepGrid,
     check_scenario,
@@ -95,6 +96,20 @@ class TestProtocolConfig:
     def test_sizes_must_be_integers(self, field, value):
         """A float, bool or string size is refused by name before numpy sees it."""
         with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            two_bath_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("correlated", "false", "correlated: must be a bool"),
+        ("correlated", 0, "correlated: must be a bool"),
+        ("rotation", 0.3, "rotation: must be a RotationSpec"),
+        ("baths", (2.0, 1.0), r"baths\[0\]: must be a BathSpec"),
+        ("baths", (BathSpec(2.0), {"temperature": 1.0}), r"baths\[1\]: must be a BathSpec"),
+    ])
+    def test_field_types_are_checked(self, field, value, message):
+        """A string ``correlated`` would pick the joint simulation, and a bare
+        number for a rotation or bath would fail inside ``evaluate``: each is
+        refused by name when the config is built."""
+        with pytest.raises(ValueError, match=f"^{message}"):
             two_bath_config(**{field: value})
 
     def test_replace_ancilla_dim_swaps_the_carrier(self):
@@ -822,6 +837,139 @@ def test_sweep_unknown_scenario():
     grid = SweepGrid("g_t2_over_pi", (0.3,), two_bath_config())
     with pytest.raises(ValueError, match="scenario"):
         sweep(grid, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# the stage prefix a stream call shares with the call before it
+# ---------------------------------------------------------------------------
+
+_MERITS = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
+_AXIS_VALUES = {
+    "g_t1_over_pi": (0.0, 0.25, 0.5, 0.8),
+    "g_t2_over_pi": (0.0, 0.25, 0.5, 0.8),
+    "g_t3_over_pi": (0.0, 0.25, 0.5, 0.8),
+    "theta_over_pi": (0.0, 0.25, 1.0 / 3.0),
+    "gamma_t": (0.0, 0.5, 2.0),
+    "n_ancillas": (1.0, 2.0, 3.0),
+}
+_STREAM_BASES = {
+    "single": two_bath_config(),
+    "uncorrelated": two_bath_config(n_ancillas=3),
+    "qutrit": three_bath_config(n_ancillas=3),
+}
+
+
+def _fresh(call, *args):
+    """``call(*args)`` with the stored stream prefix emptied first."""
+    protocols._stream_prefix = None
+    return call(*args)
+
+
+@pytest.mark.parametrize("scenario, axis", [
+    (scenario, axis) for scenario, base in _STREAM_BASES.items() for axis in SWEEP_AXES
+    if axis != "g_t3_over_pi" or base.n_baths == 3
+])
+def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
+    """Along every sweep axis, each point's report equals, with ``==`` on
+    the QFIM and every merit, a fresh evaluation of that point: whatever it
+    reuses from the point before is what it would have computed."""
+    values = (1.0,) if (scenario, axis) == ("single", "n_ancillas") else _AXIS_VALUES[axis]
+    grid = SweepGrid(axis, values, _STREAM_BASES[scenario])
+    for value, (row, rep) in zip(values, sweep(grid, scenario)):
+        assert row["error"] is None
+        fresh = _fresh(evaluate, grid.at(value), scenario)
+        assert (rep.qfim.matrix == fresh.qfim.matrix).all()
+        assert (rep.qfim.det, rep.qfim.trace) == (fresh.qfim.det, fresh.qfim.trace)
+        assert [getattr(rep, m) for m in _MERITS] == [getattr(fresh, m) for m in _MERITS]
+
+
+def test_single_run_after_a_shared_stage_equals_a_fresh_run():
+    """``single_run`` goes through the same stream: after a call that
+    shares its first stage, its state and SLDs equal a fresh run's."""
+    config = two_bath_config()
+    evaluate(config, "single")
+    moved = replace(config, collision_angles=(0.5 * math.pi, 0.7 * math.pi))
+    state, rep = single_run(moved)
+    fresh_state, fresh_rep = _fresh(single_run, moved)
+    assert (state == fresh_state).all()
+    assert (np.array(rep.qfim.slds) == np.array(fresh_rep.qfim.slds)).all()
+
+
+def _with_bath(config, i, **changes):
+    baths = list(config.baths)
+    baths[i] = replace(baths[i], **changes)
+    return replace(config, baths=tuple(baths))
+
+
+def _with_angle(config, i, value):
+    angles = list(config.collision_angles)
+    angles[i] = value
+    return replace(config, collision_angles=tuple(angles))
+
+
+_BASE = three_bath_config(n_ancillas=3)
+_ZEROS = three_bath_config(
+    n_ancillas=3,
+    baths=(BathSpec(2.0, therm_time=0.0), BathSpec(1.0, therm_time=0.0), BathSpec(3.0)),
+    collision_angles=(0.0, 0.0, 0.35 * math.pi),
+    rotation=RotationSpec(0.0, "x"),
+)
+_FIELD_CHANGES = {
+    # changed config and the stages it still shares with its base
+    "T0": (_BASE, _with_bath(_BASE, 0, temperature=2.5), 0),
+    "omega0": (_BASE, _with_bath(_BASE, 0, omega=1.5), 0),
+    "gamma_t0": (_BASE, _with_bath(_BASE, 0, therm_time=0.7), 0),
+    "T1": (_BASE, _with_bath(_BASE, 1, temperature=1.5), 1),
+    "omega1": (_BASE, _with_bath(_BASE, 1, omega=1.5), 1),
+    "gamma_t1": (_BASE, _with_bath(_BASE, 1, therm_time=0.7), 1),
+    "g0": (_BASE, _with_angle(_BASE, 0, 0.45 * math.pi), 0),
+    "g1": (_BASE, _with_angle(_BASE, 1, 0.25 * math.pi), 1),
+    "theta": (_BASE, replace(_BASE, rotation=RotationSpec(0.3 * math.pi, "x")), 0),
+    "axis": (_BASE, replace(_BASE, rotation=RotationSpec(0.25 * math.pi, "y")), 0),
+    "ancilla_dim": (_BASE, replace(_BASE, ancilla_dim=2), 0),
+    "n_ancillas": (_BASE, replace(_BASE, n_ancillas=4), 0),
+    "bath_count": (_BASE, replace(_BASE, baths=_BASE.baths[:2],
+                                  collision_angles=_BASE.collision_angles[:2]), 0),
+    "sign_g0": (_ZEROS, _with_angle(_ZEROS, 0, -0.0), 0),
+    "sign_g1": (_ZEROS, _with_angle(_ZEROS, 1, -0.0), 1),
+    "sign_theta": (_ZEROS, replace(_ZEROS, rotation=RotationSpec(-0.0, "x")), 0),
+    "sign_gamma_t0": (_ZEROS, _with_bath(_ZEROS, 0, therm_time=-0.0), 0),
+    "sign_gamma_t1": (_ZEROS, _with_bath(_ZEROS, 1, therm_time=-0.0), 1),
+    # what only the last stage reads, and nothing at all, keep both stages
+    "T2": (_BASE, _with_bath(_BASE, 2, temperature=0.5), 2),
+    "g2": (_BASE, _with_angle(_BASE, 2, 0.6 * math.pi), 2),
+    "same": (_BASE, _BASE, 2),
+    "equal_specs": (_BASE, three_bath_config(n_ancillas=3), 2),
+}
+
+
+@pytest.mark.parametrize("change", _FIELD_CHANGES)
+def test_a_changed_field_stops_reuse_at_the_first_stage_that_reads_it(change, stages_built):
+    """Every field a stage reads, a zero's sign included, ends the shared
+    prefix at that stage: the call builds and runs every stage from there
+    on and gives the stacks a fresh call gives."""
+    base, changed, shared = _FIELD_CHANGES[change]
+    _stream_tangents(base)
+    del stages_built[:]
+    stacks = _stream_tangents(changed)
+    assert stages_built == [changed.n_baths - shared]
+    assert (stacks == _fresh(_stream_tangents, changed)).all()
+
+
+def test_stored_stage_stacks_are_read_only():
+    """The slot holds the last config and its ancilla stacks after every
+    stage but the last, (n, 1 + N, d^2) each and read-only; the returned
+    stack stays the caller's to write."""
+    config = three_bath_config(n_ancillas=4)
+    final = _stream_tangents(config)
+    stored, stacks = protocols._stream_prefix
+    assert stored is config
+    assert [s.shape for s in stacks] == [(4, 4, 9)] * 2
+    for s in stacks:
+        assert not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0, 0] = 1.0
+    assert final.flags.writeable
 
 
 @pytest.mark.parametrize(
