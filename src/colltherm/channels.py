@@ -61,16 +61,13 @@ def _check_finite(**fields: float) -> None:
             raise ValueError(f"{name}: must be finite, got {value}")
 
 
-def _as_floats(spec, *names: str) -> None:
-    """Store each named field of a frozen spec as a float, refusing a bool or
-    a non-real value by name, so that a field's bits, not the type it came
-    in as, decide what the maps built from it compute."""
-    for name in names:
-        value = getattr(spec, name)
-        if type(value) is not float:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: must be a real number, got {value!r}")
-            object.__setattr__(spec, name, float(value))
+def _as_float(name: str, value) -> float:
+    """``value`` as a float, refusing a bool or a non-real value by name, so
+    that a field's bits, not the type it came in as, decide what the maps
+    built from it compute."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,8 @@ class BathSpec:
     therm_time: float = 0.5
 
     def __post_init__(self):
-        _as_floats(self, "temperature", "omega", "therm_time")
+        for name in ("temperature", "omega", "therm_time"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         _check_finite(temperature=self.temperature, omega=self.omega, therm_time=self.therm_time)
         if not self.temperature > 0:
             raise ValueError(f"temperature: must be > 0, got {self.temperature}")
@@ -107,7 +105,7 @@ class RotationSpec:
     axis: str = "x"
 
     def __post_init__(self):
-        _as_floats(self, "theta")
+        object.__setattr__(self, "theta", _as_float("theta", self.theta))
         _check_finite(theta=self.theta)
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")

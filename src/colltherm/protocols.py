@@ -57,14 +57,11 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 
-The marginal stream (``single``, ``uncorrelated``, ``qutrit``) keeps the
-last call's ancilla stacks after each stage but the last, read-only, in one
-module slot that every call replaces.  Stage i reads only bath i, angle i,
-the rotation and the sizes, so a call whose first stages read the same
-values, bit for bit, as the call before (consecutive points of a sweep along
-a later stage's angle) starts from the stored stack and runs only the rest,
-and reports what a fresh call reports.  The joint simulation composes every
-stage into one isometry per ancilla, so it has no stage prefix to keep.
+In the marginal stream (``single``, ``uncorrelated``, ``qutrit``) stage i
+reads only bath i, angle i, the rotation and the sizes, so a :func:`sweep`
+along stage s's angle runs the stages before s once and hands their ancilla
+stacks to each point's :func:`evaluate`.  Nothing either call computes
+outlives it.
 
 One table maps each scenario name to its engine and its precondition;
 :func:`check_scenario` is the one place that rejects an unknown name or a
@@ -78,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,6 +84,7 @@ from .channels import (
     BathSpec,
     RotationSpec,
     _ancilla_map,
+    _as_float,
     _check_finite,
     _gad_pair,
     _gibbs,
@@ -144,9 +143,11 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "baths", tuple(self.baths))
-        object.__setattr__(
-            self, "collision_angles", tuple(float(g) for g in self.collision_angles)
-        )
+        angles = self.collision_angles
+        if np.array(angles, dtype=object).ndim != 1:
+            raise ValueError(f"collision_angles: must be a sequence of numbers, got {angles!r}")
+        object.__setattr__(self, "collision_angles", tuple(
+            _as_float(f"collision_angles[{i}]", g) for i, g in enumerate(angles)))
         n_baths = len(self.baths)
         if n_baths not in (2, 3):
             raise ValueError(f"baths: need 2 or 3 stages, got {n_baths}")
@@ -194,31 +195,31 @@ class ProtocolConfig:
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
 
-def _probe_tangents(config: ProtocolConfig, first: int = 0) -> np.ndarray:
-    """Per probe from stage ``first`` on, its Gibbs state and temperature
-    derivatives stacked as (N - first, 1 + N, 2, 2), real; probe i depends
-    on T_i alone."""
+def _probe_tangents(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
+    """Per probe of ``stages``, its Gibbs state and temperature derivatives
+    stacked as (stages, 1 + N, 2, 2), real; probe i depends on T_i alone."""
     nb = config.n_baths
-    out = np.zeros((nb - first, 1 + nb, 2, 2))
-    for k, b in enumerate(config.baths[first:]):
-        lam0, lam1, d = _gibbs(b.omega, b.temperature)
+    index = range(nb)[stages]
+    out = np.zeros((len(index), 1 + nb, 2, 2))
+    for k, i in enumerate(index):
+        lam0, lam1, d = _gibbs(config.baths[i].omega, config.baths[i].temperature)
         out[k, 0, 0, 0], out[k, 0, 1, 1] = lam0, lam1
-        out[k, 1 + first + k, 0, 0], out[k, 1 + first + k, 1, 1] = d, -d
+        out[k, 1 + i, 0, 0], out[k, 1 + i, 1, 1] = d, -d
     return out
 
 
-def _stage_unitaries(config: ProtocolConfig, first: int = 0) -> np.ndarray:
-    """Per bath stage from ``first`` on, the collision unitary on probe (x)
+def _stage_unitaries(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
+    """Per bath stage of ``stages``, the collision unitary on probe (x)
     ancilla followed by the ancilla rotation R, on every stage but the last,
-    stacked as (N - first, 2d, 2d), real in the phase gauge (see the module
+    stacked as (stages, 2d, 2d), real in the phase gauge (see the module
     docstring).  (I (x) R) u acts on the ancilla row index alone, so R
     multiplies each probe row block of u."""
-    m, d = config.n_baths - first - 1, config.ancilla_dim
-    us = np.array([collision_unitary(g, d) for g in config.collision_angles[first:]])
+    m, d = len(range(config.n_baths - 1)[stages]), config.ancilla_dim  # m: rotated stages
+    us = np.array([collision_unitary(g, d) for g in config.collision_angles[stages]])
     us = np.ascontiguousarray((us * _GAUGE_PHASES[d]).real)
     theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
     r = RotationSpec(theta, "y").unitary(d).real
-    us[:-1] = (r @ us[:-1].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
+    us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
     return us
 
 
@@ -231,10 +232,10 @@ def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
     return t.conj()[:, None] * x * t
 
 
-def _rethermalizations(config: ProtocolConfig, first: int = 0) -> np.ndarray:
-    """Per probe from stage ``first`` on, its rethermalization superoperator
-    and its T-derivative: (N - first, 2, 4, 4)."""
-    return np.array([_gad_pair(b) for b in config.baths[first:]])
+def _rethermalizations(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
+    """Per probe of ``stages``, its rethermalization superoperator and its
+    T-derivative: (stages, 2, 4, 4)."""
+    return np.array([_gad_pair(b) for b in config.baths[stages]])
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +262,8 @@ def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     return _ungauge(stacks[0, 0], config), report
 
 
-# The last marginal-stream call's config and its ancilla stacks after each
-# stage but the last, read-only, as one tuple that every call replaces: a
-# reader always gets a config together with its own stacks.
-_stream_prefix: tuple | None = None
-
-
-def _same(x: float, y: float) -> bool:
-    """Whether two finite floats are equal bit for bit: 0.0 and -0.0 differ."""
-    return x == y and (x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y))
-
-
-def _shared_stages(config: ProtocolConfig, prev: ProtocolConfig) -> int:
-    """How many leading stages but the last ``config`` shares with ``prev``:
-    stage i reads bath i, angle i, the rotation and the sizes alone.  The
-    specs are frozen, so one object has the same bits wherever it is used;
-    any other pair is compared field by field, failing at the first
-    difference."""
-    rot, prev_rot = config.rotation, prev.rotation
-    if (config.n_ancillas != prev.n_ancillas or config.ancilla_dim != prev.ancilla_dim
-            or config.n_baths != prev.n_baths
-            or rot is not prev_rot and not (rot.axis == prev_rot.axis
-                                            and _same(rot.theta, prev_rot.theta))):
-        return 0
-    shared = 0
-    for b, g, pb, pg in zip(config.baths[:-1], config.collision_angles,
-                            prev.baths, prev.collision_angles):
-        if not (_same(g, pg) and (b is pb or _same(b.temperature, pb.temperature)
-                                  and _same(b.omega, pb.omega)
-                                  and _same(b.therm_time, pb.therm_time))):
-            break
-        shared += 1
-    return shared
-
-
-def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
+def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
+                     stop: int | None = None) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
     the sequential stream, stacked as (n, 1 + N, d, d).
 
@@ -318,38 +286,35 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
     They are the true marginals only when the probes stay uncorrelated (see
     the module docstring).
 
-    A call that shares its first stages with the last call (see
-    :func:`_shared_stages`) starts from the ancilla stacks that call left
-    in ``_stream_prefix`` after them, and builds and runs only the rest.
+    With ``stop`` it runs stages 0 .. stop - 1 only and returns the ancilla
+    stacks after them; a ``prefix`` (s, such stacks of a config that differs
+    from this one only in baths and angles from s on) starts it at stage s.
     """
-    global _stream_prefix
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, dd = 1 + nb, d * d
-    prev = _stream_prefix
-    first = _shared_stages(config, prev[0]) if prev is not None else 0
-    kept = prev[1][:first] if first else ()
-    ns = nb - first  # the stages this call builds and runs
-    us = _stage_unitaries(config, first)
+    first, anc = prefix or (0, None)
+    stages = slice(first, stop)  # the stages this call builds and runs
+    ns = len(range(nb)[stages])
+    us = _stage_unitaries(config, stages)
     pauli = PAULI.reshape(3, 4)
-    probes = _probe_tangents(config, first).reshape(ns, nt, 4) @ pauli.T
+    probes = _probe_tangents(config, stages).reshape(ns, nt, 4) @ pauli.T
     if n > 1:
         to_ancilla, to_probe = collision_maps(us)
         # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
         # probe map, identity row dropped: (ns, 2, 3, 3 d^2)
-        therm = pauli @ _rethermalizations(config, first) @ pauli.T / 2
+        therm = pauli @ _rethermalizations(config, stages) @ pauli.T / 2
         probe_maps = therm @ to_probe.reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     else:
         to_ancilla = _ancilla_map(us)
     ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(ns, 3 * dd, dd)
-    if first:
-        anc = kept[-1]
-    else:
+    if anc is None:
         anc = np.zeros((n, nt, dd))
         anc[:, 0, dd - 1] = 1.0
+    anc = anc.reshape(n, nt, dd)
     diag = np.arange(nt)
 
-    for s, i in enumerate(range(first, nb)):
+    for s, i in enumerate(range(nb)[stages]):
         coef = np.empty((n, nt * 3))
         coef[0] = probes[s].reshape(-1)
         if n > 1:
@@ -374,10 +339,6 @@ def _stream_tangents(config: ProtocolConfig) -> np.ndarray:
         joint = c * anc[:, :1, None]
         joint[:, 1:] += c[:, :1] * anc[:, 1:, None]
         anc = joint.reshape(n, nt, 3 * dd) @ ancilla_maps[s]
-        if i < nb - 1:
-            anc.setflags(write=False)
-            kept += (anc,)
-    _stream_prefix = (config, kept)
     return anc.reshape(n, nt, d, d)
 
 
@@ -524,20 +485,22 @@ def scenario_for(config: ProtocolConfig) -> str:
     return "uncorrelated"
 
 
-def evaluate(config: ProtocolConfig, scenario: str | None = None) -> EstimationReport:
+def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
+             _prefix: tuple | None = None) -> EstimationReport:
     """Report of one config from the named (or default) scenario: the one
     evaluator call.
 
     Reports keep the SLD commutator norm but not the SLDs themselves, so a
     caller holding many reports holds only small matrices;
-    :func:`single_run` returns the single-ancilla SLDs.
+    :func:`single_run` returns the single-ancilla SLDs.  Only :func:`sweep`
+    passes a ``_prefix``.
     """
     name = scenario or scenario_for(config)
     check_scenario(name, config)
     engine, _ = _SCENARIOS[name]
     # the engine's K states form a product: their QFIMs add, their supports
     # multiply, and the commutator norm is the largest of any one
-    qs = qfim_stack(engine(config))
+    qs = qfim_stack(engine(config) if _prefix is None else engine(config, _prefix))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
     return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
 
@@ -631,12 +594,13 @@ def _failed_row(exc: Exception) -> dict:
     return dict(zip(MERIT_COLUMNS, (nan, nan, nan, nan, None, f"{type(exc).__name__}: {exc}")))
 
 
-def point(config: ProtocolConfig, scenario: str) -> tuple[dict, EstimationReport | None]:
+def point(config: ProtocolConfig, scenario: str, *,
+          _prefix: tuple | None = None) -> tuple[dict, EstimationReport | None]:
     """The merit row of one config, keyed by :data:`MERIT_COLUMNS`, and its
     report.  A failing evaluation is recorded in the row's ``error`` cell,
     with ``nan`` merits and no report."""
     try:
-        rep = evaluate(config, scenario)
+        rep = evaluate(config, scenario, _prefix=_prefix)
     except Exception as exc:  # recorded per row; a sweep continues
         return _failed_row(exc), None
     merits = (rep.eta_joint, rep.eta_acc, rep.qfim.det, rep.qfim.trace, rep.singular, None)
@@ -647,12 +611,17 @@ def sweep(grid: SweepGrid, scenario: str) -> list[tuple[dict, EstimationReport |
     """Evaluate the scenario at every grid value, in grid order: one (row,
     report) pair per value, the row being :func:`point`'s with the value in
     ``axis_value``.  A failing point records its error in-row, has report
-    None, and the sweep continues; an unknown scenario raises at once."""
+    None, and the sweep continues; an unknown scenario raises at once.  Along
+    angle s the marginal stream runs the stages before s once, on ``grid.fixed``."""
     check_scenario(scenario)
+    stage, prefix = _ANGLE_AXES.get(grid.axis_name), None
+    if stage and _SCENARIOS[scenario][0] is _stream_tangents:
+        with suppress(Exception):  # if this fails, each point fails alike in its own row
+            prefix = stage, _stream_tangents(grid.fixed, stop=stage)
     points = []
     for value in grid.values:
         try:
-            row, rep = point(grid.at(value), scenario)
+            row, rep = point(grid.at(value), scenario, _prefix=prefix)
         except Exception as exc:  # the grid cannot place this value
             row, rep = _failed_row(exc), None
         points.append(({"axis_value": value, **row}, rep))

@@ -8,14 +8,6 @@ import colltherm
 from colltherm import channels, protocols
 
 
-@pytest.fixture(autouse=True)
-def empty_stream_prefix():
-    """Every test starts with no stored marginal-stream prefix, so what a
-    test counts or patches inside the engine does not depend on the tests
-    run before it."""
-    protocols._stream_prefix = None
-
-
 @pytest.fixture
 def stages_built(monkeypatch):
     """The number of stages each marginal-stream call builds and runs, in

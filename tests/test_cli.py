@@ -327,9 +327,9 @@ def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
     cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
     calls = []
 
-    def counting(config, scenario=None):
+    def counting(config, scenario=None, **kwargs):
         calls.append(config)
-        return evaluate(config, scenario)
+        return evaluate(config, scenario, **kwargs)
 
     assert not hasattr(cli, "evaluate")  # the CLI evaluates through protocols only
     monkeypatch.setattr(protocols, "evaluate", counting)
@@ -437,18 +437,16 @@ sweep: {{axis: g_t2_over_pi, start: {start}, stop: 0.9, step: 0.2}}
 
 
 def test_sweep_table_does_not_depend_on_the_series_before(tmp_path):
-    """The stream reuses the stages a point shares with the call before it,
-    from whatever series that call came: in one process, each sweep's table
-    is byte for byte the table of the same sweep run with the stored prefix
-    emptied, also right after a series that starts where it ends or whose
-    config differs only in the sign of a zero g_t1 or theta."""
+    """Each sweep runs the stages its points share itself: in one process,
+    a sweep's table is byte for byte the table of the same sweep run again,
+    also right after a series that starts where it ends or whose config
+    differs only in the sign of a zero g_t1 or theta."""
     runs = [("0.5", "0.25", "0.1"), ("0.5", "0.25", "0.5"),
             ("0.0", "0.0", "0.1"), ("-0.0", "0.0", "0.1"), ("-0.0", "-0.0", "0.1")]
     for k, run in enumerate(runs):
         cfg = write(tmp_path / f"cfg{k}.yaml", _stream_sweep_config(*run))
         after, fresh = tmp_path / f"after{k}.csv", tmp_path / f"fresh{k}.csv"
         assert main(["sweep", "--config", cfg, "--out", str(after)]) in (0, 3)
-        protocols._stream_prefix = None
         assert main(["sweep", "--config", cfg, "--out", str(fresh)]) in (0, 3)
         assert len(read_rows(after)) == (5 if run[2] == "0.1" else 3)
         assert after.read_bytes() == fresh.read_bytes()

@@ -158,14 +158,14 @@ def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
 @pytest.mark.parametrize("name, n_stages", [("fig3", 2), ("fig5", 3)])
 def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built):
     """Along a g_t2 (fig3) or g_t3 (fig5) series only the last stage moves,
-    so every point after the first builds and runs that stage alone: the
-    stages before it, stage 0 in fig3 and stages 0 and 1 in fig5, run once
-    per series (counted, as above, through ``channels._ancilla_map``)."""
+    so the sweep runs the stages before it, stage 0 in fig3 and stages 0
+    and 1 in fig5, once per series, and every point builds and runs the
+    last stage alone (counted, as above, through ``channels._ancilla_map``)."""
     for series in get_preset(name).series:
         before = len(stages_built)
         points = protocols.sweep(series.grid, series.scenario)
         assert all(row["error"] is None for row, _ in points)
-        assert stages_built[before:] == [n_stages] + [1] * (len(points) - 1)
+        assert stages_built[before:] == [n_stages - 1] + [1] * len(points)
 
 
 def test_run_group_is_deterministic():

@@ -11,6 +11,7 @@ given.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -111,6 +112,28 @@ class TestProtocolConfig:
         refused by name when the config is built."""
         with pytest.raises(ValueError, match=f"^{message}"):
             two_bath_config(**{field: value})
+
+    @pytest.mark.parametrize("angles, message", [
+        (("0.5", 0.3), r"collision_angles\[0\]: must be a real number, got '0.5'"),
+        ((0.5, True), r"collision_angles\[1\]: must be a real number, got True"),
+        (("abc", 0.3), r"collision_angles\[0\]: must be a real number, got 'abc'"),
+        ((0.5, None), r"collision_angles\[1\]: must be a real number, got None"),
+        (([0.5], 0.3), r"collision_angles\[0\]: must be a real number, got \[0.5\]"),
+        (0.5, "collision_angles: must be a sequence of numbers, got 0.5"),
+        ("05", "collision_angles: must be a sequence of numbers, got '05'"),
+        (np.array(0.5), r"collision_angles: must be a sequence of numbers, got array\(0.5\)"),
+        (((0.5,), (0.3,)), r"collision_angles: must be a sequence of numbers, got \(\(0.5,\),"),
+    ])
+    def test_collision_angles_are_refused_by_name(self, angles, message):
+        """A string, bool or other non-real angle, or anything but a flat
+        sequence, is refused by name, by the rule every spec field follows."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            two_bath_config(collision_angles=angles)
+
+    def test_collision_angles_are_stored_as_floats(self):
+        config = two_bath_config(collision_angles=[1, np.float32(0.5)])
+        assert config.collision_angles == (1.0, 0.5)
+        assert all(type(g) is float for g in config.collision_angles)
 
     def test_replace_ancilla_dim_swaps_the_carrier(self):
         """A qutrit config with a qubit swapped in (the diagnostic of
@@ -859,25 +882,19 @@ _STREAM_BASES = {
 }
 
 
-def _fresh(call, *args):
-    """``call(*args)`` with the stored stream prefix emptied first."""
-    protocols._stream_prefix = None
-    return call(*args)
-
-
 @pytest.mark.parametrize("scenario, axis", [
     (scenario, axis) for scenario, base in _STREAM_BASES.items() for axis in SWEEP_AXES
     if axis != "g_t3_over_pi" or base.n_baths == 3
 ])
 def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
     """Along every sweep axis, each point's report equals, with ``==`` on
-    the QFIM and every merit, a fresh evaluation of that point: whatever it
-    reuses from the point before is what it would have computed."""
+    the QFIM and every merit, a fresh evaluation of that point: the stages
+    the sweep runs once for all its points are what each would have run."""
     values = (1.0,) if (scenario, axis) == ("single", "n_ancillas") else _AXIS_VALUES[axis]
     grid = SweepGrid(axis, values, _STREAM_BASES[scenario])
     for value, (row, rep) in zip(values, sweep(grid, scenario)):
         assert row["error"] is None
-        fresh = _fresh(evaluate, grid.at(value), scenario)
+        fresh = evaluate(grid.at(value), scenario)
         assert (rep.qfim.matrix == fresh.qfim.matrix).all()
         assert (rep.qfim.det, rep.qfim.trace) == (fresh.qfim.det, fresh.qfim.trace)
         assert [getattr(rep, m) for m in _MERITS] == [getattr(fresh, m) for m in _MERITS]
@@ -885,12 +902,12 @@ def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
 
 def test_single_run_after_a_shared_stage_equals_a_fresh_run():
     """``single_run`` goes through the same stream: after a call that
-    shares its first stage, its state and SLDs equal a fresh run's."""
+    shares its first stage, its state and SLDs equal a second run's."""
     config = two_bath_config()
     evaluate(config, "single")
     moved = replace(config, collision_angles=(0.5 * math.pi, 0.7 * math.pi))
     state, rep = single_run(moved)
-    fresh_state, fresh_rep = _fresh(single_run, moved)
+    fresh_state, fresh_rep = single_run(moved)
     assert (state == fresh_state).all()
     assert (np.array(rep.qfim.slds) == np.array(fresh_rep.qfim.slds)).all()
 
@@ -945,31 +962,43 @@ _FIELD_CHANGES = {
 
 @pytest.mark.parametrize("change", _FIELD_CHANGES)
 def test_a_changed_field_stops_reuse_at_the_first_stage_that_reads_it(change, stages_built):
-    """Every field a stage reads, a zero's sign included, ends the shared
-    prefix at that stage: the call builds and runs every stage from there
-    on and gives the stacks a fresh call gives."""
+    """Stage i reads bath i, angle i, the rotation and the sizes alone: a
+    config started from its base's stacks after the stages before the first
+    one that reads a changed field (a zero's sign included) builds and runs
+    the stages from there on only, and gives the stacks a fresh call gives."""
     base, changed, shared = _FIELD_CHANGES[change]
-    _stream_tangents(base)
+    prefix = (shared, _stream_tangents(base, stop=shared)) if shared else None
     del stages_built[:]
-    stacks = _stream_tangents(changed)
+    stacks = _stream_tangents(changed, prefix)
     assert stages_built == [changed.n_baths - shared]
-    assert (stacks == _fresh(_stream_tangents, changed)).all()
+    assert (stacks == _stream_tangents(changed)).all()
 
 
-def test_stored_stage_stacks_are_read_only():
-    """The slot holds the last config and its ancilla stacks after every
-    stage but the last, (n, 1 + N, d^2) each and read-only; the returned
-    stack stays the caller's to write."""
-    config = three_bath_config(n_ancillas=4)
-    final = _stream_tangents(config)
-    stored, stacks = protocols._stream_prefix
-    assert stored is config
-    assert [s.shape for s in stacks] == [(4, 4, 9)] * 2
-    for s in stacks:
-        assert not s.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            s[0, 0, 0] = 1.0
-    assert final.flags.writeable
+def test_sweep_retains_nothing_after_it_returns():
+    """The stage prefix a g_t3 sweep hands its points is the sweep's own:
+    once it returns, only the reports stay allocated (a kept qutrit stack
+    at n = 4000 would be 1.15 MB per stage)."""
+    grid = SweepGrid("g_t3_over_pi", (0.3, 0.4), three_bath_config(n_ancillas=4000))
+    tracemalloc.start()
+    try:
+        points = sweep(grid, "qutrit")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row["error"] is None for row, _ in points)
+    assert retained < 0.1e6
+
+
+def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
+    """A stage prefix that cannot be built does not stop the sweep: each
+    point runs those stages itself and records the error in its row."""
+    def failing(config, *args):
+        raise ValueError("no stage unitaries")
+
+    monkeypatch.setattr(protocols, "_stage_unitaries", failing)
+    points = sweep(SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3)),
+                   "uncorrelated")
+    assert [row["error"] for row, _ in points] == ["ValueError: no stage unitaries"] * 2
 
 
 @pytest.mark.parametrize(
@@ -985,7 +1014,8 @@ def test_stored_stage_stacks_are_read_only():
 )
 def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, message):
     """Every route into a scenario raises its precondition's message: the
-    check itself, evaluate, single_run for its scenario, and a sweep's row."""
+    check itself, evaluate, single_run for its scenario, and every row of a
+    sweep, also of a g_t2 sweep, whose points start from a stage prefix."""
     calls = [lambda: check_scenario(scenario, config), lambda: evaluate(config, scenario)]
     if scenario == "single":
         calls.append(lambda: single_run(config))
@@ -993,8 +1023,9 @@ def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, m
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
-    ((row, rep),) = sweep(SweepGrid("theta_over_pi", (0.25,), config), scenario)
-    assert row["error"] == f"ValueError: {message}" and rep is None
+    for axis in ("theta_over_pi", "g_t2_over_pi"):
+        for row, rep in sweep(SweepGrid(axis, (0.25, 0.5), config), scenario):
+            assert row["error"] == f"ValueError: {message}" and rep is None
 
 
 def test_scenario_dispatch():
