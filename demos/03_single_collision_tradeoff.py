@@ -20,7 +20,7 @@ from colltherm.protocols import SweepGrid, sweep
 series = get_preset("fig2").series[0]
 coarse = SweepGrid(series.grid.axis_name, tuple(round(0.05 * i, 10) for i in range(21)),
                    series.grid.fixed)
-rows = [row for row, _ in sweep(coarse, series.scenario)]
+rows = [row for row, _ in sweep(coarse)]
 
 print("single ancilla, T = (2, 1), g1 = pi/2, theta = pi/4")
 print(f"{'g2/pi':>6}  {'eta_joint':>10}  {'eta_acc':>9}  {'singular':>8}")

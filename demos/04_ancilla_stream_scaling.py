@@ -29,7 +29,7 @@ print(f"{'n':>3}  {'max eta_joint':>13}  {'at g2/pi':>8}  {'max eta_acc':>11}  {
 for s in series:
     coarse = SweepGrid(s.grid.axis_name, tuple(round(0.04 * i, 10) for i in range(26)),
                        s.grid.fixed)
-    rows = [row for row, _ in sweep(coarse, s.scenario)]
+    rows = [row for row, _ in sweep(coarse)]
     bj = max(rows, key=lambda r: r["eta_joint"])
     finite = [r for r in rows if math.isfinite(r["eta_acc"])]
     ba = max(finite, key=lambda r: r["eta_acc"])

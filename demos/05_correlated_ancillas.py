@@ -36,7 +36,7 @@ def rows_for(n, mode):
     (s,) = [x for x in preset.series
             if x.labels["n_ancillas"] == n and x.labels["mode"] == mode]
     grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
-    return [row for row, _ in sweep(grid, s.scenario)]
+    return [row for row, _ in sweep(grid)]
 
 
 un, co = rows_for(2, "uncorrelated"), rows_for(2, "correlated")

@@ -25,7 +25,7 @@ print("three baths T = (2, 1, 3), qutrit stream, g1 = pi/2, g2 = pi/5")
 best = {}
 for s in preset.series:
     grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
-    rows = [row for row, _ in sweep(grid, s.scenario)]
+    rows = [row for row, _ in sweep(grid)]
     n = s.labels["n_ancillas"]
     finite = [r for r in rows if math.isfinite(r["eta_acc"])]
     best[n] = max(finite, key=lambda r: r["eta_acc"])

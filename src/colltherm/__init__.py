@@ -39,7 +39,6 @@ from .protocols import (
     check_scenario,
     evaluate,
     point,
-    scenario_for,
     single_run,
     sweep,
     sweep_values,
@@ -58,7 +57,7 @@ __all__ = [
     "choi_matrix", "herm_eig",
     "PRESETS", "get_preset",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
-    "point", "scenario_for", "single_run", "sweep", "sweep_values",
+    "point", "single_run", "sweep", "sweep_values",
     "run_all", "run_group",
     "__version__",
 ]

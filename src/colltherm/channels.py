@@ -62,12 +62,14 @@ def _check_finite(**fields: float) -> None:
 
 
 def _as_float(name: str, value) -> float:
-    """``value`` as a float, refusing a bool or a non-real value by name, so
-    that a field's bits, not the type it came in as, decide what the maps
-    built from it compute."""
+    """``value`` as a finite float, refusing a bool, a non-real or a
+    non-finite value by name, so that a field's bits, not the type it came
+    in as, decide what the maps built from it compute."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    _check_finite(**{name: value})
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class BathSpec:
     def __post_init__(self):
         for name in ("temperature", "omega", "therm_time"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        _check_finite(temperature=self.temperature, omega=self.omega, therm_time=self.therm_time)
         if not self.temperature > 0:
             raise ValueError(f"temperature: must be > 0, got {self.temperature}")
         if not self.omega > 0:
@@ -106,7 +107,6 @@ class RotationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _as_float("theta", self.theta))
-        _check_finite(theta=self.theta)
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")
 

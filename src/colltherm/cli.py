@@ -17,7 +17,7 @@ and point goes through its public ``check_scenario``, ``point`` and
 
 Exit codes: 0 success; 2 configuration error (message names the offending
 field, e.g. ``baths[0].temperature``, or ``scenario`` when the base config
-breaks its scenario's precondition); 3 numerical failure (some grid rows
+breaks the precondition of the scenario it names); 3 numerical failure (some grid rows
 errored; outputs are still written).  ``verify`` exits 1 on the first
 failing oracle.
 
@@ -50,7 +50,6 @@ from .protocols import (
     SWEEP_AXES,
     check_scenario,
     point,
-    scenario_for,
     sweep,
     sweep_values,
 )
@@ -159,7 +158,9 @@ _SCALARS = {
 def load_config(path: str):
     """Parse and validate a YAML config file.
 
-    Returns ``(ProtocolConfig, scenario_name, SweepGrid | None)``.
+    Returns ``(ProtocolConfig, scenario_name | None, SweepGrid | None)``;
+    the scenario is the ``scenario`` key, checked against the config, or
+    None when the file names none.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -207,20 +208,17 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    grid, placed = None, [config]
+    grid = None
     if "sweep" in raw:
         axis, values = _parse_sweep(raw["sweep"], "sweep")
         try:
             grid = SweepGrid(axis, values, config)
-            placed = [grid.at(v) for v in grid.values]
+            for v in grid.values:  # every value must place, e.g. a whole n_ancillas
+                grid.at(v)
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
 
-    # unnamed, a sweep runs under its last point's scenario: an n_ancillas
-    # series from 1 is a stream, whose n = 1 point is the single run
     scenario = raw.get("scenario")
-    if scenario is None:
-        scenario = scenario_for(placed[-1])
     try:
         check_scenario(scenario, config)
     except ValueError as exc:
@@ -352,13 +350,13 @@ def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _series_points(axis: str, series) -> list:
-    """The (row, report) pairs of every (labels, scenario, grid) series in
-    order, each row keyed by the swept ``axis``, then the labels, then
+def _series_points(axis: str, series, scenario=None) -> list:
+    """The (row, report) pairs of every (labels, grid) series in order, each
+    row keyed by the swept ``axis``, then the labels, then
     :data:`MERIT_COLUMNS`."""
     return [
         ({axis: row.pop("axis_value"), **labels, **row}, report)
-        for labels, scenario, grid in series
+        for labels, grid in series
         for row, report in sweep(grid, scenario)
     ]
 
@@ -366,7 +364,7 @@ def _series_points(axis: str, series) -> list:
 def _run_preset(name: str, out_path: str) -> int:
     preset = get_preset(name)
     columns = (preset.axis_name, *preset.label_columns, *MERIT_COLUMNS)
-    series = [(s.labels, s.scenario, s.grid) for s in preset.series]
+    series = [(s.labels, s.grid) for s in preset.series]
     return _emit_outputs(out_path, columns, _series_points(preset.axis_name, series), None, name)
 
 
@@ -379,7 +377,7 @@ def _run_config(config_path: str, out_path: str, require_sweep: bool) -> int:
         columns, points = MERIT_COLUMNS, [point(config, scenario)]
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
-        points = _series_points(grid.axis_name, [({}, scenario, grid)])
+        points = _series_points(grid.axis_name, [({}, grid)], scenario)
     return _emit_outputs(out_path, columns, points, os.path.abspath(config_path), scenario)
 
 

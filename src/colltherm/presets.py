@@ -24,10 +24,9 @@ __all__ = ["Preset", "PresetSeries", "PRESETS", "get_preset"]
 
 @dataclass(frozen=True)
 class PresetSeries:
-    """One curve: extra label columns, the scenario, and its grid."""
+    """One curve: extra label columns and its grid."""
 
     labels: dict
-    scenario: str
     grid: SweepGrid
 
 
@@ -68,7 +67,7 @@ def _fig2() -> Preset:
     return Preset(
         axis_name="g_t2_over_pi",
         label_columns=(),
-        series=(PresetSeries({}, "single", grid),),
+        series=(PresetSeries({}, grid),),
     )
 
 
@@ -82,11 +81,9 @@ def _fig3() -> Preset:
             cfg = _two_bath_base(
                 n_ancillas=n, rotation=RotationSpec(theta_over_pi * math.pi, "x")
             )
-            scenario = "single" if n == 1 else "uncorrelated"
             series.append(
                 PresetSeries(
                     {"n_ancillas": n, "theta_over_pi": theta_over_pi},
-                    scenario,
                     SweepGrid("g_t2_over_pi", values, cfg),
                 )
             )
@@ -107,7 +104,6 @@ def _fig4() -> Preset:
             series.append(
                 PresetSeries(
                     {"mode": mode, "n_ancillas": n},
-                    mode,
                     SweepGrid("g_t2_over_pi", values, cfg),
                 )
             )
@@ -128,7 +124,6 @@ def _fig5() -> Preset:
         series.append(
             PresetSeries(
                 {"n_ancillas": n},
-                "qutrit",
                 SweepGrid("g_t3_over_pi", values, cfg),
             )
         )

@@ -8,8 +8,9 @@ with strength gamma*t (``BathSpec.therm_time``), between consecutive ancillas.
 At the end the ancillas are measured, and the temperature vector of the
 baths is what the measurement estimates.
 
-The four families are the scenarios of :func:`evaluate`, the one
-evaluator call:
+One switch picks the engine: ``ProtocolConfig.correlated``.  Off, the
+marginal stream runs; on, the joint simulation.  The four families are the
+scenarios a caller may name to have a config checked against:
 
 * ``single`` — one ancilla; the probes are fresh and thermal, so its state
   is exactly the composition of the reduced collision channels.
@@ -57,16 +58,16 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 
-In the marginal stream (``single``, ``uncorrelated``, ``qutrit``) stage i
-reads only bath i, angle i, the rotation and the sizes, so a :func:`sweep`
-along stage s's angle runs the stages before s once and hands their ancilla
-stacks to each point's :func:`evaluate`.  Nothing either call computes
-outlives it.
+In the marginal stream stage i reads only bath i, angle i, the rotation
+and the sizes, so a :func:`sweep` along stage s's angle runs the stages
+before s once and hands their ancilla stacks to each point's
+:func:`evaluate`.  Nothing either call computes outlives it.
 
-One table maps each scenario name to its engine and its precondition;
-:func:`check_scenario` is the one place that rejects an unknown name or a
-config its scenario cannot evaluate, and :func:`evaluate`, :func:`sweep`
-and :func:`single_run` all go through it.  :func:`point`
+A scenario name only states what the caller expects: one table maps each
+name to its precondition, and :func:`check_scenario` is the one place that
+rejects an unknown name or a config its scenario cannot evaluate.
+:func:`evaluate`, :func:`point` and :func:`sweep` check a scenario when one
+is named, and :func:`single_run` always checks ``single``.  :func:`point`
 and :func:`sweep` turn reports into the merit rows (:data:`MERIT_COLUMNS`)
 that the CLI writes as tables.
 """
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -85,7 +87,6 @@ from .channels import (
     RotationSpec,
     _ancilla_map,
     _as_float,
-    _check_finite,
     _gad_pair,
     _gibbs,
     collision_maps,
@@ -103,7 +104,6 @@ __all__ = [
     "single_run",
     "MERIT_COLUMNS",
     "check_scenario",
-    "scenario_for",
     "evaluate",
     "point",
     "sweep",
@@ -142,6 +142,8 @@ class ProtocolConfig:
     correlated: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.baths, Iterable):
+            raise ValueError(f"baths: must be a sequence of BathSpec, got {self.baths!r}")
         object.__setattr__(self, "baths", tuple(self.baths))
         angles = self.collision_angles
         if np.array(angles, dtype=object).ndim != 1:
@@ -168,10 +170,9 @@ class ProtocolConfig:
                 f"collision_angles: need one per bath ({n_baths}), got "
                 f"{len(self.collision_angles)}"
             )
-        for g in self.collision_angles:
-            _check_finite(collision_angles=g)
-            if not g >= 0:
-                raise ValueError(f"collision_angles: must be >= 0, got {g}")
+        for i, g in enumerate(self.collision_angles):
+            if g < 0:
+                raise ValueError(f"collision_angles[{i}]: must be >= 0, got {g}")
         if self.n_ancillas < 1:
             raise ValueError(f"n_ancillas: must be >= 1, got {self.n_ancillas}")
 
@@ -440,29 +441,32 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
 # the scenario table
 # ---------------------------------------------------------------------------
 
-# name -> (engine, precondition).  The engine gives the stack of states whose
-# QFIMs add, with their temperature derivatives, (K, 1 + N, d, d); the
-# precondition lists (holds, message) pairs, checked in order.
+# name -> precondition: (holds, message) pairs, checked in order
 _SCENARIOS = {
-    "single": (_stream_tangents, (
+    "single": (
         (lambda c: c.n_ancillas == 1, "single_run requires n_ancillas = 1, got {c.n_ancillas}"),
-    )),
-    "uncorrelated": (_stream_tangents, (
+    ),
+    "uncorrelated": (
         (lambda c: not c.correlated, "config.correlated is set; use scenario 'correlated'"),
-    )),
-    "correlated": (lambda c: _joint_tangents(c)[None], ()),
-    "qutrit": (_stream_tangents, (
+    ),
+    "correlated": (
+        (lambda c: c.correlated, "config.correlated is not set; use scenario 'uncorrelated'"),
+    ),
+    "qutrit": (
         (lambda c: c.n_baths == 3, "qutrit requires 3 baths, got {c.n_baths}"),
         (lambda c: not c.correlated, "qutrit runs in uncorrelated stream mode"),
-    )),
+    ),
 }
 
 
-def check_scenario(scenario: str, config: ProtocolConfig | None = None) -> None:
+def check_scenario(scenario: str | None, config: ProtocolConfig | None = None) -> None:
     """Raise ``ValueError`` unless ``scenario`` names an evaluator and, given a
-    ``config``, the config meets that evaluator's precondition."""
+    ``config``, the config meets that evaluator's precondition.  ``None``
+    names no scenario and checks nothing."""
+    if scenario is None:
+        return
     try:
-        _, precondition = _SCENARIOS[scenario]
+        precondition = _SCENARIOS[scenario]
     except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a YAML list
         choices = sorted(_SCENARIOS)
         raise ValueError(f"unknown scenario {scenario!r}; choose from {choices}") from None
@@ -472,35 +476,22 @@ def check_scenario(scenario: str, config: ProtocolConfig | None = None) -> None:
                 raise ValueError(message.format(c=config))
 
 
-def scenario_for(config: ProtocolConfig) -> str:
-    """Default evaluator for a config: qutrit-style for three baths, the
-    joint simulation when correlations are requested, the reduced-channel
-    route for a lone ancilla, the marginal stream otherwise."""
-    if config.n_baths == 3:
-        return "qutrit"
-    if config.correlated:
-        return "correlated"
-    if config.n_ancillas == 1:
-        return "single"
-    return "uncorrelated"
-
-
 def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
              _prefix: tuple | None = None) -> EstimationReport:
-    """Report of one config from the named (or default) scenario: the one
-    evaluator call.
+    """Report of one config: the one evaluator call.  ``config.correlated``
+    picks the engine, the joint simulation or the marginal stream; a named
+    ``scenario`` is checked against the config first (:func:`check_scenario`).
 
     Reports keep the SLD commutator norm but not the SLDs themselves, so a
     caller holding many reports holds only small matrices;
     :func:`single_run` returns the single-ancilla SLDs.  Only :func:`sweep`
     passes a ``_prefix``.
     """
-    name = scenario or scenario_for(config)
-    check_scenario(name, config)
-    engine, _ = _SCENARIOS[name]
+    check_scenario(scenario, config)
     # the engine's K states form a product: their QFIMs add, their supports
     # multiply, and the commutator norm is the largest of any one
-    qs = qfim_stack(engine(config) if _prefix is None else engine(config, _prefix))
+    qs = qfim_stack(_joint_tangents(config)[None] if config.correlated
+                    else _stream_tangents(config, _prefix))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
     return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
 
@@ -594,7 +585,7 @@ def _failed_row(exc: Exception) -> dict:
     return dict(zip(MERIT_COLUMNS, (nan, nan, nan, nan, None, f"{type(exc).__name__}: {exc}")))
 
 
-def point(config: ProtocolConfig, scenario: str, *,
+def point(config: ProtocolConfig, scenario: str | None = None, *,
           _prefix: tuple | None = None) -> tuple[dict, EstimationReport | None]:
     """The merit row of one config, keyed by :data:`MERIT_COLUMNS`, and its
     report.  A failing evaluation is recorded in the row's ``error`` cell,
@@ -607,15 +598,17 @@ def point(config: ProtocolConfig, scenario: str, *,
     return dict(zip(MERIT_COLUMNS, merits)), rep
 
 
-def sweep(grid: SweepGrid, scenario: str) -> list[tuple[dict, EstimationReport | None]]:
-    """Evaluate the scenario at every grid value, in grid order: one (row,
-    report) pair per value, the row being :func:`point`'s with the value in
-    ``axis_value``.  A failing point records its error in-row, has report
-    None, and the sweep continues; an unknown scenario raises at once.  Along
-    angle s the marginal stream runs the stages before s once, on ``grid.fixed``."""
+def sweep(grid: SweepGrid,
+          scenario: str | None = None) -> list[tuple[dict, EstimationReport | None]]:
+    """Evaluate every grid value, in grid order: one (row, report) pair per
+    value, the row being :func:`point`'s with the value in ``axis_value``.
+    A named ``scenario`` is checked at every point.  A failing point records
+    its error in-row, has report None, and the sweep continues; an unknown
+    scenario raises at once.  Along angle s the marginal stream runs the
+    stages before s once, on ``grid.fixed``."""
     check_scenario(scenario)
     stage, prefix = _ANGLE_AXES.get(grid.axis_name), None
-    if stage and _SCENARIOS[scenario][0] is _stream_tangents:
+    if stage and not grid.fixed.correlated:
         with suppress(Exception):  # if this fails, each point fails alike in its own row
             prefix = stage, _stream_tangents(grid.fixed, stop=stage)
     points = []

@@ -14,6 +14,8 @@ operators and as the Taylor-series exponential of the GKSL generator in
 ``tests/oracles.py``.  The routes share no code.
 """
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -79,7 +81,7 @@ def test_temperature_validation():
         thermal_populations(1.0, 0.0)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(temperature=-1.0)
-    with pytest.raises(ValueError, match="collision_angles: must be >= 0"):
+    with pytest.raises(ValueError, match=r"collision_angles\[0\]: must be >= 0"):
         ProtocolConfig(baths=(BathSpec(2.0), BathSpec(1.0)), collision_angles=(-0.2, 0.1))
     with pytest.raises(ValueError, match="axis"):
         RotationSpec(0.1, axis="q")
@@ -94,7 +96,9 @@ _TWO_BATHS = (BathSpec(2.0), BathSpec(1.0))
     ("omega", lambda v: BathSpec(2.0, omega=v)),
     ("therm_time", lambda v: BathSpec(2.0, therm_time=v)),
     ("theta", lambda v: RotationSpec(v)),
-    ("collision_angles", lambda v: ProtocolConfig(baths=_TWO_BATHS, collision_angles=(0.1, v))),
+    pytest.param("collision_angles[1]",
+                 lambda v: ProtocolConfig(baths=_TWO_BATHS, collision_angles=(0.1, v)),
+                 id="collision_angles-<lambda>"),
     pytest.param("angle", lambda v: collision_unitary(v, 2), id="collision_unitary-angle"),
     pytest.param("angle", lambda v: collision_unitary(v, 3), id="collision_unitary_3-angle"),
     pytest.param("omega", lambda v: thermal_populations(v, 1.0), id="thermal_populations-omega"),
@@ -108,7 +112,7 @@ _TWO_BATHS = (BathSpec(2.0), BathSpec(1.0))
 def test_non_finite_inputs_rejected(field, build, value):
     """The public constructors and closed forms refuse nan and inf, naming
     the field or argument, before any arithmetic sees them."""
-    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: must be finite"):
         build(value)
 
 

@@ -79,7 +79,7 @@ def test_run_single_point_config(tmp_path):
     assert summary["columns"] == list(MERIT_COLUMNS)
     man = summary["manifest"]
     assert man["config_path"] == os.path.abspath(cfg)
-    assert man["scenario"] == "single"
+    assert man["scenario"] is None  # the config names none
     assert man["output_path"] == str(out)
     assert "seed" not in man  # only verify is seeded
     report = summary["optimum"]["report"]
@@ -185,6 +185,8 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: scenario: qutrit requires 3 baths, got 2"),
         (lambda s: s + "scenario: uncorrelated\ncorrelated: true\n",
          "config error: scenario: config.correlated is set; use scenario 'correlated'"),
+        (lambda s: s + "scenario: correlated\nn_ancillas: 2\n",
+         "config error: scenario: config.correlated is not set; use scenario 'uncorrelated'"),
         # non-finite numbers and negative collision angles
         (lambda s: s.replace("[0.5, 0.3]", "[.nan, 0.3]"),
          "config error: collision_angles_over_pi[0]: expected a finite number, got nan"),
@@ -195,12 +197,12 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
         (lambda s: s.replace("{temperature: 1.0,", "{temperature: .inf,"),
          "config error: baths[1].temperature: expected a finite number, got inf"),
         (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
-         "config error: collision_angles: must be >= 0, got -1.57"),
+         "config error: collision_angles[0]: must be >= 0, got -1.57"),
         # gamma*t is one number, gamma_t; the rotation is turned off by theta 0
         (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 1.0}"),
          "config error: baths[0].gamma: unknown field"),
         (lambda s: s + "rotation_enabled: false\n", "config error: rotation_enabled: unknown field"),
-        # a scenario that is present but falsy is named, not inferred
+        # a scenario that is present but falsy is checked as a name
         (lambda s: s + "scenario: false\n", "config error: scenario: unknown scenario False;"),
         (lambda s: s + "scenario: 0\n", "config error: scenario: unknown scenario 0;"),
         (lambda s: s + "scenario: ''\n", "config error: scenario: unknown scenario '';"),
@@ -285,17 +287,18 @@ def test_sweep_range_stops_at_stop(tmp_path, block, want):
 
 
 def test_ancilla_count_sweep_infers_stream_scenario(tmp_path):
-    """An n_ancillas series from 1 with no scenario named runs as a stream;
-    its n = 1 row is the single run of the base config."""
+    """An n_ancillas series from 1 with no scenario named runs as a stream,
+    and the summary records no scenario; its n = 1 row is the single run of
+    the base config."""
     cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + "sweep: {axis: n_ancillas, values: [1, 2, 3]}\n")
     out = tmp_path / "n.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out)
     assert [r["error"] for r in rows] == ["", "", ""]
     config, scenario, grid = load_config(cfg)
-    assert scenario == "uncorrelated"
-    assert json.loads((tmp_path / "n.json").read_text())["manifest"]["scenario"] == scenario
-    (first, _), *_ = sweep(grid, scenario)
+    assert scenario is None
+    assert json.loads((tmp_path / "n.json").read_text())["manifest"]["scenario"] is None
+    (first, _), *_ = sweep(grid)
     single, _ = point(config, "single")
     assert {col: first[col] for col in MERIT_COLUMNS} == single
     assert {col: rows[0][col] for col in MERIT_COLUMNS} == {
@@ -303,12 +306,30 @@ def test_ancilla_count_sweep_infers_stream_scenario(tmp_path):
     }
 
 
+def test_three_correlated_baths_run_with_no_scenario_key(tmp_path):
+    """A three-bath ``correlated: true`` file with no ``scenario`` key runs
+    the joint simulation: its row is the one scenario ``correlated`` gives."""
+    cfg = write(tmp_path / "cfg.yaml", """\
+baths: [{temperature: 2.0}, {temperature: 1.0}, {temperature: 3.0}]
+collision_angles_over_pi: [0.5, 0.2, 0.35]
+ancilla_dim: 3
+n_ancillas: 2
+correlated: true
+""")
+    out = tmp_path / "joint.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    config, scenario, _ = load_config(cfg)
+    assert scenario is None and config.n_baths == 3 and config.correlated
+    row, _ = point(config, "correlated")
+    assert read_rows(out) == [{col: _fmt_cell(row[col]) for col in MERIT_COLUMNS}]
+
+
 def test_sweep_value_the_grid_cannot_place_is_config_error(tmp_path, capsys):
     cases = [
         ("{axis: n_ancillas, values: [1, 2.5]}",
          "config error: sweep: n_ancillas axis needs whole numbers, got 2.5"),
         ("{axis: g_t1_over_pi, values: [-0.5, 0.5]}",
-         "config error: sweep: collision_angles: must be >= 0, got -1.57"),
+         "config error: sweep: collision_angles[0]: must be >= 0, got -1.57"),
         ("{axis: theta_over_pi, values: [0.25, .nan]}",
          "config error: sweep.values[1]: expected a finite number, got nan"),
         ("{axis: gamma_t, start: 0, stop: .inf, step: 0.5}",

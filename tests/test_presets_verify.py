@@ -60,7 +60,7 @@ def test_fig2_definition():
     assert p.label_columns == ()
     assert len(p.series) == 1
     s = p.series[0]
-    assert s.scenario == "single"
+    assert s.grid.fixed.n_ancillas == 1 and not s.grid.fixed.correlated
     assert len(s.grid.values) == 101
     assert s.grid.values[0] == 0.0 and s.grid.values[-1] == 1.0
     cfg = s.grid.fixed
@@ -79,7 +79,7 @@ def test_fig3_definition():
     assert thetas == {1.0 / 6.0, 0.25, 1.0 / 3.0}
     for s in p.series:
         n = s.labels["n_ancillas"]
-        assert s.scenario == ("single" if n == 1 else "uncorrelated")
+        assert not s.grid.fixed.correlated
         assert s.grid.fixed.n_ancillas == n
         assert s.grid.fixed.rotation.theta == pytest.approx(
             s.labels["theta_over_pi"] * math.pi
@@ -93,7 +93,6 @@ def test_fig4_definition():
     got = {(s.labels["mode"], s.labels["n_ancillas"]) for s in p.series}
     assert got == {("uncorrelated", 2), ("correlated", 2), ("uncorrelated", 4), ("correlated", 4)}
     for s in p.series:
-        assert s.scenario == s.labels["mode"]
         assert s.grid.fixed.correlated == (s.labels["mode"] == "correlated")
 
 
@@ -103,7 +102,7 @@ def test_fig5_definition():
     assert {s.labels["n_ancillas"] for s in p.series} == {1, 3, 5}
     for s in p.series:
         cfg = s.grid.fixed
-        assert s.scenario == "qutrit"
+        assert not cfg.correlated
         assert cfg.ancilla_dim == 3
         assert cfg.temperatures == (2.0, 1.0, 3.0)
         assert cfg.collision_angles[0] == pytest.approx(0.5 * math.pi)
@@ -163,7 +162,7 @@ def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built
     last stage alone (counted, as above, through ``channels._ancilla_map``)."""
     for series in get_preset(name).series:
         before = len(stages_built)
-        points = protocols.sweep(series.grid, series.scenario)
+        points = protocols.sweep(series.grid)
         assert all(row["error"] is None for row, _ in points)
         assert stages_built[before:] == [n_stages - 1] + [1] * len(points)
 

@@ -36,7 +36,6 @@ from colltherm.protocols import (
     SweepGrid,
     check_scenario,
     evaluate,
-    scenario_for,
     single_run,
     sweep,
     sweep_values,
@@ -67,6 +66,14 @@ def three_bath_config(**overrides):
     )
     base.update(overrides)
     return ProtocolConfig(**base)
+
+
+def assert_same_report(a, b):
+    """Two reports agree bit for bit: QFIM, thermal benchmark and merits."""
+    npt.assert_array_equal(a.qfim.matrix, b.qfim.matrix)
+    npt.assert_array_equal(a.thermal, b.thermal)
+    merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
+    assert [getattr(a, m) for m in merits] == [getattr(b, m) for m in merits]
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +112,9 @@ class TestProtocolConfig:
         ("rotation", 0.3, "rotation: must be a RotationSpec"),
         ("baths", (2.0, 1.0), r"baths\[0\]: must be a BathSpec"),
         ("baths", (BathSpec(2.0), {"temperature": 1.0}), r"baths\[1\]: must be a BathSpec"),
+        ("baths", 2.0, "baths: must be a sequence of BathSpec, got 2.0"),
+        ("baths", None, "baths: must be a sequence of BathSpec, got None"),
+        ("baths", BathSpec(2.0), r"baths: must be a sequence of BathSpec, got BathSpec\("),
     ])
     def test_field_types_are_checked(self, field, value, message):
         """A string ``correlated`` would pick the joint simulation, and a bare
@@ -139,11 +149,8 @@ class TestProtocolConfig:
         """A qutrit config with a qubit swapped in (the diagnostic of
         criterion 8) builds, and reports what the qubit config built
         directly reports: the start state follows the dimension."""
-        swapped = evaluate(replace(three_bath_config(), ancilla_dim=2), "qutrit")
-        direct = evaluate(three_bath_config(ancilla_dim=2), "qutrit")
-        npt.assert_array_equal(swapped.qfim.matrix, direct.qfim.matrix)
-        merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
-        assert [getattr(swapped, m) for m in merits] == [getattr(direct, m) for m in merits]
+        assert_same_report(evaluate(replace(three_bath_config(), ancilla_dim=2), "qutrit"),
+                           evaluate(three_bath_config(ancilla_dim=2), "qutrit"))
 
     def test_at_temperatures(self):
         cfg = two_bath_config().at_temperatures((2.5, 0.8))
@@ -849,17 +856,15 @@ def test_sweep_rows_and_error_capture():
             "singular",
             "error",
         }
-        fresh = evaluate(grid.at(row["axis_value"]), "single")
-        npt.assert_array_equal(rep.qfim.matrix, fresh.qfim.matrix)
-        npt.assert_array_equal(rep.thermal, fresh.thermal)
-        merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
-        assert [getattr(rep, m) for m in merits] == [getattr(fresh, m) for m in merits]
+        assert_same_report(rep, evaluate(grid.at(row["axis_value"]), "single"))
 
 
 def test_sweep_unknown_scenario():
     grid = SweepGrid("g_t2_over_pi", (0.3,), two_bath_config())
     with pytest.raises(ValueError, match="scenario"):
         sweep(grid, "bogus")
+    with pytest.raises(ValueError, match="scenario"):
+        evaluate(two_bath_config(), "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1015,8 @@ def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
         ("qutrit", two_bath_config(), "qutrit requires 3 baths, got 2"),
         ("qutrit", three_bath_config(correlated=True),
          "qutrit runs in uncorrelated stream mode"),
+        ("correlated", two_bath_config(n_ancillas=2),
+         "config.correlated is not set; use scenario 'uncorrelated'"),
     ],
 )
 def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, message):
@@ -1028,10 +1035,15 @@ def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, m
             assert row["error"] == f"ValueError: {message}" and rep is None
 
 
-def test_scenario_dispatch():
-    assert scenario_for(two_bath_config()) == "single"
-    assert scenario_for(two_bath_config(n_ancillas=3)) == "uncorrelated"
-    assert scenario_for(two_bath_config(n_ancillas=2, correlated=True)) == "correlated"
-    assert scenario_for(three_bath_config()) == "qutrit"
-    with pytest.raises(ValueError, match="scenario"):
-        evaluate(two_bath_config(), scenario="bogus")
+@pytest.mark.parametrize("name, config", [
+    ("single", two_bath_config()),
+    ("uncorrelated", two_bath_config(n_ancillas=3)),
+    ("correlated", two_bath_config(n_ancillas=2, correlated=True)),
+    ("qutrit", three_bath_config(n_ancillas=2)),
+    ("correlated", three_bath_config(n_ancillas=2, correlated=True)),
+])
+def test_a_named_scenario_only_checks_the_config(name, config):
+    """``config.correlated`` alone picks the engine: naming the scenario that
+    agrees with the config changes nothing in the report, and a three-bath
+    correlated config needs no name to run the joint simulation."""
+    assert_same_report(evaluate(config), evaluate(config, name))
