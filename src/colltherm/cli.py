@@ -144,6 +144,11 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
             values = sweep_values(start, stop, step)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    if axis.startswith("g_t"):  # a collision angle, named as the file wrote it
+        for i, v in enumerate(values):
+            if v < 0:
+                where = f"values[{i}]" if "values" in entry else "start"
+                raise ConfigError(f"{path}.{where}: must be >= 0, got {v}")
     return axis, values
 
 
@@ -184,10 +189,12 @@ def load_config(path: str):
     angles_raw = _required(raw, "collision_angles_over_pi")
     if not isinstance(angles_raw, list):
         raise ConfigError("collision_angles_over_pi: expected a list of numbers")
-    angles = tuple(
-        _as_number(v, f"collision_angles_over_pi[{i}]") * math.pi
-        for i, v in enumerate(angles_raw)
-    )
+    angles = []
+    for i, v in enumerate(angles_raw):
+        g = _as_number(v, f"collision_angles_over_pi[{i}]")
+        if g < 0:
+            raise ConfigError(f"collision_angles_over_pi[{i}]: must be >= 0, got {g}")
+        angles.append(g * math.pi)
 
     rotation = RotationSpec(math.pi / 4, "x")
     if "rotation" in raw:

@@ -84,17 +84,20 @@ def _check_derivs(derivs: np.ndarray) -> None:
         raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
 
 
-def _check_qfim(m: np.ndarray) -> None:
+def _check_qfim(m: np.ndarray) -> np.ndarray:
     """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9
-    relative to its largest entry and PSD down to -1e-8."""
+    relative to its largest entry and PSD down to -1e-8.  Returns the
+    symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads."""
     mt = m.swapaxes(-1, -2)
     asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
     bad = asym > 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0)
     if bad.any():
         raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
-    lo = float(np.linalg.eigvalsh((m + mt) / 2).min(initial=0.0))
+    sym = (m + mt) / 2
+    lo = float(np.linalg.eigvalsh(sym).min(initial=0.0))
     if lo < -1e-8:
         raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
+    return sym
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,13 +216,12 @@ def qfim_stack(stacks) -> QfimStack:
             "the family leaves its support"
         )
     lt = dr * np.divide(2.0, s, out=np.zeros_like(s), where=support)[:, None]
-    f = np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real
-    _check_qfim(f)
-    f = (f + f.swapaxes(-1, -2)) / 2.0
+    f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
     comm = np.zeros(len(w))
     for i, j in itertools.combinations(range(lt.shape[1]), 2):
         p = lt[:, i] @ lt[:, j]
-        comm = np.maximum(comm, np.linalg.norm(p - p.conj().swapaxes(-1, -2), axis=(-2, -1)))
+        c = p - p.conj().swapaxes(-1, -2)
+        comm = np.maximum(comm, np.sqrt(np.einsum("kab,kab->k", c, c.conj()).real))
     support_dims = tuple((w > SUPPORT_CUTOFF).sum(axis=-1).tolist())
     return QfimStack(f, support_dims, comm, v, lt)
 
@@ -281,11 +283,13 @@ def build_report(
     norm's N-th power, so a fixed cutoff would misclassify large-norm
     rank-deficient matrices; at O(1) norm the rule is a plain 1e-12.
     """
-    tr_th, det_th = float(thermal.sum()), float(thermal.prod())
+    th = thermal.tolist()
+    tr_th, det_th = sum(th), math.prod(th)
     if not (tr_th > 0 and det_th > 0):
         raise ValueError("degenerate thermal benchmark (zero trace or determinant)")
     det = qf.det
-    singular = det <= 1e-12 * max(1.0, float(np.linalg.norm(qf.matrix))) ** len(qf.matrix)
+    m = qf.matrix.ravel()  # ||F_Q||_F as the dot product np.linalg.norm takes
+    singular = det <= 1e-12 * max(1.0, math.sqrt(m @ m)) ** len(qf.matrix)
     return EstimationReport(
         qfim=qf,
         thermal=thermal,

@@ -61,7 +61,9 @@ theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
-:func:`evaluate`.  Nothing either call computes outlives it.
+:func:`evaluate`.  A point along the last stage's angle, which every preset
+sweeps, runs that stage alone and builds no rotation, since none follows
+the last collision.  Nothing either call computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -214,13 +216,15 @@ def _stage_unitaries(config: ProtocolConfig, stages: slice = slice(None)) -> np.
     ancilla followed by the ancilla rotation R, on every stage but the last,
     stacked as (stages, 2d, 2d), real in the phase gauge (see the module
     docstring).  (I (x) R) u acts on the ancilla row index alone, so R
-    multiplies each probe row block of u."""
+    multiplies each probe row block of u.  R is built only when ``stages``
+    holds a rotated stage: the last stage alone needs none."""
     m, d = len(range(config.n_baths - 1)[stages]), config.ancilla_dim  # m: rotated stages
     us = np.array([collision_unitary(g, d) for g in config.collision_angles[stages]])
     us = np.ascontiguousarray((us * _GAUGE_PHASES[d]).real)
-    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
-    r = RotationSpec(theta, "y").unitary(d).real
-    us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
+    if m:
+        theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
+        r = RotationSpec(theta, "y").unitary(d).real
+        us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
     return us
 
 
@@ -568,7 +572,7 @@ class SweepGrid:
             raise ValueError(
                 f"axis refers to bath stage {stage + 1}, config has {self.fixed.n_baths}"
             )
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_as_float(f"values[{i}]", v) for i, v in enumerate(self.values))
         object.__setattr__(self, "values", vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")

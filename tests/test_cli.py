@@ -197,7 +197,7 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
         (lambda s: s.replace("{temperature: 1.0,", "{temperature: .inf,"),
          "config error: baths[1].temperature: expected a finite number, got inf"),
         (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
-         "config error: collision_angles[0]: must be >= 0, got -1.57"),
+         "config error: collision_angles_over_pi[0]: must be >= 0, got -0.5"),
         # gamma*t is one number, gamma_t; the rotation is turned off by theta 0
         (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 1.0}"),
          "config error: baths[0].gamma: unknown field"),
@@ -329,7 +329,9 @@ def test_sweep_value_the_grid_cannot_place_is_config_error(tmp_path, capsys):
         ("{axis: n_ancillas, values: [1, 2.5]}",
          "config error: sweep: n_ancillas axis needs whole numbers, got 2.5"),
         ("{axis: g_t1_over_pi, values: [-0.5, 0.5]}",
-         "config error: sweep: collision_angles[0]: must be >= 0, got -1.57"),
+         "config error: sweep.values[0]: must be >= 0, got -0.5"),
+        ("{axis: g_t2_over_pi, start: -0.5, stop: 0.5, step: 0.5}",
+         "config error: sweep.start: must be >= 0, got -0.5"),
         ("{axis: theta_over_pi, values: [0.25, .nan]}",
          "config error: sweep.values[1]: expected a finite number, got nan"),
         ("{axis: gamma_t, start: 0, stop: .inf, step: 0.5}",

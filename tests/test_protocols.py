@@ -813,6 +813,17 @@ def test_sweep_grid_validation():
         SweepGrid("bogus_axis", (0.1, 0.2), cfg)
     with pytest.raises(ValueError, match="increasing"):
         SweepGrid("g_t2_over_pi", (0.2, 0.2), cfg)
+    # each value is a real number by its own name, as in ProtocolConfig; a
+    # string or a bool that float() would take, and a nan that would pass
+    # the increasing check, are refused when the grid is built
+    for values, message in (
+        (("0.1", "0.2"), r"values\[0\]: must be a real number, got '0.1'"),
+        ((True, 2.0), r"values\[0\]: must be a real number, got True"),
+        ((0.1, float("nan")), r"values\[1\]: must be finite, got nan"),
+        ((float("nan"), 0.1), r"values\[0\]: must be finite, got nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SweepGrid("g_t2_over_pi", values, cfg)
 
 
 def test_sweep_axis_setters():
@@ -992,6 +1003,31 @@ def test_sweep_retains_nothing_after_it_returns():
         tracemalloc.stop()
     assert all(row["error"] is None for row, _ in points)
     assert retained < 0.1e6
+
+
+def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
+    """No rotation follows the last collision: a marginal-stream sweep along
+    the last stage's angle builds the ancilla rotation once, for the stages
+    it hands its points, and no point builds it again; one evaluation with
+    no prefix builds it once."""
+    built, unitary = [], RotationSpec.unitary
+
+    def counting(self, dim):
+        built.append(dim)
+        return unitary(self, dim)
+
+    monkeypatch.setattr(RotationSpec, "unitary", counting)
+    for axis, base, scenario in (
+        ("g_t2_over_pi", two_bath_config(n_ancillas=3), "uncorrelated"),
+        ("g_t3_over_pi", three_bath_config(n_ancillas=3), "qutrit"),
+    ):
+        del built[:]
+        points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base), scenario)
+        assert [row["error"] for row, _ in points] == [None] * len(_AXIS_VALUES[axis])
+        assert built == [base.ancilla_dim]
+    del built[:]
+    evaluate(two_bath_config(n_ancillas=3), "uncorrelated")
+    assert built == [2]
 
 
 def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
