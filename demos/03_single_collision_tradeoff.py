@@ -14,10 +14,10 @@ eta_acc < 0): one qubit cannot carry two full thermometer readings.
 
 import math
 
-from colltherm.presets import get_preset
+from colltherm.presets import PRESETS
 from colltherm.protocols import SweepGrid, sweep
 
-series = get_preset("fig2").series[0]
+(series,) = PRESETS["fig2"]
 coarse = SweepGrid(series.grid.axis_name, tuple(round(0.05 * i, 10) for i in range(21)),
                    series.grid.fixed)
 rows = [row for row, _ in sweep(coarse)]

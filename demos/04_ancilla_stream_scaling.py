@@ -15,12 +15,12 @@ n = 3: more total information than n independent equilibrium probes give.
 
 import math
 
-from colltherm.presets import get_preset
+from colltherm.presets import PRESETS
 from colltherm.protocols import SweepGrid, sweep
 
-preset = get_preset("fig3")
+curves = PRESETS["fig3"]
 series = sorted(
-    (s for s in preset.series if s.labels["theta_over_pi"] == 0.25),
+    (s for s in curves if s.labels["theta_over_pi"] == 0.25),
     key=lambda s: s.labels["n_ancillas"],
 )
 

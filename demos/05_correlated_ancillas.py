@@ -25,15 +25,15 @@ guaranteed to exceed the sum over its marginals.
 
 import math
 
-from colltherm.presets import get_preset
+from colltherm.presets import PRESETS
 from colltherm.protocols import SweepGrid, sweep
 
-preset = get_preset("fig4")
+curves = PRESETS["fig4"]
 values = tuple(round(0.1 * i, 10) for i in range(1, 10))
 
 
 def rows_for(n, mode):
-    (s,) = [x for x in preset.series
+    (s,) = [x for x in curves
             if x.labels["n_ancillas"] == n and x.labels["mode"] == mode]
     grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
     return [row for row, _ in sweep(grid)]

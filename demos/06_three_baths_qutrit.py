@@ -15,15 +15,15 @@ ancilla as a diagnostic.
 import math
 from dataclasses import replace
 
-from colltherm.presets import get_preset
+from colltherm.presets import PRESETS
 from colltherm.protocols import SweepGrid, evaluate, sweep
 
-preset = get_preset("fig5")
+curves = PRESETS["fig5"]
 values = tuple(round(0.04 * i, 10) for i in range(1, 25))  # interior of (0, 1)
 
 print("three baths T = (2, 1, 3), qutrit stream, g1 = pi/2, g2 = pi/5")
 best = {}
-for s in preset.series:
+for s in curves:
     grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
     rows = [row for row, _ in sweep(grid)]
     n = s.labels["n_ancillas"]
@@ -35,7 +35,7 @@ for s in preset.series:
 
 n_star = max(best)
 opt = best[n_star]
-base = next(s for s in preset.series if s.labels["n_ancillas"] == n_star).grid.fixed
+base = next(s for s in curves if s.labels["n_ancillas"] == n_star).grid.fixed
 angles = list(base.collision_angles)
 angles[2] = opt["axis_value"] * math.pi
 qutrit_cfg = replace(base, collision_angles=tuple(angles))

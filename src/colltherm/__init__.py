@@ -31,7 +31,7 @@ from .estimation import (
     thermal_fim,
 )
 from .linalg import choi_matrix, herm_eig
-from .presets import PRESETS, get_preset
+from .presets import PRESETS
 from .protocols import (
     MERIT_COLUMNS,
     ProtocolConfig,
@@ -55,7 +55,7 @@ __all__ = [
     "EstimationReport", "Qfim", "QfimStack", "build_report", "qfim_stack",
     "singularity_test", "thermal_fim",
     "choi_matrix", "herm_eig",
-    "PRESETS", "get_preset",
+    "PRESETS",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
     "point", "single_run", "sweep", "sweep_values",
     "run_all", "run_group",

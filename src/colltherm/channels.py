@@ -100,9 +100,9 @@ class BathSpec:
 @dataclass(frozen=True)
 class RotationSpec:
     """Ancilla rotation ``exp(-i theta G)`` with G the Pauli (qubit) or
-    spin-1 (qutrit) operator along ``axis``."""
+    spin-1 (qutrit) operator along ``axis``, by default pi/4 about x."""
 
-    theta: float
+    theta: float = math.pi / 4
     axis: str = "x"
 
     def __post_init__(self):

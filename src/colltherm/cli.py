@@ -13,7 +13,12 @@ Subcommands:
 The CLI is a thin shell over :mod:`colltherm.protocols`: every preset, sweep
 and point goes through its public ``check_scenario``, ``point`` and
 ``sweep``, and one loop turns their ``(row, report)`` pairs into a table.
-``main`` builds one argument parser per process, on its first call.
+A preset's columns are read off its curves (:data:`PRESETS`).  A config
+file's defaults and input rules are the library's: ``load_config`` passes
+on only the keys the file gives, and where the library's message names a
+field the file spells otherwise (``gamma_t``, ``*_over_pi``) it says the
+file's name.  ``main`` builds one argument parser per process, on its
+first call.
 
 Exit codes: 0 success; 2 configuration error (message names the offending
 field, e.g. ``baths[0].temperature``, or ``scenario`` when the base config
@@ -40,9 +45,9 @@ from datetime import datetime, timezone
 
 import yaml
 
-from .channels import BathSpec, RotationSpec
+from .channels import BathSpec, RotationSpec, _as_float
 from .estimation import EstimationReport
-from .presets import PRESETS, get_preset
+from .presets import PRESETS
 from .protocols import (
     MERIT_COLUMNS,
     ProtocolConfig,
@@ -77,23 +82,10 @@ def _required(mapping, key, path=""):
 
 
 def _as_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, path):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
+    try:
+        return _as_float(path, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _reject_unknown(mapping, known, path=""):
@@ -102,19 +94,21 @@ def _reject_unknown(mapping, known, path=""):
             raise ConfigError(f"{_field(path, key)}: unknown field (allowed: {sorted(known)})")
 
 
+# a bath's keys in the file and the BathSpec fields they set
+_BATH_KEYS = {"temperature": "temperature", "omega": "omega", "gamma_t": "therm_time"}
+
+
 def _parse_bath(entry, path) -> BathSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected a mapping with a 'temperature' key")
-    _reject_unknown(entry, {"temperature", "omega", "gamma_t"}, path)
-    temperature = _as_number(_required(entry, "temperature", path), f"{path}.temperature")
-    omega = _as_number(entry.get("omega", 1.0), f"{path}.omega")
-    gamma_t = _as_number(entry.get("gamma_t", 0.5), f"{path}.gamma_t")
-    if gamma_t < 0:
-        raise ConfigError(f"{path}.gamma_t: must be >= 0, got {gamma_t}")
+    _reject_unknown(entry, _BATH_KEYS, path)
+    _required(entry, "temperature", path)
     try:
-        return BathSpec(temperature=temperature, omega=omega, therm_time=gamma_t)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        return BathSpec(**{_BATH_KEYS[key]: value for key, value in entry.items()})
+    except ValueError as exc:  # BathSpec's message starts with its field: say the file's key
+        field, message = str(exc).split(": ", 1)
+        key = next(key for key, name in _BATH_KEYS.items() if name == field)
+        raise ConfigError(f"{path}.{key}: {message}") from None
 
 
 _RANGE_KEYS = ("start", "stop", "step")
@@ -125,7 +119,7 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
         raise ConfigError(f"{path}: expected a mapping with an 'axis' key")
     _reject_unknown(entry, {"axis", "values", *_RANGE_KEYS}, path)
     axis = _required(entry, "axis", path)
-    if axis not in SWEEP_AXES:
+    if not (isinstance(axis, str) and axis in SWEEP_AXES):
         raise ConfigError(f"{path}.axis: unknown axis {axis!r} (allowed: {sorted(SWEEP_AXES)})")
     if "values" in entry:
         mixed = [key for key in _RANGE_KEYS if key in entry]
@@ -144,7 +138,9 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
             values = sweep_values(start, stop, step)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if axis.startswith("g_t"):  # a collision angle, named as the file wrote it
+    # a collision angle or gamma*t, named as the file wrote it, not as the
+    # config field the grid sets
+    if axis.startswith("g_t") or axis == "gamma_t":
         for i, v in enumerate(values):
             if v < 0:
                 where = f"values[{i}]" if "values" in entry else "start"
@@ -152,12 +148,8 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
     return axis, values
 
 
-# top-level scalar fields of ProtocolConfig and their converters
-_SCALARS = {
-    "ancilla_dim": _as_int,
-    "n_ancillas": _as_int,
-    "correlated": _as_bool,
-}
+# top-level fields passed to ProtocolConfig as the file gives them; it checks them
+_SCALAR_KEYS = ("ancilla_dim", "n_ancillas", "correlated")
 
 
 def load_config(path: str):
@@ -179,7 +171,7 @@ def load_config(path: str):
         raise ConfigError("config root must be a mapping")
 
     _reject_unknown(raw, {"baths", "collision_angles_over_pi", "rotation", "scenario", "sweep",
-                          *_SCALARS})
+                          *_SCALAR_KEYS})
 
     baths_raw = _required(raw, "baths")
     if not isinstance(baths_raw, list) or not baths_raw:
@@ -196,22 +188,22 @@ def load_config(path: str):
             raise ConfigError(f"collision_angles_over_pi[{i}]: must be >= 0, got {g}")
         angles.append(g * math.pi)
 
-    rotation = RotationSpec(math.pi / 4, "x")
+    fields = {key: raw[key] for key in _SCALAR_KEYS if key in raw}
     if "rotation" in raw:
-        rot_raw = raw["rotation"]
-        if not isinstance(rot_raw, dict):
+        if not isinstance(raw["rotation"], dict):
             raise ConfigError("rotation: expected a mapping")
-        _reject_unknown(rot_raw, {"theta_over_pi", "axis"}, "rotation")
-        theta = _as_number(rot_raw.get("theta_over_pi", 0.25), "rotation.theta_over_pi") * math.pi
-        axis = rot_raw.get("axis", "x")
+        rotation = dict(raw["rotation"])
+        _reject_unknown(rotation, {"theta_over_pi", "axis"}, "rotation")
+        if "theta_over_pi" in rotation:
+            theta = _as_number(rotation.pop("theta_over_pi"), "rotation.theta_over_pi")
+            rotation["theta"] = theta * math.pi
         try:
-            rotation = RotationSpec(theta, axis)
+            fields["rotation"] = RotationSpec(**rotation)
         except ValueError as exc:
             raise ConfigError(f"rotation.{exc}") from None
 
-    scalars = {key: convert(raw[key], key) for key, convert in _SCALARS.items() if key in raw}
     try:
-        config = ProtocolConfig(baths=baths, collision_angles=angles, rotation=rotation, **scalars)
+        config = ProtocolConfig(baths=baths, collision_angles=angles, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -357,22 +349,22 @@ def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _series_points(axis: str, series, scenario=None) -> list:
+def _series_points(series, scenario=None) -> list:
     """The (row, report) pairs of every (labels, grid) series in order, each
-    row keyed by the swept ``axis``, then the labels, then
+    row keyed by its grid's swept axis, then the labels, then
     :data:`MERIT_COLUMNS`."""
     return [
-        ({axis: row.pop("axis_value"), **labels, **row}, report)
+        ({grid.axis_name: row.pop("axis_value"), **labels, **row}, report)
         for labels, grid in series
         for row, report in sweep(grid, scenario)
     ]
 
 
 def _run_preset(name: str, out_path: str) -> int:
-    preset = get_preset(name)
-    columns = (preset.axis_name, *preset.label_columns, *MERIT_COLUMNS)
-    series = [(s.labels, s.grid) for s in preset.series]
-    return _emit_outputs(out_path, columns, _series_points(preset.axis_name, series), None, name)
+    series = PRESETS[name]
+    labels, grid = series[0]
+    columns = (grid.axis_name, *labels, *MERIT_COLUMNS)
+    return _emit_outputs(out_path, columns, _series_points(series), None, name)
 
 
 def _run_config(config_path: str, out_path: str, require_sweep: bool) -> int:
@@ -384,7 +376,7 @@ def _run_config(config_path: str, out_path: str, require_sweep: bool) -> int:
         columns, points = MERIT_COLUMNS, [point(config, scenario)]
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
-        points = _series_points(grid.axis_name, [({}, grid)], scenario)
+        points = _series_points([({}, grid)], scenario)
     return _emit_outputs(out_path, columns, points, os.path.abspath(config_path), scenario)
 
 

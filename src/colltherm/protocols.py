@@ -80,7 +80,7 @@ import functools
 import math
 from collections.abc import Iterable
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,18 +129,19 @@ class ProtocolConfig:
 
     ``baths`` carry each bath's temperature, probe frequency and
     rethermalization strength gamma*t.  ``collision_angles`` are the
-    products g*tau in radians, one per bath stage.  ``rotation`` is applied
-    to the ancilla after every collision except the last; ``RotationSpec(0.0)``
-    leaves the ancilla alone between collisions.  Every ancilla starts in
-    its bottom level, index ``ancilla_dim - 1``, so ``replace(config,
-    ancilla_dim=2)`` turns a qutrit stream into a qubit one.
+    products g*tau in radians, one per bath stage.  ``rotation`` (default
+    pi/4 about x) is applied to the ancilla after every collision except
+    the last; ``RotationSpec(0.0)`` leaves the ancilla alone between
+    collisions.  Every ancilla starts in its bottom level, index
+    ``ancilla_dim - 1``, so ``replace(config, ancilla_dim=2)`` turns a
+    qutrit stream into a qubit one.
     """
 
     baths: tuple[BathSpec, ...]
     collision_angles: tuple[float, ...]
     ancilla_dim: int = 2
     n_ancillas: int = 1
-    rotation: RotationSpec = field(default_factory=lambda: RotationSpec(math.pi / 4))
+    rotation: RotationSpec = RotationSpec()
     correlated: bool = False
 
     def __post_init__(self):
@@ -562,7 +563,8 @@ class SweepGrid:
     fixed: ProtocolConfig
 
     def __post_init__(self):
-        if self.axis_name not in SWEEP_AXES:
+        # a str first: an unhashable name, e.g. a YAML list, is refused by name too
+        if not (isinstance(self.axis_name, str) and self.axis_name in SWEEP_AXES):
             raise ValueError(
                 f"unknown sweep axis {self.axis_name!r}; "
                 f"choose from {sorted(SWEEP_AXES)}"

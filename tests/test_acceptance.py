@@ -37,7 +37,7 @@ from colltherm.channels import (
 )
 from colltherm.estimation import qfim_stack, singularity_test, thermal_fim
 from colltherm.linalg import choi_matrix
-from colltherm.presets import get_preset
+from colltherm.presets import PRESETS
 from colltherm.protocols import (
     ProtocolConfig,
     SweepGrid,
@@ -221,7 +221,7 @@ def test_criterion_04_closed_form_state_and_slds():
 
 def test_criterion_05_single_sweep_extremum_location():
     # fig2: T = (2, 1), g1 = pi/2, theta = pi/4 about x, one ancilla
-    series = get_preset("fig2").series[0]
+    (series,) = PRESETS["fig2"]
     rows = [row for row, _ in sweep(series.grid)]
     assert all(r["error"] is None for r in rows)
     xs = [r["axis_value"] for r in rows]
@@ -275,9 +275,9 @@ def test_criterion_05_single_sweep_extremum_location():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_stream_scaling_and_saturation():
-    preset = get_preset("fig3")
+    curves = PRESETS["fig3"]
     series = sorted(
-        (s for s in preset.series if s.labels["theta_over_pi"] == 0.25),
+        (s for s in curves if s.labels["theta_over_pi"] == 0.25),
         key=lambda s: s.labels["n_ancillas"],
     )
     assert [s.labels["n_ancillas"] for s in series] == [1, 2, 3, 4, 5, 6]
@@ -314,12 +314,12 @@ def test_criterion_06_stream_scaling_and_saturation():
 
 def test_criterion_07_correlated_vs_uncorrelated_agreement():
     # fig4: T = (2, 1), g1 = pi/2, theta = pi/4 about x, gamma t = 0.5
-    preset = get_preset("fig4")
+    curves = PRESETS["fig4"]
     values = tuple(round(0.05 * i, 10) for i in range(1, 20))  # 0.05 .. 0.95
 
     def series_rows(n, mode):
         (s,) = [
-            x for x in preset.series
+            x for x in curves
             if x.labels["n_ancillas"] == n and x.labels["mode"] == mode
         ]
         grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
@@ -392,7 +392,7 @@ def test_criterion_07_correlated_vs_uncorrelated_agreement():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_qutrit_three_bath_sweeps():
-    preset = get_preset("fig5")
+    curves = PRESETS["fig5"]
     # interior grid: at g3 = 0 or pi the third stage decouples exactly and
     # det = 0 holds trivially, which is not what the claim is about
     values = tuple(round(0.02 * i, 10) for i in range(1, 50))
@@ -400,7 +400,7 @@ def test_criterion_08_qutrit_three_bath_sweeps():
     min_det = math.inf
     max_joint = 0.0
     best = {}
-    for s in preset.series:
+    for s in curves:
         grid = SweepGrid(s.grid.axis_name, values, s.grid.fixed)
         rows = [row for row, _ in sweep(grid)]
         assert all(r["error"] is None for r in rows)
@@ -412,7 +412,7 @@ def test_criterion_08_qutrit_three_bath_sweeps():
 
     # qubit diagnostic at the qutrit optimum (largest-n series)
     opt = best[5]
-    base = next(s for s in preset.series if s.labels["n_ancillas"] == 5).grid.fixed
+    base = next(s for s in curves if s.labels["n_ancillas"] == 5).grid.fixed
     angles = list(base.collision_angles)
     angles[2] = opt["axis_value"] * math.pi
     qutrit_cfg = replace(base, collision_angles=tuple(angles))

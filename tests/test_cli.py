@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from colltherm import cli, protocols
+from colltherm.channels import BathSpec, RotationSpec
 from colltherm.cli import MERIT_COLUMNS, _fmt_cell, _report_payload, load_config, main
 from colltherm.protocols import evaluate, point, sweep
 
@@ -177,7 +178,8 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
         (lambda s: s + "scenario: bogus\n", "scenario"),
         (lambda s: s + "scenario: [single]\n", "scenario: unknown scenario ['single']"),
         (lambda s: s + "n_ancillas: 2.5\n", "integer"),
-        (lambda s: s + "correlated: 7\n", "true/false"),
+        (lambda s: s + "correlated: 7\n", "config error: correlated: must be a bool, got 7"),
+        (lambda s: s + "ancilla_dim: '3'\n", "config error: ancilla_dim: must be an integer, got '3'"),
         # a base config its scenario cannot evaluate
         (lambda s: s + "scenario: single\nn_ancillas: 3\n",
          "config error: scenario: single_run requires n_ancillas = 1, got 3"),
@@ -189,15 +191,29 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: scenario: config.correlated is not set; use scenario 'uncorrelated'"),
         # non-finite numbers and negative collision angles
         (lambda s: s.replace("[0.5, 0.3]", "[.nan, 0.3]"),
-         "config error: collision_angles_over_pi[0]: expected a finite number, got nan"),
+         "config error: collision_angles_over_pi[0]: must be finite, got nan"),
         (lambda s: s.replace("{theta_over_pi: 0.25, axis: x}", "{theta_over_pi: .nan}"),
-         "config error: rotation.theta_over_pi: expected a finite number, got nan"),
+         "config error: rotation.theta_over_pi: must be finite, got nan"),
         (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma_t: .nan}"),
-         "config error: baths[0].gamma_t: expected a finite number, got nan"),
+         "config error: baths[0].gamma_t: must be finite, got nan"),
         (lambda s: s.replace("{temperature: 1.0,", "{temperature: .inf,"),
-         "config error: baths[1].temperature: expected a finite number, got inf"),
+         "config error: baths[1].temperature: must be finite, got inf"),
         (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
          "config error: collision_angles_over_pi[0]: must be >= 0, got -0.5"),
+        (lambda s: s.replace("[0.5, 0.3]", "[0.5, yes]"),
+         "config error: collision_angles_over_pi[1]: must be a real number, got True"),
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma_t: -0.5}"),
+         "config error: baths[0].gamma_t: must be >= 0, got -0.5"),
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, omega: '1'}"),
+         "config error: baths[0].omega: must be a real number, got '1'"),
+        # a negative gamma*t on a sweep axis is named as the file wrote it
+        (lambda s: s + "sweep: {axis: gamma_t, values: [-0.5, 0.5]}\n",
+         "config error: sweep.values[0]: must be >= 0, got -0.5"),
+        (lambda s: s + "sweep: {axis: gamma_t, start: -0.5, stop: 0.5, step: 0.5}\n",
+         "config error: sweep.start: must be >= 0, got -0.5"),
+        # a sweep axis that is not a name, e.g. a list, is refused by name
+        (lambda s: s + "sweep: {axis: [g_t2_over_pi], values: [0.5]}\n",
+         "config error: sweep.axis: unknown axis ['g_t2_over_pi']"),
         # gamma*t is one number, gamma_t; the rotation is turned off by theta 0
         (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, gamma: 1.0}"),
          "config error: baths[0].gamma: unknown field"),
@@ -242,8 +258,14 @@ def test_readme_schema_block_loads_and_runs(tmp_path):
     cfg = write(tmp_path / "schema.yaml", block)
     config, scenario, grid = load_config(cfg)
     assert scenario == "single" and grid.axis_name == "g_t2_over_pi"
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "schema.csv")]) == 0
-    assert len(read_rows(tmp_path / "schema.csv")) == len(grid.values)
+    # the defaults its comments state are the library's
+    assert config.baths[1] == BathSpec(1.0, omega=1.0, therm_time=0.5)
+    assert (config.ancilla_dim, config.n_ancillas, config.correlated) == (2, 1, False)
+    assert config.rotation == RotationSpec()
+    for command in ("run", "sweep"):
+        out = tmp_path / f"schema-{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert len(read_rows(out)) == len(grid.values)
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -333,9 +355,9 @@ def test_sweep_value_the_grid_cannot_place_is_config_error(tmp_path, capsys):
         ("{axis: g_t2_over_pi, start: -0.5, stop: 0.5, step: 0.5}",
          "config error: sweep.start: must be >= 0, got -0.5"),
         ("{axis: theta_over_pi, values: [0.25, .nan]}",
-         "config error: sweep.values[1]: expected a finite number, got nan"),
+         "config error: sweep.values[1]: must be finite, got nan"),
         ("{axis: gamma_t, start: 0, stop: .inf, step: 0.5}",
-         "config error: sweep.stop: expected a finite number, got inf"),
+         "config error: sweep.stop: must be finite, got inf"),
     ]
     for block, message in cases:
         cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + f"sweep: {block}\n")

@@ -9,14 +9,16 @@ import pytest
 
 from colltherm import channels, oracles, protocols
 from colltherm.cli import main
-from colltherm.presets import PRESETS, get_preset
+from colltherm.presets import PRESETS, PresetSeries
 from colltherm.verify import GROUPS, run_all, run_group
 
 
 def test_preset_names():
     assert set(PRESETS) == {"fig2", "fig3", "fig4", "fig5"}
-    with pytest.raises(ValueError, match="preset"):
-        get_preset("fig9")
+    for series in PRESETS.values():
+        assert series and all(isinstance(s, PresetSeries) for s in series)
+        labels, grid = series[0]  # a curve unpacks as (labels, grid)
+        assert (labels, grid) == (series[0].labels, series[0].grid)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,7 +42,7 @@ def test_preset_table_matches_golden(name, tmp_path):
     assert main(["run", "--scenario", name, "--out", str(out)]) == 0
     got, want = _read_rows(out), _read_rows(GOLDEN / f"{name}.csv")
     assert len(got) == len(want)
-    n = get_preset(name).series[0].grid.fixed.n_baths
+    n = PRESETS[name][0].grid.fixed.n_baths
     for i, (g, w) in enumerate(zip(got, want)):
         assert list(g) == list(w)
         for col, expected in w.items():
@@ -55,11 +57,9 @@ def test_preset_table_matches_golden(name, tmp_path):
 
 
 def test_fig2_definition():
-    p = get_preset("fig2")
-    assert p.axis_name == "g_t2_over_pi"
-    assert p.label_columns == ()
-    assert len(p.series) == 1
-    s = p.series[0]
+    (s,) = PRESETS["fig2"]
+    assert s.grid.axis_name == "g_t2_over_pi"
+    assert s.labels == {}
     assert s.grid.fixed.n_ancillas == 1 and not s.grid.fixed.correlated
     assert len(s.grid.values) == 101
     assert s.grid.values[0] == 0.0 and s.grid.values[-1] == 1.0
@@ -72,12 +72,13 @@ def test_fig2_definition():
 
 
 def test_fig3_definition():
-    p = get_preset("fig3")
-    assert p.label_columns == ("n_ancillas", "theta_over_pi")
-    assert len(p.series) == 18  # three rotation angles x n = 1..6
-    thetas = {s.labels["theta_over_pi"] for s in p.series}
+    p = PRESETS["fig3"]
+    assert len(p) == 18  # three rotation angles x n = 1..6
+    thetas = {s.labels["theta_over_pi"] for s in p}
     assert thetas == {1.0 / 6.0, 0.25, 1.0 / 3.0}
-    for s in p.series:
+    for s in p:
+        assert tuple(s.labels) == ("n_ancillas", "theta_over_pi")
+        assert s.grid.axis_name == "g_t2_over_pi"
         n = s.labels["n_ancillas"]
         assert not s.grid.fixed.correlated
         assert s.grid.fixed.n_ancillas == n
@@ -88,19 +89,21 @@ def test_fig3_definition():
 
 
 def test_fig4_definition():
-    p = get_preset("fig4")
-    assert p.label_columns == ("mode", "n_ancillas")
-    got = {(s.labels["mode"], s.labels["n_ancillas"]) for s in p.series}
+    p = PRESETS["fig4"]
+    got = {(s.labels["mode"], s.labels["n_ancillas"]) for s in p}
     assert got == {("uncorrelated", 2), ("correlated", 2), ("uncorrelated", 4), ("correlated", 4)}
-    for s in p.series:
+    for s in p:
+        assert tuple(s.labels) == ("mode", "n_ancillas")
+        assert s.grid.axis_name == "g_t2_over_pi"
         assert s.grid.fixed.correlated == (s.labels["mode"] == "correlated")
 
 
 def test_fig5_definition():
-    p = get_preset("fig5")
-    assert p.axis_name == "g_t3_over_pi"
-    assert {s.labels["n_ancillas"] for s in p.series} == {1, 3, 5}
-    for s in p.series:
+    p = PRESETS["fig5"]
+    assert {s.labels["n_ancillas"] for s in p} == {1, 3, 5}
+    for s in p:
+        assert tuple(s.labels) == ("n_ancillas",)
+        assert s.grid.axis_name == "g_t3_over_pi"
         cfg = s.grid.fixed
         assert not cfg.correlated
         assert cfg.ancilla_dim == 3
@@ -160,7 +163,7 @@ def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built
     so the sweep runs the stages before it, stage 0 in fig3 and stages 0
     and 1 in fig5, once per series, and every point builds and runs the
     last stage alone (counted, as above, through ``channels._ancilla_map``)."""
-    for series in get_preset(name).series:
+    for series in PRESETS[name]:
         before = len(stages_built)
         points = protocols.sweep(series.grid)
         assert all(row["error"] is None for row, _ in points)

@@ -93,6 +93,15 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="ancilla_dim"):
             two_bath_config(ancilla_dim=4)
 
+    def test_defaults(self):
+        """Each default is written once, in the library, and the presets and
+        the config loader take it from there: omega = 1, gamma*t = 0.5, one
+        qubit ancilla, the rotation pi/4 about x, the marginal stream."""
+        cfg = ProtocolConfig(baths=(BathSpec(2.0), BathSpec(1.0)), collision_angles=(0.1, 0.2))
+        assert cfg.baths[0] == BathSpec(2.0, omega=1.0, therm_time=0.5)
+        assert cfg.rotation == RotationSpec() == RotationSpec(math.pi / 4, "x")
+        assert (cfg.ancilla_dim, cfg.n_ancillas, cfg.correlated) == (2, 1, False)
+
     def test_n_ancillas_positive(self):
         with pytest.raises(ValueError, match="n_ancillas"):
             two_bath_config(n_ancillas=0)
@@ -811,6 +820,9 @@ def test_sweep_grid_validation():
     cfg = two_bath_config()
     with pytest.raises(ValueError, match="axis"):
         SweepGrid("bogus_axis", (0.1, 0.2), cfg)
+    # an unhashable name, as a YAML list gives, is refused by name too
+    with pytest.raises(ValueError, match=r"^unknown sweep axis \['g_t2_over_pi'\]"):
+        SweepGrid(["g_t2_over_pi"], (0.1, 0.2), cfg)
     with pytest.raises(ValueError, match="increasing"):
         SweepGrid("g_t2_over_pi", (0.2, 0.2), cfg)
     # each value is a real number by its own name, as in ProtocolConfig; a
