@@ -6,10 +6,10 @@ This module builds every channel the protocol composes:
 * probe-ancilla collision unitaries for the excitation-exchange coupling
   ``H_int = g (sigma_+ (x) A_- + sigma_- (x) A_+)`` with a qubit or a spin-1
   (qutrit) ancilla,
-* the collision as two bilinear maps of (probe, ancilla), one giving the
-  ancilla and one the probe (:func:`collision_maps`), which the marginal
-  stream runs, and the ancilla channel of one collision with a thermal
-  probe, that same ancilla map contracted with the Gibbs state
+* the collision as two bilinear maps of the vectorized (probe, ancilla),
+  one giving the ancilla and one the probe (:func:`collision_maps`), which
+  the marginal stream runs, and the ancilla channel of one collision with a
+  thermal probe, that same ancilla map contracted with the Gibbs state
   (:func:`collision_superoperator`),
 * ancilla rotations ``exp(-i theta G_axis)`` and their superoperators,
 * the partial-thermalization channel generated by the standard two-level
@@ -192,54 +192,43 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     return u
 
 
-# Pauli coefficients (I, X, Z) in and out: vec(p) = _PAULI_HALF^T c, c = 2 _PAULI_HALF vec(p)
-_PAULI_HALF = 0.5 * operators.PAULI.reshape(3, 4)
-
-
 def _ancilla_map(u: np.ndarray) -> np.ndarray:
     """The ancilla map of :func:`collision_maps` alone."""
     d, batch = u.shape[-1] // 2, u.shape[:-2]
     u4 = u.reshape(batch + (2, d, 2, d))
     # u (x) u* traced over the probe's output pair: [.., P, Q, a, c, A, C]
     m = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4.conj())
-    return (_PAULI_HALF @ m.reshape(batch + (4, d**4))).reshape(batch + (3, d * d, d * d))
+    return m.reshape(batch + (4, d * d, d * d))
 
 
 def collision_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The collision ``X -> u X u^dag`` on probe (x) ancilla as two bilinear
-    maps of (probe, ancilla): the probe in its Pauli coefficients
-    ``c_mu = Tr(sigma_mu p)`` over (I, X, Z) (:data:`colltherm.operators.PAULI`),
-    the ancilla vectorized.
+    maps of the vectorized (probe, ancilla), exact for any ``u``.
 
     ``u`` is a (..., 2d, 2d) stack of unitaries, probe factor first.  The
-    ancilla map ``A``, shaped (..., 3, d^2, d^2), gives the ancilla after
-    the collision, ``vec(a') = sum_mu c_mu A[mu] vec(a)``; the probe map
-    ``B``, shaped (..., 3, 3, d^2), gives the probe's Pauli coefficients,
-    ``c'_nu = B[nu, mu, j] c_mu vec(a)_j``.  Both are read off the joint
-    state ``u (sigma_mu / 2 (x) |A><C|) u^dag`` of every input pair, which
-    is ``u (x) u*`` applied to that input, and both are linear in each
-    factor, so a tangent stack goes through them by the product rule.
-    A real probe has Y coefficient 0.  ``A`` is exact for any ``u``; ``B``
-    drops the outgoing probe's Y coefficient, exact for a real ``u`` and real
-    inputs (the evaluators' phase gauge), where both maps are real.
+    ancilla map ``A``, shaped (..., 4, d^2, d^2), gives the ancilla after
+    the collision, ``vec(a') = sum_m vec(p)_m A[m] vec(a)``; the probe map
+    ``B``, shaped (..., 4, 4, d^2), gives the probe,
+    ``vec(p')_l = B[l, m, j] vec(p)_m vec(a)_j``.  They are the partial
+    traces of ``u (p (x) a) u^dag``, read off ``u (x) u*`` for every input
+    pair, and both are linear in each factor, so a tangent stack goes
+    through them by the product rule.
     """
     d, batch = u.shape[-1] // 2, u.shape[:-2]
     u4 = u.reshape(batch + (2, d, 2, d))
-    # the partial trace of u (x) u* over the ancilla's output pair, indexed
-    # [.., p, q, P, Q, A, C] by the probe's output pair, then the input pairs
+    # u (x) u* traced over the ancilla's output pair: [.., p, q, P, Q, A, C]
     to_probe = np.einsum("...pbPA,...qbQC->...pqPQAC", u4, u4.conj())
-    to_probe = operators.PAULI.reshape(3, 4) @ to_probe.reshape(batch + (4, 4 * d * d))
-    return _ancilla_map(u), _PAULI_HALF @ to_probe.reshape(batch + (3, 4, d * d))
+    return _ancilla_map(u), to_probe.reshape(batch + (4, 4, d * d))
 
 
 def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) -> np.ndarray:
     """Vectorized collision channel of angle g*tau on the ancilla, with a
     thermal probe: the ancilla map of :func:`collision_maps` contracted
-    with the Gibbs state's Pauli coefficients (1, 0, lambda_0 - lambda_1).
+    with the Gibbs state diag(lambda_0, lambda_1).
     """
     lam0, lam1 = thermal_populations(bath.omega, bath.temperature)
     to_ancilla = _ancilla_map(collision_unitary(angle, ancilla_dim))
-    return to_ancilla[0] + (lam0 - lam1) * to_ancilla[2]
+    return lam0 * to_ancilla[0] + lam1 * to_ancilla[3]
 
 
 def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:

@@ -11,8 +11,9 @@ Subcommands:
                the only subcommand with a ``--seed``.
 
 The CLI is a thin shell over :mod:`colltherm.protocols`: every preset, sweep
-and point goes through its public ``check_scenario``, ``point`` and
-``sweep``, and one loop turns their ``(row, report)`` pairs into a table.
+and point goes through its public ``point`` and ``sweep``, and one loop
+turns their ``(row, report)`` pairs into a table; ``load_config`` checks a
+file's ``scenario`` against every config it places.
 A preset's columns are read off its curves (:data:`PRESETS`).  A config
 file's defaults and input rules are the library's: ``load_config`` passes
 on only the keys the file gives, and where the library's message names a
@@ -21,10 +22,10 @@ file's name.  ``main`` builds one argument parser per process, on its
 first call.
 
 Exit codes: 0 success; 2 configuration error (message names the offending
-field, e.g. ``baths[0].temperature``, or ``scenario`` when the base config
-breaks the precondition of the scenario it names); 3 numerical failure (some grid rows
-errored; outputs are still written).  ``verify`` exits 1 on the first
-failing oracle.
+field, e.g. ``baths[0].temperature``, or ``scenario`` when a config it
+places breaks the precondition of the scenario it names); 3 numerical
+failure (some grid rows errored; outputs are still written).  ``verify``
+exits 1 on the first failing oracle.
 
 Outputs are written atomically (temp file in the target directory, then
 rename), CSV with LF line endings and 12 significant digits, so identical
@@ -88,6 +89,12 @@ def _as_number(value, path):
         raise ConfigError(str(exc)) from None
 
 
+def _times_pi(value, path):
+    """A ``*_over_pi`` value in radians, refused under the file's name when
+    it, or its product with pi, is not finite."""
+    return _as_number(_as_number(value, path) * math.pi, path)
+
+
 def _reject_unknown(mapping, known, path=""):
     for key in mapping:
         if key not in known:
@@ -138,13 +145,14 @@ def _parse_sweep(entry, path) -> tuple[str, tuple[float, ...]]:
             values = sweep_values(start, stop, step)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    # a collision angle or gamma*t, named as the file wrote it, not as the
-    # config field the grid sets
-    if axis.startswith("g_t") or axis == "gamma_t":
-        for i, v in enumerate(values):
-            if v < 0:
-                where = f"values[{i}]" if "values" in entry else "start"
-                raise ConfigError(f"{path}.{where}: must be >= 0, got {v}")
+    # named as the file wrote it, not as the config field the grid sets: a
+    # collision angle or gamma*t must be >= 0, a value over pi finite times pi
+    for i, v in enumerate(values):
+        where = f"{path}." + (f"values[{i}]" if "values" in entry else "start" if v < 0 else "stop")
+        if v < 0 and (axis.startswith("g_t") or axis == "gamma_t"):
+            raise ConfigError(f"{where}: must be >= 0, got {v}")
+        if axis.endswith("_over_pi"):
+            _times_pi(v, where)
     return axis, values
 
 
@@ -156,8 +164,8 @@ def load_config(path: str):
     """Parse and validate a YAML config file.
 
     Returns ``(ProtocolConfig, scenario_name | None, SweepGrid | None)``;
-    the scenario is the ``scenario`` key, checked against the config, or
-    None when the file names none.
+    the scenario is the ``scenario`` key, checked against the config and
+    every config the sweep places, or None when the file names none.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,10 +191,10 @@ def load_config(path: str):
         raise ConfigError("collision_angles_over_pi: expected a list of numbers")
     angles = []
     for i, v in enumerate(angles_raw):
-        g = _as_number(v, f"collision_angles_over_pi[{i}]")
-        if g < 0:
-            raise ConfigError(f"collision_angles_over_pi[{i}]: must be >= 0, got {g}")
-        angles.append(g * math.pi)
+        field = f"collision_angles_over_pi[{i}]"
+        angles.append(_times_pi(v, field))
+        if angles[-1] < 0:
+            raise ConfigError(f"{field}: must be >= 0, got {float(v)}")
 
     fields = {key: raw[key] for key in _SCALAR_KEYS if key in raw}
     if "rotation" in raw:
@@ -195,8 +203,7 @@ def load_config(path: str):
         rotation = dict(raw["rotation"])
         _reject_unknown(rotation, {"theta_over_pi", "axis"}, "rotation")
         if "theta_over_pi" in rotation:
-            theta = _as_number(rotation.pop("theta_over_pi"), "rotation.theta_over_pi")
-            rotation["theta"] = theta * math.pi
+            rotation["theta"] = _times_pi(rotation.pop("theta_over_pi"), "rotation.theta_over_pi")
         try:
             fields["rotation"] = RotationSpec(**rotation)
         except ValueError as exc:
@@ -207,19 +214,19 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    grid = None
+    grid, configs = None, [config]
     if "sweep" in raw:
         axis, values = _parse_sweep(raw["sweep"], "sweep")
         try:
             grid = SweepGrid(axis, values, config)
-            for v in grid.values:  # every value must place, e.g. a whole n_ancillas
-                grid.at(v)
+            configs += [grid.at(v) for v in grid.values]  # each must place, e.g. a whole n_ancillas
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
 
     scenario = raw.get("scenario")
     try:
-        check_scenario(scenario, config)
+        for c in configs:
+            check_scenario(scenario, c)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
     return config, scenario, grid
@@ -349,14 +356,14 @@ def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _series_points(series, scenario=None) -> list:
+def _series_points(series) -> list:
     """The (row, report) pairs of every (labels, grid) series in order, each
     row keyed by its grid's swept axis, then the labels, then
     :data:`MERIT_COLUMNS`."""
     return [
         ({grid.axis_name: row.pop("axis_value"), **labels, **row}, report)
         for labels, grid in series
-        for row, report in sweep(grid, scenario)
+        for row, report in sweep(grid)
     ]
 
 
@@ -373,10 +380,10 @@ def _run_config(config_path: str, out_path: str, require_sweep: bool) -> int:
         raise ConfigError("sweep: required block is missing from the config file")
 
     if grid is None:
-        columns, points = MERIT_COLUMNS, [point(config, scenario)]
+        columns, points = MERIT_COLUMNS, [point(config)]
     else:
         columns = (grid.axis_name, *MERIT_COLUMNS)
-        points = _series_points([({}, grid)], scenario)
+        points = _series_points([({}, grid)])
     return _emit_outputs(out_path, columns, points, os.path.abspath(config_path), scenario)
 
 

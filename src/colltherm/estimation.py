@@ -120,7 +120,10 @@ class Qfim:
     trace: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
+        # an LU pivot that underflows to 0 (entries down in the subnormal
+        # range) makes numpy take log(0) and warn; its det, 0, is right
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
         object.__setattr__(self, "trace", float(np.trace(self.matrix)))
 
 

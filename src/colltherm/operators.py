@@ -13,22 +13,18 @@ Basis conventions used across the package:
 In both bases the last index, ``dim - 1``, is the bottom level, where every
 ancilla starts.  The ladder operators appear only inside the closed-form
 collision unitaries of :mod:`colltherm.channels`; this module keeps the
-rotation generators, looked up as ``GENERATORS[dim][axis]``, and the Pauli
-basis ``PAULI`` in which the marginal stream carries its probes.
+rotation generators, looked up as ``GENERATORS[dim][axis]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SX", "SY", "SZ", "PAULI", "S1X", "S1Y", "S1Z", "GENERATORS"]
+__all__ = ["SX", "SY", "SZ", "S1X", "S1Y", "S1Z", "GENERATORS"]
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-# (I, X, Z): a real qubit state is sum_mu c_mu PAULI[mu] / 2 with Pauli
-# coefficients c_mu = Tr(PAULI[mu] rho), c_0 its trace (its Y one is 0)
-PAULI = np.array([np.eye(2), SX, SZ]).real
 
 _s = 1.0 / np.sqrt(2.0)
 S1X = np.array([[0, _s, 0], [_s, 0, _s], [0, _s, 0]], dtype=complex)

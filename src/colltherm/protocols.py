@@ -68,10 +68,9 @@ the last collision.  Nothing either call computes outlives it.
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
 rejects an unknown name or a config its scenario cannot evaluate.
-:func:`evaluate`, :func:`point` and :func:`sweep` check a scenario when one
-is named, and :func:`single_run` always checks ``single``.  :func:`point`
-and :func:`sweep` turn reports into the merit rows (:data:`MERIT_COLUMNS`)
-that the CLI writes as tables.
+:func:`evaluate` checks a scenario when one is named, :func:`single_run`
+always checks ``single``.  :func:`point` and :func:`sweep`, which take
+none, turn reports into the merit rows (:data:`MERIT_COLUMNS`) the CLI writes.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ from .channels import (
     collision_unitary,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
-from .operators import PAULI
+from .operators import SX, SZ
 
 __all__ = [
     "SIM_DIM_CAP",
@@ -121,6 +120,10 @@ SIM_DIM_CAP = 2**11
 # T u T^dag on probe (x) ancilla is u times the phases t_a conj(t_b)
 _GAUGE = {d: 1j ** np.arange(d) for d in (2, 3)}
 _GAUGE_PHASES = {d: np.tile(np.outer(t, t.conj()), (2, 2)) for d, t in _GAUGE.items()}
+
+# (I, X, Z), flattened: the marginal stream carries a real probe p as its Pauli
+# coefficients c = _PAULI vec(p), vec(p) = _PAULI^T c / 2 (its Y one is 0)
+_PAULI = np.array([np.eye(2), SX, SZ]).real.reshape(3, 4)
 
 
 @dataclass(frozen=True)
@@ -277,9 +280,10 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     ancilla k - 1, so the stream runs stage by stage, all n ancillas at
     once, on the maps of :func:`colltherm.channels.collision_maps` (built
     for every stage it runs in one step).  Ancilla stacks are vectorized, (1 + N,
-    d^2); probe stacks are Pauli coefficients (I, X, Z), (1 + N, 3): a real
-    probe has Y coefficient 0.  The identity coefficient (1 for the state, 0
-    for the derivatives) is never propagated, so probe traces stay exact.
+    d^2); probe stacks are Pauli coefficients (I, X, Z), (1 + N, 3): in the
+    phase gauge every probe is real, with Y coefficient 0.  The identity
+    coefficient (1 for the state, 0 for the derivatives) is never propagated,
+    so probe traces stay exact.
 
     Within stage i every incoming ancilla is known, so probe i's passage
     from ancilla k to k + 1 is a fixed linear map of its stack: the probe
@@ -302,17 +306,20 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     stages = slice(first, stop)  # the stages this call builds and runs
     ns = len(range(nb)[stages])
     us = _stage_unitaries(config, stages)
-    pauli = PAULI.reshape(3, 4)
-    probes = _probe_tangents(config, stages).reshape(ns, nt, 4) @ pauli.T
+    half = 0.5 * _PAULI
+    probes = _probe_tangents(config, stages).reshape(ns, nt, 4) @ _PAULI.T
     if n > 1:
         to_ancilla, to_probe = collision_maps(us)
-        # per stage, S_i and d S_i / dT_i in Pauli coefficients after the
-        # probe map, identity row dropped: (ns, 2, 3, 3 d^2)
-        therm = pauli @ _rethermalizations(config, stages) @ pauli.T / 2
+        # the probe map in Pauli coefficients, then per stage S_i and d S_i / dT_i
+        # after it, identity row dropped: (ns, 2, 3, 3 d^2)
+        to_probe = half @ (_PAULI @ to_probe.reshape(ns, 4, 4 * dd)).reshape(ns, 3, 4, dd)
+        therm = _PAULI @ _rethermalizations(config, stages) @ _PAULI.T / 2
         probe_maps = therm @ to_probe.reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     else:
         to_ancilla = _ancilla_map(us)
+    # the ancilla map with the probe in Pauli coefficients, (ns, 3 d^2, d^2)
+    to_ancilla = (half @ to_ancilla.reshape(ns, 4, dd * dd)).reshape(ns, 3, dd, dd)
     ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(ns, 3 * dd, dd)
     if anc is None:
         anc = np.zeros((n, nt, dd))
@@ -464,10 +471,10 @@ _SCENARIOS = {
 }
 
 
-def check_scenario(scenario: str | None, config: ProtocolConfig | None = None) -> None:
-    """Raise ``ValueError`` unless ``scenario`` names an evaluator and, given a
-    ``config``, the config meets that evaluator's precondition.  ``None``
-    names no scenario and checks nothing."""
+def check_scenario(scenario: str | None, config: ProtocolConfig) -> None:
+    """Raise ``ValueError`` unless ``scenario`` names an evaluator and the
+    config meets that evaluator's precondition.  ``None`` names no scenario
+    and checks nothing."""
     if scenario is None:
         return
     try:
@@ -475,10 +482,9 @@ def check_scenario(scenario: str | None, config: ProtocolConfig | None = None) -
     except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a YAML list
         choices = sorted(_SCENARIOS)
         raise ValueError(f"unknown scenario {scenario!r}; choose from {choices}") from None
-    if config is not None:
-        for holds, message in precondition:
-            if not holds(config):
-                raise ValueError(message.format(c=config))
+    for holds, message in precondition:
+        if not holds(config):
+            raise ValueError(message.format(c=config))
 
 
 def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
@@ -586,42 +592,38 @@ class SweepGrid:
 MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
 
 
-def _failed_row(exc: Exception) -> dict:
-    nan = float("nan")
-    return dict(zip(MERIT_COLUMNS, (nan, nan, nan, nan, None, f"{type(exc).__name__}: {exc}")))
-
-
-def point(config: ProtocolConfig, scenario: str | None = None, *,
-          _prefix: tuple | None = None) -> tuple[dict, EstimationReport | None]:
-    """The merit row of one config, keyed by :data:`MERIT_COLUMNS`, and its
-    report.  A failing evaluation is recorded in the row's ``error`` cell,
-    with ``nan`` merits and no report."""
+def _merits(evaluation) -> tuple[dict, EstimationReport | None]:
+    """The merit row of ``evaluation()``'s report, and the report; one that
+    raises is recorded in the ``error`` cell, with ``nan`` merits and no report."""
     try:
-        rep = evaluate(config, scenario, _prefix=_prefix)
-    except Exception as exc:  # recorded per row; a sweep continues
-        return _failed_row(exc), None
+        rep = evaluation()
+    except Exception as exc:  # recorded in the row; a sweep continues
+        nan = float("nan")
+        return dict(zip(MERIT_COLUMNS, (nan,) * 4 + (None, f"{type(exc).__name__}: {exc}"))), None
     merits = (rep.eta_joint, rep.eta_acc, rep.qfim.det, rep.qfim.trace, rep.singular, None)
     return dict(zip(MERIT_COLUMNS, merits)), rep
 
 
-def sweep(grid: SweepGrid,
-          scenario: str | None = None) -> list[tuple[dict, EstimationReport | None]]:
+def point(config: ProtocolConfig) -> tuple[dict, EstimationReport | None]:
+    """The merit row of one config, keyed by :data:`MERIT_COLUMNS`, and its
+    report.  A failing evaluation is recorded in the row's ``error`` cell,
+    with ``nan`` merits and no report."""
+    return _merits(lambda: evaluate(config))
+
+
+def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
     """Evaluate every grid value, in grid order: one (row, report) pair per
     value, the row being :func:`point`'s with the value in ``axis_value``.
-    A named ``scenario`` is checked at every point.  A failing point records
-    its error in-row, has report None, and the sweep continues; an unknown
-    scenario raises at once.  Along angle s the marginal stream runs the
-    stages before s once, on ``grid.fixed``."""
-    check_scenario(scenario)
+    A point that fails, or that the grid cannot place, records its error
+    in-row, has report None, and the sweep continues.  Along angle s the
+    marginal stream runs the stages before s once, on ``grid.fixed``, and
+    each point makes one :func:`evaluate` call from there."""
     stage, prefix = _ANGLE_AXES.get(grid.axis_name), None
     if stage and not grid.fixed.correlated:
         with suppress(Exception):  # if this fails, each point fails alike in its own row
             prefix = stage, _stream_tangents(grid.fixed, stop=stage)
     points = []
     for value in grid.values:
-        try:
-            row, rep = point(grid.at(value), scenario, _prefix=prefix)
-        except Exception as exc:  # the grid cannot place this value
-            row, rep = _failed_row(exc), None
+        row, rep = _merits(lambda: evaluate(grid.at(value), _prefix=prefix))
         points.append(({"axis_value": value, **row}, rep))
     return points

@@ -4,9 +4,10 @@ rethermalization.
 The library writes every channel in closed form: the collision and
 rotation unitaries as cosine/sine polynomials of their generators, the
 rethermalization channel and its temperature derivative as a generalized
-amplitude damping.  The collision channel is the ancilla map of
-``collision_maps``, the collision maps the evaluators' stream runs,
-contracted with the thermal probe.  The oracles build the
+amplitude damping.  ``collision_maps``, the collision maps the evaluators'
+stream runs, are checked for any unitary and any states against the
+partial traces of the collided joint state; the collision channel is their
+ancilla map contracted with the thermal probe.  The oracles build the
 unitaries by a Taylor series of the generators, the qutrit collision
 channel as a Kraus sum over environment-trace blocks of that series, and
 the rethermalization channel both from generalized-amplitude-damping Kraus
@@ -26,6 +27,7 @@ from colltherm.channels import (
     RotationSpec,
     _gad_pair,
     _gibbs,
+    collision_maps,
     collision_superoperator,
     collision_unitary,
     nbar,
@@ -195,6 +197,25 @@ def test_collision_unitary_dimension_dispatch():
 # ---------------------------------------------------------------------------
 # collision channel on the ancilla
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_collision_maps_are_the_partial_traces_of_the_collision(rng, dim):
+    """``A`` and ``B`` give the ancilla and the probe of u (p (x) a) u^dag
+    for a complex u, an x rotation of the ancilla then the collision, and
+    complex states: no gauge, no real part, no basis dropped."""
+    r = RotationSpec(0.3, "x").unitary(dim)
+    for _ in range(5):
+        u = collision_unitary(rng.uniform(0.0, np.pi), dim) @ np.kron(np.eye(2), r)
+        p, a = oracles.random_density(rng, 2), oracles.random_density(rng, dim)
+        joint = (u @ np.kron(p, a) @ u.conj().T).reshape(2, dim, 2, dim)
+        to_ancilla, to_probe = collision_maps(u)
+        assert to_ancilla.shape == (4, dim * dim, dim * dim)
+        assert to_probe.shape == (4, 4, dim * dim)
+        got_a = np.einsum("m,mij,j->i", p.reshape(-1), to_ancilla, a.reshape(-1))
+        got_p = np.einsum("lmj,m,j->l", to_probe, p.reshape(-1), a.reshape(-1))
+        assert np.abs(got_a - np.einsum("xaxc->ac", joint).reshape(-1)).max() < 1e-13
+        assert np.abs(got_p - np.einsum("pbqb->pq", joint).reshape(-1)).max() < 1e-13
+
 
 def test_collision_channel_matches_printed_form(rng):
     for _ in range(20):

@@ -189,6 +189,9 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: scenario: config.correlated is set; use scenario 'correlated'"),
         (lambda s: s + "scenario: correlated\nn_ancillas: 2\n",
          "config error: scenario: config.correlated is not set; use scenario 'uncorrelated'"),
+        # and every config its sweep places
+        (lambda s: s + "scenario: single\nsweep: {axis: n_ancillas, values: [1, 2]}\n",
+         "config error: scenario: single_run requires n_ancillas = 1, got 2"),
         # non-finite numbers and negative collision angles
         (lambda s: s.replace("[0.5, 0.3]", "[.nan, 0.3]"),
          "config error: collision_angles_over_pi[0]: must be finite, got nan"),
@@ -198,6 +201,15 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: baths[0].gamma_t: must be finite, got nan"),
         (lambda s: s.replace("{temperature: 1.0,", "{temperature: .inf,"),
          "config error: baths[1].temperature: must be finite, got inf"),
+        # a finite value over pi whose product with pi overflows, named as written
+        (lambda s: s.replace("[0.5, 0.3]", "[1.0e+308, 0.3]"),
+         "config error: collision_angles_over_pi[0]: must be finite, got inf"),
+        (lambda s: s.replace("{theta_over_pi: 0.25, axis: x}", "{theta_over_pi: 1.0e+308}"),
+         "config error: rotation.theta_over_pi: must be finite, got inf"),
+        (lambda s: s + "sweep: {axis: theta_over_pi, values: [0.1, 1.0e+308]}\n",
+         "config error: sweep.values[1]: must be finite, got inf"),
+        (lambda s: s + "sweep: {axis: g_t2_over_pi, values: [0.1, 1.0e+308]}\n",
+         "config error: sweep.values[1]: must be finite, got inf"),
         (lambda s: s.replace("[0.5, 0.3]", "[-0.5, 0.3]"),
          "config error: collision_angles_over_pi[0]: must be >= 0, got -0.5"),
         (lambda s: s.replace("[0.5, 0.3]", "[0.5, yes]"),
@@ -321,7 +333,7 @@ def test_ancilla_count_sweep_infers_stream_scenario(tmp_path):
     assert scenario is None
     assert json.loads((tmp_path / "n.json").read_text())["manifest"]["scenario"] is None
     (first, _), *_ = sweep(grid)
-    single, _ = point(config, "single")
+    single, _ = point(config)
     assert {col: first[col] for col in MERIT_COLUMNS} == single
     assert {col: rows[0][col] for col in MERIT_COLUMNS} == {
         col: _fmt_cell(single[col]) for col in MERIT_COLUMNS
@@ -342,7 +354,7 @@ correlated: true
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     config, scenario, _ = load_config(cfg)
     assert scenario is None and config.n_baths == 3 and config.correlated
-    row, _ = point(config, "correlated")
+    row, _ = point(config)
     assert read_rows(out) == [{col: _fmt_cell(row[col]) for col in MERIT_COLUMNS}]
 
 

@@ -10,6 +10,7 @@ full-rank, pure and rank-deficient states.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -402,6 +403,17 @@ def test_build_report_forces_eta_acc_on_singular_flag():
     assert math.isfinite(rep_ok.eta_acc)
 
 
+def test_qfim_det_of_an_underflowing_pivot_is_zero_without_a_warning():
+    """A QFIM whose entries reach the subnormal range (a qutrit-scenario
+    draw of the robustness test, at T down to 5e-3) leaves an LU pivot that
+    underflows to 0: its det is 0, and no warning is raised."""
+    m = np.array([[4.23e-37, 1.45e-319, -2.13e-32], [1.45e-319, 0.0, 0.0],
+                  [-2.13e-32, 0.0, 1.54e-27]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Qfim(m).det == 0.0
+
+
 def test_qfim_stores_det_and_trace(rng):
     """``Qfim`` forms det and trace once, at construction, bit for bit as
     numpy does; ``replace`` forms both anew, and neither can be assigned."""
@@ -423,7 +435,7 @@ def test_point_merit_cells_are_the_reports_stored_values():
     very objects, not a second factorisation."""
     cfg = ProtocolConfig((BathSpec(2.0), BathSpec(1.0)), (0.5 * math.pi, 0.3 * math.pi),
                          n_ancillas=3)
-    row, rep = point(cfg, "uncorrelated")
+    row, rep = point(cfg)
     assert row["det_qfim"] is rep.qfim.det
     assert row["trace_qfim"] is rep.qfim.trace
 

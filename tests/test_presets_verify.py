@@ -158,16 +158,27 @@ def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
 
 
 @pytest.mark.parametrize("name, n_stages", [("fig3", 2), ("fig5", 3)])
-def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built):
+def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built,
+                                                    monkeypatch):
     """Along a g_t2 (fig3) or g_t3 (fig5) series only the last stage moves,
     so the sweep runs the stages before it, stage 0 in fig3 and stages 0
     and 1 in fig5, once per series, and every point builds and runs the
-    last stage alone (counted, as above, through ``channels._ancilla_map``)."""
+    last stage alone (counted, as above, through ``channels._ancilla_map``)
+    in one ``protocols.evaluate`` call."""
+    evaluated, evaluate = [], protocols.evaluate
+
+    def counting(config, *args, **kwargs):
+        evaluated.append(config)
+        return evaluate(config, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "evaluate", counting)
     for series in PRESETS[name]:
         before = len(stages_built)
+        del evaluated[:]
         points = protocols.sweep(series.grid)
         assert all(row["error"] is None for row, _ in points)
         assert stages_built[before:] == [n_stages - 1] + [1] * len(points)
+        assert evaluated == [series.grid.at(row["axis_value"]) for row, _ in points]
 
 
 def test_run_group_is_deterministic():

@@ -717,6 +717,57 @@ def test_extreme_temperatures_give_finite_report_or_named_error(T):
             assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
 
 
+def _robustness_draw(rng, scenario):
+    """A random valid config for ``scenario`` over the widest ranges the
+    evaluators accept: T log-uniform in [1e-3, 1e3], omega in [1e-2, 1e2],
+    gamma*t 0 or log-uniform in [1e-3, 1e3]; each angle, and the rotation
+    about any axis, 0, pi/2, pi or uniform in [0, pi]."""
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def angle():
+        return (0.0, math.pi / 2, math.pi, rng.uniform(0.0, math.pi))[rng.integers(4)]
+
+    n_baths = 3 if scenario == "qutrit" else int(rng.integers(2, 4))
+    n = {"single": 1, "uncorrelated": int(rng.integers(2, 6)),
+         "correlated": int(rng.integers(2, 4)), "qutrit": int(rng.integers(1, 6))}[scenario]
+    return ProtocolConfig(
+        baths=tuple(
+            BathSpec(log_uniform(1e-3, 1e3), log_uniform(1e-2, 1e2),
+                     0.0 if rng.integers(4) == 0 else log_uniform(1e-3, 1e3))
+            for _ in range(n_baths)
+        ),
+        collision_angles=tuple(angle() for _ in range(n_baths)),
+        ancilla_dim=int(rng.integers(2, 4)),
+        n_ancillas=n,
+        rotation=RotationSpec(angle(), "xyz"[rng.integers(3)]),
+        correlated=scenario == "correlated",
+    )
+
+
+def test_robustness_draw_gives_finite_reports_or_a_named_error():
+    """Random valid configs over all four scenarios, with every warning an
+    error: each gives a finite report (eta_acc -inf only when singular) or
+    says its thermal benchmark is degenerate, and both outcomes occur."""
+    rng = np.random.default_rng(1)  # draws a QFIM with subnormal entries
+    outcomes = {"report": 0, "degenerate": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario in ("single", "uncorrelated", "correlated", "qutrit") * 150:
+            cfg = _robustness_draw(rng, scenario)
+            try:
+                rep = evaluate(cfg, scenario)
+            except ValueError as exc:
+                assert "degenerate thermal benchmark" in str(exc), cfg
+                outcomes["degenerate"] += 1
+                continue
+            assert np.all(np.isfinite(rep.qfim.matrix)) and np.all(np.isfinite(rep.thermal)), cfg
+            assert math.isfinite(rep.eta_joint), cfg
+            assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf), cfg
+            outcomes["report"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def _random_config(rng, scenario):
     """A random config for ``scenario``: T log-uniform in [0.3, 10], omega
     in [0.5, 2], gamma*t in [0.05, 2], angles and rotation in [0, pi]."""
@@ -860,7 +911,7 @@ def test_sweep_rows_and_error_capture():
     returned with the report a fresh evaluation of that point gives."""
     cfg = two_bath_config()
     grid = SweepGrid("g_t2_over_pi", (-0.2, 0.3, 0.7), cfg)
-    points = sweep(grid, "single")
+    points = sweep(grid)
     assert len(points) == 3
     (bad, bad_rep), *good = points
     assert bad["error"] is not None and "ValueError" in bad["error"]
@@ -882,11 +933,8 @@ def test_sweep_rows_and_error_capture():
         assert_same_report(rep, evaluate(grid.at(row["axis_value"]), "single"))
 
 
-def test_sweep_unknown_scenario():
-    grid = SweepGrid("g_t2_over_pi", (0.3,), two_bath_config())
-    with pytest.raises(ValueError, match="scenario"):
-        sweep(grid, "bogus")
-    with pytest.raises(ValueError, match="scenario"):
+def test_evaluate_unknown_scenario():
+    with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
         evaluate(two_bath_config(), "bogus")
 
 
@@ -920,7 +968,7 @@ def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
     the sweep runs once for all its points are what each would have run."""
     values = (1.0,) if (scenario, axis) == ("single", "n_ancillas") else _AXIS_VALUES[axis]
     grid = SweepGrid(axis, values, _STREAM_BASES[scenario])
-    for value, (row, rep) in zip(values, sweep(grid, scenario)):
+    for value, (row, rep) in zip(values, sweep(grid)):
         assert row["error"] is None
         fresh = evaluate(grid.at(value), scenario)
         assert (rep.qfim.matrix == fresh.qfim.matrix).all()
@@ -1009,7 +1057,7 @@ def test_sweep_retains_nothing_after_it_returns():
     grid = SweepGrid("g_t3_over_pi", (0.3, 0.4), three_bath_config(n_ancillas=4000))
     tracemalloc.start()
     try:
-        points = sweep(grid, "qutrit")
+        points = sweep(grid)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1029,12 +1077,12 @@ def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
         return unitary(self, dim)
 
     monkeypatch.setattr(RotationSpec, "unitary", counting)
-    for axis, base, scenario in (
-        ("g_t2_over_pi", two_bath_config(n_ancillas=3), "uncorrelated"),
-        ("g_t3_over_pi", three_bath_config(n_ancillas=3), "qutrit"),
+    for axis, base in (
+        ("g_t2_over_pi", two_bath_config(n_ancillas=3)),
+        ("g_t3_over_pi", three_bath_config(n_ancillas=3)),
     ):
         del built[:]
-        points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base), scenario)
+        points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
         assert [row["error"] for row, _ in points] == [None] * len(_AXIS_VALUES[axis])
         assert built == [base.ancilla_dim]
     del built[:]
@@ -1049,8 +1097,7 @@ def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
         raise ValueError("no stage unitaries")
 
     monkeypatch.setattr(protocols, "_stage_unitaries", failing)
-    points = sweep(SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3)),
-                   "uncorrelated")
+    points = sweep(SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3)))
     assert [row["error"] for row, _ in points] == ["ValueError: no stage unitaries"] * 2
 
 
@@ -1069,8 +1116,8 @@ def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
 )
 def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, message):
     """Every route into a scenario raises its precondition's message: the
-    check itself, evaluate, single_run for its scenario, and every row of a
-    sweep, also of a g_t2 sweep, whose points start from a stage prefix."""
+    check itself, evaluate, and single_run for its scenario (a config file
+    is checked by ``load_config``, in test_cli)."""
     calls = [lambda: check_scenario(scenario, config), lambda: evaluate(config, scenario)]
     if scenario == "single":
         calls.append(lambda: single_run(config))
@@ -1078,9 +1125,6 @@ def test_scenario_preconditions_raise_one_message_everywhere(scenario, config, m
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
-    for axis in ("theta_over_pi", "g_t2_over_pi"):
-        for row, rep in sweep(SweepGrid(axis, (0.25, 0.5), config), scenario):
-            assert row["error"] == f"ValueError: {message}" and rep is None
 
 
 @pytest.mark.parametrize("name, config", [
