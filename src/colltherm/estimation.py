@@ -156,7 +156,11 @@ class EstimationReport:
 
     ``thermal`` is the (N,) vector of per-bath benchmarks F_th^i.
     ``eta_acc`` is -inf exactly when ``singular`` is true (the rule is
-    :func:`build_report`'s).
+    :func:`build_report`'s).  ``sld_commutator_norm`` is the largest
+    ||[L_i, L_j]||_F over SLD pairs, in units of T^-2: in the product modes
+    the largest single ancilla's, in the correlated mode the whole
+    register's.  It does not decide whether the QFIM bound is attainable;
+    Tr rho [L_i, L_j] does, and it vanishes for every engine state.
     """
 
     qfim: Qfim

@@ -75,7 +75,6 @@ none, turn reports into the merit rows (:data:`MERIT_COLUMNS`) the CLI writes.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from contextlib import suppress
@@ -355,24 +354,23 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     return anc.reshape(n, nt, d, d)
 
 
-# per probe count, stage i on V[c, probes..., q]: u[x, a, y, c] takes (c, probe i's y) to (a, x)
-_STAGE_SUBSCRIPTS = {2: ("xayc,cyfq->axfq", "xayc,ceyq->aexq"),
-                     3: ("xayc,cyfgq->axfgq", "xayc,ceygq->aexgq", "xayc,cefyq->aefxq")}
-
-
 def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
     """One ancilla's whole pass as an isometry V from the probes into
     ancilla (x) probes, shaped (d, P, P) as V[b, p, q].
 
     The ancilla arrives in its bottom level d - 1, so V starts as the P
     columns of the identity on ancilla (x) probes (probe 0 most significant)
-    with that ancilla input; each stage collision and its rotation then acts
-    on those columns alone, one einsum per stage.
+    with that ancilla input, axes (c, y_0, ..., y_{N-1}, q); each stage
+    collision and its rotation then acts on those columns alone: stage i's
+    u[x, a, y, c] takes the ancilla axis c and probe axis y_i to (a, x), one
+    einsum whose axes follow from i and N.
     """
     nb, d, p = config.n_baths, config.ancilla_dim, 2**config.n_baths
     v = np.eye(d * p)[:, (d - 1) * p:].reshape((d,) + (2,) * nb + (p,))
-    for sub, u in zip(_STAGE_SUBSCRIPTS[nb], _stage_unitaries(config)):
-        v = np.einsum(sub, u.reshape(2, d, 2, d), v)
+    axes = list(range(nb + 2))  # labels of v's axes; x and a are nb + 2, nb + 3
+    for i, u in enumerate(_stage_unitaries(config)):
+        out = [nb + 3] + axes[1:1 + i] + [nb + 2] + axes[2 + i:]
+        v = np.einsum(u.reshape(2, d, 2, d), [nb + 2, nb + 3, 1 + i, 0], v, axes, out)
     return v.reshape(d, p, p)
 
 
@@ -396,16 +394,6 @@ def _probe_product(pairs, shape) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _register_order(d: int, n: int) -> np.ndarray:
-    """Read-only gather of a flat (b_1, b'_1, ..., b_n, b'_n) register into
-    rows, then columns.  SIM_DIM_CAP bounds the keys: about 3.3 MB in all."""
-    index = np.arange(d ** (2 * n)).reshape((d,) * (2 * n))
-    index = index.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
 def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     """The n-ancilla final state of the joint simulation and its temperature
     derivatives, stacked as (1 + N, d^n, d^n) in natural ancilla order.
@@ -421,7 +409,8 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     by (x)_i Phi_i, composed into the same map; the derivative kicks
     Phi_0 (x) ... (x) d Phi_m (x) ... act on register 0.  The last ancilla's
     map is fused with the probe trace, sum_p V_p R V_p^dag, so the final
-    register with probes is never formed; a gather cached per (d, n) orders the result.
+    register with probes is never formed; one transpose of its flat
+    (b_1, b'_1, ..., b_n, b'_n) index puts the rows before the columns.
     """
     jd = config.joint_dim()
     if jd > SIM_DIM_CAP:
@@ -445,8 +434,9 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
             grown[1:] += np.matmul(reg[0], step[1:]).reshape(nb, -1, pp)
             reg = grown
     last = np.einsum("bpq,cps->qsbc", v, v.conj()).reshape(pp, d * d)
-    out = (reg.reshape(-1, pp) @ last).reshape(nt, -1)
-    return out.take(_register_order(d, n), axis=1).reshape(nt, d**n, d**n)
+    out = (reg.reshape(-1, pp) @ last).reshape((nt,) + (d,) * (2 * n))
+    rows_then_columns = (0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2))
+    return out.transpose(rows_then_columns).reshape(nt, d**n, d**n)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +490,8 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
     """
     check_scenario(scenario, config)
     # the engine's K states form a product: their QFIMs add, their supports
-    # multiply, and the commutator norm is the largest of any one
+    # multiply, and the commutator norm is the largest of any one state's,
+    # not the product state's (see EstimationReport)
     qs = qfim_stack(_joint_tangents(config)[None] if config.correlated
                     else _stream_tangents(config, _prefix))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from colltherm import cli, protocols
+from colltherm import cli, protocols, verify
 from colltherm.channels import BathSpec, RotationSpec
 from colltherm.cli import MERIT_COLUMNS, _fmt_cell, _report_payload, load_config, main
 from colltherm.protocols import evaluate, point, sweep
@@ -253,6 +253,25 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: sweep.axis: required field is missing"),
         (lambda s: s + SWEEP_BLOCK.replace("  step: 0.1\n", ""),
          "config error: sweep.step: required field is missing"),
+        # a file or block of the wrong shape
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "2.0"),
+         "config error: baths[0]: expected a mapping with a 'temperature' key"),
+        (lambda s: s + "sweep: g_t2_over_pi\n",
+         "config error: sweep: expected a mapping with an 'axis' key"),
+        (lambda s: s + "sweep: {axis: g_t2_over_pi, values: []}\n",
+         "config error: sweep.values: expected a nonempty list of numbers"),
+        (lambda s: s + "sweep: {axis: g_t2_over_pi, start: 0.5, stop: 0.1, step: 0.1}\n",
+         "config error: sweep: need step > 0 and stop >= start"),
+        (lambda s: s + "baths: [\n", "config error: config file does not parse as YAML"),
+        (lambda s: "- " + s.replace("\n", "\n  "), "config error: config root must be a mapping"),
+        (lambda s: s[:s.index("baths:")] + "baths: []\n" + s[s.index("collision_angles"):],
+         "config error: baths: expected a nonempty list"),
+        (lambda s: s.replace("[0.5, 0.3]", "0.5"),
+         "config error: collision_angles_over_pi: expected a list of numbers"),
+        (lambda s: s.replace("{theta_over_pi: 0.25, axis: x}", "0.25"),
+         "config error: rotation: expected a mapping"),
+        (lambda s: s.replace("{temperature: 2.0, gamma_t: 0.5}", "{temperature: 2.0, omega: 0}"),
+         "config error: baths[0].omega: must be > 0, got 0.0"),
     ],
 )
 def test_config_rejections(tmp_path, capsys, mangle, needle):
@@ -458,6 +477,17 @@ def test_no_stray_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_a_failed_rename_leaves_no_temp_file(tmp_path):
+    """``--out`` naming an existing directory: the table is written to a
+    temporary file beside it, the rename onto the directory fails, and the
+    temporary file is removed before the error propagates."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    (tmp_path / "o.csv").mkdir()
+    with pytest.raises(OSError):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "o.csv"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -468,6 +498,22 @@ def test_verify_single_group(capsys):
     assert "PASS  appendix/collision-channel-entrywise" in out
     assert "all oracle groups passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_failure_exits_1_naming_the_first_failure(monkeypatch, capsys):
+    """A group with a failing check makes ``verify`` exit 1; stdout marks
+    the check FAIL and stderr names the first failure."""
+    def failing(rng, trials):
+        return [verify.CheckResult("passes", True, 0.0),
+                verify.CheckResult("broken", False, 0.5, "made to fail"),
+                verify.CheckResult("also-broken", False, 0.25)]
+
+    monkeypatch.setitem(verify.GROUPS, "kraus", failing)
+    assert main(["verify", "--trials", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  kraus/broken  residual 5.000e-01  (made to fail)" in out
+    assert "all oracle groups passed" not in out
+    assert err == "verify failed at kraus/broken: residual 5.000e-01\n"
 
 
 def test_verify_deterministic_output(capsys):

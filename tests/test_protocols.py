@@ -404,20 +404,6 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
         npt.assert_allclose(final, stack[0], rtol=0, atol=1e-12)
 
 
-def test_register_order_is_built_once_per_shape_and_read_only():
-    """Two correlated evaluations at the same (d, n) build the final
-    reorder index once; the cached index cannot be written."""
-    protocols._register_order.cache_clear()
-    cfg = two_bath_config(n_ancillas=3, correlated=True)
-    evaluate(cfg, "correlated")
-    evaluate(cfg.at_temperatures((1.5, 0.7)), "correlated")
-    info = protocols._register_order.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    index = protocols._register_order(2, 3)
-    assert not index.flags.writeable
-    npt.assert_array_equal(np.sort(index), np.arange(2**6))
-
-
 def test_stream_matches_ancilla_major_marginal_oracle(rng):
     """The marginal stream's states equal ``oracles.marginal_stream_states``
     (kron and partial traces, ancilla by ancilla) to 1e-12 for two probes
@@ -768,6 +754,27 @@ def test_robustness_draw_gives_finite_reports_or_a_named_error():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_engine_states_commute_weakly_on_their_slds():
+    """Weak commutativity, Tr rho [L_i, L_j] = 0 for every SLD pair, makes
+    the QFIM bound attainable (Ragy, Jarzyna & Demkowicz-Dobrzanski, Phys.
+    Rev. A 94, 052108 (2016)).  Every state either engine returns for a
+    robustness draw, turned back to the computational basis, has it to
+    1e-12 of its largest QFIM entry (200 draws over all four scenarios)."""
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario in ("single", "uncorrelated", "correlated", "qutrit") * 50:
+            cfg = _robustness_draw(rng, scenario)
+            states = _ungauge(_joint_tangents(cfg)[None] if cfg.correlated
+                              else _stream_tangents(cfg), cfg)
+            qs = qfim_stack(states)
+            for k, rho in enumerate(states[:, 0]):
+                slds = qs.slds(k)
+                traces = [np.trace(rho @ (a @ b - b @ a))
+                          for i, a in enumerate(slds) for b in slds[i + 1:]]
+                assert np.abs(traces).max() <= 1e-12 * np.abs(qs.matrices[k]).max(), cfg
+
+
 def _random_config(rng, scenario):
     """A random config for ``scenario``: T log-uniform in [0.3, 10], omega
     in [0.5, 2], gamma*t in [0.05, 2], angles and rotation in [0, pi]."""
@@ -1051,18 +1058,22 @@ def test_a_changed_field_stops_reuse_at_the_first_stage_that_reads_it(change, st
 
 
 def test_sweep_retains_nothing_after_it_returns():
-    """The stage prefix a g_t3 sweep hands its points is the sweep's own:
-    once it returns, only the reports stay allocated (a kept qutrit stack
-    at n = 4000 would be 1.15 MB per stage)."""
-    grid = SweepGrid("g_t3_over_pi", (0.3, 0.4), three_bath_config(n_ancillas=4000))
-    tracemalloc.start()
-    try:
-        points = sweep(grid)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(row["error"] is None for row, _ in points)
-    assert retained < 0.1e6
+    """Once a sweep returns, only its reports stay allocated: the stage
+    prefix a g_t3 sweep hands its points is the sweep's own (a kept qutrit
+    stack at n = 4000 would be 1.15 MB per stage), and a correlated sweep
+    at the cap keeps nothing built for its n = 9 registers."""
+    for grid in (
+        SweepGrid("g_t3_over_pi", (0.3, 0.4), three_bath_config(n_ancillas=4000)),
+        SweepGrid("g_t2_over_pi", (0.3, 0.4), two_bath_config(n_ancillas=9, correlated=True)),
+    ):
+        tracemalloc.start()
+        try:
+            points = sweep(grid)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(row["error"] is None for row, _ in points), grid.axis_name
+        assert retained < 0.1e6, grid.axis_name
 
 
 def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
