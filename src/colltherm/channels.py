@@ -19,12 +19,12 @@ This module builds every channel the protocol composes:
   rate and the time only through their product gamma*t, so a bath carries
   that product alone (:attr:`BathSpec.therm_time`).
 
-Temperatures enter the protocol only through the thermal probe state and the
-partial-thermalization channel.  The Gibbs weights and d lambda_0/dT are
-written once (:func:`_gibbs`), and the channel is built together with its
-exact temperature derivative (:func:`_gad_pair`); the evaluators run those
-two.  Gibbs quantities are written through ``exp(-omega/T)``, which
-underflows to 0 at low temperature instead of overflowing.
+Temperatures enter the protocol only through :func:`_gibbs`, which writes
+the Gibbs weights, the Bose occupation and their T-derivatives once.  The
+thermal probe state and the partial-thermalization channel, built with its
+exact T-derivative (:func:`_gad_pair`), read them; the evaluators run those
+two.  They are written through ``exp(-omega/T)``, which underflows to 0 at
+low temperature instead of overflowing.
 
 Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
 ``|i><j|`` is component ``D*i + j`` of ``rho.reshape(-1)``.
@@ -124,18 +124,21 @@ class RotationSpec:
         return np.eye(3) - 1j * s * g + (c - 1.0) * (g @ g)
 
 
-def _gibbs(omega: float, T: float) -> tuple[float, float, float]:
-    """(lambda_0, lambda_1, d lambda_0/dT), overflow-free for omega > 0, with
-    d lambda_0/dT = (omega/T^2) lambda_0 lambda_1.  The one place that
-    derivative is written: the probe tangents, :func:`_gad_pair` and the
-    thermal benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
+def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:
+    """(lambda_0, lambda_1, d lambda_0/dT, nbar, d nbar/dT), overflow-free
+    for omega > 0, with x = omega/T, d lambda_0/dT = (x/T) lambda_0 lambda_1,
+    nbar = e^{-x} / (1 - e^{-x}) and d nbar/dT = (x/T) nbar (nbar + 1).  The
+    one place temperature enters the model and the one check of (omega, T):
+    the probe tangents, :func:`nbar`, :func:`_gad_pair` and the thermal
+    benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
     _check_finite(omega=omega, temperature=T)
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
     x = omega / T
     b = math.exp(-x)
     lam0, lam1 = b / (1.0 + b), 1.0 / (1.0 + b)
-    return lam0, lam1, lam0 * lam1 * x / T
+    n = b / -math.expm1(-x)
+    return lam0, lam1, lam0 * lam1 * x / T, n, n * (n + 1.0) * x / T
 
 
 def thermal_populations(omega: float, T: float) -> tuple[float, float]:
@@ -155,12 +158,8 @@ def thermal_state(omega: float, T: float) -> np.ndarray:
 
 
 def nbar(omega: float, T: float) -> float:
-    """Bose occupation of the bath mode at the probe frequency."""
-    _check_finite(omega=omega, temperature=T)
-    if not T > 0:
-        raise ValueError(f"temperature: must be > 0, got {T}")
-    x = omega / T
-    return math.exp(-x) / -math.expm1(-x)
+    """Bose occupation at the probe frequency, as :func:`_gibbs` checks and writes it."""
+    return _gibbs(omega, T)[3]
 
 
 # per ancilla dimension: g*tau over each sector's angle, and the sectors' index pairs
@@ -242,13 +241,13 @@ def _gad_pair(bath: BathSpec) -> np.ndarray:
     (2, 4, 4) real, in one pass: each maps the populations (rho_00, rho_11)
     by a 2x2 matrix and scales both coherences.  Populations relax toward
     the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar + 1)
-    with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).
+    with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).  Every
+    temperature-dependent number comes from one :func:`_gibbs` call.
     """
-    lam0, lam1, dlam0 = _gibbs(bath.omega, bath.temperature)
-    n, x = nbar(bath.omega, bath.temperature), bath.omega / bath.temperature
+    lam0, lam1, dlam0, n, dn = _gibbs(bath.omega, bath.temperature)
     gt = bath.therm_time
     e = math.exp(-gt * (2.0 * n + 1.0))
-    dlog = -2.0 * gt * (n * (n + 1.0) * x / bath.temperature)  # d ln(e) / dT
+    dlog = -2.0 * gt * dn  # d ln(e) / dT
     a, de, r = dlam0 * (1.0 - e), e * dlog, math.sqrt(e)
     return np.array([
         [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]]

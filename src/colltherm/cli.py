@@ -28,8 +28,8 @@ failure (some grid rows errored; outputs are still written).  ``verify``
 exits 1 on the first failing oracle.
 
 Outputs are written atomically (temp file in the target directory, then
-rename), CSV with LF line endings and 12 significant digits, so identical
-inputs produce byte-identical tables.
+rename) with the mode ``open()`` would give them, CSV with LF line endings
+and 12 significant digits, so identical inputs produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import yaml
@@ -237,11 +237,17 @@ def load_config(path: str):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".colltherm-", suffix=".tmp")
+    """Write ``text`` to a new file beside ``path``, made by ``open()`` with
+    0o666 less the umask, copy the permission bits of any file already at
+    ``path``, and rename it over ``path``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".colltherm-{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -319,11 +325,6 @@ def _pick_optimum(points):
     return None
 
 
-def _summary_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".json"
-
-
 def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
     """Write the table and the summary of (row, report) pairs; the report of
     a failed row is None."""
@@ -342,12 +343,11 @@ def _emit_outputs(out_path, columns, points, config_path, scenario) -> int:
         "emitted_at": datetime.now(timezone.utc).isoformat(),
     }
     n_errors = sum(1 for r in rows if r.get("error"))
-    write_summary(_summary_path(out_path), manifest, columns, rows, n_errors, optimum)
+    write_summary(os.path.splitext(out_path)[0] + ".json", manifest, columns, rows, n_errors,
+                  optimum)
     if n_errors:
-        print(
-            f"{n_errors} of {len(rows)} grid points failed; see the error column in {out_path}",
-            file=sys.stderr,
-        )
+        print(f"{n_errors} of {len(rows)} grid points failed; see the error column in {out_path}",
+              file=sys.stderr)
         return 3
     return 0
 

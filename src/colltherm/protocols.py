@@ -208,7 +208,7 @@ def _probe_tangents(config: ProtocolConfig, stages: slice = slice(None)) -> np.n
     index = range(nb)[stages]
     out = np.zeros((len(index), 1 + nb, 2, 2))
     for k, i in enumerate(index):
-        lam0, lam1, d = _gibbs(config.baths[i].omega, config.baths[i].temperature)
+        lam0, lam1, d = _gibbs(config.baths[i].omega, config.baths[i].temperature)[:3]
         out[k, 0, 0, 0], out[k, 0, 1, 1] = lam0, lam1
         out[k, 1 + i, 0, 0], out[k, 1 + i, 1, 1] = d, -d
     return out

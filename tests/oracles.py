@@ -438,8 +438,10 @@ def ancilla_marginals(rho, n):
     return out
 
 
-def joint_stream_eta_acc(angles, temps, n, product=False):
-    """eta_acc of the two-probe stream's n-ancilla state (omega = 1).
+def joint_stream_etas(angles, temps, n, product=False, rotation=rotation_x(math.pi / 4)):
+    """(eta_joint, eta_acc) of the two-probe stream's n-ancilla state
+    (omega = 1, gamma t = 0.5, ``rotation`` between the collisions), with
+    eta_acc = -inf when det F_Q <= 0.
 
     With ``product`` the state scored is the tensor product of the exact
     single-ancilla marginals of the joint state instead of the joint state.
@@ -457,7 +459,7 @@ def joint_stream_eta_acc(angles, temps, n, product=False):
     by about 5e-3).
     """
     def state(tv):
-        rho = joint_stream_state(angles, tv, n)
+        rho = joint_stream_state(angles, tv, n, rotation)
         if product:
             margs = ancilla_marginals(rho, n)
             rho = margs[0]
@@ -474,9 +476,10 @@ def joint_stream_eta_acc(angles, temps, n, product=False):
         down[mu] -= h
         derivs.append((state(up) - state(down)) / (2.0 * h))
     f = qfim_pinv(state(temps), derivs)
-    det_th = math.prod(thermal_fisher_binomial(1.0, x) for x in temps)
+    f_th = [thermal_fisher_binomial(1.0, x) for x in temps]
     det_q = float(np.linalg.det(f))
-    return math.log(det_q / det_th) if det_q > 0 else -math.inf
+    eta_acc = math.log(det_q / math.prod(f_th)) if det_q > 0 else -math.inf
+    return float(np.trace(f)) / sum(f_th), eta_acc
 
 
 # ---------------------------------------------------------------------------

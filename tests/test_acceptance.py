@@ -345,9 +345,9 @@ def test_criterion_07_correlated_vs_uncorrelated_agreement():
         if rel_a > worst_rel[0]:
             worst_rel = (rel_a, ru["axis_value"])
         angles = (math.pi / 2, ru["axis_value"] * math.pi)
-        joint = oracles.joint_stream_eta_acc(angles, (2.0, 1.0), 2)
+        _, joint = oracles.joint_stream_etas(angles, (2.0, 1.0), 2)
         # the stream's marginals are exact only because g1 = pi/2 (see the oracle)
-        product = oracles.joint_stream_eta_acc(angles, (2.0, 1.0), 2, product=True)
+        _, product = oracles.joint_stream_etas(angles, (2.0, 1.0), 2, product=True)
         res_corr = max(res_corr, abs(rc["eta_acc"] - joint))
         res_unc = max(res_unc, abs(ru["eta_acc"] - product))
         gaps.append(rc["eta_acc"] - ru["eta_acc"])

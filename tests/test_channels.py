@@ -78,6 +78,14 @@ def test_nbar_matches_direct_formula(rng):
         assert nbar(omega, T) == pytest.approx(oracles.mean_occupation(omega, T), rel=1e-13)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0])
+@pytest.mark.parametrize("closed_form", [nbar, thermal_populations, thermal_state])
+def test_non_positive_temperature_rejected(closed_form, T):
+    """Each closed form of T refuses T <= 0 by the argument's name."""
+    with pytest.raises(ValueError, match="^temperature: must be > 0"):
+        closed_form(1.0, T)
+
+
 def test_temperature_validation():
     with pytest.raises(ValueError, match="temperature"):
         thermal_populations(1.0, 0.0)
@@ -357,14 +365,21 @@ def test_thermalization_channel_is_exponential_of_generator(rng):
 
 
 def test_temperature_derivatives_match_central_differences(rng):
-    """d lambda_0/dT of ``_gibbs`` against the oracles' closed form, and the
-    T-derivative slice of ``_gad_pair`` (the one the evaluators run) against
-    central differences of the oracles' Kraus channel."""
+    """d lambda_0/dT of ``_gibbs`` against the oracles' closed form, its
+    nbar slice against :func:`nbar` and d nbar/dT against central
+    differences of the oracles' Bose occupation, and the T-derivative slice
+    of ``_gad_pair`` (the one the evaluators run) against central
+    differences of the oracles' Kraus channel."""
     for _ in range(20):
         omega, gamma, t = rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
         T = rng.uniform(0.4, 4.0)
         h = 1e-5 * T
-        assert _gibbs(omega, T)[2] == pytest.approx(oracles.dlam0_dT(omega, T), abs=1e-14)
+        g = _gibbs(omega, T)
+        assert g[2] == pytest.approx(oracles.dlam0_dT(omega, T), abs=1e-14)
+        assert g[3] == nbar(omega, T)
+        dn = (oracles.mean_occupation(omega, T + h)
+              - oracles.mean_occupation(omega, T - h)) / (2 * h)
+        assert g[4] == pytest.approx(dn, rel=1e-8)
         fd = (oracles.gad_superop(omega, T + h, gamma, t)
               - oracles.gad_superop(omega, T - h, gamma, t)) / (2 * h)
         npt.assert_allclose(

@@ -488,6 +488,44 @@ def test_a_failed_rename_leaves_no_temp_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "o.csv"]
 
 
+def test_a_failed_cleanup_reraises_the_rename_error(tmp_path, monkeypatch):
+    """When the rename fails and removing the temporary file fails too, the
+    caller sees the rename's error, not the cleanup's."""
+    def failing(name):
+        def fail(*args):
+            raise OSError(f"{name} failed")
+        return fail
+
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    monkeypatch.setattr(os, "replace", failing("replace"))
+    monkeypatch.setattr(os, "unlink", failing("unlink"))
+    with pytest.raises(OSError, match="^replace failed$"):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+
+
+def test_new_outputs_get_the_mode_open_gives(tmp_path):
+    """A fresh table and summary get 0o666 less the umask, as ``open()``
+    would make them."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("o.csv", "o.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+
+def test_rewritten_outputs_keep_their_mode(tmp_path):
+    """A rerun over an existing table keeps the table's permission bits."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    out.chmod(0o640)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

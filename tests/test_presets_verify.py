@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from colltherm import channels, oracles, protocols
-from colltherm.cli import main
+import oracles as brute_force
+from colltherm import channels, oracles, protocols, verify
+from colltherm.channels import BathSpec
+from colltherm.cli import _fmt_cell, main
 from colltherm.presets import PRESETS, PresetSeries
 from colltherm.verify import GROUPS, run_all, run_group
 
@@ -54,6 +56,40 @@ def test_preset_table_matches_golden(name, tmp_path):
                 assert abs(float(g[col]) - float(expected)) <= 1e-12 * scale, cell
             else:
                 assert math.isclose(float(g[col]), float(expected), rel_tol=1e-10), cell
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_golden_rows_match_the_brute_force_oracle(name):
+    """One golden row per series with n <= 4, at g2/pi = 0.3 (away from
+    the singular points), against the brute-force register simulation of
+    ``tests/oracles`` (the full n-ancilla state for a correlated stream,
+    the product of its exact single-ancilla marginals otherwise), not
+    against the engine's own past output: eta_joint and eta_acc within 1e-8
+    relative (1e-9 absolute for an eta_acc near 0), and singular exactly
+    where the oracle's eta_acc is -inf.  fig3's n = 5, 6 series are left
+    out: the brute force's 2^(2+n) register would take this test past about
+    2 s.  They and fig5 (three probes, qutrit ancillas) wait for an N-probe,
+    d-level oracle, and fig5's rows also for an exact three-probe stream,
+    from which today's eta_joint differs by up to 4.9 %."""
+    rows = _read_rows(GOLDEN / f"{name}.csv")
+    checked = 0
+    for labels, grid in PRESETS[name]:
+        (value,) = [v for v in grid.values if math.isclose(v, 0.3)]
+        config = grid.at(value)
+        if config.n_ancillas > 4:
+            continue
+        (row,) = [r for r in rows if r[grid.axis_name] == _fmt_cell(value)
+                  and all(r[k] == _fmt_cell(v) for k, v in labels.items())]
+        # the oracle's fixed omega = 1 and gamma t = 0.5, and its x rotation
+        assert config.baths == (BathSpec(2.0), BathSpec(1.0)) and config.rotation.axis == "x"
+        etas = brute_force.joint_stream_etas(
+            config.collision_angles, (2.0, 1.0), config.n_ancillas, product=not config.correlated,
+            rotation=brute_force.rotation_x(config.rotation.theta))
+        for col, want in zip(("eta_joint", "eta_acc"), etas):
+            assert math.isclose(float(row[col]), want, rel_tol=1e-8, abs_tol=1e-9), (labels, col)
+        assert row["singular"] == _fmt_cell(etas[1] == -math.inf)
+        checked += 1
+    assert checked == {"fig2": 1, "fig3": 12, "fig4": 4}[name]
 
 
 def test_fig2_definition():
@@ -196,6 +232,17 @@ def test_theorem1_group_large_sample():
     (check,) = run_group("theorem1", seed=7, trials=300)
     assert check.ok
     assert check.residual == 0.0  # disagreement fraction
+
+
+def test_theorem1_group_reports_a_disagreement(monkeypatch):
+    """A proportionality test that contradicts the determinant fails the
+    group: every trial counts as a disagreement, and the first is named."""
+    singularity_test = verify.singularity_test
+    monkeypatch.setattr(verify, "singularity_test",
+                        lambda stack: (not singularity_test(stack)[0], None))
+    (check,) = run_group("theorem1", trials=100)
+    assert not check.ok and check.residual == 1.0
+    assert check.detail.startswith("trial 0: proportional=")
 
 
 def test_oracles_import_nothing_from_the_library():
