@@ -22,9 +22,14 @@ This module builds every channel the protocol composes:
 Temperatures enter the protocol only through :func:`_gibbs`, which writes
 the Gibbs weights, the Bose occupation and their T-derivatives once.  The
 thermal probe state and the partial-thermalization channel, built with its
-exact T-derivative (:func:`_gad_pair`), read them; the evaluators run those
-two.  They are written through ``exp(-omega/T)``, which underflows to 0 at
-low temperature instead of overflowing.
+exact T-derivative for a stack of baths at once (:func:`_gad_pairs`), read
+them; the evaluators run those two.  They are written through
+``exp(-omega/T)``, which underflows to 0 at low temperature instead of
+overflowing.
+
+The exchange (:func:`_exchange_stack`) and the rotation
+(:func:`_rotation_unitary`) are each one closed form over tables made at
+import: complex ones for the public maps, real gauged ones for the evaluators.
 
 Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
 ``|i><j|`` is component ``D*i + j`` of ``rho.reshape(-1)``.
@@ -111,17 +116,28 @@ class RotationSpec:
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")
 
     def unitary(self, dim: int) -> np.ndarray:
-        """exp(-i theta G) in closed form: ``cos(theta) I - i sin(theta) G``
-        for a Pauli G (G^2 = I), ``I - i sin(theta) G + (cos(theta) - 1) G^2``
-        for spin 1 (G^3 = G; Curtright, Fairlie & Zachos, SIGMA 10, 084
-        (2014))."""
-        if dim not in operators.GENERATORS:
+        """exp(-i theta G), by :func:`_rotation_unitary`."""
+        if dim not in _ROTATION_TABLES:
             raise ValueError(f"no rotation generator for ancilla dimension {dim}")
-        g = operators.GENERATORS[dim][self.axis]
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        if dim == 2:
-            return c * np.eye(2) - 1j * s * g
-        return np.eye(3) - 1j * s * g + (c - 1.0) * (g @ g)
+        return _rotation_unitary(self.theta, *_ROTATION_TABLES[dim][self.axis])
+
+
+# per ancilla dimension and axis, the rotation's tables (-i G, G^2)
+_EYE3 = np.eye(3)
+_ROTATION_TABLES = {d: {axis: (-1j * g, g @ g) for axis, g in gens.items()}
+                    for d, gens in operators.GENERATORS.items()}
+
+
+def _rotation_unitary(theta: float, minus_i_g: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """exp(-i theta G) in closed form from the tables ``-i G`` and ``G^2``:
+    ``cos(theta) G^2 - i sin(theta) G`` for a Pauli G (G^2 = I),
+    ``I - i sin(theta) G + (cos(theta) - 1) G^2`` for spin 1 (G^3 = G;
+    Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)).  The tables may be
+    complex or real (the evaluators' gauged y rotation)."""
+    c, s = math.cos(theta), math.sin(theta)
+    if len(g2) == 2:
+        return c * g2 + s * minus_i_g
+    return _EYE3 + s * minus_i_g + (c - 1.0) * g2
 
 
 def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:
@@ -129,7 +145,7 @@ def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:
     for omega > 0, with x = omega/T, d lambda_0/dT = (x/T) lambda_0 lambda_1,
     nbar = e^{-x} / (1 - e^{-x}) and d nbar/dT = (x/T) nbar (nbar + 1).  The
     one place temperature enters the model and the one check of (omega, T):
-    the probe tangents, :func:`nbar`, :func:`_gad_pair` and the thermal
+    the probe tangents, :func:`nbar`, :func:`_gad_pairs` and the thermal
     benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
     _check_finite(omega=omega, temperature=T)
     if not T > 0:
@@ -166,6 +182,31 @@ def nbar(omega: float, T: float) -> float:
 _EXCHANGE_SECTORS = {2: (1.0, ((1, 2),)), 3: (math.sqrt(2.0), ((3, 1), (4, 2)))}
 
 
+def _exchange_masks(dim: int) -> np.ndarray:
+    """The exchange on probe (x) ancilla as the rows (B, D, O) of a (3,
+    4d^2) matrix: the identity off the sectors, the sectors' diagonal, and
+    their off-diagonal times -i."""
+    diag, off = np.zeros((2, 2 * dim, 2 * dim), dtype=complex)
+    for i, j in _EXCHANGE_SECTORS[dim][1]:
+        diag[(i, j), (i, j)], off[(i, j), (j, i)] = 1.0, -1j
+    return np.array([np.eye(2 * dim) - diag, diag, off]).reshape(3, -1)
+
+
+_EXCHANGE_MASKS = {d: _exchange_masks(d) for d in _EXCHANGE_SECTORS}
+
+
+def _exchange_stack(angles, dim: int, masks: np.ndarray) -> np.ndarray:
+    """``B + cos(a) D + sin(a) O`` for each collision angle, with a the
+    angle over the sectors' scale, stacked as (len(angles), 2d, 2d): one
+    matmul of the rows (1, cos a, sin a) with ``masks`` = (B, D, O),
+    :data:`_EXCHANGE_MASKS` or the evaluators' gauged ones.  Each entry is
+    one term times 1 or +-1 plus zeros, so each cosine and sine lands exact
+    (``I + (c - 1) D`` would round the cosine)."""
+    scale = _EXCHANGE_SECTORS[dim][0]
+    coefs = np.array([(1.0, math.cos(g / scale), math.sin(g / scale)) for g in angles])
+    return (coefs @ masks).reshape(-1, 2 * dim, 2 * dim)
+
+
 def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     """exp(-i H tau) for the exchange H = g(s+ A- + s- A+) of the probe qubit
     with a qubit (A = s) or qutrit (A = Q) ancilla, as a function of the
@@ -181,14 +222,7 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     if ancilla_dim not in _EXCHANGE_SECTORS:
         raise ValueError(f"no collision unitary for ancilla dimension {ancilla_dim}")
     _check_finite(angle=angle)
-    scale, sectors = _EXCHANGE_SECTORS[ancilla_dim]
-    a = angle / scale
-    c, s = math.cos(a), math.sin(a)
-    u = np.eye(2 * ancilla_dim, dtype=complex)
-    for i, j in sectors:
-        u[i, i] = u[j, j] = c
-        u[i, j] = u[j, i] = -1j * s
-    return u
+    return _exchange_stack((angle,), ancilla_dim, _EXCHANGE_MASKS[ancilla_dim])[0]
 
 
 def _ancilla_map(u: np.ndarray) -> np.ndarray:
@@ -236,30 +270,37 @@ def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
-def _gad_pair(bath: BathSpec) -> np.ndarray:
-    """The partial-thermalization channel and its T-derivative, stacked as
-    (2, 4, 4) real, in one pass: each maps the populations (rho_00, rho_11)
-    by a 2x2 matrix and scales both coherences.  Populations relax toward
-    the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar + 1)
-    with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).  Every
-    temperature-dependent number comes from one :func:`_gibbs` call.
+# the entries of a GAD superoperator: (rho_00, rho_11) -> (rho_00, rho_11) by
+# a 2x2 matrix, and the two coherences (0, 1) and (1, 0) scaled alike
+_GAD_ENTRIES = np.array([0, 0, 3, 3, 1, 2]), np.array([0, 3, 0, 3, 1, 2])
+
+
+def _gad_pairs(baths) -> np.ndarray:
+    """Per bath, the partial-thermalization channel and its T-derivative,
+    stacked as (N, 2, 4, 4) real: each maps the populations (rho_00,
+    rho_11) by a 2x2 matrix and scales both coherences.  Populations relax
+    toward the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar
+    + 1) with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).
+    Every temperature-dependent number of a bath comes from one
+    :func:`_gibbs` call; one array takes them all.
     """
-    lam0, lam1, dlam0, n, dn = _gibbs(bath.omega, bath.temperature)
-    gt = bath.therm_time
-    e = math.exp(-gt * (2.0 * n + 1.0))
-    dlog = -2.0 * gt * dn  # d ln(e) / dT
-    a, de, r = dlam0 * (1.0 - e), e * dlog, math.sqrt(e)
-    return np.array([
-        [[p00, 0, 0, p03], [0, coh, 0, 0], [0, 0, coh, 0], [p30, 0, 0, p33]]
-        for p00, p03, p30, p33, coh in (
-            (e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e), r),
-            (a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, 0.5 * r * dlog),
-        )
-    ])
+    entries = []
+    for bath in baths:
+        lam0, lam1, dlam0, n, dn = _gibbs(bath.omega, bath.temperature)
+        gt = bath.therm_time
+        e = math.exp(-gt * (2.0 * n + 1.0))
+        dlog = -2.0 * gt * dn  # d ln(e) / dT
+        a, de, r = dlam0 * (1.0 - e), e * dlog, math.sqrt(e)
+        dr = 0.5 * r * dlog
+        entries += (e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e),
+                    r, r, a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, dr, dr)
+    out = np.zeros((len(baths), 2, 4, 4))
+    out[:, :, _GAD_ENTRIES[0], _GAD_ENTRIES[1]] = np.reshape(entries, (-1, 2, 6))
+    return out
 
 
 def thermalization_channel(bath: BathSpec) -> np.ndarray:
     """Partial-thermalization channel exp(L t) (4x4 superoperator), with
     gamma*t = ``bath.therm_time``: the generalized amplitude-damping closed
-    form, slice 0 of :func:`_gad_pair`."""
-    return _gad_pair(bath)[0]
+    form, the value of :func:`_gad_pairs` for one bath."""
+    return _gad_pairs((bath,))[0, 0]

@@ -57,6 +57,9 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 (the gauge's phase can move onto the probes instead, whose states and
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
+The gauged exchange masks and y-rotation tables are made once, at import;
+each evaluation builds its stage unitaries (:func:`_stage_unitaries`) and
+its rethermalizations (:func:`colltherm.channels._gad_pairs`) as stacks.
 
 In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
@@ -83,14 +86,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
+    _EXCHANGE_MASKS,
+    _ROTATION_TABLES,
     BathSpec,
     RotationSpec,
     _ancilla_map,
     _as_float,
-    _gad_pair,
+    _exchange_stack,
+    _gad_pairs,
     _gibbs,
+    _rotation_unitary,
     collision_maps,
-    collision_unitary,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
 from .operators import SX, SZ
@@ -119,6 +125,11 @@ SIM_DIM_CAP = 2**11
 # T u T^dag on probe (x) ancilla is u times the phases t_a conj(t_b)
 _GAUGE = {d: 1j ** np.arange(d) for d in (2, 3)}
 _GAUGE_PHASES = {d: np.tile(np.outer(t, t.conj()), (2, 2)) for d, t in _GAUGE.items()}
+# the stage unitaries' tables in the gauge, made once: the exchange's masks
+# (B, D, O) times the phases, real part (B and D sit on the diagonal, where the
+# phases are 1), and the y rotation's (Re(-i G_y), Re(G_y^2))
+_GAUGED_EXCHANGE = {d: (m * _GAUGE_PHASES[d].reshape(-1)).real for d, m in _EXCHANGE_MASKS.items()}
+_GAUGED_Y = {d: tuple(t.real for t in _ROTATION_TABLES[d]["y"]) for d in _GAUGE}
 
 # (I, X, Z), flattened: the marginal stream carries a real probe p as its Pauli
 # coefficients c = _PAULI vec(p), vec(p) = _PAULI^T c / 2 (its Y one is 0)
@@ -218,15 +229,15 @@ def _stage_unitaries(config: ProtocolConfig, stages: slice = slice(None)) -> np.
     """Per bath stage of ``stages``, the collision unitary on probe (x)
     ancilla followed by the ancilla rotation R, on every stage but the last,
     stacked as (stages, 2d, 2d), real in the phase gauge (see the module
-    docstring).  (I (x) R) u acts on the ancilla row index alone, so R
-    multiplies each probe row block of u.  R is built only when ``stages``
-    holds a rotated stage: the last stage alone needs none."""
+    docstring): the channels' closed forms on the gauged tables, bit for bit
+    the gauged public unitaries.  (I (x) R) u acts on the ancilla row index
+    alone, so R multiplies each probe row block of u.  R is built only when
+    ``stages`` holds a rotated stage: the last stage alone needs none."""
     m, d = len(range(config.n_baths - 1)[stages]), config.ancilla_dim  # m: rotated stages
-    us = np.array([collision_unitary(g, d) for g in config.collision_angles[stages]])
-    us = np.ascontiguousarray((us * _GAUGE_PHASES[d]).real)
+    us = _exchange_stack(config.collision_angles[stages], d, _GAUGED_EXCHANGE[d])
     if m:
         theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
-        r = RotationSpec(theta, "y").unitary(d).real
+        r = _rotation_unitary(theta, *_GAUGED_Y[d])
         us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
     return us
 
@@ -238,12 +249,6 @@ def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
     while config.rotation.axis == "x" and len(t) < x.shape[-1]:
         t = np.kron(t, _GAUGE[config.ancilla_dim])
     return t.conj()[:, None] * x * t
-
-
-def _rethermalizations(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
-    """Per probe of ``stages``, its rethermalization superoperator and its
-    T-derivative: (stages, 2, 4, 4)."""
-    return np.array([_gad_pair(b) for b in config.baths[stages]])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,7 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
         # the probe map in Pauli coefficients, then per stage S_i and d S_i / dT_i
         # after it, identity row dropped: (ns, 2, 3, 3 d^2)
         to_probe = half @ (_PAULI @ to_probe.reshape(ns, 4, 4 * dd)).reshape(ns, 3, 4, dd)
-        therm = _PAULI @ _rethermalizations(config, stages) @ _PAULI.T / 2
+        therm = _PAULI @ _gad_pairs(config.baths[stages]) @ _PAULI.T / 2
         probe_maps = therm @ to_probe.reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     else:
@@ -427,7 +432,7 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
         # (q, q') -> (b, b', p, p'): collide, then rethermalize; per register,
         # transposed for right-multiplication
         meet = np.einsum("bpq,crs->bcprqs", v, v.conj()).reshape(d * d, pp, pp)
-        therm = _probe_product(_rethermalizations(config), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
+        therm = _probe_product(_gad_pairs(config.baths), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
         step = np.matmul(therm, meet).reshape(nt, d * d * pp, pp).transpose(0, 2, 1)
         for _ in range(n - 1):
             grown = (reg.reshape(-1, pp) @ step[0]).reshape(nt, -1, pp)

@@ -25,7 +25,7 @@ import oracles
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
-    _gad_pair,
+    _gad_pairs,
     _gibbs,
     collision_maps,
     collision_superoperator,
@@ -368,7 +368,7 @@ def test_temperature_derivatives_match_central_differences(rng):
     """d lambda_0/dT of ``_gibbs`` against the oracles' closed form, its
     nbar slice against :func:`nbar` and d nbar/dT against central
     differences of the oracles' Bose occupation, and the T-derivative slice
-    of ``_gad_pair`` (the one the evaluators run) against central
+    of ``_gad_pairs`` (the one the evaluators run) against central
     differences of the oracles' Kraus channel."""
     for _ in range(20):
         omega, gamma, t = rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
@@ -383,12 +383,26 @@ def test_temperature_derivatives_match_central_differences(rng):
         fd = (oracles.gad_superop(omega, T + h, gamma, t)
               - oracles.gad_superop(omega, T - h, gamma, t)) / (2 * h)
         npt.assert_allclose(
-            _gad_pair(BathSpec(T, omega=omega, therm_time=gamma * t))[1],
+            _gad_pairs((BathSpec(T, omega=omega, therm_time=gamma * t),))[0, 1],
             fd,
             atol=1e-8,
         )
     still = BathSpec(2.0, therm_time=0.0)
-    npt.assert_array_equal(_gad_pair(still)[1], np.zeros((4, 4)))
+    npt.assert_array_equal(_gad_pairs((still,))[0, 1], np.zeros((4, 4)))
+
+
+def test_rethermalization_stack_is_its_baths_one_by_one(rng):
+    """``_gad_pairs`` stacks each bath's pair independently: its value slice
+    is :func:`thermalization_channel` of that bath, and a three-bath stack
+    equals its one-bath stacks bit for bit."""
+    for _ in range(20):
+        baths = tuple(BathSpec(rng.uniform(0.1, 10.0), omega=rng.uniform(0.5, 2.0),
+                               therm_time=rng.uniform(0.0, 2.0)) for _ in range(3))
+        stack = _gad_pairs(baths)
+        assert stack.shape == (3, 2, 4, 4)
+        for k, bath in enumerate(baths):
+            npt.assert_array_equal(stack[k, 0], thermalization_channel(bath))
+            npt.assert_array_equal(stack[k], _gad_pairs((bath,))[0])
 
 
 def test_thermalization_channel_identity_at_zero_time():

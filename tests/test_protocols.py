@@ -20,7 +20,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm import protocols
+from colltherm import channels, protocols
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
@@ -550,6 +550,33 @@ def test_engines_run_in_float64(config, axis):
     assert vecs.dtype == np.float64
 
 
+@pytest.mark.parametrize("n_baths, dim", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("axis, theta", [
+    ("x", 0.3 * math.pi), ("x", 0.0), ("y", -0.7 * math.pi), ("y", -2.5), ("z", 1.2 * math.pi),
+])
+def test_stage_unitaries_are_the_gauged_public_closed_forms(n_baths, dim, axis, theta):
+    """The engine's stage stack equals, bit for bit, the public closed forms
+    in the phase gauge: ``collision_unitary`` times the gauge phases, real
+    part, then ``RotationSpec(theta, "y").unitary`` (theta = 0 for a z axis),
+    real part, on each rotated stage's probe row blocks; for every slice a
+    sweep builds, and for angles past pi."""
+    angles = (0.5 * math.pi, 1.3 * math.pi, 2.2 * math.pi)[:n_baths]
+    config = ProtocolConfig(
+        baths=tuple(BathSpec(t) for t in (2.0, 1.0, 3.0)[:n_baths]), collision_angles=angles,
+        ancilla_dim=dim, rotation=RotationSpec(theta, axis),
+    )
+    m = n_baths - 1  # rotated stages
+    expected = np.array([(collision_unitary(g, dim) * protocols._GAUGE_PHASES[dim]).real
+                         for g in angles])
+    r = RotationSpec(0.0 if axis == "z" else theta, "y").unitary(dim).real
+    expected[:m] = (r @ expected[:m].reshape(m, 2, dim, 2 * dim)).reshape(m, 2 * dim, 2 * dim)
+    for s in range(1, n_baths):
+        for stages in (slice(None), slice(s, None), slice(None, s)):
+            got = protocols._stage_unitaries(config, stages)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected[stages]), stages
+
+
 def test_a_lone_ancilla_builds_no_probe_map(monkeypatch):
     """With one ancilla no probe is propagated, so the stream builds neither
     the probe map of ``collision_maps`` nor the rethermalizations."""
@@ -557,7 +584,7 @@ def test_a_lone_ancilla_builds_no_probe_map(monkeypatch):
         raise AssertionError("built for a lone ancilla")
 
     monkeypatch.setattr(protocols, "collision_maps", unused)
-    monkeypatch.setattr(protocols, "_rethermalizations", unused)
+    monkeypatch.setattr(protocols, "_gad_pairs", unused)
     for cfg, scenario in ((two_bath_config(), "single"), (three_bath_config(), "qutrit")):
         assert np.isfinite(evaluate(cfg, scenario).qfim.matrix).all()
     single_run(two_bath_config())
@@ -1079,15 +1106,18 @@ def test_sweep_retains_nothing_after_it_returns():
 def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
     """No rotation follows the last collision: a marginal-stream sweep along
     the last stage's angle builds the ancilla rotation once, for the stages
-    it hands its points, and no point builds it again; one evaluation with
-    no prefix builds it once."""
-    built, unitary = [], RotationSpec.unitary
+    it hands its points, and no point builds it again (the last stage alone
+    builds none); one evaluation with no prefix builds it once.  Every
+    rotation, the engine's and ``RotationSpec.unitary``'s, comes from the
+    one closed form counted here."""
+    built, unitary = [], channels._rotation_unitary
 
-    def counting(self, dim):
-        built.append(dim)
-        return unitary(self, dim)
+    def counting(theta, minus_i_g, g2):
+        built.append(len(g2))
+        return unitary(theta, minus_i_g, g2)
 
-    monkeypatch.setattr(RotationSpec, "unitary", counting)
+    monkeypatch.setattr(channels, "_rotation_unitary", counting)
+    monkeypatch.setattr(protocols, "_rotation_unitary", counting)
     for axis, base in (
         ("g_t2_over_pi", two_bath_config(n_ancillas=3)),
         ("g_t3_over_pi", three_bath_config(n_ancillas=3)),
@@ -1096,6 +1126,9 @@ def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
         points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
         assert [row["error"] for row, _ in points] == [None] * len(_AXIS_VALUES[axis])
         assert built == [base.ancilla_dim]
+        del built[:]
+        protocols._stage_unitaries(base, slice(base.n_baths - 1, None))
+        assert built == []
     del built[:]
     evaluate(two_bath_config(n_ancillas=3), "uncorrelated")
     assert built == [2]
