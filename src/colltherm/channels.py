@@ -7,10 +7,10 @@ This module builds every channel the protocol composes:
   ``H_int = g (sigma_+ (x) A_- + sigma_- (x) A_+)`` with a qubit or a spin-1
   (qutrit) ancilla,
 * the collision as two bilinear maps of the vectorized (probe, ancilla),
-  one giving the ancilla and one the probe (:func:`collision_maps`), which
-  the marginal stream runs, and the ancilla channel of one collision with a
-  thermal probe, that same ancilla map contracted with the Gibbs state
-  (:func:`collision_superoperator`),
+  one giving the ancilla and one the probe (:func:`collision_maps`), from
+  which the marginal stream's tables are made, and the ancilla channel of
+  one collision with a thermal probe, that same ancilla map contracted
+  with the Gibbs state (:func:`collision_superoperator`),
 * ancilla rotations ``exp(-i theta G_axis)`` and their superoperators,
 * the partial-thermalization channel generated by the standard two-level
   GKSL generator with rates ``gamma (nbar + 1)`` (decay) and ``gamma nbar``
@@ -195,16 +195,21 @@ def _exchange_masks(dim: int) -> np.ndarray:
 _EXCHANGE_MASKS = {d: _exchange_masks(d) for d in _EXCHANGE_SECTORS}
 
 
-def _exchange_stack(angles, dim: int, masks: np.ndarray) -> np.ndarray:
-    """``B + cos(a) D + sin(a) O`` for each collision angle, with a the
-    angle over the sectors' scale, stacked as (len(angles), 2d, 2d): one
-    matmul of the rows (1, cos a, sin a) with ``masks`` = (B, D, O),
-    :data:`_EXCHANGE_MASKS` or the evaluators' gauged ones.  Each entry is
-    one term times 1 or +-1 plus zeros, so each cosine and sine lands exact
-    (``I + (c - 1) D`` would round the cosine)."""
+def _exchange_coefficients(angles, dim: int) -> np.ndarray:
+    """The rows (1, cos a, sin a) of each collision angle, a the angle over
+    the sectors' scale, stacked as (len(angles), 3): the exchange is linear
+    in them over the masks (B, D, O)."""
     scale = _EXCHANGE_SECTORS[dim][0]
-    coefs = np.array([(1.0, math.cos(g / scale), math.sin(g / scale)) for g in angles])
-    return (coefs @ masks).reshape(-1, 2 * dim, 2 * dim)
+    return np.array([(1.0, math.cos(g / scale), math.sin(g / scale)) for g in angles])
+
+
+def _exchange_stack(angles, dim: int, masks: np.ndarray) -> np.ndarray:
+    """``B + cos(a) D + sin(a) O`` for each collision angle, stacked as
+    (len(angles), 2d, 2d): one matmul of :func:`_exchange_coefficients`
+    with ``masks`` = (B, D, O), :data:`_EXCHANGE_MASKS` or the evaluators'
+    gauged ones.  Each entry is one term times 1 or +-1 plus zeros, so each
+    cosine and sine lands exact (``I + (c - 1) D`` would round the cosine)."""
+    return (_exchange_coefficients(angles, dim) @ masks).reshape(-1, 2 * dim, 2 * dim)
 
 
 def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
@@ -225,15 +230,6 @@ def collision_unitary(angle: float, ancilla_dim: int = 2) -> np.ndarray:
     return _exchange_stack((angle,), ancilla_dim, _EXCHANGE_MASKS[ancilla_dim])[0]
 
 
-def _ancilla_map(u: np.ndarray) -> np.ndarray:
-    """The ancilla map of :func:`collision_maps` alone."""
-    d, batch = u.shape[-1] // 2, u.shape[:-2]
-    u4 = u.reshape(batch + (2, d, 2, d))
-    # u (x) u* traced over the probe's output pair: [.., P, Q, a, c, A, C]
-    m = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4.conj())
-    return m.reshape(batch + (4, d * d, d * d))
-
-
 def collision_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The collision ``X -> u X u^dag`` on probe (x) ancilla as two bilinear
     maps of the vectorized (probe, ancilla), exact for any ``u``.
@@ -245,13 +241,18 @@ def collision_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``vec(p')_l = B[l, m, j] vec(p)_m vec(a)_j``.  They are the partial
     traces of ``u (p (x) a) u^dag``, read off ``u (x) u*`` for every input
     pair, and both are linear in each factor, so a tangent stack goes
-    through them by the product rule.
+    through them by the product rule.  Both are quadratic in ``u``: the
+    marginal stream's tables are these maps of pair sums of basis
+    unitaries (see :mod:`colltherm.protocols`).
     """
     d, batch = u.shape[-1] // 2, u.shape[:-2]
     u4 = u.reshape(batch + (2, d, 2, d))
+    # u (x) u* traced over the probe's output pair: [.., P, Q, a, c, A, C]
+    to_ancilla = np.einsum("...xaPA,...xcQC->...PQacAC", u4, u4.conj())
     # u (x) u* traced over the ancilla's output pair: [.., p, q, P, Q, A, C]
     to_probe = np.einsum("...pbPA,...qbQC->...pqPQAC", u4, u4.conj())
-    return _ancilla_map(u), to_probe.reshape(batch + (4, 4, d * d))
+    return (to_ancilla.reshape(batch + (4, d * d, d * d)),
+            to_probe.reshape(batch + (4, 4, d * d)))
 
 
 def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) -> np.ndarray:
@@ -260,7 +261,7 @@ def collision_superoperator(angle: float, bath: BathSpec, ancilla_dim: int = 2) 
     with the Gibbs state diag(lambda_0, lambda_1).
     """
     lam0, lam1 = thermal_populations(bath.omega, bath.temperature)
-    to_ancilla = _ancilla_map(collision_unitary(angle, ancilla_dim))
+    to_ancilla = collision_maps(collision_unitary(angle, ancilla_dim))[0]
     return lam0 * to_ancilla[0] + lam1 * to_ancilla[3]
 
 

@@ -58,15 +58,24 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 The gauged exchange masks and y-rotation tables are made once, at import;
-each evaluation builds its stage unitaries (:func:`_stage_unitaries`) and
-its rethermalizations (:func:`colltherm.channels._gad_pairs`) as stacks.
+each evaluation builds its rethermalizations
+(:func:`colltherm.channels._gad_pairs`) as a stack, and the joint
+simulation its stage unitaries (:func:`_stage_unitaries`).  A stage
+unitary is linear in (1, cos a, sin a) over the gauged exchange masks, and
+a rotated stage's in the 9 products of those with (1, cos theta, sin
+theta) over the masks times the gauged y tables; its collision maps are
+quadratic in the unitary.  So the marginal stream reads each stage's maps
+off tables of every pair of basis unitaries, made once at import from
+:func:`colltherm.channels.collision_maps` (:data:`_STAGE_TABLES`), with one
+contraction per call (:func:`_stage_maps`).
 
 In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
 :func:`evaluate`.  A point along the last stage's angle, which every preset
-sweeps, runs that stage alone and builds no rotation, since none follows
-the last collision.  Nothing either call computes outlives it.
+sweeps, runs that stage alone and contracts only the last stage's table,
+since no rotation follows the last collision.  Nothing either call
+computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -90,8 +99,8 @@ from .channels import (
     _ROTATION_TABLES,
     BathSpec,
     RotationSpec,
-    _ancilla_map,
     _as_float,
+    _exchange_coefficients,
     _exchange_stack,
     _gad_pairs,
     _gibbs,
@@ -134,6 +143,55 @@ _GAUGED_Y = {d: tuple(t.real for t in _ROTATION_TABLES[d]["y"]) for d in _GAUGE}
 # (I, X, Z), flattened: the marginal stream carries a real probe p as its Pauli
 # coefficients c = _PAULI vec(p), vec(p) = _PAULI^T c / 2 (its Y one is 0)
 _PAULI = np.array([np.eye(2), SX, SZ]).real.reshape(3, 4)
+
+
+def _pauli_maps(us: np.ndarray) -> np.ndarray:
+    """The maps of :func:`colltherm.channels.collision_maps` for a (K, 2d,
+    2d) stack, with the probe in Pauli coefficients, flattened per unitary
+    as (K, 3 d^4 + 9 d^2): first the ancilla map as the (3 d^2, d^2) matrix
+    the stream right-multiplies, then the probe map (3, 3, d^2), identity
+    row kept."""
+    to_ancilla, to_probe = collision_maps(us)
+    k, dd = len(us), to_probe.shape[-1]
+    half = 0.5 * _PAULI
+    to_probe = half @ (_PAULI @ to_probe.reshape(k, 4, 4 * dd)).reshape(k, 3, 4, dd)
+    to_ancilla = (half @ to_ancilla.reshape(k, 4, dd * dd)).reshape(k, 3, dd, dd)
+    return np.concatenate((to_ancilla.swapaxes(2, 3).reshape(k, -1), to_probe.reshape(k, -1)), 1)
+
+
+# per basis size K, the pairs a <= b: a stage's maps are sum_ab c_a c_b T_ab
+_PAIRS = {k: np.array([(a, b) for a in range(k) for b in range(a, k)]).T for k in (3, 9)}
+
+
+def _stage_tables(d: int) -> list[np.ndarray]:
+    """[rotated, last] map tables of ancilla dimension d.  The last stage's
+    unitary is c_k E_k over the gauged exchange masks E = (B, D, O) with c =
+    (1, cos a, sin a); a rotated stage's is r_j c_k (I (x) R_j) E_k, with
+    exp(-i theta G_y) = r_j R_j over R = (I - G_y^2, G_y^2, -i G_y), real
+    in the gauge, and r = (1, cos theta, sin theta).  Over such a basis M,
+    the maps of sum_a c_a M_a (:func:`_pauli_maps`) are sum_ab c_a c_b T_ab
+    over the pairs a <= b of :data:`_PAIRS`, by polarization T_ab =
+    maps(M_a + M_b) - maps(M_a) - maps(M_b) and T_aa = maps(M_a) = maps(2
+    M_a) / 4: one call on the pair sums of both bases makes both tables."""
+    exchange = _GAUGED_EXCHANGE[d].reshape(3, 2, d, 2 * d)
+    minus_i_g, g2 = _GAUGED_Y[d]
+    rotated = np.array([np.eye(d) - g2, g2, minus_i_g])[:, None, None] @ exchange
+    bases = rotated.reshape(9, 2 * d, 2 * d), exchange.reshape(3, 2 * d, 2 * d)
+    pairs = [_PAIRS[len(m)] for m in bases]
+    maps = _pauli_maps(np.concatenate([m[a] + m[b] for m, (a, b) in zip(bases, pairs)]))
+    tables = []
+    for a, b in pairs:  # in place: new pages cost more than the arithmetic
+        table, maps = maps[:len(a)], maps[len(a):]
+        alone = table[a == b] / 4.0
+        table -= alone[a]
+        table -= alone[b]
+        table[a == b] = alone
+        tables.append(table)
+    return tables
+
+
+# per ancilla dimension, the stage maps' tables in the gauge, made once
+_STAGE_TABLES = {d: _stage_tables(d) for d in _GAUGE}
 
 
 @dataclass(frozen=True)
@@ -225,21 +283,50 @@ def _probe_tangents(config: ProtocolConfig, stages: slice = slice(None)) -> np.n
     return out
 
 
-def _stage_unitaries(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
-    """Per bath stage of ``stages``, the collision unitary on probe (x)
-    ancilla followed by the ancilla rotation R, on every stage but the last,
-    stacked as (stages, 2d, 2d), real in the phase gauge (see the module
-    docstring): the channels' closed forms on the gauged tables, bit for bit
-    the gauged public unitaries.  (I (x) R) u acts on the ancilla row index
-    alone, so R multiplies each probe row block of u.  R is built only when
+def _stage_unitaries(config: ProtocolConfig) -> np.ndarray:
+    """Per bath stage, the collision unitary on probe (x) ancilla followed
+    by the ancilla rotation R, on every stage but the last, stacked as
+    (N, 2d, 2d), real in the phase gauge (see the module docstring): the
+    channels' closed forms on the gauged tables, bit for bit the gauged
+    public unitaries.  (I (x) R) u acts on the ancilla row index alone, so
+    R multiplies each probe row block of u.  The joint engine's isometry
+    (:func:`_ancilla_isometry`) is built from them; the marginal stream
+    reads the same stages' maps off tables (:func:`_stage_maps`)."""
+    m, d = config.n_baths - 1, config.ancilla_dim  # m: rotated stages
+    us = _exchange_stack(config.collision_angles, d, _GAUGED_EXCHANGE[d])
+    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
+    r = _rotation_unitary(theta, *_GAUGED_Y[d])
+    us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
+    return us
+
+
+def _quadratic(coefs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row c of ``coefs``, sum over the pairs a <= b of c_a c_b T_ab:
+    the maps of :func:`_stage_tables`.  ``np.einsum`` sums every entry in one
+    loop, so a stage's maps do not depend on how many stages one call
+    contracts."""
+    a, b = _PAIRS[coefs.shape[1]]
+    return np.einsum("sk,kf->sf", coefs[:, a] * coefs[:, b], table)
+
+
+def _stage_maps(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
+    """Per bath stage of ``stages``, the collision maps of its gauged stage
+    unitary (:func:`_stage_unitaries`) in the stream's layout
+    (:func:`_pauli_maps`), stacked as (stages, 3 d^4 + 9 d^2): a quadratic
+    form in the stage's 9 coefficients, or the last stage's 3, read off
+    :data:`_STAGE_TABLES`.  The rotated table is contracted only when
     ``stages`` holds a rotated stage: the last stage alone needs none."""
     m, d = len(range(config.n_baths - 1)[stages]), config.ancilla_dim  # m: rotated stages
-    us = _exchange_stack(config.collision_angles[stages], d, _GAUGED_EXCHANGE[d])
+    coefs = _exchange_coefficients(config.collision_angles[stages], d)
+    rotated, last = _STAGE_TABLES[d]
+    maps = []
     if m:
         theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
-        r = _rotation_unitary(theta, *_GAUGED_Y[d])
-        us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
-    return us
+        r = np.array([1.0, math.cos(theta), math.sin(theta)])
+        maps.append(_quadratic((r[:, None] * coefs[:m, None]).reshape(m, 9), rotated))
+    if len(coefs) > m:
+        maps.append(_quadratic(coefs[m:], last))
+    return np.concatenate(maps)
 
 
 def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:
@@ -282,8 +369,9 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
 
     Stage i of ancilla k needs only stage i - 1 of ancilla k and stage i of
     ancilla k - 1, so the stream runs stage by stage, all n ancillas at
-    once, on the maps of :func:`colltherm.channels.collision_maps` (built
-    for every stage it runs in one step).  Ancilla stacks are vectorized, (1 + N,
+    once, on the maps of :func:`colltherm.channels.collision_maps`, read
+    for every stage it runs off the tables made at import
+    (:func:`_stage_maps`).  Ancilla stacks are vectorized, (1 + N,
     d^2); probe stacks are Pauli coefficients (I, X, Z), (1 + N, 3): in the
     phase gauge every probe is real, with Y coefficient 0.  The identity
     coefficient (1 for the state, 0 for the derivatives) is never propagated,
@@ -295,8 +383,8 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     product rule on the derivatives and d S_i / dT_i added to the d_i
     entry.  The n - 1 maps are built in one batched step; the sequential
     part is one small matmul per ancilla.  No probe rethermalizes after the
-    last ancilla, so a lone ancilla needs neither the probe map nor the
-    rethermalizations.  The ancilla outputs then take one batched matmul.
+    last ancilla, so a lone ancilla builds no rethermalization.  The
+    ancilla outputs then take one batched matmul.
     They are the true marginals only when the probes stay uncorrelated (see
     the module docstring).
 
@@ -309,22 +397,16 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     first, anc = prefix or (0, None)
     stages = slice(first, stop)  # the stages this call builds and runs
     ns = len(range(nb)[stages])
-    us = _stage_unitaries(config, stages)
-    half = 0.5 * _PAULI
+    maps = _stage_maps(config, stages)
+    # the ancilla map with the probe in Pauli coefficients, (ns, 3 d^2, d^2)
+    ancilla_maps = maps[:, :3 * dd * dd].reshape(ns, 3 * dd, dd)
     probes = _probe_tangents(config, stages).reshape(ns, nt, 4) @ _PAULI.T
     if n > 1:
-        to_ancilla, to_probe = collision_maps(us)
         # the probe map in Pauli coefficients, then per stage S_i and d S_i / dT_i
         # after it, identity row dropped: (ns, 2, 3, 3 d^2)
-        to_probe = half @ (_PAULI @ to_probe.reshape(ns, 4, 4 * dd)).reshape(ns, 3, 4, dd)
         therm = _PAULI @ _gad_pairs(config.baths[stages]) @ _PAULI.T / 2
-        probe_maps = therm @ to_probe.reshape(ns, 1, 3, 3 * dd)
+        probe_maps = therm @ maps[:, None, 3 * dd * dd:].reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
-    else:
-        to_ancilla = _ancilla_map(us)
-    # the ancilla map with the probe in Pauli coefficients, (ns, 3 d^2, d^2)
-    to_ancilla = (half @ to_ancilla.reshape(ns, 4, dd * dd)).reshape(ns, 3, dd, dd)
-    ancilla_maps = to_ancilla.swapaxes(2, 3).reshape(ns, 3 * dd, dd)
     if anc is None:
         anc = np.zeros((n, nt, dd))
         anc[:, 0, dd - 1] = 1.0

@@ -5,7 +5,7 @@ hand-rolled matrix entries, closed-form states and SLDs and Gibbs weights
 from :mod:`colltherm.oracles` (which imports nothing from the library), so a
 bug in the library cannot hide by agreeing with itself.  The collision
 channels checked are :func:`colltherm.channels.collision_superoperator`,
-the ancilla map of the collision maps the evaluators' stream runs
+the ancilla map of the collision maps the evaluators' stream tabulates
 (:func:`colltherm.channels.collision_maps`).  Groups:
 
 * ``appendix``   — entrywise reproduction of the hand-derived collision

@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 import colltherm
-from colltherm import channels, protocols
+from colltherm import protocols
 
 
 @pytest.fixture
 def stages_built(monkeypatch):
     """The number of stages each marginal-stream call builds and runs, in
-    call order: the length of the unitary stack ``channels._ancilla_map``
-    is built from (``collision_maps`` calls it too)."""
-    built, ancilla_map = [], channels._ancilla_map
+    call order: the stages whose collision maps ``protocols._stage_maps``
+    contracts from the tables."""
+    built, stage_maps = [], protocols._stage_maps
 
-    def counting(u):
-        built.append(len(u))
-        return ancilla_map(u)
+    def counting(config, *args):
+        maps = stage_maps(config, *args)
+        built.append(len(maps))
+        return maps
 
-    monkeypatch.setattr(channels, "_ancilla_map", counting)
-    monkeypatch.setattr(protocols, "_ancilla_map", counting)
+    monkeypatch.setattr(protocols, "_stage_maps", counting)
     return built
 
 

@@ -5,7 +5,7 @@ The library writes every channel in closed form: the collision and
 rotation unitaries as cosine/sine polynomials of their generators, the
 rethermalization channel and its temperature derivative as a generalized
 amplitude damping.  ``collision_maps``, the collision maps the evaluators'
-stream runs, are checked for any unitary and any states against the
+stream tabulates, are checked for any unitary and any states against the
 partial traces of the collided joint state; the collision channel is their
 ancilla map contracted with the thermal probe.  The oracles build the
 unitaries by a Taylor series of the generators, the qutrit collision

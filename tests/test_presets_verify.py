@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles as brute_force
-from colltherm import channels, oracles, protocols, verify
+from colltherm import oracles, protocols, verify
 from colltherm.channels import BathSpec
 from colltherm.cli import _fmt_cell, main
 from colltherm.presets import PRESETS, PresetSeries
@@ -160,47 +160,14 @@ def test_run_all_groups_pass():
             assert check.ok, f"{group}/{check.name}: residual {check.residual:.3e} {check.detail}"
 
 
-def test_verify_and_evaluators_run_the_engine_collision(monkeypatch):
-    """The collision channels verify checks come out of the same collision
-    maps the stream evaluators run: verify's ``appendix`` group and each of
-    ``single``, ``uncorrelated`` and ``qutrit`` build the ancilla map of
-    ``channels.collision_maps`` once, through ``channels._ancilla_map``
-    (a lone ancilla needs no probe map, so ``single`` builds that alone)."""
-    calls, ancilla_map = [], channels._ancilla_map
-
-    def counting(u):
-        calls.append(u)
-        return ancilla_map(u)
-
-    monkeypatch.setattr(channels, "_ancilla_map", counting)
-    monkeypatch.setattr(protocols, "_ancilla_map", counting)
-    assert all(check.ok for check in run_group("appendix", trials=20))
-    in_verify, counts = len(calls), {}
-    baths = tuple(channels.BathSpec(t) for t in (2.0, 1.0, 0.5))
-    for scenario, n_baths, dim, n in (
-        ("single", 2, 2, 1), ("uncorrelated", 2, 2, 3), ("qutrit", 3, 3, 3)
-    ):
-        cfg = protocols.ProtocolConfig(
-            baths=baths[:n_baths],
-            collision_angles=(0.5 * math.pi, 0.3 * math.pi, 0.4 * math.pi)[:n_baths],
-            ancilla_dim=dim,
-            n_ancillas=n,
-        )
-        before = len(calls)
-        protocols.evaluate(cfg, scenario)
-        counts[scenario] = len(calls) - before
-    assert in_verify > 0
-    assert counts == {"single": 1, "uncorrelated": 1, "qutrit": 1}
-
-
 @pytest.mark.parametrize("name, n_stages", [("fig3", 2), ("fig5", 3)])
 def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built,
                                                     monkeypatch):
     """Along a g_t2 (fig3) or g_t3 (fig5) series only the last stage moves,
     so the sweep runs the stages before it, stage 0 in fig3 and stages 0
     and 1 in fig5, once per series, and every point builds and runs the
-    last stage alone (counted, as above, through ``channels._ancilla_map``)
-    in one ``protocols.evaluate`` call."""
+    last stage alone (counted by the stages whose maps
+    ``protocols._stage_maps`` contracts) in one ``protocols.evaluate`` call."""
     evaluated, evaluate = [], protocols.evaluate
 
     def counting(config, *args, **kwargs):

@@ -20,15 +20,17 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from colltherm import channels, protocols
+from colltherm import protocols
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
+    collision_maps,
     collision_unitary,
     thermal_populations,
 )
 from colltherm.estimation import thermal_fim
 from colltherm.linalg import herm_eig
+from colltherm.operators import SX, SZ
 from colltherm.protocols import (
     SIM_DIM_CAP,
     SWEEP_AXES,
@@ -550,40 +552,78 @@ def test_engines_run_in_float64(config, axis):
     assert vecs.dtype == np.float64
 
 
-@pytest.mark.parametrize("n_baths, dim", [(2, 2), (3, 2), (2, 3), (3, 3)])
-@pytest.mark.parametrize("axis, theta", [
+_STAGE_CASES = pytest.mark.parametrize("n_baths, dim", [(2, 2), (3, 2), (2, 3), (3, 3)])
+_ROTATION_CASES = pytest.mark.parametrize("axis, theta", [
     ("x", 0.3 * math.pi), ("x", 0.0), ("y", -0.7 * math.pi), ("y", -2.5), ("z", 1.2 * math.pi),
 ])
-def test_stage_unitaries_are_the_gauged_public_closed_forms(n_baths, dim, axis, theta):
-    """The engine's stage stack equals, bit for bit, the public closed forms
-    in the phase gauge: ``collision_unitary`` times the gauge phases, real
-    part, then ``RotationSpec(theta, "y").unitary`` (theta = 0 for a z axis),
-    real part, on each rotated stage's probe row blocks; for every slice a
-    sweep builds, and for angles past pi."""
-    angles = (0.5 * math.pi, 1.3 * math.pi, 2.2 * math.pi)[:n_baths]
-    config = ProtocolConfig(
-        baths=tuple(BathSpec(t) for t in (2.0, 1.0, 3.0)[:n_baths]), collision_angles=angles,
+
+
+def gauged_public_stages(config):
+    """The public closed forms in the phase gauge: ``collision_unitary``
+    times the gauge phases, real part, then ``RotationSpec(theta,
+    "y").unitary`` (theta = 0 for a z axis), real part, on each rotated
+    stage's probe row blocks."""
+    d, m = config.ancilla_dim, config.n_baths - 1  # m: rotated stages
+    us = np.array([(collision_unitary(g, d) * protocols._GAUGE_PHASES[d]).real
+                   for g in config.collision_angles])
+    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
+    r = RotationSpec(theta, "y").unitary(d).real
+    us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
+    return us
+
+
+def stage_config(n_baths, dim, axis, theta):
+    return ProtocolConfig(
+        baths=tuple(BathSpec(t) for t in (2.0, 1.0, 3.0)[:n_baths]),
+        collision_angles=(0.5 * math.pi, 1.3 * math.pi, 2.2 * math.pi)[:n_baths],
         ancilla_dim=dim, rotation=RotationSpec(theta, axis),
     )
-    m = n_baths - 1  # rotated stages
-    expected = np.array([(collision_unitary(g, dim) * protocols._GAUGE_PHASES[dim]).real
-                         for g in angles])
-    r = RotationSpec(0.0 if axis == "z" else theta, "y").unitary(dim).real
-    expected[:m] = (r @ expected[:m].reshape(m, 2, dim, 2 * dim)).reshape(m, 2 * dim, 2 * dim)
-    for s in range(1, n_baths):
-        for stages in (slice(None), slice(s, None), slice(None, s)):
-            got = protocols._stage_unitaries(config, stages)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, expected[stages]), stages
 
 
-def test_a_lone_ancilla_builds_no_probe_map(monkeypatch):
-    """With one ancilla no probe is propagated, so the stream builds neither
-    the probe map of ``collision_maps`` nor the rethermalizations."""
+@_STAGE_CASES
+@_ROTATION_CASES
+def test_stage_unitaries_are_the_gauged_public_closed_forms(n_baths, dim, axis, theta):
+    """The engine's stage stack equals, bit for bit, the public closed forms
+    in the phase gauge, for angles past pi."""
+    config = stage_config(n_baths, dim, axis, theta)
+    got = protocols._stage_unitaries(config)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, gauged_public_stages(config))
+
+
+@_STAGE_CASES
+@_ROTATION_CASES
+def test_stage_maps_are_the_collision_maps_of_the_public_closed_forms(n_baths, dim, axis,
+                                                                      theta):
+    """The stage maps the stream reads off its tables are, to 1e-15, the
+    ``collision_maps`` of the gauged public unitaries with the probe in
+    Pauli coefficients (I, X, Z): the ancilla map as the (3 d^2, d^2)
+    matrix the stream right-multiplies, then the probe map (3, 3, d^2);
+    for every slice a sweep runs, and for angles past pi."""
+    config = stage_config(n_baths, dim, axis, theta)
+    to_ancilla, to_probe = collision_maps(gauged_public_stages(config))
+    pauli = np.array([np.eye(2), SX, SZ]).real.reshape(3, 4)
+    dd = dim * dim
+    to_probe = 0.5 * pauli @ (pauli @ to_probe.reshape(n_baths, 4, 4 * dd)).reshape(
+        n_baths, 3, 4, dd)
+    to_ancilla = (0.5 * pauli @ to_ancilla.reshape(n_baths, 4, dd * dd)).reshape(
+        n_baths, 3, dd, dd).swapaxes(2, 3)
+    expected = np.concatenate(
+        (to_ancilla.reshape(n_baths, -1), to_probe.reshape(n_baths, -1)), axis=1)
+    slices = [slice(None)] + [sl for s in range(1, n_baths)
+                              for sl in (slice(s, None), slice(None, s))]
+    for stages in slices:
+        got = protocols._stage_maps(config, stages)
+        assert got.dtype == np.float64
+        npt.assert_allclose(got, expected[stages], rtol=0, atol=1e-15, err_msg=str(stages))
+
+
+def test_a_lone_ancilla_builds_no_rethermalization(monkeypatch):
+    """With one ancilla no probe is propagated, so the stream builds no
+    rethermalization."""
     def unused(*args):
         raise AssertionError("built for a lone ancilla")
 
-    monkeypatch.setattr(protocols, "collision_maps", unused)
     monkeypatch.setattr(protocols, "_gad_pairs", unused)
     for cfg, scenario in ((two_bath_config(), "single"), (three_bath_config(), "qutrit")):
         assert np.isfinite(evaluate(cfg, scenario).qfim.matrix).all()
@@ -1103,46 +1143,46 @@ def test_sweep_retains_nothing_after_it_returns():
         assert retained < 0.1e6, grid.axis_name
 
 
-def test_a_last_stage_sweep_builds_the_rotation_once(monkeypatch):
+def test_a_last_stage_sweep_contracts_the_rotated_table_once(monkeypatch):
     """No rotation follows the last collision: a marginal-stream sweep along
-    the last stage's angle builds the ancilla rotation once, for the stages
-    it hands its points, and no point builds it again (the last stage alone
-    builds none); one evaluation with no prefix builds it once.  Every
-    rotation, the engine's and ``RotationSpec.unitary``'s, comes from the
-    one closed form counted here."""
-    built, unitary = [], channels._rotation_unitary
+    the last stage's angle contracts the rotated stages' table once, for
+    the stages it hands its points, and no point contracts it again (the
+    last stage alone contracts none); one evaluation with no prefix
+    contracts it once."""
+    contracted, quadratic = [], protocols._quadratic
+    rotated = [tables[0] for tables in protocols._STAGE_TABLES.values()]
 
-    def counting(theta, minus_i_g, g2):
-        built.append(len(g2))
-        return unitary(theta, minus_i_g, g2)
+    def counting(coefs, table):
+        if any(table is t for t in rotated):
+            contracted.append(len(coefs))
+        return quadratic(coefs, table)
 
-    monkeypatch.setattr(channels, "_rotation_unitary", counting)
-    monkeypatch.setattr(protocols, "_rotation_unitary", counting)
+    monkeypatch.setattr(protocols, "_quadratic", counting)
     for axis, base in (
         ("g_t2_over_pi", two_bath_config(n_ancillas=3)),
         ("g_t3_over_pi", three_bath_config(n_ancillas=3)),
     ):
-        del built[:]
+        del contracted[:]
         points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
         assert [row["error"] for row, _ in points] == [None] * len(_AXIS_VALUES[axis])
-        assert built == [base.ancilla_dim]
-        del built[:]
-        protocols._stage_unitaries(base, slice(base.n_baths - 1, None))
-        assert built == []
-    del built[:]
+        assert contracted == [base.n_baths - 1]
+        del contracted[:]
+        protocols._stage_maps(base, slice(base.n_baths - 1, None))
+        assert contracted == []
+    del contracted[:]
     evaluate(two_bath_config(n_ancillas=3), "uncorrelated")
-    assert built == [2]
+    assert contracted == [1]
 
 
 def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
     """A stage prefix that cannot be built does not stop the sweep: each
     point runs those stages itself and records the error in its row."""
     def failing(config, *args):
-        raise ValueError("no stage unitaries")
+        raise ValueError("no stage maps")
 
-    monkeypatch.setattr(protocols, "_stage_unitaries", failing)
+    monkeypatch.setattr(protocols, "_stage_maps", failing)
     points = sweep(SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3)))
-    assert [row["error"] for row, _ in points] == ["ValueError: no stage unitaries"] * 2
+    assert [row["error"] for row, _ in points] == ["ValueError: no stage maps"] * 2
 
 
 @pytest.mark.parametrize(
