@@ -28,8 +28,9 @@ them; the evaluators run those two.  They are written through
 overflowing.
 
 The exchange (:func:`_exchange_stack`) and the rotation
-(:func:`_rotation_unitary`) are each one closed form over tables made at
-import: complex ones for the public maps, real gauged ones for the evaluators.
+(:func:`_rotation_stack`, qubit and qutrit alike) are each one closed form
+over tables made at import: complex ones for the public maps, real gauged
+ones for the evaluators.
 
 Superoperators use the row-major vectorization of :mod:`colltherm.linalg`:
 ``|i><j|`` is component ``D*i + j`` of ``rho.reshape(-1)``.
@@ -116,28 +117,32 @@ class RotationSpec:
             raise ValueError(f"axis: must be one of x, y, z, got {self.axis!r}")
 
     def unitary(self, dim: int) -> np.ndarray:
-        """exp(-i theta G), by :func:`_rotation_unitary`."""
+        """exp(-i theta G), the one-angle case of :func:`_rotation_stack`."""
         if dim not in _ROTATION_TABLES:
             raise ValueError(f"no rotation generator for ancilla dimension {dim}")
-        return _rotation_unitary(self.theta, *_ROTATION_TABLES[dim][self.axis])
+        return _rotation_stack((self.theta,), _ROTATION_TABLES[dim][self.axis])[0]
 
 
-# per ancilla dimension and axis, the rotation's tables (-i G, G^2)
-_EYE3 = np.eye(3)
-_ROTATION_TABLES = {d: {axis: (-1j * g, g @ g) for axis, g in gens.items()}
+# per ancilla dimension and axis, the rotation's table (I - G^2, G^2, -i G)
+_ROTATION_TABLES = {d: {axis: np.array([np.eye(d) - g @ g, g @ g, -1j * g])
+                        for axis, g in gens.items()}
                     for d, gens in operators.GENERATORS.items()}
 
 
-def _rotation_unitary(theta: float, minus_i_g: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """exp(-i theta G) in closed form from the tables ``-i G`` and ``G^2``:
-    ``cos(theta) G^2 - i sin(theta) G`` for a Pauli G (G^2 = I),
-    ``I - i sin(theta) G + (cos(theta) - 1) G^2`` for spin 1 (G^3 = G;
-    Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)).  The tables may be
-    complex or real (the evaluators' gauged y rotation)."""
-    c, s = math.cos(theta), math.sin(theta)
-    if len(g2) == 2:
-        return c * g2 + s * minus_i_g
-    return _EYE3 + s * minus_i_g + (c - 1.0) * g2
+def _rotation_coefficients(thetas) -> np.ndarray:
+    """The rows (1, cos theta, sin theta) of each angle, stacked as (len(thetas), 3)."""
+    return np.array([(1.0, math.cos(t), math.sin(t)) for t in thetas])
+
+
+def _rotation_stack(thetas, table: np.ndarray) -> np.ndarray:
+    """exp(-i theta G) per angle, (len(thetas), d, d): ``(I - G^2) +
+    cos(theta) G^2 - i sin(theta) G`` over ``table`` = (I - G^2, G^2, -i G)
+    (:data:`_ROTATION_TABLES` or the evaluators' real gauged y table), for
+    any G with G^3 = G: spin 1, and a Pauli G, where I - G^2 = 0 (Curtright,
+    Fairlie & Zachos, SIGMA 10, 084 (2014)).  Summed entrywise, not by a
+    matmul, so complex and real tables round alike; theta = 0 gives I exactly."""
+    r = _rotation_coefficients(thetas)[:, :, None, None]
+    return (r * table).sum(axis=1)
 
 
 def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:

@@ -22,10 +22,11 @@ file's name.  ``main`` builds one argument parser per process, on its
 first call.
 
 Exit codes: 0 success; 2 configuration error (message names the offending
-field, e.g. ``baths[0].temperature``, or ``scenario`` when a config it
-places breaks the precondition of the scenario it names); 3 numerical
-failure (some grid rows errored; outputs are still written).  ``verify``
-exits 1 on the first failing oracle.
+field, e.g. ``baths[0].temperature``, ``scenario`` when a config it places
+breaks the precondition of the scenario it names, or ``--out`` when an
+output cannot be written there); 3 numerical failure (some grid rows
+errored; outputs are still written).  ``verify`` exits 1 on the first
+failing oracle.
 
 Outputs are written atomically (temp file in the target directory, then
 rename) with the mode ``open()`` would give them, CSV with LF line endings
@@ -239,22 +240,25 @@ def load_config(path: str):
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a new file beside ``path``, made by ``open()`` with
     0o666 less the umask, copy the permission bits of any file already at
-    ``path``, and rename it over ``path``."""
+    ``path``, and rename it over ``path``; an ``OSError`` is a ConfigError."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".colltherm-{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with fh:
-            fh.write(text)
-        if os.path.exists(path):
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
-    except BaseException:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with fh:
+                fh.write(text)
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write '{path}': {exc.strerror or exc}") from None
 
 
 def _fmt_cell(value) -> str:

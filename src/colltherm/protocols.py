@@ -57,25 +57,25 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 (the gauge's phase can move onto the probes instead, whose states and
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
-The gauged exchange masks and y-rotation tables are made once, at import;
+The gauged exchange masks and y-rotation table are made once, at import;
 each evaluation builds its rethermalizations
 (:func:`colltherm.channels._gad_pairs`) as a stack, and the joint
-simulation its stage unitaries (:func:`_stage_unitaries`).  A stage
-unitary is linear in (1, cos a, sin a) over the gauged exchange masks, and
-a rotated stage's in the 9 products of those with (1, cos theta, sin
-theta) over the masks times the gauged y tables; its collision maps are
-quadratic in the unitary.  So the marginal stream reads each stage's maps
-off tables of every pair of basis unitaries, made once at import from
-:func:`colltherm.channels.collision_maps` (:data:`_STAGE_TABLES`), with one
-contraction per call (:func:`_stage_maps`).
+simulation its stage unitaries (:func:`_stage_unitaries`).  Every stage is
+built one way: its collision, then a rotation at the stage's angle
+(:func:`_stage_thetas`), which is 0, the identity exactly, on the last
+stage.  A stage unitary is linear in the 9 products of (1, cos a, sin a)
+over the gauged exchange masks with (1, cos theta, sin theta) over the
+gauged y table, and its collision maps are quadratic in the unitary.  So
+the marginal stream reads each stage's maps off one table per ancilla
+dimension, of every pair of basis unitaries, made once at import from
+:func:`colltherm.channels.collision_maps` (:data:`_STAGE_TABLES`), with
+one contraction per call (:func:`_stage_maps`).
 
 In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
 :func:`evaluate`.  A point along the last stage's angle, which every preset
-sweeps, runs that stage alone and contracts only the last stage's table,
-since no rotation follows the last collision.  Nothing either call
-computes outlives it.
+sweeps, runs that stage alone.  Nothing either call computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -104,7 +104,8 @@ from .channels import (
     _exchange_stack,
     _gad_pairs,
     _gibbs,
-    _rotation_unitary,
+    _rotation_coefficients,
+    _rotation_stack,
     collision_maps,
 )
 from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
@@ -136,9 +137,9 @@ _GAUGE = {d: 1j ** np.arange(d) for d in (2, 3)}
 _GAUGE_PHASES = {d: np.tile(np.outer(t, t.conj()), (2, 2)) for d, t in _GAUGE.items()}
 # the stage unitaries' tables in the gauge, made once: the exchange's masks
 # (B, D, O) times the phases, real part (B and D sit on the diagonal, where the
-# phases are 1), and the y rotation's (Re(-i G_y), Re(G_y^2))
+# phases are 1), and the y rotation's Re(I - G_y^2, G_y^2, -i G_y)
 _GAUGED_EXCHANGE = {d: (m * _GAUGE_PHASES[d].reshape(-1)).real for d, m in _EXCHANGE_MASKS.items()}
-_GAUGED_Y = {d: tuple(t.real for t in _ROTATION_TABLES[d]["y"]) for d in _GAUGE}
+_GAUGED_Y = {d: _ROTATION_TABLES[d]["y"].real for d in _GAUGE}
 
 # (I, X, Z), flattened: the marginal stream carries a real probe p as its Pauli
 # coefficients c = _PAULI vec(p), vec(p) = _PAULI^T c / 2 (its Y one is 0)
@@ -159,39 +160,33 @@ def _pauli_maps(us: np.ndarray) -> np.ndarray:
     return np.concatenate((to_ancilla.swapaxes(2, 3).reshape(k, -1), to_probe.reshape(k, -1)), 1)
 
 
-# per basis size K, the pairs a <= b: a stage's maps are sum_ab c_a c_b T_ab
-_PAIRS = {k: np.array([(a, b) for a in range(k) for b in range(a, k)]).T for k in (3, 9)}
+# the pairs a <= b of the 9 stage basis unitaries: a stage's maps are sum_ab c_a c_b T_ab
+_PAIRS = np.array([(a, b) for a in range(9) for b in range(a, 9)]).T
 
 
-def _stage_tables(d: int) -> list[np.ndarray]:
-    """[rotated, last] map tables of ancilla dimension d.  The last stage's
-    unitary is c_k E_k over the gauged exchange masks E = (B, D, O) with c =
-    (1, cos a, sin a); a rotated stage's is r_j c_k (I (x) R_j) E_k, with
-    exp(-i theta G_y) = r_j R_j over R = (I - G_y^2, G_y^2, -i G_y), real
-    in the gauge, and r = (1, cos theta, sin theta).  Over such a basis M,
-    the maps of sum_a c_a M_a (:func:`_pauli_maps`) are sum_ab c_a c_b T_ab
-    over the pairs a <= b of :data:`_PAIRS`, by polarization T_ab =
-    maps(M_a + M_b) - maps(M_a) - maps(M_b) and T_aa = maps(M_a) = maps(2
-    M_a) / 4: one call on the pair sums of both bases makes both tables."""
+def _stage_table(d: int) -> np.ndarray:
+    """The stage maps' table of ancilla dimension d.  Every stage's unitary
+    is r_j c_k (I (x) R_j) E_k over the gauged exchange masks E = (B, D, O)
+    and the gauged y table R = (I - G_y^2, G_y^2, -i G_y), with c = (1, cos
+    a, sin a) and r = (1, cos theta, sin theta).  Over that basis M, the
+    maps of sum_a c_a M_a (:func:`_pauli_maps`) are sum_ab c_a c_b T_ab over
+    the pairs a <= b of :data:`_PAIRS`, by polarization T_ab = maps(M_a +
+    M_b) - maps(M_a) - maps(M_b) and T_aa = maps(M_a) = maps(2 M_a) / 4: one
+    call on the pair sums makes the table."""
     exchange = _GAUGED_EXCHANGE[d].reshape(3, 2, d, 2 * d)
-    minus_i_g, g2 = _GAUGED_Y[d]
-    rotated = np.array([np.eye(d) - g2, g2, minus_i_g])[:, None, None] @ exchange
-    bases = rotated.reshape(9, 2 * d, 2 * d), exchange.reshape(3, 2 * d, 2 * d)
-    pairs = [_PAIRS[len(m)] for m in bases]
-    maps = _pauli_maps(np.concatenate([m[a] + m[b] for m, (a, b) in zip(bases, pairs)]))
-    tables = []
-    for a, b in pairs:  # in place: new pages cost more than the arithmetic
-        table, maps = maps[:len(a)], maps[len(a):]
-        alone = table[a == b] / 4.0
-        table -= alone[a]
-        table -= alone[b]
-        table[a == b] = alone
-        tables.append(table)
-    return tables
+    basis = (_GAUGED_Y[d][:, None, None] @ exchange).reshape(9, 2 * d, 2 * d)
+    a, b = _PAIRS
+    table = _pauli_maps(basis[a] + basis[b])
+    # in place: new pages cost more than the arithmetic
+    alone = table[a == b] / 4.0
+    table -= alone[a]
+    table -= alone[b]
+    table[a == b] = alone
+    return table
 
 
-# per ancilla dimension, the stage maps' tables in the gauge, made once
-_STAGE_TABLES = {d: _stage_tables(d) for d in _GAUGE}
+# per ancilla dimension, the stage maps' table in the gauge, made once
+_STAGE_TABLES = {d: _stage_table(d) for d in _GAUGE}
 
 
 @dataclass(frozen=True)
@@ -283,50 +278,42 @@ def _probe_tangents(config: ProtocolConfig, stages: slice = slice(None)) -> np.n
     return out
 
 
+def _stage_thetas(config: ProtocolConfig) -> tuple[float, ...]:
+    """Per bath stage, the angle of the ancilla rotation after its
+    collision: theta on every stage but the last, which no rotation follows,
+    and 0 there.  A z rotation, a phase in the gauge, runs at 0 throughout."""
+    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
+    return (theta,) * (config.n_baths - 1) + (0.0,)
+
+
 def _stage_unitaries(config: ProtocolConfig) -> np.ndarray:
     """Per bath stage, the collision unitary on probe (x) ancilla followed
-    by the ancilla rotation R, on every stage but the last, stacked as
-    (N, 2d, 2d), real in the phase gauge (see the module docstring): the
-    channels' closed forms on the gauged tables, bit for bit the gauged
-    public unitaries.  (I (x) R) u acts on the ancilla row index alone, so
-    R multiplies each probe row block of u.  The joint engine's isometry
-    (:func:`_ancilla_isometry`) is built from them; the marginal stream
-    reads the same stages' maps off tables (:func:`_stage_maps`)."""
-    m, d = config.n_baths - 1, config.ancilla_dim  # m: rotated stages
+    by the ancilla rotation R at the stage's angle (:func:`_stage_thetas`),
+    stacked as (N, 2d, 2d), real in the phase gauge (see the module
+    docstring): the channels' closed forms on the gauged tables, bit for bit
+    the gauged public unitaries.  (I (x) R) u acts on the ancilla row index
+    alone, so R multiplies each probe row block of u.  The joint engine's
+    isometry (:func:`_ancilla_isometry`) is built from them; the marginal
+    stream reads the same stages' maps off a table (:func:`_stage_maps`)."""
+    d = config.ancilla_dim
     us = _exchange_stack(config.collision_angles, d, _GAUGED_EXCHANGE[d])
-    theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
-    r = _rotation_unitary(theta, *_GAUGED_Y[d])
-    us[:m] = (r @ us[:m].reshape(m, 2, d, 2 * d)).reshape(m, 2 * d, 2 * d)
-    return us
-
-
-def _quadratic(coefs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row c of ``coefs``, sum over the pairs a <= b of c_a c_b T_ab:
-    the maps of :func:`_stage_tables`.  ``np.einsum`` sums every entry in one
-    loop, so a stage's maps do not depend on how many stages one call
-    contracts."""
-    a, b = _PAIRS[coefs.shape[1]]
-    return np.einsum("sk,kf->sf", coefs[:, a] * coefs[:, b], table)
+    rs = _rotation_stack(_stage_thetas(config), _GAUGED_Y[d])
+    return (rs[:, None] @ us.reshape(-1, 2, d, 2 * d)).reshape(us.shape)
 
 
 def _stage_maps(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
     """Per bath stage of ``stages``, the collision maps of its gauged stage
     unitary (:func:`_stage_unitaries`) in the stream's layout
-    (:func:`_pauli_maps`), stacked as (stages, 3 d^4 + 9 d^2): a quadratic
-    form in the stage's 9 coefficients, or the last stage's 3, read off
-    :data:`_STAGE_TABLES`.  The rotated table is contracted only when
-    ``stages`` holds a rotated stage: the last stage alone needs none."""
-    m, d = len(range(config.n_baths - 1)[stages]), config.ancilla_dim  # m: rotated stages
-    coefs = _exchange_coefficients(config.collision_angles[stages], d)
-    rotated, last = _STAGE_TABLES[d]
-    maps = []
-    if m:
-        theta = 0.0 if config.rotation.axis == "z" else config.rotation.theta
-        r = np.array([1.0, math.cos(theta), math.sin(theta)])
-        maps.append(_quadratic((r[:, None] * coefs[:m, None]).reshape(m, 9), rotated))
-    if len(coefs) > m:
-        maps.append(_quadratic(coefs[m:], last))
-    return np.concatenate(maps)
+    (:func:`_pauli_maps`), stacked as (stages, 3 d^4 + 9 d^2): the quadratic
+    form sum_ab c_a c_b T_ab in the stage's 9 coefficients r_j c_k, read off
+    :data:`_STAGE_TABLES`.  ``np.einsum`` sums every entry in one loop, so a
+    stage's maps do not depend on how many stages one call contracts."""
+    d = config.ancilla_dim
+    r = _rotation_coefficients(_stage_thetas(config)[stages])
+    c = _exchange_coefficients(config.collision_angles[stages], d)
+    coefs = (r[:, :, None] * c[:, None]).reshape(len(c), 9)
+    a, b = _PAIRS
+    return np.einsum("sk,kf->sf", coefs[:, a] * coefs[:, b], _STAGE_TABLES[d])
 
 
 def _ungauge(x: np.ndarray, config: ProtocolConfig) -> np.ndarray:

@@ -12,7 +12,7 @@ from colltherm import protocols
 def stages_built(monkeypatch):
     """The number of stages each marginal-stream call builds and runs, in
     call order: the stages whose collision maps ``protocols._stage_maps``
-    contracts from the tables."""
+    contracts from the table."""
     built, stage_maps = [], protocols._stage_maps
 
     def counting(config, *args):

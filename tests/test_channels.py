@@ -23,10 +23,12 @@ import pytest
 
 import oracles
 from colltherm.channels import (
+    _ROTATION_TABLES,
     BathSpec,
     RotationSpec,
     _gad_pairs,
     _gibbs,
+    _rotation_stack,
     collision_maps,
     collision_superoperator,
     collision_unitary,
@@ -310,6 +312,14 @@ def test_rotation_unitary_against_taylor(rng):
             for dim, gen in ((2, pauli[axis]), (3, spin1[axis])):
                 expected = oracles.taylor_expm(-1j * theta * gen)
                 npt.assert_allclose(spec.unitary(dim), expected, atol=1e-12)
+    # at theta = 0 the closed form is the identity exactly, on the public
+    # tables and on the evaluators' real gauged y table: the last stage,
+    # which no rotation follows, runs the common path bit for bit
+    for dim in (2, 3):
+        gauged_y = _ROTATION_TABLES[dim]["y"].real
+        assert np.array_equal(_rotation_stack((0.0,), gauged_y), np.eye(dim)[None]), dim
+        for axis in "xyz":
+            assert np.array_equal(RotationSpec(0.0, axis).unitary(dim), np.eye(dim)), (dim, axis)
     with pytest.raises(ValueError, match="no rotation generator for ancilla dimension 4"):
         RotationSpec(0.3).unitary(4)
 

@@ -477,20 +477,31 @@ def test_no_stray_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_a_failed_rename_leaves_no_temp_file(tmp_path):
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_into_a_missing_directory_is_a_config_error(tmp_path, capsys, command):
+    """An ``--out`` that cannot be written is a config error naming it
+    (exit 2), not a traceback naming the temporary file."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out: cannot write '{out}': No such file or directory\n"
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys):
     """``--out`` naming an existing directory: the table is written to a
     temporary file beside it, the rename onto the directory fails, and the
-    temporary file is removed before the error propagates."""
+    temporary file is removed before the config error is reported."""
     cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
     (tmp_path / "o.csv").mkdir()
-    with pytest.raises(OSError):
-        main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "--out: cannot write" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "o.csv"]
 
 
-def test_a_failed_cleanup_reraises_the_rename_error(tmp_path, monkeypatch):
+def test_a_failed_cleanup_reports_the_rename_error(tmp_path, monkeypatch, capsys):
     """When the rename fails and removing the temporary file fails too, the
-    caller sees the rename's error, not the cleanup's."""
+    caller is told the rename's error, not the cleanup's."""
     def failing(name):
         def fail(*args):
             raise OSError(f"{name} failed")
@@ -499,8 +510,8 @@ def test_a_failed_cleanup_reraises_the_rename_error(tmp_path, monkeypatch):
     cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
     monkeypatch.setattr(os, "replace", failing("replace"))
     monkeypatch.setattr(os, "unlink", failing("unlink"))
-    with pytest.raises(OSError, match="^replace failed$"):
-        main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.endswith("': replace failed\n")
 
 
 def test_new_outputs_get_the_mode_open_gives(tmp_path):

@@ -1143,37 +1143,6 @@ def test_sweep_retains_nothing_after_it_returns():
         assert retained < 0.1e6, grid.axis_name
 
 
-def test_a_last_stage_sweep_contracts_the_rotated_table_once(monkeypatch):
-    """No rotation follows the last collision: a marginal-stream sweep along
-    the last stage's angle contracts the rotated stages' table once, for
-    the stages it hands its points, and no point contracts it again (the
-    last stage alone contracts none); one evaluation with no prefix
-    contracts it once."""
-    contracted, quadratic = [], protocols._quadratic
-    rotated = [tables[0] for tables in protocols._STAGE_TABLES.values()]
-
-    def counting(coefs, table):
-        if any(table is t for t in rotated):
-            contracted.append(len(coefs))
-        return quadratic(coefs, table)
-
-    monkeypatch.setattr(protocols, "_quadratic", counting)
-    for axis, base in (
-        ("g_t2_over_pi", two_bath_config(n_ancillas=3)),
-        ("g_t3_over_pi", three_bath_config(n_ancillas=3)),
-    ):
-        del contracted[:]
-        points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
-        assert [row["error"] for row, _ in points] == [None] * len(_AXIS_VALUES[axis])
-        assert contracted == [base.n_baths - 1]
-        del contracted[:]
-        protocols._stage_maps(base, slice(base.n_baths - 1, None))
-        assert contracted == []
-    del contracted[:]
-    evaluate(two_bath_config(n_ancillas=3), "uncorrelated")
-    assert contracted == [1]
-
-
 def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
     """A stage prefix that cannot be built does not stop the sweep: each
     point runs those stages itself and records the error in its row."""
