@@ -299,7 +299,6 @@ def _report_payload(report: EstimationReport) -> dict:
             "eta_acc": report.eta_acc,
             "det_qfim": report.qfim.det,
             "trace_qfim": report.qfim.trace,
-            "sld_commutator_norm": report.sld_commutator_norm,
             "singular": report.singular,
         }
     )

@@ -39,7 +39,6 @@ flag by :func:`build_report` alone:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,13 +72,17 @@ STATE_PSD_TOL = 1e-10         # most negative state eigenvalue allowed (eigensol
 
 def _check_derivs(derivs: np.ndarray) -> None:
     """Derivatives stacked as (K, N, d, d) must be Hermitian and traceless;
-    the message names the first offending one in stack order."""
-    herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    trace = np.abs(derivs.trace(axis1=-2, axis2=-1))
-    bad = (herm > DERIV_HERM_TOL) | (trace > DERIV_TRACE_TOL)
+    the message names the first offending one in stack order.  An inf or NaN
+    entry makes its defects NaN, and the checks are written so that NaN fails."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        trace = np.abs(derivs.trace(axis1=-2, axis2=-1))
+    bad = ~((herm <= DERIV_HERM_TOL) & (trace <= DERIV_TRACE_TOL))
     if bad.any():
         k, mu = np.argwhere(bad)[0]
-        if herm[k, mu] > DERIV_HERM_TOL:
+        if not np.isfinite(derivs[k, mu]).all():
+            raise ValueError(f"derivative {mu} not finite")
+        if not herm[k, mu] <= DERIV_HERM_TOL:
             raise ValueError(f"derivative {mu} not Hermitian: defect {herm[k, mu]:.3e}")
         raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
 
@@ -107,8 +110,8 @@ class Qfim:
     A plain record: :func:`qfim_stack` has checked the matrix.  ``slds`` may
     be empty: for additively composed matrices (product-state streams) the
     logarithmic derivatives live block-locally on the individual factors
-    and only their matrix sum is meaningful, and the reports of
-    :func:`colltherm.protocols.evaluate` keep only the SLD commutator norm.
+    and only their matrix sum is meaningful, so the reports of
+    :func:`colltherm.protocols.evaluate` keep none.
     ``det`` and ``trace`` are formed once, at construction, so the report,
     the merit row and the summary share one factorisation.
     """
@@ -131,16 +134,14 @@ class Qfim:
 class QfimStack:
     """The per-state results of :func:`qfim_stack` for K state families.
 
-    ``matrices`` (K, N, N) are the QFIMs, ``support_dims`` the ranks of the
-    states (eigenvalues above the support cutoff) and ``commutator_norms``
-    (K,) the largest ||[L_i, L_j]||_F of each state's SLDs.  ``eigvecs``
+    ``matrices`` (K, N, N) are the QFIMs and ``support_dims`` the ranks of
+    the states (eigenvalues above the support cutoff).  ``eigvecs``
     (K, d, d) and ``eigen_slds`` (K, N, d, d) hold the SLDs in each state's
     eigenbasis; :meth:`slds` rotates one state's back.
     """
 
     matrices: np.ndarray
     support_dims: tuple[int, ...]
-    commutator_norms: np.ndarray
     eigvecs: np.ndarray
     eigen_slds: np.ndarray
 
@@ -156,18 +157,15 @@ class EstimationReport:
 
     ``thermal`` is the (N,) vector of per-bath benchmarks F_th^i.
     ``eta_acc`` is -inf exactly when ``singular`` is true (the rule is
-    :func:`build_report`'s).  ``sld_commutator_norm`` is the largest
-    ||[L_i, L_j]||_F over SLD pairs, in units of T^-2: in the product modes
-    the largest single ancilla's, in the correlated mode the whole
-    register's.  It does not decide whether the QFIM bound is attainable;
-    Tr rho [L_i, L_j] does, and it vanishes for every engine state.
+    :func:`build_report`'s).  The QFIM bound is attainable when the SLDs
+    commute weakly, Tr rho [L_i, L_j] = 0; every engine state is real in
+    its gauge, so that trace vanishes and no report carries it.
     """
 
     qfim: Qfim
     thermal: np.ndarray
     eta_joint: float
     eta_acc: float
-    sld_commutator_norm: float
     singular: bool
 
 
@@ -183,15 +181,11 @@ def qfim_stack(stacks) -> QfimStack:
 
         F_ij = sum_ab lambda_a Re(L_i[a, b] conj(L_j[a, b])).
 
-    The commutator norm ||[L_i, L_j]||_F is taken in the eigenbasis too: the
-    Frobenius norm is unitarily invariant, and for Hermitian L_i the
-    commutator is P - P^dag with P = L_i L_j.
-
     Raises, naming the same quantities as for a single state, if any
-    derivative is not Hermitian or traceless, any state is not Hermitian or
-    its eigendecomposition inexact, any derivative has weight above 1e-8 in
-    the kernel-kernel block of its state (the family leaves its support, and
-    no SLD reproduces it), or any F is not symmetric PSD.  Every state must
+    derivative is not finite, Hermitian or traceless, any state is not
+    Hermitian or its eigendecomposition inexact, any derivative has weight
+    above 1e-8 in the kernel-kernel block of its state (the family leaves its
+    support, and no SLD reproduces it), or any F is not symmetric PSD.  Every state must
     also have unit trace to :data:`STATE_TRACE_TOL` and no eigenvalue below
     ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
     anyway, and the message names the offending state's stack index.
@@ -224,13 +218,8 @@ def qfim_stack(stacks) -> QfimStack:
         )
     lt = dr * np.divide(2.0, s, out=np.zeros_like(s), where=support)[:, None]
     f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
-    comm = np.zeros(len(w))
-    for i, j in itertools.combinations(range(lt.shape[1]), 2):
-        p = lt[:, i] @ lt[:, j]
-        c = p - p.conj().swapaxes(-1, -2)
-        comm = np.maximum(comm, np.sqrt(np.einsum("kab,kab->k", c, c.conj()).real))
     support_dims = tuple((w > SUPPORT_CUTOFF).sum(axis=-1).tolist())
-    return QfimStack(f, support_dims, comm, v, lt)
+    return QfimStack(f, support_dims, v, lt)
 
 
 def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
@@ -275,11 +264,7 @@ def singularity_test(stack) -> tuple[bool, float | None]:
     return False, None
 
 
-def build_report(
-    qf: Qfim,
-    thermal: np.ndarray,
-    sld_commutator_norm: float = 0.0,
-) -> EstimationReport:
+def build_report(qf: Qfim, thermal: np.ndarray) -> EstimationReport:
     """Assemble an :class:`EstimationReport` from a QFIM and the benchmark
     vector of :func:`thermal_fim`: the one place the merits and the
     singular flag are formed.  Raises for a degenerate benchmark.
@@ -302,6 +287,5 @@ def build_report(
         thermal=thermal,
         eta_joint=qf.trace / tr_th,
         eta_acc=float("-inf") if singular else math.log(det / det_th),
-        sld_commutator_norm=float(sld_commutator_norm),
         singular=singular,
     )

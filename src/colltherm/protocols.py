@@ -345,7 +345,7 @@ def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     stacks = _stream_tangents(config)
     qs = qfim_stack(stacks)
     qf = Qfim(qs.matrices[0], tuple(_ungauge(np.array(qs.slds(0)), config)), qs.support_dims[0])
-    report = build_report(qf, thermal_fim(config.baths), qs.commutator_norms[0])
+    report = build_report(qf, thermal_fim(config.baths))
     return _ungauge(stacks[0, 0], config), report
 
 
@@ -557,19 +557,16 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
     picks the engine, the joint simulation or the marginal stream; a named
     ``scenario`` is checked against the config first (:func:`check_scenario`).
 
-    Reports keep the SLD commutator norm but not the SLDs themselves, so a
-    caller holding many reports holds only small matrices;
-    :func:`single_run` returns the single-ancilla SLDs.  Only :func:`sweep`
-    passes a ``_prefix``.
+    Reports do not keep the SLDs, so a caller holding many reports holds
+    only small matrices; :func:`single_run` returns the single-ancilla
+    SLDs.  Only :func:`sweep` passes a ``_prefix``.
     """
     check_scenario(scenario, config)
-    # the engine's K states form a product: their QFIMs add, their supports
-    # multiply, and the commutator norm is the largest of any one state's,
-    # not the product state's (see EstimationReport)
+    # the engine's K states form a product: their QFIMs add, their supports multiply
     qs = qfim_stack(_joint_tangents(config)[None] if config.correlated
                     else _stream_tangents(config, _prefix))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
-    return build_report(qf, thermal_fim(config.baths), qs.commutator_norms.max())
+    return build_report(qf, thermal_fim(config.baths))
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +615,8 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     if not (step > 0 and stop >= start):
         raise ValueError("need step > 0 and stop >= start")
     span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"the step count (stop - start) / step = {span} is not finite")
     n = round(span)
     if abs(span - n) > 1e-9 * span:
         n = math.floor(span)

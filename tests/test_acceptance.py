@@ -201,7 +201,8 @@ def test_criterion_04_closed_form_state_and_slds():
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[0] - l1))))
         res_sld = max(res_sld, float(np.max(np.abs(rep.qfim.slds[1] - l2))))
         if float(np.linalg.eigvalsh(state)[0]) > 1e-12:  # full rank
-            min_comm = min(min_comm, rep.sld_commutator_norm)
+            a, b = rep.qfim.slds
+            min_comm = min(min_comm, float(np.linalg.norm(a @ b - b @ a)))
 
     ok = res_state <= 1e-10 and res_sld <= 1e-8 and min_comm > 1e-10
     _line(

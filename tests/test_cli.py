@@ -84,6 +84,9 @@ def test_run_single_point_config(tmp_path):
     assert man["output_path"] == str(out)
     assert "seed" not in man  # only verify is seeded
     report = summary["optimum"]["report"]
+    # the report's schema, pinned: a key added or dropped is a deliberate change
+    assert set(report) == {"qfim", "thermal_fim_diag", "eta_joint", "eta_acc",
+                           "det_qfim", "trace_qfim", "singular"}
     assert len(report["qfim"]) == 2 and len(report["qfim"][0]) == 2
     assert report["eta_joint"] == pytest.approx(float(rows[0]["eta_joint"]), rel=1e-12)
     assert len(report["thermal_fim_diag"]) == 2
@@ -262,6 +265,9 @@ def test_sweep_axis_naming_missing_stage_is_config_error(tmp_path, capsys):
          "config error: sweep.values: expected a nonempty list of numbers"),
         (lambda s: s + "sweep: {axis: g_t2_over_pi, start: 0.5, stop: 0.1, step: 0.1}\n",
          "config error: sweep: need step > 0 and stop >= start"),
+        # a step so small that the step count overflows, not a traceback
+        (lambda s: s + "sweep: {axis: gamma_t, start: 0, stop: 1, step: 1.0e-320}\n",
+         "config error: sweep: the step count (stop - start) / step = inf is not finite"),
         (lambda s: s + "baths: [\n", "config error: config file does not parse as YAML"),
         (lambda s: "- " + s.replace("\n", "\n  "), "config error: config root must be a mapping"),
         (lambda s: s[:s.index("baths:")] + "baths: []\n" + s[s.index("collision_angles"):],

@@ -149,13 +149,6 @@ def _family_stack(rng, dim, n_params, rank):
 KERNEL_CASES = [(dim, n, rank) for dim in (2, 3) for n in (2, 3) for rank in range(1, dim + 1)]
 
 
-def _oracle_commutator_norm(stack):
-    slds = [oracles.sld_pinv(stack[0], d) for d in stack[1:]]
-    return max(
-        np.linalg.norm(a @ b - b @ a) for i, a in enumerate(slds) for b in slds[i + 1:]
-    )
-
-
 @pytest.mark.parametrize("dim, n_params, rank", KERNEL_CASES)
 def test_qfim_stack_matches_pseudoinverse_route(rng, dim, n_params, rank):
     stacks = np.array([_family_stack(rng, dim, n_params, rank) for _ in range(5)])
@@ -165,8 +158,6 @@ def test_qfim_stack_matches_pseudoinverse_route(rng, dim, n_params, rank):
     for k, stack in enumerate(stacks):
         expected = oracles.qfim_pinv(stack[0], stack[1:])
         assert np.max(np.abs(qs.matrices[k] - expected)) <= 1e-10 * np.max(np.abs(expected))
-        comm = _oracle_commutator_norm(stack)
-        assert qs.commutator_norms[k] == pytest.approx(comm, rel=1e-10, abs=1e-10)
         for mine, theirs in zip(qs.slds(k), stack[1:]):
             npt.assert_allclose(mine, oracles.sld_pinv(stack[0], theirs), atol=1e-10)
 
@@ -177,7 +168,6 @@ def test_qfim_stack_equals_states_one_at_a_time(rng):
     for k in range(len(stacks)):
         alone = qfim_stack(stacks[k:k + 1])
         npt.assert_allclose(whole.matrices[k], alone.matrices[0], rtol=1e-13, atol=1e-15)
-        npt.assert_allclose(whole.commutator_norms[k], alone.commutator_norms[0], rtol=1e-13)
         assert whole.support_dims[k] == alone.support_dims[0]
         for a, b in zip(whole.slds(k), alone.slds(0)):
             npt.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
@@ -189,6 +179,14 @@ def _offend_deriv_herm(stack):
 
 def _offend_deriv_trace(stack):
     stack[2] += 1e-6 * np.eye(2)
+
+
+def _offend_deriv_nan(stack):
+    stack[2, 0, 1] = stack[2, 1, 0] = np.nan  # NaN fails no comparison with a tolerance
+
+
+def _offend_deriv_inf(stack):
+    stack[2] = np.diag([np.inf, -np.inf])  # Hermitian and traceless as written
 
 
 def _offend_state_herm(stack):
@@ -210,6 +208,8 @@ def _offend_support(stack):
     [
         (_offend_deriv_herm, "derivative 1 not Hermitian: defect 1.000e-06"),
         (_offend_deriv_trace, "derivative 1 not traceless: [|]trace[|] 2.000e-06"),
+        (_offend_deriv_nan, "derivative 1 not finite"),
+        (_offend_deriv_inf, "derivative 1 not finite"),
         (_offend_state_herm, "input not Hermitian: defect 1.000e-06 > 1e-10"),
         (_offend_residual, "eigendecomposition residual"),
         (_offend_support, "connecting the kernel of the state to itself"),
@@ -482,6 +482,11 @@ def test_singularity_test_input_validation(rng):
     stack[1] += 1e-6 * np.eye(2)
     with pytest.raises(ValueError, match="derivative 0 not traceless"):
         singularity_test(stack)
+    for bad in (np.nan, np.inf):
+        stack = _qubit_family(rng)
+        stack[2] = np.diag([bad, -bad])
+        with pytest.raises(ValueError, match="derivative 1 not finite"):
+            singularity_test(stack)
 
 
 # ---------------------------------------------------------------------------

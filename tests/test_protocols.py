@@ -74,7 +74,7 @@ def assert_same_report(a, b):
     """Two reports agree bit for bit: QFIM, thermal benchmark and merits."""
     npt.assert_array_equal(a.qfim.matrix, b.qfim.matrix)
     npt.assert_array_equal(a.thermal, b.thermal)
-    merits = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
+    merits = ("eta_joint", "eta_acc", "singular")
     assert [getattr(a, m) for m in merits] == [getattr(b, m) for m in merits]
 
 
@@ -255,7 +255,8 @@ def test_single_run_qfim_against_bloch_oracle():
     expected = oracles.qfim_bloch(rho, [d1, d2])
     npt.assert_allclose(rep.qfim.matrix, expected, rtol=1e-6, atol=1e-9)
     assert not rep.singular
-    assert rep.sld_commutator_norm > 1e-10
+    l1, l2 = rep.qfim.slds
+    assert np.linalg.norm(l1 @ l2 - l2 @ l1) > 1e-10
 
 
 def test_full_swap_reads_second_bath_only():
@@ -939,6 +940,10 @@ def test_sweep_values_never_pass_stop():
     for bad in ((0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 0.0, 0.1)):
         with pytest.raises(ValueError, match="step > 0 and stop >= start"):
             sweep_values(*bad)
+    # a step count that overflows is named, not an OverflowError from round()
+    for bad in ((0.0, 1.0, 1e-320), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match=r"\(stop - start\) / step = inf is not finite"):
+            sweep_values(*bad)
 
 
 def test_sweep_grid_validation():
@@ -1016,7 +1021,7 @@ def test_evaluate_unknown_scenario():
 # the stage prefix a stream call shares with the call before it
 # ---------------------------------------------------------------------------
 
-_MERITS = ("eta_joint", "eta_acc", "sld_commutator_norm", "singular")
+_MERITS = ("eta_joint", "eta_acc", "singular")
 _AXIS_VALUES = {
     "g_t1_over_pi": (0.0, 0.25, 0.5, 0.8),
     "g_t2_over_pi": (0.0, 0.25, 0.5, 0.8),
