@@ -228,8 +228,11 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
     :func:`colltherm.channels._gibbs`:
 
         F_th = (omega/T^2) d lambda_0/dT = omega^2 sech^2(omega / 2T) / (4 T^4).
+
+    T^2 is written T * T: a float ``**`` raises ``OverflowError`` past
+    T ~ 1.3e154, where the product gives inf and F_th underflows to 0.
     """
-    return np.array([b.omega / b.temperature**2 * _gibbs(b.omega, b.temperature)[2]
+    return np.array([b.omega / (b.temperature * b.temperature) * _gibbs(b.omega, b.temperature)[2]
                      for b in baths])
 
 

@@ -75,7 +75,11 @@ In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
 :func:`evaluate`.  A point along the last stage's angle, which every preset
-sweeps, runs that stage alone.  Nothing either call computes outlives it.
+sweeps, runs that stage alone.  In the joint simulation the probes' Gibbs
+register and rethermalization product read the baths alone, so a sweep
+along any axis but ``gamma_t`` builds them once and hands them to each
+point the same way (:func:`_probe_products`).  Nothing either call
+computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -468,7 +472,17 @@ def _probe_product(pairs, shape) -> np.ndarray:
     return out
 
 
-def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
+def _probe_products(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The probes' Gibbs register, (1 + N, 1, P^2), and the product of their
+    rethermalizations, (1 + N, 1, P^2, P^2), each with its derivative
+    registers (:func:`_probe_product`): read off ``config.baths`` alone."""
+    nt, pp = 1 + config.n_baths, 4**config.n_baths
+    gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_probe_tangents(config))]
+    reg = _probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp)
+    return reg, _probe_product(_gad_pairs(config.baths), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
+
+
+def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.ndarray:
     """The n-ancilla final state of the joint simulation and its temperature
     derivatives, stacked as (1 + N, d^n, d^n) in natural ancilla order.
 
@@ -485,6 +499,9 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     map is fused with the probe trace, sum_p V_p R V_p^dag, so the final
     register with probes is never formed; one transpose of its flat
     (b_1, b'_1, ..., b_n, b'_n) index puts the rows before the columns.
+
+    ``probes`` are :func:`_probe_products` of a config with the same baths
+    (a sweep builds them once); without them the call builds its own.
     """
     jd = config.joint_dim()
     if jd > SIM_DIM_CAP:
@@ -495,13 +512,11 @@ def _joint_tangents(config: ProtocolConfig) -> np.ndarray:
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, pp = 1 + nb, 4**nb
     v = _ancilla_isometry(config)
-    gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_probe_tangents(config))]
-    reg = _probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp)
+    reg, therm = probes or _probe_products(config)
     if n > 1:
         # (q, q') -> (b, b', p, p'): collide, then rethermalize; per register,
         # transposed for right-multiplication
         meet = np.einsum("bpq,crs->bcprqs", v, v.conj()).reshape(d * d, pp, pp)
-        therm = _probe_product(_gad_pairs(config.baths), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
         step = np.matmul(therm, meet).reshape(nt, d * d * pp, pp).transpose(0, 2, 1)
         for _ in range(n - 1):
             grown = (reg.reshape(-1, pp) @ step[0]).reshape(nt, -1, pp)
@@ -559,11 +574,13 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
 
     Reports do not keep the SLDs, so a caller holding many reports holds
     only small matrices; :func:`single_run` returns the single-ancilla
-    SLDs.  Only :func:`sweep` passes a ``_prefix``.
+    SLDs.  Only :func:`sweep` passes a ``_prefix``, what it built once for
+    its points: the marginal stream's stage prefix, or the joint
+    simulation's :func:`_probe_products`.
     """
     check_scenario(scenario, config)
     # the engine's K states form a product: their QFIMs add, their supports multiply
-    qs = qfim_stack(_joint_tangents(config)[None] if config.correlated
+    qs = qfim_stack(_joint_tangents(config, _prefix)[None] if config.correlated
                     else _stream_tangents(config, _prefix))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
     return build_report(qf, thermal_fim(config.baths))
@@ -680,11 +697,15 @@ def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
     value, the row being :func:`point`'s with the value in ``axis_value``.
     A point that fails, or that the grid cannot place, records its error
     in-row, has report None, and the sweep continues.  Along angle s the
-    marginal stream runs the stages before s once, on ``grid.fixed``, and
-    each point makes one :func:`evaluate` call from there."""
+    marginal stream runs the stages before s once, on ``grid.fixed``; along
+    any axis but ``gamma_t``, which moves the baths, the joint simulation
+    builds its :func:`_probe_products` once.  Each point makes one
+    :func:`evaluate` call from there."""
     stage, prefix = _ANGLE_AXES.get(grid.axis_name), None
-    if stage and not grid.fixed.correlated:
-        with suppress(Exception):  # if this fails, each point fails alike in its own row
+    with suppress(Exception):  # if this fails, each point fails alike in its own row
+        if grid.fixed.correlated and grid.axis_name != "gamma_t":
+            prefix = _probe_products(grid.fixed)
+        elif stage:
             prefix = stage, _stream_tangents(grid.fixed, stop=stage)
     points = []
     for value in grid.values:

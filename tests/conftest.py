@@ -25,6 +25,21 @@ def stages_built(monkeypatch):
 
 
 @pytest.fixture
+def probe_products_built(monkeypatch):
+    """The probe products the joint simulation builds, in call order:
+    ``"gibbs"`` for the probes' Gibbs register and ``"therm"`` for their
+    rethermalization product, as ``protocols._probe_product`` forms them."""
+    built, probe_product = [], protocols._probe_product
+
+    def counting(pairs, shape):
+        built.append("therm" if shape[2:] == (2, 2) else "gibbs")
+        return probe_product(pairs, shape)
+
+    monkeypatch.setattr(protocols, "_probe_product", counting)
+    return built
+
+
+@pytest.fixture
 def rng():
     """Fresh seeded generator per test; keep failures reproducible."""
     return np.random.default_rng(20250825)

@@ -184,6 +184,28 @@ def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built
         assert evaluated == [series.grid.at(row["axis_value"]) for row, _ in points]
 
 
+def test_fig4_correlated_series_build_their_probe_products_once(probe_products_built,
+                                                                monkeypatch):
+    """Along g_t2 the baths stay put, so each correlated series of fig4
+    builds the probes' Gibbs register and rethermalization product once,
+    on its fixed config, and makes one ``protocols.evaluate`` call per
+    point; an uncorrelated series builds neither."""
+    evaluated, evaluate = [], protocols.evaluate
+
+    def counting(config, *args, **kwargs):
+        evaluated.append(config)
+        return evaluate(config, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "evaluate", counting)
+    for series in PRESETS["fig4"]:
+        del probe_products_built[:], evaluated[:]
+        points = protocols.sweep(series.grid)
+        assert all(row["error"] is None for row, _ in points)
+        correlated = series.labels["mode"] == "correlated"
+        assert probe_products_built == (["gibbs", "therm"] if correlated else [])
+        assert evaluated == [series.grid.at(row["axis_value"]) for row, _ in points]
+
+
 def test_run_group_is_deterministic():
     a = run_group("closedform", seed=99, trials=20)
     b = run_group("closedform", seed=99, trials=20)

@@ -1018,7 +1018,8 @@ def test_evaluate_unknown_scenario():
 
 
 # ---------------------------------------------------------------------------
-# the stage prefix a stream call shares with the call before it
+# what a sweep builds once for its points: the marginal stream's stage
+# prefix, the joint simulation's probe products
 # ---------------------------------------------------------------------------
 
 _MERITS = ("eta_joint", "eta_acc", "singular")
@@ -1030,23 +1031,25 @@ _AXIS_VALUES = {
     "gamma_t": (0.0, 0.5, 2.0),
     "n_ancillas": (1.0, 2.0, 3.0),
 }
-_STREAM_BASES = {
+_SWEEP_BASES = {
     "single": two_bath_config(),
     "uncorrelated": two_bath_config(n_ancillas=3),
     "qutrit": three_bath_config(n_ancillas=3),
+    "correlated": two_bath_config(n_ancillas=3, correlated=True),
 }
 
 
 @pytest.mark.parametrize("scenario, axis", [
-    (scenario, axis) for scenario, base in _STREAM_BASES.items() for axis in SWEEP_AXES
+    (scenario, axis) for scenario, base in _SWEEP_BASES.items() for axis in SWEEP_AXES
     if axis != "g_t3_over_pi" or base.n_baths == 3
 ])
 def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
     """Along every sweep axis, each point's report equals, with ``==`` on
     the QFIM and every merit, a fresh evaluation of that point: the stages
-    the sweep runs once for all its points are what each would have run."""
+    or probe products the sweep builds once for all its points are what
+    each would have built."""
     values = (1.0,) if (scenario, axis) == ("single", "n_ancillas") else _AXIS_VALUES[axis]
-    grid = SweepGrid(axis, values, _STREAM_BASES[scenario])
+    grid = SweepGrid(axis, values, _SWEEP_BASES[scenario])
     for value, (row, rep) in zip(values, sweep(grid)):
         assert row["error"] is None
         fresh = evaluate(grid.at(value), scenario)
@@ -1157,6 +1160,59 @@ def test_a_failing_stage_prefix_is_recorded_in_every_row(monkeypatch):
     monkeypatch.setattr(protocols, "_stage_maps", failing)
     points = sweep(SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3)))
     assert [row["error"] for row, _ in points] == ["ValueError: no stage maps"] * 2
+
+
+def test_a_failing_probe_build_is_recorded_in_every_row(monkeypatch):
+    """Probe products a correlated sweep cannot build do not stop it: each
+    point builds its own, and records the error in its row."""
+    calls = []
+
+    def failing(pairs, shape):
+        calls.append(shape)
+        raise ValueError("no probe product")
+
+    monkeypatch.setattr(protocols, "_probe_product", failing)
+    grid = SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3, correlated=True))
+    points = sweep(grid)
+    assert [row["error"] for row, _ in points] == ["ValueError: no probe product"] * 2
+    assert len(calls) == 1 + len(points)
+
+
+@pytest.mark.parametrize("axis", ["g_t2_over_pi", "theta_over_pi", "n_ancillas", "gamma_t"])
+def test_a_correlated_sweep_builds_its_probe_products_once_unless_the_baths_move(
+        axis, probe_products_built):
+    """The probes' Gibbs register and rethermalization product read the
+    baths alone: a correlated sweep builds them once, on ``grid.fixed``,
+    along every axis that leaves the baths alone, and a ``gamma_t`` sweep,
+    whose points have baths of their own, builds them at every point."""
+    grid = SweepGrid(axis, _AXIS_VALUES[axis], two_bath_config(n_ancillas=3, correlated=True))
+    points = sweep(grid)
+    assert all(row["error"] is None for row, _ in points)
+    per_build = ["gibbs", "therm"]
+    assert probe_products_built == (per_build * len(points) if axis == "gamma_t" else per_build)
+
+
+def test_temperatures_past_a_float_square_raise_a_named_error():
+    """T^2 overflows a float past T ~ 1.3e154: F_th then underflows to 0,
+    and every evaluator, at n = 1 and beyond, raises a named ``ValueError``
+    (the degenerate thermal benchmark, or a derivative that is not finite),
+    never an ``OverflowError``."""
+    assert thermal_fim([BathSpec(1e155)]).tolist() == [0.0]
+    baths = (BathSpec(1e160, therm_time=0.5), BathSpec(1.0, therm_time=0.5))
+    calls = [
+        lambda: single_run(two_bath_config(baths=baths)),
+        lambda: evaluate(two_bath_config(baths=baths), "single"),
+        lambda: evaluate(two_bath_config(baths=baths, n_ancillas=3), "uncorrelated"),
+    ]
+    for n in (1, 2):
+        cfg = two_bath_config(baths=baths, n_ancillas=n, correlated=True)
+        calls.append(lambda cfg=cfg: evaluate(cfg, "correlated"))
+    for n in (1, 3):
+        cfg = three_bath_config(baths=baths + (BathSpec(1.0, therm_time=0.5),), n_ancillas=n)
+        calls.append(lambda cfg=cfg: evaluate(cfg, "qutrit"))
+    for call in calls:
+        with pytest.raises(ValueError, match="degenerate thermal benchmark|not finite"):
+            call()
 
 
 @pytest.mark.parametrize(
