@@ -58,28 +58,31 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 The gauged exchange masks and y-rotation table are made once, at import;
-each evaluation builds its rethermalizations
-(:func:`colltherm.channels._gad_pairs`) as a stack, and the joint
-simulation its stage unitaries (:func:`_stage_unitaries`).  Every stage is
-built one way: its collision, then a rotation at the stage's angle
-(:func:`_stage_thetas`), which is 0, the identity exactly, on the last
-stage.  A stage unitary is linear in the 9 products of (1, cos a, sin a)
-over the gauged exchange masks with (1, cos theta, sin theta) over the
-gauged y table, and its collision maps are quadratic in the unitary.  So
-the marginal stream reads each stage's maps off one table per ancilla
-dimension, of every pair of basis unitaries, made once at import from
-:func:`colltherm.channels.collision_maps` (:data:`_STAGE_TABLES`), with
-one contraction per call (:func:`_stage_maps`).
+each evaluation, or a sweep once for its points, builds its
+rethermalizations (:func:`colltherm.channels._gad_pairs`) as a stack, and
+the joint simulation its stage unitaries (:func:`_stage_unitaries`).
+Every stage is built one way: its collision, then a rotation at the
+stage's angle (:func:`_stage_thetas`), which is 0, the identity exactly,
+on the last stage.  A stage unitary is linear in the 9 products of (1,
+cos a, sin a) over the gauged exchange masks with (1, cos theta, sin
+theta) over the gauged y table, and its collision maps are quadratic in
+the unitary.  So the marginal stream reads each stage's maps off one
+table per ancilla dimension, of every pair of basis unitaries, made once
+at import from :func:`colltherm.channels.collision_maps`
+(:data:`_STAGE_TABLES`), with one contraction per call
+(:func:`_stage_maps`).
 
 In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
 :func:`evaluate`.  A point along the last stage's angle, which every preset
-sweeps, runs that stage alone.  In the joint simulation the probes' Gibbs
-register and rethermalization product read the baths alone, so a sweep
-along any axis but ``gamma_t`` builds them once and hands them to each
-point the same way (:func:`_probe_products`).  Nothing either call
-computes outlives it.
+sweeps, runs that stage alone.  What the baths alone decide, a sweep along
+any axis but ``gamma_t`` builds once and hands to each point the same way:
+the marginal stream's probe tangents and rethermalizations
+(:func:`_stream_baths`), the joint simulation's probes' Gibbs register and
+rethermalization product (:func:`_probe_products`).  No axis moves T or
+omega, so every sweep computes the thermal benchmark once.  Nothing either
+call computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -269,16 +272,15 @@ class ProtocolConfig:
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
 
-def _probe_tangents(config: ProtocolConfig, stages: slice = slice(None)) -> np.ndarray:
-    """Per probe of ``stages``, its Gibbs state and temperature derivatives
-    stacked as (stages, 1 + N, 2, 2), real; probe i depends on T_i alone."""
+def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
+    """Per probe, its Gibbs state and temperature derivatives stacked as
+    (N, 1 + N, 2, 2), real; probe i depends on T_i alone."""
     nb = config.n_baths
-    index = range(nb)[stages]
-    out = np.zeros((len(index), 1 + nb, 2, 2))
-    for k, i in enumerate(index):
-        lam0, lam1, d = _gibbs(config.baths[i].omega, config.baths[i].temperature)[:3]
-        out[k, 0, 0, 0], out[k, 0, 1, 1] = lam0, lam1
-        out[k, 1 + i, 0, 0], out[k, 1 + i, 1, 1] = d, -d
+    out = np.zeros((nb, 1 + nb, 2, 2))
+    for i, bath in enumerate(config.baths):
+        lam0, lam1, d = _gibbs(bath.omega, bath.temperature)[:3]
+        out[i, 0, 0, 0], out[i, 0, 1, 1] = lam0, lam1
+        out[i, 1 + i, 0, 0], out[i, 1 + i, 1, 1] = d, -d
     return out
 
 
@@ -353,8 +355,18 @@ def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     return _ungauge(stacks[0, 0], config), report
 
 
+def _stream_baths(config: ProtocolConfig, rethermalize: bool = True) -> tuple:
+    """The marginal stream's bath pieces, per stage: its probe's Gibbs
+    tangents as Pauli coefficients, (N, 1 + N, 3), and, if ``rethermalize``,
+    the probe's rethermalization S_i and d S_i / dT_i in Pauli form, (N, 2,
+    3, 3), else None.  Both read ``config.baths`` alone."""
+    nb = config.n_baths
+    probes = _probe_tangents(config).reshape(nb, 1 + nb, 4) @ _PAULI.T
+    return probes, _PAULI @ _gad_pairs(config.baths) @ _PAULI.T / 2 if rethermalize else None
+
+
 def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
-                     stop: int | None = None) -> np.ndarray:
+                     stop: int | None = None, baths: tuple | None = None) -> np.ndarray:
     """Per ancilla, its marginal final state and temperature derivatives in
     the sequential stream, stacked as (n, 1 + N, d, d).
 
@@ -382,6 +394,9 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     With ``stop`` it runs stages 0 .. stop - 1 only and returns the ancilla
     stacks after them; a ``prefix`` (s, such stacks of a config that differs
     from this one only in baths and angles from s on) starts it at stage s.
+    ``baths`` are :func:`_stream_baths` of a config with the same baths, for
+    every stage (a sweep builds them once); the call slices the stages it
+    runs, and without them it builds its own.
     """
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, dd = 1 + nb, d * d
@@ -391,12 +406,12 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     maps = _stage_maps(config, stages)
     # the ancilla map with the probe in Pauli coefficients, (ns, 3 d^2, d^2)
     ancilla_maps = maps[:, :3 * dd * dd].reshape(ns, 3 * dd, dd)
-    probes = _probe_tangents(config, stages).reshape(ns, nt, 4) @ _PAULI.T
+    probes, therm = baths or _stream_baths(config, n > 1)
+    probes = probes[stages]
     if n > 1:
         # the probe map in Pauli coefficients, then per stage S_i and d S_i / dT_i
         # after it, identity row dropped: (ns, 2, 3, 3 d^2)
-        therm = _PAULI @ _gad_pairs(config.baths[stages]) @ _PAULI.T / 2
-        probe_maps = therm @ maps[:, None, 3 * dd * dd:].reshape(ns, 1, 3, 3 * dd)
+        probe_maps = therm[stages] @ maps[:, None, 3 * dd * dd:].reshape(ns, 1, 3, 3 * dd)
         probe_maps[:, :, 0] = 0.0
     if anc is None:
         anc = np.zeros((n, nt, dd))
@@ -567,7 +582,7 @@ def check_scenario(scenario: str | None, config: ProtocolConfig) -> None:
 
 
 def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
-             _prefix: tuple | None = None) -> EstimationReport:
+             _prefix: dict | None = None) -> EstimationReport:
     """Report of one config: the one evaluator call.  ``config.correlated``
     picks the engine, the joint simulation or the marginal stream; a named
     ``scenario`` is checked against the config first (:func:`check_scenario`).
@@ -575,15 +590,19 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
     Reports do not keep the SLDs, so a caller holding many reports holds
     only small matrices; :func:`single_run` returns the single-ancilla
     SLDs.  Only :func:`sweep` passes a ``_prefix``, what it built once for
-    its points: the marginal stream's stage prefix, or the joint
-    simulation's :func:`_probe_products`.
+    its points: the thermal benchmark under ``"thermal"``, and the engine's
+    keyword arguments, the marginal stream's stage ``prefix`` and bath
+    pieces (``baths``, :func:`_stream_baths`), or the joint simulation's
+    ``probes`` (:func:`_probe_products`).  What it lacks, the call builds.
     """
     check_scenario(scenario, config)
+    shared = dict(_prefix or {})
+    thermal = shared.pop("thermal", None)
     # the engine's K states form a product: their QFIMs add, their supports multiply
-    qs = qfim_stack(_joint_tangents(config, _prefix)[None] if config.correlated
-                    else _stream_tangents(config, _prefix))
+    qs = qfim_stack(_joint_tangents(config, **shared)[None] if config.correlated
+                    else _stream_tangents(config, **shared))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
-    return build_report(qf, thermal_fim(config.baths))
+    return build_report(qf, thermal_fim(config.baths) if thermal is None else thermal)
 
 
 # ---------------------------------------------------------------------------
@@ -696,19 +715,30 @@ def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
     """Evaluate every grid value, in grid order: one (row, report) pair per
     value, the row being :func:`point`'s with the value in ``axis_value``.
     A point that fails, or that the grid cannot place, records its error
-    in-row, has report None, and the sweep continues.  Along angle s the
-    marginal stream runs the stages before s once, on ``grid.fixed``; along
-    any axis but ``gamma_t``, which moves the baths, the joint simulation
-    builds its :func:`_probe_products` once.  Each point makes one
-    :func:`evaluate` call from there."""
-    stage, prefix = _ANGLE_AXES.get(grid.axis_name), None
-    with suppress(Exception):  # if this fails, each point fails alike in its own row
-        if grid.fixed.correlated and grid.axis_name != "gamma_t":
-            prefix = _probe_products(grid.fixed)
-        elif stage:
-            prefix = stage, _stream_tangents(grid.fixed, stop=stage)
+    in-row, has report None, and the sweep continues.
+
+    What the sweep's fixed config decides for every point it builds once,
+    on ``grid.fixed``: the thermal benchmark, along every axis (none moves
+    T or omega; the reports share it, read-only); along any axis but
+    ``gamma_t``, which moves the baths, the joint simulation's
+    :func:`_probe_products` or the marginal stream's :func:`_stream_baths`
+    (rethermalization included, which an ``n_ancillas`` sweep from n = 1
+    needs); and along angle s the marginal stream's stages before s.  Each
+    point makes one :func:`evaluate` call from there; what the shared
+    build could not make, each point builds, failing alike in its own row."""
+    fixed, stage, shared = grid.fixed, _ANGLE_AXES.get(grid.axis_name), {}
+    with suppress(Exception):
+        shared["thermal"] = thermal_fim(fixed.baths)
+        shared["thermal"].flags.writeable = False
+        if grid.axis_name != "gamma_t":
+            if fixed.correlated:
+                shared["probes"] = _probe_products(fixed)
+            else:
+                shared["baths"] = _stream_baths(fixed)
+        if stage and not fixed.correlated:
+            shared["prefix"] = stage, _stream_tangents(fixed, stop=stage, baths=shared.get("baths"))
     points = []
     for value in grid.values:
-        row, rep = _merits(lambda: evaluate(grid.at(value), _prefix=prefix))
+        row, rep = _merits(lambda: evaluate(grid.at(value), _prefix=shared))
         points.append(({"axis_value": value, **row}, rep))
     return points

@@ -40,6 +40,22 @@ def probe_products_built(monkeypatch):
 
 
 @pytest.fixture
+def stream_baths_built(monkeypatch):
+    """The bath pieces the marginal stream builds, in call order: per
+    ``protocols._stream_baths`` call, whether it built the probes'
+    rethermalizations along with their Gibbs tangents."""
+    built, stream_baths = [], protocols._stream_baths
+
+    def counting(config, *args):
+        probes, therm = stream_baths(config, *args)
+        built.append(therm is not None)
+        return probes, therm
+
+    monkeypatch.setattr(protocols, "_stream_baths", counting)
+    return built
+
+
+@pytest.fixture
 def rng():
     """Fresh seeded generator per test; keep failures reproducible."""
     return np.random.default_rng(20250825)

@@ -162,12 +162,13 @@ def test_run_all_groups_pass():
 
 @pytest.mark.parametrize("name, n_stages", [("fig3", 2), ("fig5", 3)])
 def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built,
-                                                    monkeypatch):
+                                                    stream_baths_built, monkeypatch):
     """Along a g_t2 (fig3) or g_t3 (fig5) series only the last stage moves,
-    so the sweep runs the stages before it, stage 0 in fig3 and stages 0
-    and 1 in fig5, once per series, and every point builds and runs the
-    last stage alone (counted by the stages whose maps
-    ``protocols._stage_maps`` contracts) in one ``protocols.evaluate`` call."""
+    so the sweep builds the bath pieces and runs the stages before it,
+    stage 0 in fig3 and stages 0 and 1 in fig5, once per series, and every
+    point builds and runs the last stage alone (counted by the stages whose
+    maps ``protocols._stage_maps`` contracts) in one ``protocols.evaluate``
+    call, the call the benchmark's latency probe times."""
     evaluated, evaluate = [], protocols.evaluate
 
     def counting(config, *args, **kwargs):
@@ -177,10 +178,12 @@ def test_preset_series_run_their_shared_stages_once(name, n_stages, stages_built
     monkeypatch.setattr(protocols, "evaluate", counting)
     for series in PRESETS[name]:
         before = len(stages_built)
-        del evaluated[:]
+        del evaluated[:], stream_baths_built[:]
         points = protocols.sweep(series.grid)
         assert all(row["error"] is None for row, _ in points)
         assert stages_built[before:] == [n_stages - 1] + [1] * len(points)
+        assert stream_baths_built == [True]
+        assert len(evaluated) == len(series.grid.values)
         assert evaluated == [series.grid.at(row["axis_value"]) for row, _ in points]
 
 

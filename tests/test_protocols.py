@@ -1018,8 +1018,9 @@ def test_evaluate_unknown_scenario():
 
 
 # ---------------------------------------------------------------------------
-# what a sweep builds once for its points: the marginal stream's stage
-# prefix, the joint simulation's probe products
+# what a sweep builds once for its points: the thermal benchmark, the
+# marginal stream's bath pieces and stage prefix, the joint simulation's
+# probe products
 # ---------------------------------------------------------------------------
 
 _MERITS = ("eta_joint", "eta_acc", "singular")
@@ -1055,6 +1056,7 @@ def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
         fresh = evaluate(grid.at(value), scenario)
         assert (rep.qfim.matrix == fresh.qfim.matrix).all()
         assert (rep.qfim.det, rep.qfim.trace) == (fresh.qfim.det, fresh.qfim.trace)
+        assert (rep.thermal == fresh.thermal).all()
         assert [getattr(rep, m) for m in _MERITS] == [getattr(fresh, m) for m in _MERITS]
 
 
@@ -1190,6 +1192,55 @@ def test_a_correlated_sweep_builds_its_probe_products_once_unless_the_baths_move
     assert all(row["error"] is None for row, _ in points)
     per_build = ["gibbs", "therm"]
     assert probe_products_built == (per_build * len(points) if axis == "gamma_t" else per_build)
+
+
+@pytest.mark.parametrize("correlated", [False, True])
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_a_sweep_builds_its_thermal_benchmark_once_and_its_stream_baths_unless_they_move(
+        axis, correlated, stream_baths_built, monkeypatch):
+    """No axis moves T or omega: a sweep of either engine computes the
+    thermal benchmark once, on ``grid.fixed``, and its reports share it,
+    read-only.  A marginal-stream sweep builds its bath pieces once along
+    every axis that leaves the baths alone, rethermalizations included, as
+    an ``n_ancillas`` sweep from n = 1 needs; a ``gamma_t`` sweep builds
+    them at every point, and a correlated sweep never."""
+    benchmarks = []
+
+    def counting(baths):
+        benchmarks.append(baths)
+        return thermal_fim(baths)
+
+    monkeypatch.setattr(protocols, "thermal_fim", counting)
+    make = three_bath_config if axis == "g_t3_over_pi" else two_bath_config
+    base = make(n_ancillas=1 if axis == "n_ancillas" else 3, correlated=correlated)
+    points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
+    assert all(row["error"] is None for row, _ in points)
+    assert len(benchmarks) == 1
+    shared = points[0][1].thermal
+    assert not shared.flags.writeable and all(rep.thermal is shared for _, rep in points)
+    expected = [] if correlated else [True] * (len(points) if axis == "gamma_t" else 1)
+    assert stream_baths_built == expected
+
+
+@pytest.mark.parametrize("name, correlated", [
+    ("_stream_baths", False), ("thermal_fim", False), ("thermal_fim", True),
+])
+def test_a_failing_stream_bath_or_thermal_build_is_recorded_in_every_row(
+        name, correlated, monkeypatch):
+    """Bath pieces or a thermal benchmark a sweep cannot build do not stop
+    it: each point builds its own, and records the error in its row."""
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise ValueError(f"no {name}")
+
+    monkeypatch.setattr(protocols, name, failing)
+    grid = SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3,
+                                                                  correlated=correlated))
+    points = sweep(grid)
+    assert [row["error"] for row, _ in points] == [f"ValueError: no {name}"] * 2
+    assert len(calls) == 1 + len(points)
 
 
 def test_temperatures_past_a_float_square_raise_a_named_error():
