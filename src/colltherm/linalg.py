@@ -33,12 +33,17 @@ def herm_eig(h: np.ndarray):
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and orthonormal
     eigenvector columns ``V``, stacked like the input, real for a real input.
-    Raises if any matrix is not Hermitian to :data:`EIG_HERM_TOL` or if the
-    largest reconstruction residual exceeds :data:`EIG_RESIDUAL_TOL`.
+    Raises if any entry is not finite, if any matrix is not Hermitian to
+    :data:`EIG_HERM_TOL` or if the largest reconstruction residual exceeds
+    :data:`EIG_RESIDUAL_TOL`.  An inf or NaN entry makes the Hermiticity
+    defect NaN, which fails the check and is then named.
     """
     h = np.asarray(h)
-    defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
-    if defect > EIG_HERM_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
+    if not defect <= EIG_HERM_TOL:
+        if not np.isfinite(h).all():
+            raise ValueError("input not finite")
         raise ValueError(f"input not Hermitian: defect {defect:.3e} > {EIG_HERM_TOL}")
     w, V = np.linalg.eigh(h)
     resid = np.abs(h @ V - V * w[..., None, :]).max()

@@ -131,16 +131,22 @@ def test_qfim_additive_on_product_states(rng):
 # stacked eigenbasis kernel
 # ---------------------------------------------------------------------------
 
-def _family_stack(rng, dim, n_params, rank):
+def _family_stack(rng, dim, n_params, rank, real=False):
     """(1 + n_params, dim, dim): a random state of the given rank and
     derivatives D = A rho + rho A^dag - Tr(.) rho, which are Hermitian,
-    traceless and vanish on ker(rho) x ker(rho), as any state family's do."""
-    u = oracles.random_unitary(rng, dim)[:, :rank]
+    traceless and vanish on ker(rho) x ker(rho), as any state family's do.
+    ``real`` draws a real orthogonal basis and real A, so the stack is real."""
+    if real:
+        u = np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, :rank]
+    else:
+        u = oracles.random_unitary(rng, dim)[:, :rank]
     p = rng.uniform(0.2, 1.0, size=rank)
     rho = (u * (p / p.sum())) @ u.conj().T
     out = [rho]
     for _ in range(n_params):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = rng.normal(size=(dim, dim))
+        if not real:
+            a = a + 1j * rng.normal(size=(dim, dim))
         d = a @ rho + rho @ a.conj().T
         out.append(d - np.trace(d).real * rho)
     return np.array(out)
@@ -171,6 +177,24 @@ def test_qfim_stack_equals_states_one_at_a_time(rng):
         assert whole.support_dims[k] == alone.support_dims[0]
         for a, b in zip(whole.slds(k), alone.slds(0)):
             npt.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_full_support_bits_do_not_depend_on_a_kernel_beside_them(rng, dim, real):
+    """A state with a kernel sends its stack through the support mask, a
+    stack of full-support states skips it; the full-support states get the
+    same QFIM, SLDs and support dimension bit for bit either way."""
+    full = np.array([_family_stack(rng, dim, 2, dim, real) for _ in range(4)])
+    mixed = full.copy()
+    mixed[1] = _family_stack(rng, dim, 2, dim - 1, real)
+    assert full.dtype == (float if real else complex)
+    alone, beside = qfim_stack(full), qfim_stack(mixed)
+    assert alone.support_dims == (dim,) * 4
+    assert beside.support_dims == (dim, dim - 1, dim, dim)
+    for k in (0, 2, 3):
+        assert np.array_equal(alone.matrices[k], beside.matrices[k])
+        assert np.array_equal(alone.eigen_slds[k], beside.eigen_slds[k])
 
 
 def _offend_deriv_herm(stack):
@@ -231,19 +255,72 @@ def test_qfim_stack_checks_every_state(rng, offend, message):
     [
         (np.diag([0.7, 0.7]), "state 2 of the stack: trace defect 4.000e-01 > 1e-09"),
         (np.diag([1.2, -0.2]), "state 2 of the stack not PSD: min eigenvalue -2.000e-01 < -1e-10"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "input not finite"),
+        (np.diag([np.inf, 0.5]), "input not finite"),
     ],
-    ids=["trace", "psd"],
+    ids=["trace", "psd", "nan", "inf"],
 )
 def test_qfim_stack_rejects_non_states(rng, state, message):
     """A state of the wrong trace or with a negative eigenvalue is rejected
-    from the eigenvalues the QFIM uses, naming its index in the stack; its
-    valid derivatives leave the state check the only one to trip."""
+    from the eigenvalues the QFIM uses, naming its index in the stack; one
+    with an inf or NaN entry is refused by the eigensolver.  Its valid
+    derivatives leave the state check the only one to trip."""
     stacks = np.array([_family_stack(rng, 2, 2, 2) for _ in range(4)])
     stacks[2, 0] = state
     with pytest.raises(ValueError, match=re.escape(message)):
         qfim_stack(stacks)
     stacks[2, 0] = np.diag([0.5, 0.5 + 5e-10])  # inside the 1e-9 trace tolerance
     assert qfim_stack(stacks).support_dims == (2,) * 4
+
+
+def _offend_state_trace(stack):
+    stack[0] = np.diag([0.7, 0.7])
+
+
+def _offend_state_psd(stack):
+    stack[0] = np.diag([1.2, -0.2])
+
+
+def _offend_state_both(stack):
+    stack[0] = np.diag([0.7, -0.7])
+
+
+@pytest.mark.parametrize(
+    "defects, message",
+    [
+        ({3: _offend_deriv_trace, 1: _offend_deriv_herm}, "derivative 1 not Hermitian"),
+        ({1: _offend_deriv_trace, 3: _offend_deriv_herm}, "derivative 1 not traceless"),
+        ({1: _offend_state_herm, 3: _offend_deriv_trace}, "derivative 1 not traceless"),
+        ({1: _offend_support, 3: _offend_deriv_herm}, "derivative 1 not Hermitian"),
+        ({3: _offend_state_trace, 1: _offend_state_psd}, "state 1 of the stack not PSD"),
+        ({1: _offend_state_trace, 3: _offend_state_psd}, "state 1 of the stack: trace defect"),
+        ({1: _offend_state_both, 3: _offend_state_psd}, "state 1 of the stack: trace defect"),
+    ],
+    ids=["herm-lower-index", "trace-lower-index", "deriv-before-state", "deriv-before-kernel",
+         "psd-lower-index", "trace-before-psd-index", "trace-before-psd-same-state"],
+)
+def test_qfim_stack_names_the_first_defect(rng, defects, message):
+    """With two defects in a stack, derivative defects are named before
+    state defects, and of two alike the one at the lower stack index; a
+    state failing both state tests is named for its trace."""
+    stacks = np.array([_family_stack(rng, 2, 2, 2) for _ in range(4)])
+    for k, offend in defects.items():
+        offend(stacks[k])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qfim_stack(stacks)
+
+
+def test_qfim_symmetry_is_tested_per_matrix_when_the_stack_bound_fails():
+    """The ``[good, scaled]`` stack of ``test_qfim_checks_cover_stacks``:
+    its largest asymmetry, 1e-4, exceeds 1e-9 times the smallest matrix's
+    largest entry (1, the identity's), so the whole-stack bound fails; each
+    matrix passes its own relative test, and the stack goes through."""
+    good = np.eye(2)
+    scaled = 1e12 * np.array([[1.0, 0.2], [0.2, 1.0]])
+    scaled[0, 1] += 1e-4
+    m = np.array([good, scaled])
+    assert np.abs(m - m.swapaxes(-1, -2)).max() > 1e-9 * np.abs(m).max(axis=(-2, -1)).min()
+    npt.assert_array_equal(_check_qfim(m), (m + m.swapaxes(-1, -2)) / 2)
 
 
 def test_qfim_checks_cover_stacks():

@@ -35,6 +35,20 @@ def test_herm_eig_rejects_non_hermitian(rng):
         herm_eig(m)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_herm_eig_rejects_non_finite(rng, entry):
+    """An inf or NaN entry, on or off the diagonal, is named, not passed on
+    to the eigensolver; inf - inf would make the Hermiticity defect NaN."""
+    h = oracles.random_herm_traceless(rng, 3)
+    for i, j in ((1, 1), (0, 2)):
+        m = np.array([h, h])
+        m[1, i, j] = entry
+        if i != j:
+            m[1, j, i] = entry
+        with pytest.raises(ValueError, match="input not finite"):
+            herm_eig(m)
+
+
 def test_choi_matrix_of_unitary_is_rank_one(rng):
     u = oracles.random_unitary(rng, 3)
     ch = choi_matrix(np.kron(u, u.conj()), 3)
