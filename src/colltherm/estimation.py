@@ -29,9 +29,7 @@ Lu & Wang, J. Phys. A 53, 023001 (2020)):
 :func:`qfim_stack` does this for a stack of K states at once, with one
 stacked eigendecomposition; it is the one QFIM and SLD routine, and
 :meth:`QfimStack.slds` rotates one state's SLDs back to the computational
-basis.  Its checks of the derivatives, the states and the QFIMs run on
-every call and decide on whole-stack reductions; they scan entry by entry
-only to name the defect of a stack that fails.
+basis.
 
 Figures of merit against the thermal benchmark F_th = diag(F_th^i), held
 as the per-bath vector of :func:`thermal_fim`, formed with the singular
@@ -75,40 +73,31 @@ STATE_PSD_TOL = 1e-10         # most negative state eigenvalue allowed (eigensol
 
 
 def _check_derivs(derivs: np.ndarray) -> None:
-    """Derivatives stacked as (K, N, d, d) must be Hermitian and traceless.
-    The largest defects of the whole stack decide; only a failing stack is
-    scanned per derivative, and the message names the first offending one
-    in stack order.  An inf or NaN entry makes its defects NaN, and the
-    checks are written so that NaN fails."""
+    """Derivatives stacked as (K, N, d, d) must be Hermitian and traceless;
+    the message names the first offending one in stack order.  An inf or NaN
+    entry makes its defects NaN, and the checks are written so that NaN fails."""
     with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj())
-        trace = np.abs(np.einsum("...ii->...", derivs))
-    if herm.max(initial=0.0) <= DERIV_HERM_TOL and trace.max(initial=0.0) <= DERIV_TRACE_TOL:
-        return
-    herm = herm.max(axis=(-2, -1))
-    k, mu = np.argwhere(~((herm <= DERIV_HERM_TOL) & (trace <= DERIV_TRACE_TOL)))[0]
-    if not np.isfinite(derivs[k, mu]).all():
-        raise ValueError(f"derivative {mu} not finite")
-    if not herm[k, mu] <= DERIV_HERM_TOL:
-        raise ValueError(f"derivative {mu} not Hermitian: defect {herm[k, mu]:.3e}")
-    raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
+        herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        trace = np.abs(derivs.trace(axis1=-2, axis2=-1))
+    bad = ~((herm <= DERIV_HERM_TOL) & (trace <= DERIV_TRACE_TOL))
+    if bad.any():
+        k, mu = np.argwhere(bad)[0]
+        if not np.isfinite(derivs[k, mu]).all():
+            raise ValueError(f"derivative {mu} not finite")
+        if not herm[k, mu] <= DERIV_HERM_TOL:
+            raise ValueError(f"derivative {mu} not Hermitian: defect {herm[k, mu]:.3e}")
+        raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
 
 
 def _check_qfim(m: np.ndarray) -> np.ndarray:
     """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9
     relative to its largest entry and PSD down to -1e-8.  Returns the
-    symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads.
-    A stack whose largest asymmetry is at most 1e-9 times the smallest of
-    its matrices' largest entries passes at once; any other is tested
-    matrix by matrix."""
+    symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads."""
     mt = m.swapaxes(-1, -2)
-    asym = np.abs(m - mt)
-    size = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if not asym.max(initial=0.0) <= 1e-9 * size.min(initial=np.inf):
-        asym = asym.max(axis=(-2, -1), initial=0.0)
-        bad = asym > 1e-9 * size
-        if bad.any():
-            raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
+    asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    bad = asym > 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if bad.any():
+        raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
     sym = (m + mt) / 2
     lo = float(np.linalg.eigvalsh(sym).min(initial=0.0))
     if lo < -1e-8:
@@ -196,8 +185,9 @@ def qfim_stack(stacks) -> QfimStack:
 
     The weights 2 / (lambda_a + lambda_b) are one formula for every pair.
     Only when some state of the stack has a pair sum below the cutoff (a
-    kernel) are the kernel weight checked and those pairs' weights zeroed;
-    a full-support state gets the same bits either way.
+    kernel) is the kernel weight checked and those pairs' sums set to inf,
+    so that their weights are 0; a full-support state gets the same bits
+    either way.
 
     Raises, naming the same quantities as for a single state, if any
     derivative is not finite, Hermitian or traceless, any state is not
@@ -207,10 +197,7 @@ def qfim_stack(stacks) -> QfimStack:
     also have unit trace to :data:`STATE_TRACE_TOL` and no eigenvalue below
     ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
     anyway, and the message names the offending state's stack index.  A
-    state with an inf or NaN entry is refused by :func:`herm_eig`.  Each
-    check decides on the largest defect of the whole stack and scans the
-    stack only to name the first defect: derivatives before states, the
-    lower stack index first.
+    state with an inf or NaN entry is refused by :func:`herm_eig`.
     """
     stacks = np.asarray(stacks)
     derivs = stacks[:, 1:]
@@ -218,9 +205,9 @@ def qfim_stack(stacks) -> QfimStack:
     w, v = herm_eig(stacks[:, 0])
     trace_defect = np.abs(w.sum(axis=-1) - 1.0)
     lowest = w[:, 0]
-    lo = lowest.min()
-    if not (trace_defect.max() <= STATE_TRACE_TOL and lo >= -STATE_PSD_TOL):
-        k = int(np.argmax(~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))))
+    bad = ~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
         if not trace_defect[k] <= STATE_TRACE_TOL:
             raise ValueError(
                 f"state {k} of the stack: trace defect {trace_defect[k]:.3e} > {STATE_TRACE_TOL}"
@@ -230,10 +217,8 @@ def qfim_stack(stacks) -> QfimStack:
         )
     dr = v.conj().swapaxes(-1, -2)[:, None] @ derivs @ v[:, None]
     s = w[:, :, None] + w[:, None, :]
-    with np.errstate(divide="ignore", over="ignore"):
-        weights = 2.0 / s
-    # the smallest pair sum is 2 lo; below the cutoff some state has a kernel
-    if 2.0 * lo < SUPPORT_CUTOFF:
+    # the smallest pair sum is 2 min(w); below the cutoff some state has a kernel
+    if 2.0 * lowest.min() < SUPPORT_CUTOFF:
         kernel = s < SUPPORT_CUTOFF
         kernel_weight = float(np.abs(dr).max(where=kernel[:, None], initial=0.0))
         if kernel_weight > KERNEL_WEIGHT_TOL:
@@ -242,8 +227,8 @@ def qfim_stack(stacks) -> QfimStack:
                 f"{kernel_weight:.3e} connecting the kernel of the state to itself; "
                 "the family leaves its support"
             )
-        weights[kernel] = 0.0
-    lt = dr * weights[:, None]
+        s[kernel] = np.inf  # weight 2 / inf = 0: the pair leaves the SLD
+    lt = dr * (2.0 / s)[:, None]
     f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
     support_dims = tuple((w > SUPPORT_CUTOFF).sum(axis=-1).tolist())
     return QfimStack(f, support_dims, v, lt)

@@ -36,11 +36,15 @@ def herm_eig(h: np.ndarray):
     Raises if any entry is not finite, if any matrix is not Hermitian to
     :data:`EIG_HERM_TOL` or if the largest reconstruction residual exceeds
     :data:`EIG_RESIDUAL_TOL`.  An inf or NaN entry makes the Hermiticity
-    defect NaN, which fails the check and is then named.
+    defect inf or NaN, which fails the check and is then named.  An inf
+    meeting an inf in ``h - h^dag`` also warns; where that warning is an
+    error, it is caught and the input named the same way.
     """
     h = np.asarray(h)
-    with np.errstate(invalid="ignore", over="ignore"):
+    try:
         defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
+    except (RuntimeWarning, FloatingPointError):
+        defect = np.nan
     if not defect <= EIG_HERM_TOL:
         if not np.isfinite(h).all():
             raise ValueError("input not finite")

@@ -310,19 +310,6 @@ def test_qfim_stack_names_the_first_defect(rng, defects, message):
         qfim_stack(stacks)
 
 
-def test_qfim_symmetry_is_tested_per_matrix_when_the_stack_bound_fails():
-    """The ``[good, scaled]`` stack of ``test_qfim_checks_cover_stacks``:
-    its largest asymmetry, 1e-4, exceeds 1e-9 times the smallest matrix's
-    largest entry (1, the identity's), so the whole-stack bound fails; each
-    matrix passes its own relative test, and the stack goes through."""
-    good = np.eye(2)
-    scaled = 1e12 * np.array([[1.0, 0.2], [0.2, 1.0]])
-    scaled[0, 1] += 1e-4
-    m = np.array([good, scaled])
-    assert np.abs(m - m.swapaxes(-1, -2)).max() > 1e-9 * np.abs(m).max(axis=(-2, -1)).min()
-    npt.assert_array_equal(_check_qfim(m), (m + m.swapaxes(-1, -2)) / 2)
-
-
 def test_qfim_checks_cover_stacks():
     good = np.eye(2)
     with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e-01"):

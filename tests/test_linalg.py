@@ -2,6 +2,8 @@
 state checks (unit trace, positivity) live in ``qfim_stack`` and are tested
 with it."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,18 +37,22 @@ def test_herm_eig_rejects_non_hermitian(rng):
         herm_eig(m)
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-def test_herm_eig_rejects_non_finite(rng, entry):
-    """An inf or NaN entry, on or off the diagonal, is named, not passed on
-    to the eigensolver; inf - inf would make the Hermiticity defect NaN."""
+def test_herm_eig_rejects_non_finite(rng, entry, action):
+    """An inf or NaN entry, on the diagonal, in a mirrored pair or beside a
+    finite mirror, is named, not passed on to the eigensolver, whether or
+    not warnings are errors: it makes the Hermiticity defect inf or NaN, and
+    inf - inf also warns."""
     h = oracles.random_herm_traceless(rng, 3)
-    for i, j in ((1, 1), (0, 2)):
+    for where in ([(1, 1)], [(0, 2), (2, 0)], [(0, 2)]):
         m = np.array([h, h])
-        m[1, i, j] = entry
-        if i != j:
-            m[1, j, i] = entry
-        with pytest.raises(ValueError, match="input not finite"):
-            herm_eig(m)
+        for i, j in where:
+            m[1, i, j] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match="input not finite"):
+                herm_eig(m)
 
 
 def test_choi_matrix_of_unitary_is_rank_one(rng):
