@@ -43,7 +43,7 @@ def herm_eig(h: np.ndarray):
     h = np.asarray(h)
     try:
         defect = np.abs(h - h.swapaxes(-1, -2).conj()).max()
-    except (RuntimeWarning, FloatingPointError):
+    except RuntimeWarning:
         defect = np.nan
     if not defect <= EIG_HERM_TOL:
         if not np.isfinite(h).all():
