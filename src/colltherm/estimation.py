@@ -137,7 +137,9 @@ class QfimStack:
     """The per-state results of :func:`qfim_stack` for K state families.
 
     ``matrices`` (K, N, N) are the QFIMs and ``support_dims`` the ranks of
-    the states (eigenvalues above the support cutoff).  ``eigvecs``
+    the states: the levels the SLDs keep, those whose own pair sum 2 lambda
+    reaches the support cutoff, so a level that carries QFI is never counted
+    outside the support.  ``eigvecs``
     (K, d, d) and ``eigen_slds`` (K, N, d, d) hold the SLDs in each state's
     eigenbasis; :meth:`slds` rotates one state's back.
     """
@@ -230,7 +232,8 @@ def qfim_stack(stacks) -> QfimStack:
         s[kernel] = np.inf  # weight 2 / inf = 0: the pair leaves the SLD
     lt = dr * (2.0 / s)[:, None]
     f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
-    support_dims = tuple((w > SUPPORT_CUTOFF).sum(axis=-1).tolist())
+    # a level is in the support when the SLD keeps its own pair, 2 lambda >= cutoff
+    support_dims = tuple((2.0 * w >= SUPPORT_CUTOFF).sum(axis=-1).tolist())
     return QfimStack(f, support_dims, v, lt)
 
 

@@ -133,9 +133,11 @@ __all__ = [
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
-# at n = 9 took 0.16 s (0.12 s of it the QFIM of the 512-dimensional state) and
-# +46 MB peak RSS, 3 probes x 8 ancillas 0.10 s and +71 MB (2-vCPU Xeon, one
-# BLAS thread).
+# at n = 9 took 0.08-0.13 s (0.06-0.09 s of it the QFIM of the 512-dimensional
+# state, 0.02-0.04 s the engine) and +50 MB peak RSS, 3 probes x 8 ancillas
+# 0.06-0.07 s (0.045 s the engine) and +74 MB (shared 2-vCPU Xeon, one BLAS
+# thread, fresh process, median of 3 after a warm-up; the ranges span quiet and
+# busy hours of the host).
 SIM_DIM_CAP = 2**11
 
 # the phase gauge T = diag(i^level) per ancilla dimension (module docstring);
@@ -489,12 +491,15 @@ def _probe_product(pairs, shape) -> np.ndarray:
 
 def _probe_products(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     """The probes' Gibbs register, (1 + N, 1, P^2), and the product of their
-    rethermalizations, (1 + N, 1, P^2, P^2), each with its derivative
-    registers (:func:`_probe_product`): read off ``config.baths`` alone."""
+    rethermalizations, transposed, (1 + N, 1, P^2, P^2), each with its
+    derivative registers (:func:`_probe_product`): read off ``config.baths``
+    alone.  The product of the transposed pairs is the transposed product,
+    so the joint engine's right-multiplication reads it as built."""
     nt, pp = 1 + config.n_baths, 4**config.n_baths
     gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_probe_tangents(config))]
     reg = _probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp)
-    return reg, _probe_product(_gad_pairs(config.baths), (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
+    therm_t = _gad_pairs(config.baths).swapaxes(-1, -2)
+    return reg, _probe_product(therm_t, (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
 
 
 def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.ndarray:
@@ -527,12 +532,16 @@ def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.n
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, pp = 1 + nb, 4**nb
     v = _ancilla_isometry(config)
-    reg, therm = probes or _probe_products(config)
+    reg, therm_t = probes or _probe_products(config)
     if n > 1:
         # (q, q') -> (b, b', p, p'): collide, then rethermalize; per register,
-        # transposed for right-multiplication
-        meet = np.einsum("bpq,crs->bcprqs", v, v.conj()).reshape(d * d, pp, pp)
-        step = np.matmul(therm, meet).reshape(nt, d * d * pp, pp).transpose(0, 2, 1)
+        # transposed for right-multiplication.  Each (b, b') block's matmul
+        # writes straight into step's rows, so the register matmuls, which
+        # run every ancilla, read it C-contiguous rather than as a transpose
+        meet_t = np.einsum("bpq,crs->bcqspr", v, v.conj()).reshape(d * d, pp, pp)
+        step = np.empty((nt, pp, d * d, pp))
+        np.matmul(meet_t, therm_t, out=step.transpose(0, 2, 1, 3))
+        step = step.reshape(nt, pp, d * d * pp)
         for _ in range(n - 1):
             grown = (reg.reshape(-1, pp) @ step[0]).reshape(nt, -1, pp)
             grown[1:] += np.matmul(reg[0], step[1:]).reshape(nb, -1, pp)

@@ -10,8 +10,9 @@ generator of the probe-bath coupling, the rethermalization channel as
 generalized-amplitude-damping Kraus operators, central-difference
 derivatives of a state family, QFIMs from the qubit Bloch-vector formula
 and from a pseudoinverse solve of the SLD equation, a brute-force
-simulation of the two-probe ancilla stream on the whole register, the
-same stream with probe marginals only, by ``kron`` and partial traces,
+simulation of the ancilla stream on the whole register (two or three
+probes, qubit or qutrit ancillas, the qutrit exchange written out), the
+two-probe stream with probe marginals only, by ``kron`` and partial traces,
 that stream's stationary limit by a linear solve, and random inputs.  Tests
 compare library output against these, never against the library itself.
 """
@@ -273,67 +274,91 @@ def qfi_pure(psi, dpsi):
 
 
 # ---------------------------------------------------------------------------
-# two-probe qubit-ancilla stream, brute force on the whole register
+# the probe stream, brute force on the whole register
 # ---------------------------------------------------------------------------
 
-def embed_on_qubits(op, sites, n_qubits):
-    """Full-register matrix of ``op`` acting on the listed qubit sites (site
-    0 is the most significant bit), filled entry by entry: <a|O|b> is
-    <a_sites|op|b_sites> when a and b agree on every other site, else 0."""
-    dim = 2**n_qubits
-    shifts = [n_qubits - 1 - s for s in sites]
-    rest = (dim - 1) & ~sum(1 << s for s in shifts)
-
-    def local(x):
-        idx = 0
-        for s in shifts:
-            idx = 2 * idx + ((x >> s) & 1)
-        return idx
-
-    out = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            if a & rest == b & rest:
-                out[a, b] = op[local(a), local(b)]
-    return out
+def embed_on_sites(op, sites, dims):
+    """Full-register matrix of ``op`` acting on the listed sites of a
+    register with site dimensions ``dims`` (site 0 most significant),
+    entrywise: <a|O|b> is <a_sites|op|b_sites> when a and b agree on every
+    other site, else 0."""
+    digits = np.array(list(np.ndindex(*dims)))  # per register index, its site levels
+    rest = [s for s in range(len(dims)) if s not in sites]
+    local = np.ravel_multi_index(digits[:, list(sites)].T, [dims[s] for s in sites])
+    others = np.ravel_multi_index(digits[:, rest].T, [dims[s] for s in rest]) if rest else 0 * local
+    return np.where(others[:, None] == others[None, :], op[local[:, None], local[None, :]], 0)
 
 
-def rotation_x(theta):
-    """exp(-i theta sigma_x), written out."""
+# the spin-1 x operator, the qutrit rotations' generator
+SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)
+
+
+def rotation_x(theta, dim=2):
+    """exp(-i theta G_x): for a qubit written out with G_x = sigma_x, for a
+    qutrit the Taylor series of the spin-1 G_x."""
+    if dim == 3:
+        return taylor_expm(-1j * theta * SPIN1_X)
     return math.cos(theta) * np.eye(2, dtype=complex) - 1j * math.sin(theta) * SX
+
+
+def exchange_unitary(gt, dim=2):
+    """The exchange collision unitary on probe qubit (x) ancilla, written
+    out, index (probe level) * dim + ancilla level, level 0 the top one.
+    Qubit: :func:`printed_collision_unitary`.  Qutrit: the probe's lowering
+    meets the ancilla's raising, Q-matrix element 1 / sqrt(2), so the pairs
+    |1, 0> <-> |0, 1> and |1, 1> <-> |0, 2> turn at gt / sqrt(2), each with
+    -i sin on both off-diagonals; |0, 0> and |1, 2> stay."""
+    if dim == 2:
+        return printed_collision_unitary(gt)
+    c, s = math.cos(gt / math.sqrt(2.0)), -1j * math.sin(gt / math.sqrt(2.0))
+    return np.array(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, c, 0, s, 0, 0],
+            [0, 0, c, 0, s, 0],
+            [0, s, 0, c, 0, 0],
+            [0, 0, s, 0, c, 0],
+            [0, 0, 0, 0, 0, 1],
+        ],
+        dtype=complex,
+    )
 
 
 def joint_stream_state(
     angles, temps, n, rotation=rotation_x(math.pi / 4), omega=1.0, gamma=1.0, t=0.5
 ):
-    """Final n-ancilla state of the two-probe stream.
+    """Final n-ancilla state of the stream through N = len(angles) probes.
 
-    Register: probe 1, probe 2, ancillas 1..n, every ancilla starting in the
-    ground state |1>.  Ancilla k collides with probe 1, turns by the 2 x 2
-    unitary ``rotation`` (default pi/4 about x), then collides with probe 2;
-    each probe relaxes by the generalized-amplitude-damping channel after
-    every ancilla but the last.  The probes are traced out at the end, so
-    every correlation the probes mediate between ancillas is kept.
+    Register: the N probe qubits, then ancillas 1..n of dimension
+    len(rotation), every ancilla starting in its bottom level.  Ancilla k
+    collides with each probe in order (:func:`exchange_unitary`) and turns
+    by ``rotation`` (default pi/4 about x) after every collision but the
+    last; each probe relaxes by the generalized-amplitude-damping channel
+    after every ancilla but the last.  The probes are traced out at the
+    end, so every correlation the probes mediate between ancillas is kept.
     """
-    nq = 2 + n
-    ground = np.diag([0.0, 1.0]).astype(complex)
-    rho = np.diag(gibbs_weights(omega, temps[0])).astype(complex)
-    for factor in [np.diag(gibbs_weights(omega, temps[1]))] + [ground] * n:
+    nb, d = len(angles), len(rotation)
+    dims = (2,) * nb + (d,) * n
+    ground = np.zeros((d, d), dtype=complex)
+    ground[d - 1, d - 1] = 1.0
+    rho = np.ones((1, 1), dtype=complex)
+    for factor in [np.diag(gibbs_weights(omega, x)) for x in temps] + [ground] * n:
         rho = np.kron(rho, factor)
     relax = [
-        [embed_on_qubits(k, (i,), nq) for k in gad_kraus(omega, temps[i], gamma, t)]
-        for i in (0, 1)
+        [embed_on_sites(k, (i,), dims) for k in gad_kraus(omega, temps[i], gamma, t)]
+        for i in range(nb)
     ]
+    turn = [embed_on_sites(rotation, (nb + k,), dims) for k in range(n)]
     for k in range(n):
-        for i in (0, 1):
-            u = embed_on_qubits(printed_collision_unitary(angles[i]), (i, 2 + k), nq)
-            if i == 0:
-                u = embed_on_qubits(rotation, (2 + k,), nq) @ u
+        for i in range(nb):
+            u = embed_on_sites(exchange_unitary(angles[i], d), (i, nb + k), dims)
+            if i < nb - 1:
+                u = turn[k] @ u
             rho = u @ rho @ u.conj().T
             if k < n - 1:
                 rho = sum(kr @ rho @ kr.conj().T for kr in relax[i])
-    d = 2**n
-    return np.einsum("pipj->ij", rho.reshape(4, d, 4, d))
+    p, a = 2**nb, d**n
+    return np.einsum("pipj->ij", rho.reshape(p, a, p, a))
 
 
 def marginal_stream_states(
@@ -395,9 +420,9 @@ def stationary_ancilla_family(angles, temps, theta=math.pi / 4, omega=1.0, gamma
     state and tangents are Tr_P V (.) V^dag of R* and its tangents.
     """
     u = (
-        embed_on_qubits(printed_collision_unitary(angles[1]), (1, 2), 3)
-        @ embed_on_qubits(rotation_x(theta), (2,), 3)
-        @ embed_on_qubits(printed_collision_unitary(angles[0]), (0, 2), 3)
+        embed_on_sites(printed_collision_unitary(angles[1]), (1, 2), (2, 2, 2))
+        @ embed_on_sites(rotation_x(theta), (2,), (2, 2, 2))
+        @ embed_on_sites(printed_collision_unitary(angles[0]), (0, 2), (2, 2, 2))
     )
     v = u[:, 1::2]  # register index 2 * probes + ancilla; ancilla enters |1>
     chans = [

@@ -179,6 +179,23 @@ def test_qfim_stack_equals_states_one_at_a_time(rng):
             npt.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
+def test_support_dims_count_the_levels_the_sld_keeps():
+    """A level is in the support exactly when the SLD keeps its own pair,
+    2 lambda >= SUPPORT_CUTOFF.  Levels at 8e-13 and 5e-13 (the edge) carry
+    QFI and count; one at 4e-13 leaves the SLD and the support together."""
+    cut = estimation.SUPPORT_CUTOFF
+    kept = [np.array([np.diag([1.0 - lam, lam]), np.diag([-1e-3, 1e-3])])
+            for lam in (8e-13, 0.5 * cut)]
+    # an off-diagonal derivative: the dropped level has no kernel weight
+    dropped = np.array([np.diag([1.0 - 4e-13, 4e-13]), [[0.0, 1e-3], [1e-3, 0.0]]])
+    qs = qfim_stack(np.array(kept + [dropped]))
+    assert qs.support_dims == (2, 2, 1)
+    assert qs.matrices[0, 0, 0] == pytest.approx(1e-6 / (1.0 - 8e-13) + 1e-6 / 8e-13, rel=1e-9)
+    assert qs.matrices[1, 0, 0] == pytest.approx(1e-6 / (1.0 - 0.5 * cut) + 2e-6 / cut, rel=1e-9)
+    assert qs.matrices[2, 0, 0] == pytest.approx(4e-6, rel=1e-9)
+    assert (qs.eigen_slds[2, 0, 1, 1] == 0.0) and (qs.eigen_slds[:2, 0, 0, 0] != 0.0).all()
+
+
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_full_support_bits_do_not_depend_on_a_kernel_beside_them(rng, dim, real):

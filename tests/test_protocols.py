@@ -407,6 +407,40 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
         npt.assert_allclose(final, stack[0], rtol=0, atol=1e-12)
 
 
+_REGISTER_CASES = [(3, 2, n) for n in (1, 2, 3)] + [(nb, 3, n) for nb in (2, 3) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("n_baths, dim, n", _REGISTER_CASES)
+def test_correlated_registers_of_three_probes_or_qutrits_match_brute_force(n_baths, dim, n):
+    """Three qubit probes up to n = 3, and qutrit ancillas behind two and
+    three probes up to n = 2: the un-gauged register equals the oracle's
+    whole-register simulation within 1e-12, and its derivatives equal the
+    oracle's central differences within 1e-8.  No collision is a swap, so
+    the probes correlate through the ancillas."""
+    temps = (2.0, 1.0, 3.0)[:n_baths]
+    angles = tuple(g * math.pi for g in (0.3, 0.6, 0.45)[:n_baths])
+    theta = 0.3 * math.pi
+    cfg = ProtocolConfig(
+        baths=tuple(BathSpec(t) for t in temps), collision_angles=angles, ancilla_dim=dim,
+        n_ancillas=n, rotation=RotationSpec(theta, "x"), correlated=True,
+    )
+    rotation = oracles.rotation_x(theta, dim)
+    stack = _ungauge(_joint_tangents(cfg), cfg)
+    npt.assert_allclose(
+        stack[0], oracles.joint_stream_state(angles, temps, n, rotation), rtol=0, atol=1e-12
+    )
+    h = 1e-5
+    for mu in range(n_baths):
+        up, down = list(temps), list(temps)
+        up[mu] += h
+        down[mu] -= h
+        ref = (
+            oracles.joint_stream_state(angles, up, n, rotation)
+            - oracles.joint_stream_state(angles, down, n, rotation)
+        ) / (2.0 * h)
+        npt.assert_allclose(stack[1 + mu], ref, rtol=0, atol=1e-8)
+
+
 def test_stream_matches_ancilla_major_marginal_oracle(rng):
     """The marginal stream's states equal ``oracles.marginal_stream_states``
     (kron and partial traces, ancilla by ancilla) to 1e-12 for two probes
@@ -465,20 +499,6 @@ def _affine_derivatives(state, temps):
     return derivs
 
 
-def _dense_qutrit_single(angles, temps, rotation):
-    """One qutrit ancilla through fresh thermal probes, densely: per stage
-    Tr_p u (p_i (x) a) u^dag with u = ``collision_unitary(g, 3)``,
-    then ``rotation`` on the ancilla after every stage but the last."""
-    a = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    for i, (g, t) in enumerate(zip(angles, temps)):
-        u = collision_unitary(g, 3)
-        joint = u @ np.kron(np.diag(oracles.gibbs_weights(1.0, t)), a) @ u.conj().T
-        a = np.einsum("pipj->ij", joint.reshape(2, 3, 2, 3))
-        if i < len(angles) - 1:
-            a = rotation @ a @ rotation.conj().T
-    return a
-
-
 def _assert_single_run_matches(cfg, state):
     """``single_run``'s state and SLDs against ``state(temps)`` and the
     pseudoinverse SLDs of its exact derivatives, to 1e-12."""
@@ -526,7 +546,7 @@ def test_rotation_axes_match_oracles_that_rotate_as_given(rng, axis):
     qutrit = three_bath_config(rotation=spec)
     _assert_single_run_matches(
         qutrit,
-        lambda tv: _dense_qutrit_single(qutrit.collision_angles, tv, spec.unitary(3)),
+        lambda tv: oracles.joint_stream_state(qutrit.collision_angles, tv, 1, spec.unitary(3)),
     )
 
 
@@ -1032,25 +1052,28 @@ _AXIS_VALUES = {
     "gamma_t": (0.0, 0.5, 2.0),
     "n_ancillas": (1.0, 2.0, 3.0),
 }
+# name -> (scenario, base config)
 _SWEEP_BASES = {
-    "single": two_bath_config(),
-    "uncorrelated": two_bath_config(n_ancillas=3),
-    "qutrit": three_bath_config(n_ancillas=3),
-    "correlated": two_bath_config(n_ancillas=3, correlated=True),
+    "single": ("single", two_bath_config()),
+    "uncorrelated": ("uncorrelated", two_bath_config(n_ancillas=3)),
+    "qutrit": ("qutrit", three_bath_config(n_ancillas=3)),
+    "correlated": ("correlated", two_bath_config(n_ancillas=3, correlated=True)),
+    "correlated-3-probe": ("correlated", three_bath_config(n_ancillas=3, correlated=True)),
 }
 
 
-@pytest.mark.parametrize("scenario, axis", [
-    (scenario, axis) for scenario, base in _SWEEP_BASES.items() for axis in SWEEP_AXES
+@pytest.mark.parametrize("name, axis", [
+    (name, axis) for name, (_, base) in _SWEEP_BASES.items() for axis in SWEEP_AXES
     if axis != "g_t3_over_pi" or base.n_baths == 3
 ])
-def test_sweep_reports_equal_fresh_evaluations(scenario, axis):
+def test_sweep_reports_equal_fresh_evaluations(name, axis):
     """Along every sweep axis, each point's report equals, with ``==`` on
     the QFIM and every merit, a fresh evaluation of that point: the stages
     or probe products the sweep builds once for all its points are what
     each would have built."""
+    scenario, base = _SWEEP_BASES[name]
     values = (1.0,) if (scenario, axis) == ("single", "n_ancillas") else _AXIS_VALUES[axis]
-    grid = SweepGrid(axis, values, _SWEEP_BASES[scenario])
+    grid = SweepGrid(axis, values, base)
     for value, (row, rep) in zip(values, sweep(grid)):
         assert row["error"] is None
         fresh = evaluate(grid.at(value), scenario)
