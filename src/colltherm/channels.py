@@ -159,7 +159,7 @@ def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:
     b = math.exp(-x)
     lam0, lam1 = b / (1.0 + b), 1.0 / (1.0 + b)
     n = b / -math.expm1(-x)
-    return lam0, lam1, lam0 * lam1 * x / T, n, n * (n + 1.0) * x / T
+    return lam0, lam1, lam0 * lam1 * x / T, n, n * ((n + 1.0) * x) / T
 
 
 def thermal_populations(omega: float, T: float) -> tuple[float, float]:

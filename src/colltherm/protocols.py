@@ -132,12 +132,10 @@ __all__ = [
     "sweep",
 ]
 
-# Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas.  One evaluation
-# at n = 9 took 0.08-0.13 s (0.06-0.09 s of it the QFIM of the 512-dimensional
-# state, 0.02-0.04 s the engine) and +50 MB peak RSS, 3 probes x 8 ancillas
-# 0.06-0.07 s (0.045 s the engine) and +74 MB (shared 2-vCPU Xeon, one BLAS
-# thread, fresh process, median of 3 after a warm-up; the ranges span quiet and
-# busy hours of the host).
+# Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas, 3 x 8, or 5
+# qutrit ancillas.  It bounds the correlated mode's dense work: the register of
+# the state and its N derivatives, (1 + N) D^2 numbers at joint dimension D, and
+# the eigendecomposition of the d^n x d^n ancilla state the QFIM reads.
 SIM_DIM_CAP = 2**11
 
 # the phase gauge T = diag(i^level) per ancilla dimension (module docstring);

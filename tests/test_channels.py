@@ -377,9 +377,10 @@ def test_thermalization_channel_is_exponential_of_generator(rng):
 def test_temperature_derivatives_match_central_differences(rng):
     """d lambda_0/dT of ``_gibbs`` against the oracles' closed form, its
     nbar slice against :func:`nbar` and d nbar/dT against central
-    differences of the oracles' Bose occupation, and the T-derivative slice
-    of ``_gad_pairs`` (the one the evaluators run) against central
-    differences of the oracles' Kraus channel."""
+    differences of the oracles' Bose occupation (and 1/omega where nbar^2
+    overflows), and the T-derivative slice of ``_gad_pairs`` (the one the
+    evaluators run) against central differences of the oracles' Kraus
+    channel."""
     for _ in range(20):
         omega, gamma, t = rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
         T = rng.uniform(0.4, 4.0)
@@ -397,6 +398,9 @@ def test_temperature_derivatives_match_central_differences(rng):
             fd,
             atol=1e-8,
         )
+    for T in (1e150, 1e160, 1e300):
+        # classically nbar ~ T/omega: d nbar/dT stays 1/omega where nbar^2 overflows
+        assert _gibbs(2.0, T)[4] == pytest.approx(0.5, rel=1e-12)
     still = BathSpec(2.0, therm_time=0.0)
     npt.assert_array_equal(_gad_pairs((still,))[0, 1], np.zeros((4, 4)))
 
