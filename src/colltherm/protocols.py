@@ -34,8 +34,8 @@ scenarios a caller may name to have a config checked against:
   traced out only at the end; keeps the ancilla-ancilla correlations the
   product-of-marginals mode discards.  The register grows: each ancilla
   joins when it arrives, its whole pass through the probes composed into
-  one isometry, and the last ancilla's collision is fused with the probe
-  trace (see :func:`_joint_tangents`).
+  one isometry, and the last two ancillas act through one map that ends
+  in the probe trace (see :func:`_joint_tangents`).
 * ``qutrit`` — three probes with a qutrit ancilla stream
   (product-of-marginals mode); a qubit ancilla is accepted as the
   diagnostic that shows why a two-level carrier cannot jointly resolve
@@ -133,9 +133,10 @@ __all__ = [
 ]
 
 # Joint-simulation Hilbert-space cap: 2 probes x 9 qubit ancillas, 3 x 8, or 5
-# qutrit ancillas.  It bounds the correlated mode's dense work: the register of
-# the state and its N derivatives, (1 + N) D^2 numbers at joint dimension D, and
-# the eigendecomposition of the d^n x d^n ancilla state the QFIM reads.
+# qutrit ancillas.  It bounds the correlated mode's dense work: its largest
+# arrays (the register with probes after n - 2 ancillas, (1 + N) D^2 / d^4
+# numbers at joint dimension D, and the (1 + N) d^2n output) and the
+# eigendecomposition of the d^n x d^n ancilla state the QFIM reads.
 SIM_DIM_CAP = 2**11
 
 # the phase gauge T = diag(i^level) per ancilla dimension (module docstring);
@@ -512,10 +513,12 @@ def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.n
     R -> (I (x) V) R (I (x) V)^dag, a linear map from the probe pair to
     (b, b', p, p') that lands in place, so one matmul on the trailing axis
     does it for the whole stack.  Between ancillas the probes rethermalize
-    by (x)_i Phi_i, composed into the same map; the derivative kicks
-    Phi_0 (x) ... (x) d Phi_m (x) ... act on register 0.  The last ancilla's
-    map is fused with the probe trace, sum_p V_p R V_p^dag, so the final
-    register with probes is never formed; one transpose of its flat
+    by (x)_i Phi_i, composed into the same map (the step); the derivative
+    kicks Phi_0 (x) ... (x) d Phi_m (x) ... act on register 0.  The last
+    ancilla's map, fused with the probe trace sum_p V_p R V_p^dag, is folded
+    into the step before it, P^2 x d^4 per register, so the step runs n - 2
+    times.  The largest arrays are the register after n - 2 ancillas and
+    the (1 + N) d^2n output; one transpose of its flat
     (b_1, b'_1, ..., b_n, b'_n) index puts the rows before the columns.
 
     ``probes`` are :func:`_probe_products` of a config with the same baths
@@ -531,21 +534,28 @@ def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.n
     nt, pp = 1 + nb, 4**nb
     v = _ancilla_isometry(config)
     reg, therm_t = probes or _probe_products(config)
+    last = np.einsum("bpq,cps->qsbc", v, v.conj()).reshape(pp, d * d)
+
+    def grow(reg, maps):  # the product rule: entry t >= 1 gains the kick maps_t of entry 0
+        out = (reg.reshape(-1, pp) @ maps[0]).reshape(nt, -1, maps.shape[-1])
+        out[1:] += np.matmul(reg[0].reshape(-1, pp), maps[1:])
+        return out
+
     if n > 1:
         # (q, q') -> (b, b', p, p'): collide, then rethermalize; per register,
         # transposed for right-multiplication.  Each (b, b') block's matmul
         # writes straight into step's rows, so the register matmuls, which
         # run every ancilla, read it C-contiguous rather than as a transpose
         meet_t = np.einsum("bpq,crs->bcqspr", v, v.conj()).reshape(d * d, pp, pp)
-        step = np.empty((nt, pp, d * d, pp))
-        np.matmul(meet_t, therm_t, out=step.transpose(0, 2, 1, 3))
-        step = step.reshape(nt, pp, d * d * pp)
-        for _ in range(n - 1):
-            grown = (reg.reshape(-1, pp) @ step[0]).reshape(nt, -1, pp)
-            grown[1:] += np.matmul(reg[0], step[1:]).reshape(nb, -1, pp)
-            reg = grown
-    last = np.einsum("bpq,cps->qsbc", v, v.conj()).reshape(pp, d * d)
-    out = (reg.reshape(-1, pp) @ last).reshape((nt,) + (d,) * (2 * n))
+        step = np.empty((nt, pp, d * d * pp))
+        np.matmul(meet_t, therm_t, out=step.reshape(nt, pp, d * d, pp).transpose(0, 2, 1, 3))
+        for _ in range(n - 2):
+            reg = grow(reg, step).reshape(nt, -1, pp)
+        # the last two ancillas: (q, q') -> (b, b', c, c'), the step, then last
+        out = grow(reg, (step.reshape(-1, pp) @ last).reshape(nt, pp, d**4))
+    else:
+        out = reg.reshape(-1, pp) @ last
+    out = out.reshape((nt,) + (d,) * (2 * n))
     rows_then_columns = (0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2))
     return out.transpose(rows_then_columns).reshape(nt, d**n, d**n)
 

@@ -407,16 +407,19 @@ def test_correlated_stack_matches_brute_force_joint_simulation(n, g1_over_pi):
         npt.assert_allclose(final, stack[0], rtol=0, atol=1e-12)
 
 
-_REGISTER_CASES = [(3, 2, n) for n in (1, 2, 3)] + [(nb, 3, n) for nb in (2, 3) for n in (1, 2)]
+# (2, 3, 3) is the first qutrit shape whose folded last two ancillas follow a step
+_REGISTER_CASES = (
+    [(3, 2, n) for n in (1, 2, 3)] + [(nb, 3, n) for nb in (2, 3) for n in (1, 2)] + [(2, 3, 3)]
+)
 
 
 @pytest.mark.parametrize("n_baths, dim, n", _REGISTER_CASES)
 def test_correlated_registers_of_three_probes_or_qutrits_match_brute_force(n_baths, dim, n):
-    """Three qubit probes up to n = 3, and qutrit ancillas behind two and
-    three probes up to n = 2: the un-gauged register equals the oracle's
-    whole-register simulation within 1e-12, and its derivatives equal the
-    oracle's central differences within 1e-8.  No collision is a swap, so
-    the probes correlate through the ancillas."""
+    """Three qubit probes up to n = 3, and qutrit ancillas behind three
+    probes up to n = 2 and two up to n = 3: the un-gauged register equals
+    the oracle's whole-register simulation within 1e-12, and its
+    derivatives equal the oracle's central differences within 1e-8.  No
+    collision is a swap, so the probes correlate through the ancillas."""
     temps = (2.0, 1.0, 3.0)[:n_baths]
     angles = tuple(g * math.pi for g in (0.3, 0.6, 0.45)[:n_baths])
     theta = 0.3 * math.pi
@@ -439,6 +442,24 @@ def test_correlated_registers_of_three_probes_or_qutrits_match_brute_force(n_bat
             - oracles.joint_stream_state(angles, down, n, rotation)
         ) / (2.0 * h)
         npt.assert_allclose(stack[1 + mu], ref, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_baths, n", [(2, 7), (3, 6)])
+def test_correlated_engine_never_builds_its_last_register_with_probes(n_baths, n):
+    """The last two ancillas act through one folded map, so one
+    ``_joint_tangents`` call peaks below the bytes of the (1 + N, d^2(n - 1),
+    P^2) register a step into the last ancilla would build: 1.57 MB for two
+    probes at n = 7 and 2.10 MB for three at n = 6."""
+    cfg = (two_bath_config if n_baths == 2 else three_bath_config)(
+        ancilla_dim=2, n_ancillas=n, correlated=True)
+    register = (1 + n_baths) * 4 ** (n - 1) * 4**n_baths * 8
+    tracemalloc.start()
+    try:
+        _joint_tangents(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < register, (peak, register)
 
 
 # (probes, ancilla dimension) -> the largest n the monotonicity draws reach
