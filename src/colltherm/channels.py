@@ -21,11 +21,12 @@ This module builds every channel the protocol composes:
 
 Temperatures enter the protocol only through :func:`_gibbs`, which writes
 the Gibbs weights, the Bose occupation and their T-derivatives once.  The
-thermal probe state and the partial-thermalization channel, built with its
-exact T-derivative for a stack of baths at once (:func:`_gad_pairs`), read
-them; the evaluators run those two.  They are written through
-``exp(-omega/T)``, which underflows to 0 at low temperature instead of
-overflowing.
+thermal probe state and the partial-thermalization channel with its exact
+T-derivative read them: the channel's decay (:func:`_gad_decay`) and its
+nonzero entries (:func:`_gad_entries`) are closed forms in one bath's
+numbers, which the evaluators build from, and :func:`_gad_pairs` stacks
+the channels of many baths.  They are written through ``exp(-omega/T)``,
+which underflows to 0 at low temperature instead of overflowing.
 
 The exchange (:func:`_exchange_stack`) and the rotation
 (:func:`_rotation_stack`, qubit and qutrit alike) are each one closed form
@@ -150,8 +151,8 @@ def _gibbs(omega: float, T: float) -> tuple[float, float, float, float, float]:
     for omega > 0, with x = omega/T, d lambda_0/dT = (x/T) lambda_0 lambda_1,
     nbar = e^{-x} / (1 - e^{-x}) and d nbar/dT = (x/T) nbar (nbar + 1).  The
     one place temperature enters the model and the one check of (omega, T):
-    the probe tangents, :func:`nbar`, :func:`_gad_pairs` and the thermal
-    benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
+    the evaluators' bath pieces, :func:`nbar`, :func:`_gad_pairs` and the
+    thermal benchmark F_th = (omega/T^2) d lambda_0/dT all read it."""
     _check_finite(omega=omega, temperature=T)
     if not T > 0:
         raise ValueError(f"temperature: must be > 0, got {T}")
@@ -281,25 +282,38 @@ def rotation_superoperator(spec: RotationSpec, dim: int = 2) -> np.ndarray:
 _GAD_ENTRIES = np.array([0, 0, 3, 3, 1, 2]), np.array([0, 3, 0, 3, 1, 2])
 
 
+def _gad_decay(gibbs, therm_time: float) -> tuple[float, float, float, float]:
+    """(e, d e/dT, sqrt(e), d sqrt(e)/dT) of a bath's partial
+    thermalization from its :func:`_gibbs` numbers: populations relax by e
+    = exp(-Gamma t), Gamma t = gamma t (2 nbar + 1) with gamma t =
+    ``therm_time``, and coherences decay by sqrt(e)."""
+    n, dn = gibbs[3:]
+    e = math.exp(-therm_time * (2.0 * n + 1.0))
+    dlog = -2.0 * therm_time * dn  # d ln(e) / dT
+    r = math.sqrt(e)
+    return e, e * dlog, r, 0.5 * r * dlog
+
+
+def _gad_entries(gibbs, therm_time: float) -> tuple[float, ...]:
+    """The six entries (at :data:`_GAD_ENTRIES`) of a bath's partial
+    thermalization, then the six of its T-derivative, from its
+    :func:`_gibbs` numbers: populations relax toward the Gibbs weights by e
+    and coherences decay by sqrt(e) (:func:`_gad_decay`)."""
+    lam0, lam1, dlam0 = gibbs[:3]
+    e, de, r, dr = _gad_decay(gibbs, therm_time)
+    a = dlam0 * (1.0 - e)
+    return (e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e),
+            r, r, a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, dr, dr)
+
+
 def _gad_pairs(baths) -> np.ndarray:
     """Per bath, the partial-thermalization channel and its T-derivative,
     stacked as (N, 2, 4, 4) real: each maps the populations (rho_00,
-    rho_11) by a 2x2 matrix and scales both coherences.  Populations relax
-    toward the Gibbs weights by e = exp(-Gamma t), Gamma t = gamma t (2 nbar
-    + 1) with gamma t = ``bath.therm_time``; coherences decay by sqrt(e).
-    Every temperature-dependent number of a bath comes from one
-    :func:`_gibbs` call; one array takes them all.
+    rho_11) by a 2x2 matrix and scales both coherences
+    (:func:`_gad_entries`).  Every temperature-dependent number of a bath
+    comes from one :func:`_gibbs` call; one array takes them all.
     """
-    entries = []
-    for bath in baths:
-        lam0, lam1, dlam0, n, dn = _gibbs(bath.omega, bath.temperature)
-        gt = bath.therm_time
-        e = math.exp(-gt * (2.0 * n + 1.0))
-        dlog = -2.0 * gt * dn  # d ln(e) / dT
-        a, de, r = dlam0 * (1.0 - e), e * dlog, math.sqrt(e)
-        dr = 0.5 * r * dlog
-        entries += (e + lam0 * (1.0 - e), lam0 * (1.0 - e), lam1 * (1.0 - e), e + lam1 * (1.0 - e),
-                    r, r, a + lam1 * de, a - lam0 * de, -a - lam1 * de, -a + lam0 * de, dr, dr)
+    entries = [_gad_entries(_gibbs(b.omega, b.temperature), b.therm_time) for b in baths]
     out = np.zeros((len(baths), 2, 4, 4))
     out[:, :, _GAD_ENTRIES[0], _GAD_ENTRIES[1]] = np.reshape(entries, (-1, 2, 6))
     return out

@@ -247,8 +247,13 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
     T^2 is written T * T: a float ``**`` raises ``OverflowError`` past
     T ~ 1.3e154, where the product gives inf and F_th underflows to 0.
     """
-    return np.array([b.omega / (b.temperature * b.temperature) * _gibbs(b.omega, b.temperature)[2]
-                     for b in baths])
+    return _thermal_fim(baths, [_gibbs(b.omega, b.temperature) for b in baths])
+
+
+def _thermal_fim(baths, gibbs) -> np.ndarray:
+    """:func:`thermal_fim` from the baths' :func:`colltherm.channels._gibbs`
+    numbers, for a caller that has them already."""
+    return np.array([b.omega / (b.temperature * b.temperature) * g[2] for b, g in zip(baths, gibbs)])
 
 
 def singularity_test(stack) -> tuple[bool, float | None]:

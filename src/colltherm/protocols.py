@@ -58,9 +58,8 @@ a fixed unitary leaves the QFIM alone.  A y rotation runs as the gauged x one
 rethermalizations it leaves alone), a z rotation, such a phase itself, as
 theta = 0; :func:`single_run` turns the state and SLDs it returns back.
 The gauged exchange masks and y-rotation table are made once, at import;
-each evaluation, or a sweep once for its points, builds its
-rethermalizations (:func:`colltherm.channels._gad_pairs`) as a stack, and
-the joint simulation its stage unitaries (:func:`_stage_unitaries`).
+each evaluation builds the joint simulation's stage unitaries
+(:func:`_stage_unitaries`).
 Every stage is built one way: its collision, then a rotation at the
 stage's angle (:func:`_stage_thetas`), which is 0, the identity exactly,
 on the last stage.  A stage unitary is linear in the 9 products of (1,
@@ -76,13 +75,18 @@ In the marginal stream stage i reads only bath i, angle i, the rotation
 and the sizes, so a :func:`sweep` along stage s's angle runs the stages
 before s once and hands their ancilla stacks to each point's
 :func:`evaluate`.  A point along the last stage's angle, which every preset
-sweeps, runs that stage alone.  What the baths alone decide, a sweep along
-any axis but ``gamma_t`` builds once and hands to each point the same way:
-the marginal stream's probe tangents and rethermalizations
-(:func:`_stream_baths`), the joint simulation's probes' Gibbs register and
-rethermalization product (:func:`_probe_products`).  No axis moves T or
-omega, so every sweep computes the thermal benchmark once.  Nothing either
-call computes outlives it.
+sweeps, runs that stage alone.
+
+What the baths alone decide, :func:`_bath_pieces` builds in one pass, from
+one :func:`colltherm.channels._gibbs` call per bath: the thermal benchmark,
+and the engine's pieces in closed form, the marginal stream's probe
+tangents and rethermalizations on the probes' Pauli coefficients, or the
+joint simulation's probes' Gibbs register and rethermalization product,
+scattered from per-probe entries at index tables made once, at import, per
+probe count.  A lone :func:`evaluate` or :func:`single_run` runs it once;
+a sweep along any axis but ``gamma_t`` runs it once on its fixed config
+and hands the result to each point, and a ``gamma_t`` point runs its own.
+Nothing either call computes outlives it.
 
 A scenario name only states what the caller expects: one table maps each
 name to its precondition, and :func:`check_scenario` is the one place that
@@ -109,13 +113,15 @@ from .channels import (
     _as_float,
     _exchange_coefficients,
     _exchange_stack,
-    _gad_pairs,
+    _GAD_ENTRIES,
+    _gad_decay,
+    _gad_entries,
     _gibbs,
     _rotation_coefficients,
     _rotation_stack,
     collision_maps,
 )
-from .estimation import EstimationReport, Qfim, build_report, qfim_stack, thermal_fim
+from .estimation import EstimationReport, Qfim, _thermal_fim, build_report, qfim_stack
 from .operators import SX, SZ
 
 __all__ = [
@@ -273,16 +279,99 @@ class ProtocolConfig:
 # building blocks of the tangent pass
 # ---------------------------------------------------------------------------
 
-def _probe_tangents(config: ProtocolConfig) -> np.ndarray:
-    """Per probe, its Gibbs state and temperature derivatives stacked as
-    (N, 1 + N, 2, 2), real; probe i depends on T_i alone."""
-    nb = config.n_baths
-    out = np.zeros((nb, 1 + nb, 2, 2))
-    for i, bath in enumerate(config.baths):
-        lam0, lam1, d = _gibbs(bath.omega, bath.temperature)[:3]
-        out[i, 0, 0, 0], out[i, 0, 1, 1] = lam0, lam1
-        out[i, 1 + i, 0, 0], out[i, 1 + i, 1, 1] = d, -d
-    return out
+def _scatter_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For n probes, P = 2^n, where the outer products over the probes land,
+    flat, in C order over the probes' entries: the Gibbs register's 2^n
+    nonzeros in (P^2,), on the diagonal, and the 6^n of the transposed
+    rethermalization product in (P^2, P^2), GAD entry (i, j) of
+    :data:`colltherm.channels._GAD_ENTRIES` at (j, i).  Each probe's
+    entries sit in the joint index at its own bits, probe i's shifted
+    n - 1 - i places up (probe 0 most significant)."""
+    p = 2**n
+    rows, cols = _GAD_ENTRIES
+    one_probe = (np.array([0, p + 1]),
+                 (cols // 2) * p**3 + (cols % 2) * p**2 + (rows // 2) * p + rows % 2)
+    return tuple(sum(np.ix_(*(w << (n - 1 - i) for i in range(n)))).ravel() for w in one_probe)
+
+
+# per probe count, the joint engine's scatter tables, made once
+_SCATTER = {n: _scatter_tables(n) for n in (2, 3)}
+
+
+def _register_product(pairs: np.ndarray, positions: np.ndarray, size: int) -> np.ndarray:
+    """Per register t of 1 + N, the outer product over the N probes of
+    probe i's entries, ``pairs[i, 1]`` (its T_i-derivative) for t = 1 + i
+    and ``pairs[i, 0]`` (its value) otherwise, the product rule, scattered
+    to ``positions`` of a zero (1 + N, size) array.  The products run in
+    probe order, as a chain of per-probe tensor products does."""
+    nb = len(pairs)
+    factors = pairs[np.arange(nb)[:, None], np.eye(nb, 1 + nb, 1, dtype=int)]
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, :, None] * f[:, None]).reshape(1 + nb, -1)
+    full = np.zeros((1 + nb, size))
+    full[:, positions] = out
+    return full
+
+
+def _bath_pieces(config: ProtocolConfig, rethermalize: bool | None = None) -> tuple:
+    """What the baths fix for one evaluation, (thermal, probes, therm), from
+    one :func:`colltherm.channels._gibbs` call per bath.
+
+    ``thermal`` is the benchmark vector of
+    :func:`colltherm.estimation.thermal_fim`.  Marginal stream:
+    ``probes`` are the probes' Gibbs tangents as Pauli coefficients, (N, 1
+    + N, 3), (lambda_0 + lambda_1, 0, lambda_0 - lambda_1) and (0, 0, 2 d
+    lambda_0/dT_i) at entry 1 + i, and ``therm`` their rethermalizations S_i
+    and d S_i/dT_i in Pauli form (:func:`_pauli_gad`), (N, 2, 3, 3).  Joint
+    simulation: ``probes`` is the probes' Gibbs register, (1 + N, 1, P^2),
+    and ``therm`` the product of their rethermalizations, transposed, (1 +
+    N, 1, P^2, P^2), the product of the transposed GADs, which the engine's
+    right-multiplication reads as built; both by scatter
+    (:func:`_register_product`).  ``therm`` is None unless ``rethermalize``,
+    by default when more than one ancilla passes.
+    """
+    nb, baths = config.n_baths, config.baths
+    gibbs = [_gibbs(b.omega, b.temperature) for b in baths]
+    thermal = _thermal_fim(baths, gibbs)
+    if rethermalize is None:
+        rethermalize = config.n_ancillas > 1
+    if config.correlated:
+        pp = 4**nb
+        at_gibbs, at_therm = _SCATTER[nb]
+        pops = np.array([((lam0, lam1), (dlam0, -dlam0)) for lam0, lam1, dlam0, *_ in gibbs])
+        reg = _register_product(pops, at_gibbs, pp).reshape(1 + nb, 1, pp)
+        if not rethermalize:
+            return thermal, reg, None
+        gads = np.array([_gad_entries(g, b.therm_time) for b, g in zip(baths, gibbs)])
+        therm_t = _register_product(gads.reshape(nb, 2, 6), at_therm, pp * pp)
+        return thermal, reg, therm_t.reshape(1 + nb, 1, pp, pp)
+    probes = np.zeros((nb, 1 + nb, 3))
+    for i, (lam0, lam1, dlam0, *_) in enumerate(gibbs):
+        probes[i, 0] = lam0 + lam1, 0.0, lam0 - lam1
+        probes[i, 1 + i, 2] = 2.0 * dlam0
+    if not rethermalize:
+        return thermal, probes, None
+    therm = np.array([_pauli_gad(g, b.therm_time) for b, g in zip(baths, gibbs)])
+    return thermal, probes, therm.reshape(nb, 2, 3, 3)
+
+
+def _pauli_gad(gibbs, therm_time: float) -> tuple[float, ...]:
+    """A bath's rethermalization S and d S/dT on the Pauli coefficients
+    (I, X, Z) of a real probe, flat, from its
+    :func:`colltherm.channels._gibbs` numbers: the trace is kept, X decays
+    by sqrt(e) and Z relaxes by e toward lambda_0 - lambda_1
+    (:func:`colltherm.channels._gad_decay`): S_00 = 1, S_11 = sqrt(e), S_22
+    = e, S_20 = (lambda_0 - lambda_1)(1 - e), each differentiated in T."""
+    lam0, lam1, dlam0 = gibbs[:3]
+    e, de, r, dr = _gad_decay(gibbs, therm_time)
+    z = lam0 - lam1
+    return (1.0, 0.0, 0.0,
+            0.0, r, 0.0,
+            z * (1.0 - e), 0.0, e,
+            0.0, 0.0, 0.0,
+            0.0, dr, 0.0,
+            2.0 * dlam0 * (1.0 - e) - z * de, 0.0, de)
 
 
 def _stage_thetas(config: ProtocolConfig) -> tuple[float, ...]:
@@ -349,21 +438,12 @@ def single_run(config: ProtocolConfig) -> tuple[np.ndarray, EstimationReport]:
     The report keeps the SLDs, in the computational basis too.
     """
     check_scenario("single", config)
-    stacks = _stream_tangents(config)
+    baths = _bath_pieces(config)
+    stacks = _stream_tangents(config, baths=baths)
     qs = qfim_stack(stacks)
     qf = Qfim(qs.matrices[0], tuple(_ungauge(np.array(qs.slds(0)), config)), qs.support_dims[0])
-    report = build_report(qf, thermal_fim(config.baths))
+    report = build_report(qf, baths[0])
     return _ungauge(stacks[0, 0], config), report
-
-
-def _stream_baths(config: ProtocolConfig, rethermalize: bool = True) -> tuple:
-    """The marginal stream's bath pieces, per stage: its probe's Gibbs
-    tangents as Pauli coefficients, (N, 1 + N, 3), and, if ``rethermalize``,
-    the probe's rethermalization S_i and d S_i / dT_i in Pauli form, (N, 2,
-    3, 3), else None.  Both read ``config.baths`` alone."""
-    nb = config.n_baths
-    probes = _probe_tangents(config).reshape(nb, 1 + nb, 4) @ _PAULI.T
-    return probes, _PAULI @ _gad_pairs(config.baths) @ _PAULI.T / 2 if rethermalize else None
 
 
 def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
@@ -395,9 +475,9 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     With ``stop`` it runs stages 0 .. stop - 1 only and returns the ancilla
     stacks after them; a ``prefix`` (s, such stacks of a config that differs
     from this one only in baths and angles from s on) starts it at stage s.
-    ``baths`` are :func:`_stream_baths` of a config with the same baths, for
-    every stage (a sweep builds them once); the call slices the stages it
-    runs, and without them it builds its own.
+    ``baths`` are :func:`_bath_pieces` of a config with the same baths, for
+    every stage (an evaluation or a sweep builds them once); the call
+    slices the stages it runs, and without them it builds its own.
     """
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, dd = 1 + nb, d * d
@@ -407,7 +487,7 @@ def _stream_tangents(config: ProtocolConfig, prefix: tuple | None = None,
     maps = _stage_maps(config, stages)
     # the ancilla map with the probe in Pauli coefficients, (ns, 3 d^2, d^2)
     ancilla_maps = maps[:, :3 * dd * dd].reshape(ns, 3 * dd, dd)
-    probes, therm = baths or _stream_baths(config, n > 1)
+    _, probes, therm = baths or _bath_pieces(config)
     probes = probes[stages]
     if n > 1:
         # the probe map in Pauli coefficients, then per stage S_i and d S_i / dT_i
@@ -454,54 +534,21 @@ def _ancilla_isometry(config: ProtocolConfig) -> np.ndarray:
 
     The ancilla arrives in its bottom level d - 1, so V starts as the P
     columns of the identity on ancilla (x) probes (probe 0 most significant)
-    with that ancilla input, axes (c, y_0, ..., y_{N-1}, q); each stage
-    collision and its rotation then acts on those columns alone: stage i's
-    u[x, a, y, c] takes the ancilla axis c and probe axis y_i to (a, x), one
-    einsum whose axes follow from i and N.
+    with that ancilla input, rows (c, y_0, ..., y_{N-1}).  Stage i's u[x,
+    a, y, c], its columns taken as (c, y), maps the adjacent row pair (a,
+    y_i) to (x_i, a): one matmul per stage, batched over the probes already
+    passed, leaves the rows as (x_0, ..., x_{N-1}, a), and one transpose
+    puts the ancilla first.
     """
     nb, d, p = config.n_baths, config.ancilla_dim, 2**config.n_baths
-    v = np.eye(d * p)[:, (d - 1) * p:].reshape((d,) + (2,) * nb + (p,))
-    axes = list(range(nb + 2))  # labels of v's axes; x and a are nb + 2, nb + 3
-    for i, u in enumerate(_stage_unitaries(config)):
-        out = [nb + 3] + axes[1:1 + i] + [nb + 2] + axes[2 + i:]
-        v = np.einsum(u.reshape(2, d, 2, d), [nb + 2, nb + 3, 1 + i, 0], v, axes, out)
-    return v.reshape(d, p, p)
+    us = _stage_unitaries(config).reshape(nb, 2 * d, 2, d).swapaxes(2, 3).reshape(nb, 2 * d, 2 * d)
+    v = np.eye(d * p)[:, (d - 1) * p:]
+    for i, u in enumerate(us):
+        v = u @ v.reshape(2**i, 2 * d, -1)
+    return v.reshape(p, d, p).transpose(1, 0, 2)
 
 
-def _probe_product(pairs, shape) -> np.ndarray:
-    """Tensor product over the probes of a per-probe operator, one product
-    per register: register 0 takes every probe's value, register 1 + m
-    takes probe m's T_m-derivative in its place (the product rule).
-
-    ``pairs`` holds per probe (value, derivative), each reshaped to
-    ``shape`` = (row, col, row', col'); the product keeps that grouping, so
-    (2, 2, 1, 1) states give (1 + N, P, P, 1, 1) and (2, 2, 2, 2)
-    superoperators give (1 + N, P, P, P, P); it starts from probe 0's stack.
-    """
-    nt = 1 + len(pairs)
-    stacks = (np.array([dx if m == 1 + i else x for m in range(nt)]).reshape((nt,) + shape)
-              for i, (x, dx) in enumerate(pairs))
-    out = next(stacks)
-    for f in stacks:
-        grown = tuple(a * b for a, b in zip(out.shape[1:], shape))
-        out = np.einsum("xabcd,xefgh->xaebfcgdh", out, f).reshape((nt,) + grown)
-    return out
-
-
-def _probe_products(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The probes' Gibbs register, (1 + N, 1, P^2), and the product of their
-    rethermalizations, transposed, (1 + N, 1, P^2, P^2), each with its
-    derivative registers (:func:`_probe_product`): read off ``config.baths``
-    alone.  The product of the transposed pairs is the transposed product,
-    so the joint engine's right-multiplication reads it as built."""
-    nt, pp = 1 + config.n_baths, 4**config.n_baths
-    gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_probe_tangents(config))]
-    reg = _probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp)
-    therm_t = _gad_pairs(config.baths).swapaxes(-1, -2)
-    return reg, _probe_product(therm_t, (2, 2, 2, 2)).reshape(nt, 1, pp, pp)
-
-
-def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.ndarray:
+def _joint_tangents(config: ProtocolConfig, baths: tuple | None = None) -> np.ndarray:
     """The n-ancilla final state of the joint simulation and its temperature
     derivatives, stacked as (1 + N, d^n, d^n) in natural ancilla order.
 
@@ -521,8 +568,9 @@ def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.n
     the (1 + N) d^2n output; one transpose of its flat
     (b_1, b'_1, ..., b_n, b'_n) index puts the rows before the columns.
 
-    ``probes`` are :func:`_probe_products` of a config with the same baths
-    (a sweep builds them once); without them the call builds its own.
+    ``baths`` are :func:`_bath_pieces` of a config with the same baths (an
+    evaluation or a sweep builds them once); without them the call builds
+    its own.
     """
     jd = config.joint_dim()
     if jd > SIM_DIM_CAP:
@@ -533,7 +581,7 @@ def _joint_tangents(config: ProtocolConfig, probes: tuple | None = None) -> np.n
     nb, d, n = config.n_baths, config.ancilla_dim, config.n_ancillas
     nt, pp = 1 + nb, 4**nb
     v = _ancilla_isometry(config)
-    reg, therm_t = probes or _probe_products(config)
+    _, reg, therm_t = baths or _bath_pieces(config)
     last = np.einsum("bpq,cps->qsbc", v, v.conj()).reshape(pp, d * d)
 
     def grow(reg, maps):  # the product rule: entry t >= 1 gains the kick maps_t of entry 0
@@ -606,20 +654,20 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
 
     Reports do not keep the SLDs, so a caller holding many reports holds
     only small matrices; :func:`single_run` returns the single-ancilla
-    SLDs.  Only :func:`sweep` passes a ``_prefix``, what it built once for
-    its points: the thermal benchmark under ``"thermal"``, and the engine's
-    keyword arguments, the marginal stream's stage ``prefix`` and bath
-    pieces (``baths``, :func:`_stream_baths`), or the joint simulation's
-    ``probes`` (:func:`_probe_products`).  What it lacks, the call builds.
+    SLDs.  What the baths fix, the thermal benchmark and the engine's bath
+    pieces, the call builds in one pass (:func:`_bath_pieces`).  Only
+    :func:`sweep` passes a ``_prefix``, what it built once for its points:
+    those pieces under ``"baths"``, and the marginal stream's stage
+    ``prefix``.  What it lacks, the call builds.
     """
     check_scenario(scenario, config)
-    shared = dict(_prefix or {})
-    thermal = shared.pop("thermal", None)
+    shared = _prefix or {}
+    baths = shared.get("baths") or _bath_pieces(config)
     # the engine's K states form a product: their QFIMs add, their supports multiply
-    qs = qfim_stack(_joint_tangents(config, **shared)[None] if config.correlated
-                    else _stream_tangents(config, **shared))
+    qs = qfim_stack(_joint_tangents(config, baths)[None] if config.correlated
+                    else _stream_tangents(config, shared.get("prefix"), baths=baths))
     qf = Qfim(qs.matrices.sum(axis=0), support_dim=math.prod(qs.support_dims))
-    return build_report(qf, thermal_fim(config.baths) if thermal is None else thermal)
+    return build_report(qf, baths[0])
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +783,18 @@ def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
     in-row, has report None, and the sweep continues.
 
     What the sweep's fixed config decides for every point it builds once,
-    on ``grid.fixed``: the thermal benchmark, along every axis (none moves
-    T or omega; the reports share it, read-only); along any axis but
-    ``gamma_t``, which moves the baths, the joint simulation's
-    :func:`_probe_products` or the marginal stream's :func:`_stream_baths`
-    (rethermalization included, which an ``n_ancillas`` sweep from n = 1
-    needs); and along angle s the marginal stream's stages before s.  Each
-    point makes one :func:`evaluate` call from there; what the shared
-    build could not make, each point builds, failing alike in its own row."""
+    on ``grid.fixed``: along any axis but ``gamma_t``, which moves the
+    baths, the one-pass :func:`_bath_pieces`, rethermalization included,
+    which an ``n_ancillas`` sweep from n = 1 needs (the reports share its
+    thermal benchmark, read-only); and along angle s the marginal stream's
+    stages before s.  Each point makes one :func:`evaluate` call from
+    there; what the shared build could not make, each point builds, failing
+    alike in its own row, and a ``gamma_t`` point builds its own pieces."""
     fixed, stage, shared = grid.fixed, _ANGLE_AXES.get(grid.axis_name), {}
     with suppress(Exception):
-        shared["thermal"] = thermal_fim(fixed.baths)
-        shared["thermal"].flags.writeable = False
         if grid.axis_name != "gamma_t":
-            if fixed.correlated:
-                shared["probes"] = _probe_products(fixed)
-            else:
-                shared["baths"] = _stream_baths(fixed)
+            shared["baths"] = _bath_pieces(fixed, rethermalize=True)
+            shared["baths"][0].flags.writeable = False
         if stage and not fixed.correlated:
             shared["prefix"] = stage, _stream_tangents(fixed, stop=stage, baths=shared.get("baths"))
     points = []

@@ -24,34 +24,40 @@ def stages_built(monkeypatch):
     return built
 
 
+def _count_bath_pieces(monkeypatch, correlated, record):
+    """Hook ``protocols._bath_pieces``, the one builder of what the baths
+    fix for an evaluation: each call for an engine of ``correlated`` passes
+    its (thermal, probes, therm) to ``record``."""
+    bath_pieces = protocols._bath_pieces
+
+    def counting(config, *args, **kwargs):
+        pieces = bath_pieces(config, *args, **kwargs)
+        if config.correlated == correlated:
+            record(pieces)
+        return pieces
+
+    monkeypatch.setattr(protocols, "_bath_pieces", counting)
+
+
 @pytest.fixture
 def probe_products_built(monkeypatch):
     """The probe products the joint simulation builds, in call order:
     ``"gibbs"`` for the probes' Gibbs register and ``"therm"`` for their
-    rethermalization product, as ``protocols._probe_product`` forms them."""
-    built, probe_product = [], protocols._probe_product
-
-    def counting(pairs, shape):
-        built.append("therm" if shape[2:] == (2, 2) else "gibbs")
-        return probe_product(pairs, shape)
-
-    monkeypatch.setattr(protocols, "_probe_product", counting)
+    rethermalization product, as each ``protocols._bath_pieces`` call of
+    a correlated config builds them."""
+    built = []
+    _count_bath_pieces(monkeypatch, True,
+                       lambda pieces: built.extend(["gibbs"] + ["therm"] * (pieces[2] is not None)))
     return built
 
 
 @pytest.fixture
 def stream_baths_built(monkeypatch):
     """The bath pieces the marginal stream builds, in call order: per
-    ``protocols._stream_baths`` call, whether it built the probes'
-    rethermalizations along with their Gibbs tangents."""
-    built, stream_baths = [], protocols._stream_baths
-
-    def counting(config, *args):
-        probes, therm = stream_baths(config, *args)
-        built.append(therm is not None)
-        return probes, therm
-
-    monkeypatch.setattr(protocols, "_stream_baths", counting)
+    ``protocols._bath_pieces`` call of an uncorrelated config, whether it
+    built the probes' rethermalizations along with their Gibbs tangents."""
+    built = []
+    _count_bath_pieces(monkeypatch, False, lambda pieces: built.append(pieces[2] is not None))
     return built
 
 

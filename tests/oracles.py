@@ -13,8 +13,10 @@ and from a pseudoinverse solve of the SLD equation, a brute-force
 simulation of the ancilla stream on the whole register (two or three
 probes, qubit or qutrit ancillas, the qutrit exchange written out), the
 two-probe stream with probe marginals only, by ``kron`` and partial traces,
-that stream's stationary limit by a linear solve, and random inputs.  Tests
-compare library output against these, never against the library itself.
+that stream's stationary limit by a linear solve, the probes' tensor
+products register by register as an ``einsum`` chain, and random inputs.
+Tests compare library output against these, never against the library
+itself.
 """
 
 import math
@@ -505,6 +507,31 @@ def joint_stream_etas(angles, temps, n, product=False, rotation=rotation_x(math.
     det_q = float(np.linalg.det(f))
     eta_acc = math.log(det_q / math.prod(f_th)) if det_q > 0 else -math.inf
     return float(np.trace(f)) / sum(f_th), eta_acc
+
+
+# ---------------------------------------------------------------------------
+# the probes' tensor products, register by register
+# ---------------------------------------------------------------------------
+
+def probe_product(pairs, shape):
+    """Tensor product over the probes of a per-probe operator, one product
+    per register: register 0 takes every probe's value, register 1 + m
+    takes probe m's T_m-derivative in its place (the product rule), as a
+    chain of ``np.einsum`` tensor products, probe 0 first.
+
+    ``pairs`` holds per probe (value, derivative), each reshaped to
+    ``shape`` = (row, col, row', col'); the product keeps that grouping, so
+    (2, 2, 1, 1) states give (1 + N, P, P, 1, 1) and (2, 2, 2, 2)
+    superoperators give (1 + N, P, P, P, P).
+    """
+    nt = 1 + len(pairs)
+    stacks = (np.array([dx if m == 1 + i else x for m in range(nt)]).reshape((nt,) + shape)
+              for i, (x, dx) in enumerate(pairs))
+    out = next(stacks)
+    for f in stacks:
+        grown = tuple(a * b for a, b in zip(out.shape[1:], shape))
+        out = np.einsum("xabcd,xefgh->xaebfcgdh", out, f).reshape((nt,) + grown)
+    return out
 
 
 # ---------------------------------------------------------------------------

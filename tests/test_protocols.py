@@ -24,6 +24,8 @@ from colltherm import protocols
 from colltherm.channels import (
     BathSpec,
     RotationSpec,
+    _gad_pairs,
+    _gibbs,
     collision_maps,
     collision_unitary,
     thermal_populations,
@@ -712,16 +714,88 @@ def test_stage_maps_are_the_collision_maps_of_the_public_closed_forms(n_baths, d
         npt.assert_allclose(got, expected[stages], rtol=0, atol=1e-15, err_msg=str(stages))
 
 
-def test_a_lone_ancilla_builds_no_rethermalization(monkeypatch):
-    """With one ancilla no probe is propagated, so the stream builds no
-    rethermalization."""
+def test_a_lone_ancilla_builds_no_rethermalization(monkeypatch, stream_baths_built,
+                                                   probe_products_built):
+    """With one ancilla no probe is propagated, so neither engine builds a
+    rethermalization: neither ``_pauli_gad``, the marginal stream's Pauli
+    form, nor ``_gad_entries``, which the joint simulation's product
+    reads, is called."""
     def unused(*args):
         raise AssertionError("built for a lone ancilla")
 
-    monkeypatch.setattr(protocols, "_gad_pairs", unused)
-    for cfg, scenario in ((two_bath_config(), "single"), (three_bath_config(), "qutrit")):
+    monkeypatch.setattr(protocols, "_pauli_gad", unused)
+    monkeypatch.setattr(protocols, "_gad_entries", unused)
+    for cfg, scenario in ((two_bath_config(), "single"), (three_bath_config(), "qutrit"),
+                          (two_bath_config(correlated=True), "correlated")):
         assert np.isfinite(evaluate(cfg, scenario).qfim.matrix).all()
     single_run(two_bath_config())
+    assert stream_baths_built == [False] * 3
+    assert probe_products_built == ["gibbs"]
+
+
+def _seeded_baths(n_baths):
+    """Seeded bath sets of ``n_baths``: random ones, and ones with a bath
+    at T = 1e-3 (nbar underflows to 0), at T = 1e160 (e underflows to 0,
+    F_th to 0) and at gamma t = 0 (no rethermalization)."""
+    rng = np.random.default_rng(3800 + n_baths)
+    sets = [tuple(BathSpec(float(10 ** rng.uniform(-1, 1)), omega=float(rng.uniform(0.5, 2)),
+                           therm_time=float(rng.uniform(0, 2))) for _ in range(n_baths))
+            for _ in range(8)]
+    for k, bath in enumerate((BathSpec(1e-3), BathSpec(1e160), BathSpec(1.5, therm_time=0.0))):
+        sets.append(tuple(bath if i == k % n_baths else b for i, b in enumerate(sets[k])))
+    sets.append(tuple(BathSpec(float(T), therm_time=0.0) for T in (2.0, 1.0, 3.0)[:n_baths]))
+    return sets
+
+
+def _gibbs_tangents(baths):
+    """Per probe, diag(lambda_0, lambda_1) and its T-derivative in the slot
+    of its own temperature, (N, 1 + N, 2, 2), from ``_gibbs``."""
+    out = np.zeros((len(baths), 1 + len(baths), 2, 2))
+    for i, bath in enumerate(baths):
+        lam0, lam1, d = _gibbs(bath.omega, bath.temperature)[:3]
+        out[i, 0] = np.diag((lam0, lam1))
+        out[i, 1 + i] = np.diag((d, -d))
+    return out
+
+
+@pytest.mark.parametrize("n_baths", [2, 3])
+def test_stream_bath_pieces_are_the_pauli_route(n_baths):
+    """The marginal stream's bath pieces in closed form: the thermal vector
+    is ``thermal_fim``'s and the probe coefficients are the Gibbs tangents
+    through (I, X, Z), bit for bit; the rethermalization S and d S/dT are
+    ``_PAULI @ _gad_pairs @ _PAULI.T / 2`` to 1e-15, and at gamma t = 0
+    exactly the identity and 0."""
+    pauli = protocols._PAULI
+    for baths in _seeded_baths(n_baths):
+        config = ProtocolConfig(baths, (0.3,) * n_baths, n_ancillas=3)
+        thermal, probes, therm = protocols._bath_pieces(config)
+        npt.assert_array_equal(thermal, thermal_fim(baths))
+        route = _gibbs_tangents(baths).reshape(n_baths, 1 + n_baths, 4) @ pauli.T
+        npt.assert_array_equal(probes, route)
+        npt.assert_allclose(therm, pauli @ _gad_pairs(baths) @ pauli.T / 2, rtol=0, atol=1e-15)
+        for i, bath in enumerate(baths):
+            if bath.therm_time == 0.0:
+                npt.assert_array_equal(therm[i], [np.eye(3), np.zeros((3, 3))])
+
+
+@pytest.mark.parametrize("n_baths", [2, 3])
+def test_joint_bath_pieces_are_the_einsum_products(n_baths):
+    """The joint simulation's probe products by scatter equal, bit for bit,
+    the per-probe ``einsum`` chain of the oracles over the Gibbs tangents
+    and the transposed ``_gad_pairs``; a lone ancilla's pieces carry no
+    rethermalization product."""
+    nt, pp = 1 + n_baths, 4**n_baths
+    for baths in _seeded_baths(n_baths):
+        config = ProtocolConfig(baths, (0.3,) * n_baths, n_ancillas=2, correlated=True)
+        thermal, reg, therm_t = protocols._bath_pieces(config)
+        npt.assert_array_equal(thermal, thermal_fim(baths))
+        gibbs = [(p[0], p[1 + i]) for i, p in enumerate(_gibbs_tangents(baths))]
+        npt.assert_array_equal(reg, oracles.probe_product(gibbs, (2, 2, 1, 1)).reshape(nt, 1, pp))
+        expected = oracles.probe_product(_gad_pairs(baths).swapaxes(-1, -2), (2, 2, 2, 2))
+        npt.assert_array_equal(therm_t, expected.reshape(nt, 1, pp, pp))
+        lone = protocols._bath_pieces(replace(config, n_ancillas=1))
+        npt.assert_array_equal(lone[1], reg)
+        assert lone[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -1266,11 +1340,11 @@ def test_a_failing_probe_build_is_recorded_in_every_row(monkeypatch):
     point builds its own, and records the error in its row."""
     calls = []
 
-    def failing(pairs, shape):
-        calls.append(shape)
+    def failing(pairs, positions, size):
+        calls.append(size)
         raise ValueError("no probe product")
 
-    monkeypatch.setattr(protocols, "_probe_product", failing)
+    monkeypatch.setattr(protocols, "_register_product", failing)
     grid = SweepGrid("g_t2_over_pi", (0.25, 0.5), two_bath_config(n_ancillas=3, correlated=True))
     points = sweep(grid)
     assert [row["error"] for row, _ in points] == ["ValueError: no probe product"] * 2
@@ -1293,42 +1367,38 @@ def test_a_correlated_sweep_builds_its_probe_products_once_unless_the_baths_move
 
 @pytest.mark.parametrize("correlated", [False, True])
 @pytest.mark.parametrize("axis", SWEEP_AXES)
-def test_a_sweep_builds_its_thermal_benchmark_once_and_its_stream_baths_unless_they_move(
-        axis, correlated, stream_baths_built, monkeypatch):
-    """No axis moves T or omega: a sweep of either engine computes the
-    thermal benchmark once, on ``grid.fixed``, and its reports share it,
-    read-only.  A marginal-stream sweep builds its bath pieces once along
-    every axis that leaves the baths alone, rethermalizations included, as
-    an ``n_ancillas`` sweep from n = 1 needs; a ``gamma_t`` sweep builds
-    them at every point, and a correlated sweep never."""
-    benchmarks = []
-
-    def counting(baths):
-        benchmarks.append(baths)
-        return thermal_fim(baths)
-
-    monkeypatch.setattr(protocols, "thermal_fim", counting)
+def test_a_sweep_builds_its_bath_pieces_once_unless_they_move(
+        axis, correlated, stream_baths_built, probe_products_built):
+    """What the baths fix, the thermal benchmark among it, a sweep of
+    either engine builds in one ``protocols._bath_pieces`` pass on
+    ``grid.fixed`` along every axis that leaves the baths alone,
+    rethermalizations included, as an ``n_ancillas`` sweep from n = 1
+    needs; its reports share that benchmark, read-only.  A ``gamma_t``
+    sweep builds them at every point, and no axis moves T or omega, so
+    every point's benchmark is the same vector."""
     make = three_bath_config if axis == "g_t3_over_pi" else two_bath_config
     base = make(n_ancillas=1 if axis == "n_ancillas" else 3, correlated=correlated)
     points = sweep(SweepGrid(axis, _AXIS_VALUES[axis], base))
     assert all(row["error"] is None for row, _ in points)
-    assert len(benchmarks) == 1
+    builds = len(points) if axis == "gamma_t" else 1
+    assert stream_baths_built == ([] if correlated else [True] * builds)
+    assert probe_products_built == (["gibbs", "therm"] * builds if correlated else [])
     shared = points[0][1].thermal
-    assert not shared.flags.writeable and all(rep.thermal is shared for _, rep in points)
-    expected = [] if correlated else [True] * (len(points) if axis == "gamma_t" else 1)
-    assert stream_baths_built == expected
+    assert all((rep.thermal == shared).all() for _, rep in points)
+    if axis != "gamma_t":
+        assert not shared.flags.writeable and all(rep.thermal is shared for _, rep in points)
 
 
 @pytest.mark.parametrize("name, correlated", [
-    ("_stream_baths", False), ("thermal_fim", False), ("thermal_fim", True),
+    ("_bath_pieces", False), ("_bath_pieces", True), ("_gibbs", False), ("_gibbs", True),
 ])
-def test_a_failing_stream_bath_or_thermal_build_is_recorded_in_every_row(
-        name, correlated, monkeypatch):
-    """Bath pieces or a thermal benchmark a sweep cannot build do not stop
-    it: each point builds its own, and records the error in its row."""
+def test_a_failing_bath_build_is_recorded_in_every_row(name, correlated, monkeypatch):
+    """Bath pieces a sweep cannot build, or the Gibbs numbers they read,
+    do not stop it: each point builds its own, and records the error in
+    its row."""
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(args)
         raise ValueError(f"no {name}")
 
