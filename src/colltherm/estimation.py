@@ -29,7 +29,12 @@ Lu & Wang, J. Phys. A 53, 023001 (2020)):
 :func:`qfim_stack` does this for a stack of K states at once, with one
 stacked eigendecomposition; it is the one QFIM and SLD routine, and
 :meth:`QfimStack.slds` rotates one state's SLDs back to the computational
-basis.
+basis.  Its checks cost more than its arithmetic at the stream's sizes, so
+each of its three stages (the stack before the eigendecomposition, the
+states after it, the QFIMs after the contraction) gathers its defects in one
+array and decides pass or fail by one comparison with their bounds, which a
+NaN fails; the per-entry code that names the first offender runs only when
+that comparison fails.
 
 Figures of merit against the thermal benchmark F_th = diag(F_th^i), held
 as the per-bath vector of :func:`thermal_fim`, formed with the singular
@@ -41,13 +46,14 @@ flag by :func:`build_report` alone:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import BathSpec, _gibbs
-from .linalg import herm_eig
+from .linalg import EIG_HERM_TOL, EIG_RESIDUAL_TOL, _eigh, _refuse_input, _refuse_residual
 
 __all__ = [
     "SUPPORT_CUTOFF",
@@ -70,6 +76,18 @@ DERIV_TRACE_TOL = 1e-9
 # probes never propagate their trace
 STATE_TRACE_TOL = 1e-9
 STATE_PSD_TOL = 1e-10         # most negative state eigenvalue allowed (eigensolver noise)
+# the bounds of _eig_states' defects: residual, |Tr rho - 1|, -(lowest eigenvalue)
+_STATE_TOLERANCES = np.array([[EIG_RESIDUAL_TOL], [STATE_TRACE_TOL], [STATE_PSD_TOL]])
+# the bounds of _check_qfim's defects: asymmetry (1e-9 x the largest entry,
+# set per QFIM), largest entry (finite), -(lowest eigenvalue)
+_QFIM_TOLERANCES = np.array([np.nan, np.finfo(float).max, 1e-8])
+
+
+def _within(defect: np.ndarray, tol: np.ndarray) -> bool:
+    """Whether every defect is at most its tolerance: the one comparison
+    each stage of :func:`qfim_stack` decides by.  A NaN defect fails."""
+    ok = defect <= tol
+    return np.count_nonzero(ok) == ok.size
 
 
 def _check_derivs(derivs: np.ndarray) -> None:
@@ -89,16 +107,109 @@ def _check_derivs(derivs: np.ndarray) -> None:
         raise ValueError(f"derivative {mu} not traceless: |trace| {trace[k, mu]:.3e}")
 
 
+@functools.lru_cache
+def _stack_tolerances(n: int) -> np.ndarray:
+    """The (2, 1, 1 + n) bounds of :func:`_check_stack`'s defects, the
+    Hermiticity defect and the |trace| of a state and its n derivatives.  A
+    state's trace is read off its eigenvalues instead, so its bound here is
+    inf, which only a NaN fails."""
+    tol = np.array([[EIG_HERM_TOL] + [DERIV_HERM_TOL] * n, [np.inf] + [DERIV_TRACE_TOL] * n])
+    tol = tol[:, None]
+    tol.flags.writeable = False
+    return tol
+
+
+def _check_stack(stacks: np.ndarray) -> None:
+    """The checks before the eigendecomposition, in one pass over the
+    (K, 1 + N, d, d) stack: every state Hermitian to
+    :data:`colltherm.linalg.EIG_HERM_TOL`, every derivative Hermitian and
+    traceless to 1e-9.  Only when that fails are the offenders named:
+    derivatives first (:func:`_check_derivs`), then the states, as
+    :func:`colltherm.linalg.herm_eig` names them.  An inf or NaN entry
+    makes a defect NaN, which fails; an inf meeting an inf also warns, and
+    where that warning is an error it is caught and the entry named."""
+    k, m, d = stacks.shape[:3]
+    defect = np.empty((2, k, m))
+    try:
+        np.maximum.reduce(np.abs(stacks - stacks.swapaxes(-1, -2).conj()), axis=(-2, -1),
+                          out=defect[0])
+        # the trace: every (d + 1)-th of a matrix's row-major entries is diagonal
+        np.abs(np.add.reduce(stacks.reshape(k, m, d * d)[..., :: d + 1], axis=-1),
+               out=defect[1])
+    except RuntimeWarning:
+        defect[:] = np.nan
+    if not _within(defect, _stack_tolerances(m - 1)):
+        _check_derivs(stacks[:, 1:])
+        rho = stacks[:, 0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = np.abs(rho - rho.swapaxes(-1, -2).conj()).max(initial=0.0)
+        if not herm <= EIG_HERM_TOL:
+            _refuse_input(rho, herm)
+        # else only a state's trace overflowed, and its eigenvalues name it
+
+
+def _eig_states(rho: np.ndarray):
+    """``(w, V)`` of the (K, d, d) states, with the checks after the
+    eigendecomposition in one comparison: the residual, each state's unit
+    trace to :data:`STATE_TRACE_TOL` and its lowest eigenvalue down to
+    ``-STATE_PSD_TOL``.  Only when that fails are the offenders named: the
+    largest residual, then the first failing state in stack order, trace
+    before positivity."""
+    w, v, resid = _eigh(rho)
+    defect = np.empty((3, len(w)))
+    defect[0] = resid
+    np.abs(np.add.reduce(w, axis=-1) - 1.0, out=defect[1])
+    np.negative(w[:, 0], out=defect[2])
+    if not _within(defect, _STATE_TOLERANCES):
+        if not _within(resid, EIG_RESIDUAL_TOL):
+            _refuse_residual(resid)
+        trace_defect, lowest = defect[1], w[:, 0]
+        k = int(np.argmax(~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))))
+        if not trace_defect[k] <= STATE_TRACE_TOL:
+            raise ValueError(
+                f"state {k} of the stack: trace defect {trace_defect[k]:.3e} > {STATE_TRACE_TOL}"
+            )
+        raise ValueError(
+            f"state {k} of the stack not PSD: min eigenvalue {lowest[k]:.3e} < -{STATE_PSD_TOL}"
+        )
+    return w, v
+
+
 def _check_qfim(m: np.ndarray) -> np.ndarray:
-    """A QFIM, or a stack (..., N, N) of them, must be symmetric to 1e-9
-    relative to its largest entry and PSD down to -1e-8.  Returns the
-    symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads."""
+    """A QFIM, or a stack (..., N, N) of them, must be finite, symmetric to
+    1e-9 relative to its largest entry and PSD down to -1e-8.  Returns the
+    symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads.
+    One comparison decides all three; only when it fails is the first
+    failing check named, in that order (:func:`_name_qfim_defect`)."""
     mt = m.swapaxes(-1, -2)
-    asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
-    bad = asym > 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    table = np.empty(m.shape[:-2] + (2, 3))  # the defects, then their bounds
+    defect, tol = table[..., 0, :], table[..., 1, :]
+    try:
+        sym = (m + mt) / 2
+        np.maximum.reduce(np.abs(m - mt), axis=(-2, -1), initial=0.0, out=defect[..., 0])
+        np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=0.0, out=defect[..., 1])
+        np.negative(np.linalg.eigvalsh(sym)[..., 0], out=defect[..., 2])
+    except (RuntimeWarning, np.linalg.LinAlgError):  # inf or NaN entries
+        return _name_qfim_defect(m)
+    tol[...] = _QFIM_TOLERANCES
+    np.multiply(defect[..., 1], 1e-9, out=tol[..., 0])
+    return sym if _within(defect, tol) else _name_qfim_defect(m)
+
+
+def _name_qfim_defect(m: np.ndarray) -> np.ndarray:
+    """:func:`_check_qfim` check by check: raise naming the first that
+    fails, or return the symmetric part if none does."""
+    if not np.isfinite(m).all():
+        raise ValueError("QFIM not finite")
+    mt = m.swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+        sym = (m + mt) / 2
+    bad = ~(asym <= 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0))
     if bad.any():
         raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
-    sym = (m + mt) / 2
+    if not np.isfinite(sym).all():
+        raise ValueError("QFIM not finite")
     lo = float(np.linalg.eigvalsh(sym).min(initial=0.0))
     if lo < -1e-8:
         raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
@@ -195,32 +306,28 @@ def qfim_stack(stacks) -> QfimStack:
     derivative is not finite, Hermitian or traceless, any state is not
     Hermitian or its eigendecomposition inexact, any derivative has weight
     above 1e-8 in the kernel-kernel block of its state (the family leaves its
-    support, and no SLD reproduces it), or any F is not symmetric PSD.  Every state must
-    also have unit trace to :data:`STATE_TRACE_TOL` and no eigenvalue below
-    ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
-    anyway, and the message names the offending state's stack index.  A
-    state with an inf or NaN entry is refused by :func:`herm_eig`.
+    support, and no SLD reproduces it), or any F is not finite ("QFIM not
+    finite": the derivatives are large enough for F to overflow) or not
+    symmetric PSD.  Every state must also have unit trace to
+    :data:`STATE_TRACE_TOL` and no eigenvalue below ``-STATE_PSD_TOL``; both
+    are read off the eigenvalues the QFIM needs anyway, and the message
+    names the offending state's stack index.  A state with an inf or NaN
+    entry is refused as ``input not finite``, as :func:`herm_eig` refuses
+    it.  Each of the three stages, before the eigendecomposition
+    (:func:`_check_stack`), after it (:func:`_eig_states`) and after the
+    contraction (:func:`_check_qfim`), decides with one comparison of its
+    defects against their bounds, and names the first offender only when
+    that comparison fails.
     """
     stacks = np.asarray(stacks)
-    derivs = stacks[:, 1:]
-    _check_derivs(derivs)
-    w, v = herm_eig(stacks[:, 0])
-    trace_defect = np.abs(w.sum(axis=-1) - 1.0)
-    lowest = w[:, 0]
-    bad = ~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not trace_defect[k] <= STATE_TRACE_TOL:
-            raise ValueError(
-                f"state {k} of the stack: trace defect {trace_defect[k]:.3e} > {STATE_TRACE_TOL}"
-            )
-        raise ValueError(
-            f"state {k} of the stack not PSD: min eigenvalue {lowest[k]:.3e} < -{STATE_PSD_TOL}"
-        )
-    dr = v.conj().swapaxes(-1, -2)[:, None] @ derivs @ v[:, None]
+    _check_stack(stacks)
+    w, v = _eig_states(stacks[:, 0])
+    dr = v.conj().swapaxes(-1, -2)[:, None] @ stacks[:, 1:] @ v[:, None]
     s = w[:, :, None] + w[:, None, :]
-    # the smallest pair sum is 2 min(w); below the cutoff some state has a kernel
-    if 2.0 * lowest.min() < SUPPORT_CUTOFF:
+    # a level is in the support when the SLD keeps its own pair, 2 lambda >=
+    # cutoff; the smallest pair sum is 2 min(w), so below the cutoff some
+    # state has a kernel, and otherwise every level of every state counts
+    if 2.0 * np.minimum.reduce(w[:, 0]) < SUPPORT_CUTOFF:
         kernel = s < SUPPORT_CUTOFF
         kernel_weight = float(np.abs(dr).max(where=kernel[:, None], initial=0.0))
         if kernel_weight > KERNEL_WEIGHT_TOL:
@@ -230,10 +337,11 @@ def qfim_stack(stacks) -> QfimStack:
                 "the family leaves its support"
             )
         s[kernel] = np.inf  # weight 2 / inf = 0: the pair leaves the SLD
+        support_dims = tuple((2.0 * w >= SUPPORT_CUTOFF).sum(axis=-1).tolist())
+    else:
+        support_dims = w.shape[-1:] * len(w)
     lt = dr * (2.0 / s)[:, None]
     f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
-    # a level is in the support when the SLD keeps its own pair, 2 lambda >= cutoff
-    support_dims = tuple((2.0 * w >= SUPPORT_CUTOFF).sum(axis=-1).tolist())
     return QfimStack(f, support_dims, v, lt)
 
 
@@ -246,6 +354,9 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
 
     T^2 is written T * T: a float ``**`` raises ``OverflowError`` past
     T ~ 1.3e154, where the product gives inf and F_th underflows to 0.
+    Where d lambda_0/dT is exactly 0 (omega/T past about 745), F_th is 0,
+    though omega / T^2 overflows to inf (T^2 subnormal) or divides by 0 (T^2
+    underflowed): :func:`build_report` then refuses the benchmark by name.
     """
     return _thermal_fim(baths, [_gibbs(b.omega, b.temperature) for b in baths])
 
@@ -253,7 +364,8 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
 def _thermal_fim(baths, gibbs) -> np.ndarray:
     """:func:`thermal_fim` from the baths' :func:`colltherm.channels._gibbs`
     numbers, for a caller that has them already."""
-    return np.array([b.omega / (b.temperature * b.temperature) * g[2] for b, g in zip(baths, gibbs)])
+    return np.array([b.omega / (b.temperature * b.temperature) * g[2] if g[2] else 0.0
+                     for b, g in zip(baths, gibbs)])
 
 
 def singularity_test(stack) -> tuple[bool, float | None]:

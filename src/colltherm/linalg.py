@@ -39,6 +39,11 @@ def herm_eig(h: np.ndarray):
     defect inf or NaN, which fails the check and is then named.  An inf
     meeting an inf in ``h - h^dag`` also warns; where that warning is an
     error, it is caught and the input named the same way.
+
+    :func:`colltherm.estimation.qfim_stack` checks its states' Hermiticity
+    in its own pass over the whole stack; it shares the checked eigensolver
+    (:func:`_eigh`) and the messages (:func:`_refuse_input`,
+    :func:`_refuse_residual`) with this function.
     """
     h = np.asarray(h)
     try:
@@ -46,14 +51,35 @@ def herm_eig(h: np.ndarray):
     except RuntimeWarning:
         defect = np.nan
     if not defect <= EIG_HERM_TOL:
-        if not np.isfinite(h).all():
-            raise ValueError("input not finite")
-        raise ValueError(f"input not Hermitian: defect {defect:.3e} > {EIG_HERM_TOL}")
-    w, V = np.linalg.eigh(h)
-    resid = np.abs(h @ V - V * w[..., None, :]).max()
-    if resid > EIG_RESIDUAL_TOL:
-        raise ValueError(f"eigendecomposition residual {resid:.3e} > {EIG_RESIDUAL_TOL}")
+        _refuse_input(h, defect)
+    w, V, resid = _eigh(h)
+    if not resid.max() <= EIG_RESIDUAL_TOL:
+        _refuse_residual(resid)
     return w, V
+
+
+def _eigh(h: np.ndarray):
+    """``np.linalg.eigh`` of a stack of Hermitian matrices, with the
+    reconstruction residual max |h V - V diag(w)| of each matrix:
+    ``(w, V, resid)``.  The caller compares ``resid`` with
+    :data:`EIG_RESIDUAL_TOL`."""
+    w, V = np.linalg.eigh(h)
+    return w, V, np.maximum.reduce(np.abs(h @ V - V * w[..., None, :]), axis=(-2, -1))
+
+
+def _refuse_input(h: np.ndarray, defect: float):
+    """Raise for a stack ``h`` whose Hermiticity defect ``defect``, its
+    largest over the stack, failed :data:`EIG_HERM_TOL`: it is not finite,
+    or not Hermitian."""
+    if not np.isfinite(h).all():
+        raise ValueError("input not finite")
+    raise ValueError(f"input not Hermitian: defect {defect:.3e} > {EIG_HERM_TOL}")
+
+
+def _refuse_residual(resid: np.ndarray):
+    """Raise for residuals of :func:`_eigh` of which some failed
+    :data:`EIG_RESIDUAL_TOL`, naming the largest."""
+    raise ValueError(f"eigendecomposition residual {np.max(resid):.3e} > {EIG_RESIDUAL_TOL}")
 
 
 def choi_matrix(sop: np.ndarray, dim: int) -> np.ndarray:

@@ -461,6 +461,22 @@ def test_failed_point_cells_match_between_run_and_sweep(tmp_path):
     assert {col: row_swept[col] for col in MERIT_COLUMNS} == row_single
 
 
+
+def test_a_qfim_that_overflows_fails_its_row(tmp_path, capsys):
+    """omega = 1e-160 on both baths and T = (2, 1e-160): the QFIM overflows
+    to inf and NaN, and the row records the kernel's refusal (exit 3), not
+    NaN merits beside an empty error cell (exit 0)."""
+    cfg = write(tmp_path / "tiny.yaml", GOOD_CONFIG.replace(
+        "- {temperature: 2.0, gamma_t: 0.5}", "- {temperature: 2.0, omega: 1.0e-160, gamma_t: 0.5}"
+    ).replace(
+        "- {temperature: 1.0, gamma_t: 0.5}", "- {temperature: 1.0e-160, omega: 1.0e-160, gamma_t: 0.5}"
+    ))
+    out = tmp_path / "tiny.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "1 of 1 grid points failed" in capsys.readouterr().err
+    (row,) = read_rows(out)
+    assert row["error"] == "ValueError: QFIM not finite"
+
 def test_json_null_for_non_finite_merits(tmp_path):
     """An information-free point carries eta_acc = -inf in the CSV but null
     in the JSON summary (strict JSON has no inf/nan tokens)."""

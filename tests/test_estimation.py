@@ -234,6 +234,18 @@ def _offend_state_herm(stack):
     stack[0, 0, 1] += 1e-6
 
 
+def _offend_state_herm_5e10(stack):
+    stack[0, 0, 1] += 5e-10  # past the state bound 1e-10, inside the derivative one
+
+
+def _derivative_within_bounds(stack):
+    stack[2] += np.array([[2.5e-10, 5e-10], [0.0, 2.5e-10]])  # defect and |trace| 5e-10
+
+
+def _offend_deriv_trace_2e9(stack):
+    stack[2] += 1e-9 * np.eye(2)
+
+
 def _offend_residual(stack):
     h = 1e9 * stack[0]  # rounding in eigh alone exceeds the residual bound
     stack[0] = (h + h.conj().T) / 2.0
@@ -252,15 +264,22 @@ def _offend_support(stack):
         (_offend_deriv_nan, "derivative 1 not finite"),
         (_offend_deriv_inf, "derivative 1 not finite"),
         (_offend_state_herm, "input not Hermitian: defect 1.000e-06 > 1e-10"),
+        (_offend_state_herm_5e10, "input not Hermitian: defect 5.000e-10 > 1e-10"),
+        (_derivative_within_bounds, None),
+        (_offend_deriv_trace_2e9, "derivative 1 not traceless: [|]trace[|] 2.000e-09"),
         (_offend_residual, "eigendecomposition residual"),
         (_offend_support, "connecting the kernel of the state to itself"),
     ],
 )
 def test_qfim_stack_checks_every_state(rng, offend, message):
     """A defect in the state at stack index 2 raises the message a lone
-    state would."""
+    state would.  Each kind of check keeps its own bound: state Hermiticity
+    1e-10, derivative Hermiticity and trace 1e-9 (``None``: within them)."""
     stacks = np.array([_family_stack(rng, 2, 2, 2) for _ in range(4)])
     offend(stacks[2])
+    if message is None:
+        assert qfim_stack(stacks).support_dims == (2,) * 4
+        return
     with pytest.raises(ValueError, match=message):
         qfim_stack(stacks)
     with pytest.raises(ValueError, match=message):
@@ -341,6 +360,13 @@ def test_qfim_checks_cover_stacks():
         _check_qfim(scaled)
     with pytest.raises(ValueError, match="QFIM not PSD: min eigenvalue -1.000e"):
         _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
+    # NaN fails no comparison, and an inf beside a finite mirror leaves the
+    # asymmetry within 1e-9 x inf; an inf meeting an inf warns, where
+    # warnings are errors too
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+                [[np.inf, np.nan], [np.nan, np.inf]]):
+        with pytest.raises(ValueError, match="QFIM not finite"):
+            _check_qfim(np.array([good, bad]))
 
 
 def test_each_evaluation_checks_its_qfim_once(monkeypatch):
@@ -415,6 +441,15 @@ def test_thermal_fim_over_whole_range(T):
         expected = (omega / T**2) ** 2 / (2.0 * math.cosh(omega / (2.0 * T))) ** 2
         assert thermal_fim([BathSpec(T, omega=omega)])[0] == pytest.approx(expected, rel=1e-12)
     assert thermal_fim([BathSpec(T, omega=746.0 * T)])[0] == 0.0
+
+
+
+@pytest.mark.parametrize("T", [1e-155, 1e-170, 1e-300])
+def test_thermal_fim_is_zero_where_its_derivative_underflows(T):
+    """At omega = 1 and these T, d lambda_0/dT is exactly 0, while T * T is
+    subnormal (1e-155), so omega / T^2 overflows, or 0 (1e-170, 1e-300):
+    the benchmark is 0, not NaN or a ZeroDivisionError."""
+    assert thermal_fim([BathSpec(T)])[0] == 0.0
 
 
 def test_thermal_fim_reference_values():

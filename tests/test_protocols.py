@@ -910,11 +910,12 @@ def test_long_qutrit_stream_passes_the_state_trace_check():
     assert math.isfinite(rep.eta_joint) and math.isfinite(rep.eta_acc)
 
 
-@pytest.mark.parametrize("T", [1e-3, 1e-2, 1e3, 1e160])
+@pytest.mark.parametrize("T", [1e-300, 1e-170, 1e-155, 1e-3, 1e-2, 1e3, 1e160])
 def test_extreme_temperatures_give_finite_report_or_named_error(T):
     """No overflow and no warning at extreme but valid temperatures, up to
-    1e160, past a float's square: each evaluator returns a finite report or
-    says the thermal benchmark is degenerate, never that a derivative is
+    1e160, past a float's square, and down to 1e-300, where T^2 is subnormal
+    (1e-155) or 0 (1e-170, 1e-300): each evaluator returns a finite report
+    or says the thermal benchmark is degenerate, never that a derivative is
     not finite."""
     configs = []
     for temps in ((T, T), (T, 1.0), (1.0, T)):
@@ -938,6 +939,19 @@ def test_extreme_temperatures_give_finite_report_or_named_error(T):
             assert math.isfinite(rep.eta_joint)
             assert math.isfinite(rep.eta_acc) or (rep.singular and rep.eta_acc == -math.inf)
 
+
+
+def test_a_qfim_that_overflows_is_refused_by_name():
+    """omega = 1e-160, T = (2e-160, 1e-160), one ancilla: the states are
+    those of omega = 1, T = (2, 1), but each d/dT is 1e160 times larger and
+    the QFIM overflows to inf and NaN.  The kernel refuses it by name, with
+    every warning an error, instead of returning a NaN report.  (Streams of
+    n >= 2 at this scale overflow in the engine first, raising a warning.)"""
+    baths = tuple(BathSpec(t, omega=1e-160, therm_time=0.5) for t in (2e-160, 1e-160))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="QFIM not finite"):
+            evaluate(two_bath_config(baths=baths))
 
 def _robustness_draw(rng, scenario):
     """A random valid config for ``scenario`` over the widest ranges the
