@@ -30,7 +30,7 @@ from .estimation import (
     singularity_test,
     thermal_fim,
 )
-from .linalg import choi_matrix, herm_eig
+from .linalg import choi_matrix
 from .presets import PRESETS
 from .protocols import (
     MERIT_COLUMNS,
@@ -54,7 +54,7 @@ __all__ = [
     "thermalization_channel",
     "EstimationReport", "Qfim", "QfimStack", "build_report", "qfim_stack",
     "singularity_test", "thermal_fim",
-    "choi_matrix", "herm_eig",
+    "choi_matrix",
     "PRESETS",
     "MERIT_COLUMNS", "ProtocolConfig", "SweepGrid", "check_scenario", "evaluate",
     "point", "single_run", "sweep", "sweep_values",

@@ -33,8 +33,12 @@ basis.  Its checks cost more than its arithmetic at the stream's sizes, so
 each of its three stages (the stack before the eigendecomposition, the
 states after it, the QFIMs after the contraction) gathers its defects in one
 array and decides pass or fail by one comparison with their bounds, which a
-NaN fails; the per-entry code that names the first offender runs only when
-that comparison fails.
+NaN fails.  Only when that comparison fails is the first offender named, from
+the same defects; they are taken again, with the warning off, only where an
+inf meeting an inf (or an overflow) warned and warnings are errors.  The
+bounds of the states' checks, :data:`EIG_HERM_TOL` and
+:data:`EIG_RESIDUAL_TOL`, are the kernel's own: it is the one checked
+eigendecomposition of the package.
 
 Figures of merit against the thermal benchmark F_th = diag(F_th^i), held
 as the per-bath vector of :func:`thermal_fim`, formed with the singular
@@ -53,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import BathSpec, _gibbs
-from .linalg import EIG_HERM_TOL, EIG_RESIDUAL_TOL, _eigh, _refuse_input, _refuse_residual
 
 __all__ = [
     "SUPPORT_CUTOFF",
@@ -71,6 +74,8 @@ SUPPORT_CUTOFF = 1e-12        # eigenvalue-sum cutoff in the SLD construction
 KERNEL_WEIGHT_TOL = 1e-8      # allowed derivative weight inside ker(rho) x ker(rho)
 DERIV_HERM_TOL = 1e-9
 DERIV_TRACE_TOL = 1e-9
+EIG_HERM_TOL = 1e-10          # max-norm Hermiticity defect allowed in a state
+EIG_RESIDUAL_TOL = 1e-10      # max |rho V - V diag(lambda)| allowed per state
 # |Tr rho - 1| allowed in a state.  The evaluators keep traces at rounding:
 # 3.3e-16 over 10^4 ancillas of a three-probe qutrit marginal stream, whose
 # probes never propagate their trace
@@ -90,13 +95,11 @@ def _within(defect: np.ndarray, tol: np.ndarray) -> bool:
     return np.count_nonzero(ok) == ok.size
 
 
-def _check_derivs(derivs: np.ndarray) -> None:
-    """Derivatives stacked as (K, N, d, d) must be Hermitian and traceless;
-    the message names the first offending one in stack order.  An inf or NaN
-    entry makes its defects NaN, and the checks are written so that NaN fails."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(derivs - derivs.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-        trace = np.abs(derivs.trace(axis1=-2, axis2=-1))
+def _refuse_derivs(derivs: np.ndarray, herm: np.ndarray, trace: np.ndarray) -> None:
+    """Raise naming the first derivative, in stack order, of the (K, N, d, d)
+    ``derivs`` whose (K, N) Hermiticity defect ``herm`` or |trace| ``trace``
+    exceeds 1e-9: not finite, not Hermitian or not traceless, in that order.
+    An inf or NaN entry makes its defects inf or NaN, which fail."""
     bad = ~((herm <= DERIV_HERM_TOL) & (trace <= DERIV_TRACE_TOL))
     if bad.any():
         k, mu = np.argwhere(bad)[0]
@@ -121,13 +124,13 @@ def _stack_tolerances(n: int) -> np.ndarray:
 
 def _check_stack(stacks: np.ndarray) -> None:
     """The checks before the eigendecomposition, in one pass over the
-    (K, 1 + N, d, d) stack: every state Hermitian to
-    :data:`colltherm.linalg.EIG_HERM_TOL`, every derivative Hermitian and
-    traceless to 1e-9.  Only when that fails are the offenders named:
-    derivatives first (:func:`_check_derivs`), then the states, as
-    :func:`colltherm.linalg.herm_eig` names them.  An inf or NaN entry
-    makes a defect NaN, which fails; an inf meeting an inf also warns, and
-    where that warning is an error it is caught and the entry named."""
+    (K, 1 + N, d, d) stack: every state Hermitian to :data:`EIG_HERM_TOL`,
+    every derivative Hermitian and traceless to 1e-9.  Only when that fails
+    are the offenders named from the same defects: derivatives first
+    (:func:`_refuse_derivs`), then the states.  An inf or NaN entry makes a
+    defect inf or NaN, which fails; an inf meeting an inf, or an overflow,
+    also warns, and where that warning is an error the defects are taken
+    again with the warning off."""
     k, m, d = stacks.shape[:3]
     defect = np.empty((2, k, m))
     try:
@@ -137,33 +140,35 @@ def _check_stack(stacks: np.ndarray) -> None:
         np.abs(np.add.reduce(stacks.reshape(k, m, d * d)[..., :: d + 1], axis=-1),
                out=defect[1])
     except RuntimeWarning:
-        defect[:] = np.nan
-    if not _within(defect, _stack_tolerances(m - 1)):
-        _check_derivs(stacks[:, 1:])
-        rho = stacks[:, 0]
         with np.errstate(invalid="ignore", over="ignore"):
-            herm = np.abs(rho - rho.swapaxes(-1, -2).conj()).max(initial=0.0)
+            return _check_stack(stacks)
+    if not _within(defect, _stack_tolerances(m - 1)):
+        _refuse_derivs(stacks[:, 1:], defect[0, :, 1:], defect[1, :, 1:])
+        herm = defect[0, :, 0].max()
         if not herm <= EIG_HERM_TOL:
-            _refuse_input(rho, herm)
+            if not np.isfinite(stacks[:, 0]).all():
+                raise ValueError("input not finite")
+            raise ValueError(f"input not Hermitian: defect {herm:.3e} > {EIG_HERM_TOL}")
         # else only a state's trace overflowed, and its eigenvalues name it
 
 
 def _eig_states(rho: np.ndarray):
-    """``(w, V)`` of the (K, d, d) states, with the checks after the
-    eigendecomposition in one comparison: the residual, each state's unit
-    trace to :data:`STATE_TRACE_TOL` and its lowest eigenvalue down to
+    """``(w, v)`` of the (K, d, d) states by ``np.linalg.eigh``, with the
+    checks after the eigendecomposition in one comparison: the residual
+    max |rho v - v diag(w)| of each state to :data:`EIG_RESIDUAL_TOL`, its
+    unit trace to :data:`STATE_TRACE_TOL` and its lowest eigenvalue down to
     ``-STATE_PSD_TOL``.  Only when that fails are the offenders named: the
     largest residual, then the first failing state in stack order, trace
     before positivity."""
-    w, v, resid = _eigh(rho)
+    w, v = np.linalg.eigh(rho)
     defect = np.empty((3, len(w)))
-    defect[0] = resid
+    np.maximum.reduce(np.abs(rho @ v - v * w[..., None, :]), axis=(-2, -1), out=defect[0])
     np.abs(np.add.reduce(w, axis=-1) - 1.0, out=defect[1])
     np.negative(w[:, 0], out=defect[2])
     if not _within(defect, _STATE_TOLERANCES):
+        resid, trace_defect, lowest = defect[0], defect[1], w[:, 0]
         if not _within(resid, EIG_RESIDUAL_TOL):
-            _refuse_residual(resid)
-        trace_defect, lowest = defect[1], w[:, 0]
+            raise ValueError(f"eigendecomposition residual {resid.max():.3e} > {EIG_RESIDUAL_TOL}")
         k = int(np.argmax(~((trace_defect <= STATE_TRACE_TOL) & (lowest >= -STATE_PSD_TOL))))
         if not trace_defect[k] <= STATE_TRACE_TOL:
             raise ValueError(
@@ -180,7 +185,9 @@ def _check_qfim(m: np.ndarray) -> np.ndarray:
     1e-9 relative to its largest entry and PSD down to -1e-8.  Returns the
     symmetric part (m + m^T) / 2 whose eigenvalues the PSD check reads.
     One comparison decides all three; only when it fails is the first
-    failing check named, in that order (:func:`_name_qfim_defect`)."""
+    failing check named from the same defects, in that order, the stack
+    through.  An inf meeting an inf, or an overflow, warns, and where that
+    warning is an error the defects are taken again with the warning off."""
     mt = m.swapaxes(-1, -2)
     table = np.empty(m.shape[:-2] + (2, 3))  # the defects, then their bounds
     defect, tol = table[..., 0, :], table[..., 1, :]
@@ -189,31 +196,23 @@ def _check_qfim(m: np.ndarray) -> np.ndarray:
         np.maximum.reduce(np.abs(m - mt), axis=(-2, -1), initial=0.0, out=defect[..., 0])
         np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=0.0, out=defect[..., 1])
         np.negative(np.linalg.eigvalsh(sym)[..., 0], out=defect[..., 2])
-    except (RuntimeWarning, np.linalg.LinAlgError):  # inf or NaN entries
-        return _name_qfim_defect(m)
+    except RuntimeWarning:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _check_qfim(m)
+    except np.linalg.LinAlgError:  # where eigvalsh refuses a non-finite sym
+        defect[..., 2] = np.nan
     tol[...] = _QFIM_TOLERANCES
     np.multiply(defect[..., 1], 1e-9, out=tol[..., 0])
-    return sym if _within(defect, tol) else _name_qfim_defect(m)
-
-
-def _name_qfim_defect(m: np.ndarray) -> np.ndarray:
-    """:func:`_check_qfim` check by check: raise naming the first that
-    fails, or return the symmetric part if none does."""
-    if not np.isfinite(m).all():
+    if _within(defect, tol):
+        return sym
+    asym, ok = defect[..., 0].ravel(), (defect <= tol).reshape(-1, 3)
+    if not ok[:, 1].all():
         raise ValueError("QFIM not finite")
-    mt = m.swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
-        asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
-        sym = (m + mt) / 2
-    bad = ~(asym <= 1e-9 * np.abs(m).max(axis=(-2, -1), initial=0.0))
-    if bad.any():
-        raise ValueError(f"QFIM not symmetric: defect {asym[bad].flat[0]:.3e}")
-    if not np.isfinite(sym).all():
+    if not ok[:, 0].all():
+        raise ValueError(f"QFIM not symmetric: defect {asym[~ok[:, 0]][0]:.3e}")
+    if not np.isfinite(sym).all():  # m + m^T overflowed
         raise ValueError("QFIM not finite")
-    lo = float(np.linalg.eigvalsh(sym).min(initial=0.0))
-    if lo < -1e-8:
-        raise ValueError(f"QFIM not PSD: min eigenvalue {lo:.3e}")
-    return sym
+    raise ValueError(f"QFIM not PSD: min eigenvalue {-defect[..., 2].max():.3e}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,12 +311,13 @@ def qfim_stack(stacks) -> QfimStack:
     :data:`STATE_TRACE_TOL` and no eigenvalue below ``-STATE_PSD_TOL``; both
     are read off the eigenvalues the QFIM needs anyway, and the message
     names the offending state's stack index.  A state with an inf or NaN
-    entry is refused as ``input not finite``, as :func:`herm_eig` refuses
-    it.  Each of the three stages, before the eigendecomposition
-    (:func:`_check_stack`), after it (:func:`_eig_states`) and after the
-    contraction (:func:`_check_qfim`), decides with one comparison of its
-    defects against their bounds, and names the first offender only when
-    that comparison fails.
+    entry is refused as ``input not finite``, a derivative with one as
+    ``derivative mu not finite``, whatever the warning filter.  Each of the
+    three stages, before the eigendecomposition (:func:`_check_stack`),
+    after it (:func:`_eig_states`) and after the contraction
+    (:func:`_check_qfim`), decides with one comparison of its defects
+    against their bounds, and names the first offender from those defects
+    only when that comparison fails.
     """
     stacks = np.asarray(stacks)
     _check_stack(stacks)
@@ -356,7 +356,10 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
     T ~ 1.3e154, where the product gives inf and F_th underflows to 0.
     Where d lambda_0/dT is exactly 0 (omega/T past about 745), F_th is 0,
     though omega / T^2 overflows to inf (T^2 subnormal) or divides by 0 (T^2
-    underflowed): :func:`build_report` then refuses the benchmark by name.
+    underflowed).  Where T^2 underflows to 0 but d lambda_0/dT does not
+    (omega as small as T, below about 1e-162), F_th is inf: its true value
+    overflows a float.  :func:`build_report` refuses either benchmark by
+    name.
     """
     return _thermal_fim(baths, [_gibbs(b.omega, b.temperature) for b in baths])
 
@@ -364,8 +367,11 @@ def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:
 def _thermal_fim(baths, gibbs) -> np.ndarray:
     """:func:`thermal_fim` from the baths' :func:`colltherm.channels._gibbs`
     numbers, for a caller that has them already."""
-    return np.array([b.omega / (b.temperature * b.temperature) * g[2] if g[2] else 0.0
-                     for b, g in zip(baths, gibbs)])
+    th = []
+    for b, g in zip(baths, gibbs):
+        t2 = b.temperature * b.temperature
+        th.append((b.omega / t2 * g[2] if t2 else math.inf) if g[2] else 0.0)
+    return np.array(th)
 
 
 def singularity_test(stack) -> tuple[bool, float | None]:
@@ -385,7 +391,10 @@ def singularity_test(stack) -> tuple[bool, float | None]:
         raise ValueError("singularity test is defined for qubit states (dimension 2)")
     if len(stack) != 3:
         raise ValueError("singularity test needs exactly two parameters")
-    _check_derivs(stack[None, 1:])
+    d = stack[None, 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        _refuse_derivs(d, np.abs(d - d.swapaxes(-1, -2).conj()).max(axis=(-2, -1)),
+                       np.abs(d.trace(axis1=-2, axis2=-1)))
     d1, d2 = stack[1:]
     n1 = float(np.real(np.trace(d1 @ d1)))  # Hermitian: Frobenius norm squared
     n2 = float(np.real(np.trace(d2 @ d2)))
@@ -402,7 +411,8 @@ def singularity_test(stack) -> tuple[bool, float | None]:
 def build_report(qf: Qfim, thermal: np.ndarray) -> EstimationReport:
     """Assemble an :class:`EstimationReport` from a QFIM and the benchmark
     vector of :func:`thermal_fim`: the one place the merits and the
-    singular flag are formed.  Raises for a degenerate benchmark.
+    singular flag are formed.  Raises for a degenerate benchmark, one whose
+    trace or determinant is 0 or not finite.
 
     The point is singular when det F_Q <= 1e-12 max(1, ||F_Q||_F)^N, and
     then eta_acc is -inf; otherwise eta_acc = ln(det F_Q / det F_th).  The
@@ -412,8 +422,8 @@ def build_report(qf: Qfim, thermal: np.ndarray) -> EstimationReport:
     """
     th = thermal.tolist()
     tr_th, det_th = sum(th), math.prod(th)
-    if not (tr_th > 0 and det_th > 0):
-        raise ValueError("degenerate thermal benchmark (zero trace or determinant)")
+    if not (0 < tr_th < math.inf and 0 < det_th < math.inf):
+        raise ValueError("degenerate thermal benchmark (zero or non-finite trace or determinant)")
     det = qf.det
     m = qf.matrix.ravel()  # ||F_Q||_F as the dot product np.linalg.norm takes
     singular = det <= 1e-12 * max(1.0, math.sqrt(m @ m)) ** len(qf.matrix)

@@ -309,6 +309,32 @@ def test_qfim_stack_rejects_non_states(rng, state, message):
     assert qfim_stack(stacks).support_dims == (2,) * 4
 
 
+_FILTERS = pytest.mark.parametrize("action", ["error", "ignore", "default"])
+
+
+@_FILTERS
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "slot, message", [(0, "input not finite"), (2, "derivative 1 not finite")],
+    ids=["state", "derivative"],
+)
+def test_qfim_stack_names_non_finite_entries(rng, slot, message, entry, real, action):
+    """An inf or NaN entry in a state or a derivative, on the diagonal, in a
+    mirrored pair or beside a finite mirror, is named, not passed on to the
+    eigensolver, whatever the warning filter: it makes the Hermiticity
+    defect inf or NaN, and inf - inf also warns (an error under ``error``,
+    silent under ``ignore``, shown under ``default``)."""
+    for where in ([(1, 1)], [(0, 2), (2, 0)], [(0, 2)]):
+        stacks = np.array([_family_stack(rng, 3, 2, 3, real) for _ in range(2)])
+        for i, j in where:
+            stacks[1, slot, i, j] = entry
+        with warnings.catch_warnings(record=True):  # keeps "default" warnings out of the log
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=message):
+                qfim_stack(stacks)
+
+
 def _offend_state_trace(stack):
     stack[0] = np.diag([0.7, 0.7])
 
@@ -346,27 +372,36 @@ def test_qfim_stack_names_the_first_defect(rng, defects, message):
         qfim_stack(stacks)
 
 
-def test_qfim_checks_cover_stacks():
-    good = np.eye(2)
-    with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e-01"):
-        _check_qfim(np.array([good, good, [[1.0, 0.2], [0.1, 1.0]]]))
-    # the symmetry tolerance is relative to the largest entry, so a change
-    # of units neither trips it nor hides a real skew
-    scaled = 1e12 * np.array([[1.0, 0.2], [0.2, 1.0]])
-    scaled[0, 1] += 1e-4  # 1e-16 relative
-    _check_qfim(np.array([good, scaled]))
-    scaled[0, 1] += 1e4
-    with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e\\+04"):
-        _check_qfim(scaled)
-    with pytest.raises(ValueError, match="QFIM not PSD: min eigenvalue -1.000e"):
-        _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
-    # NaN fails no comparison, and an inf beside a finite mirror leaves the
-    # asymmetry within 1e-9 x inf; an inf meeting an inf warns, where
-    # warnings are errors too
-    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
-                [[np.inf, np.nan], [np.nan, np.inf]]):
-        with pytest.raises(ValueError, match="QFIM not finite"):
-            _check_qfim(np.array([good, bad]))
+@_FILTERS
+def test_qfim_checks_cover_stacks(action):
+    """Each QFIM check names its defect from the defects the one comparison
+    read, whatever the warning filter: under ``default`` and ``ignore`` an
+    inf or NaN stays in the defects without an exception."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action)
+        good = np.eye(2)
+        with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e-01"):
+            _check_qfim(np.array([good, good, [[1.0, 0.2], [0.1, 1.0]]]))
+        # the symmetry tolerance is relative to the largest entry, so a change
+        # of units neither trips it nor hides a real skew
+        scaled = 1e12 * np.array([[1.0, 0.2], [0.2, 1.0]])
+        scaled[0, 1] += 1e-4  # 1e-16 relative
+        _check_qfim(np.array([good, scaled]))
+        scaled[0, 1] += 1e4
+        with pytest.raises(ValueError, match="QFIM not symmetric: defect 1.000e\\+04"):
+            _check_qfim(scaled)
+        with pytest.raises(ValueError, match="QFIM not PSD: min eigenvalue -1.000e"):
+            _check_qfim(np.array([good, good, [[1.0, 0.0], [0.0, -1.0]]]))
+        # a finite skew whose F - F^T overflows is named for its asymmetry
+        with pytest.raises(ValueError, match="QFIM not symmetric: defect inf"):
+            _check_qfim(np.array([good, [[0.0, 1.7e308], [-1.7e308, 0.0]]]))
+        # NaN fails no comparison, and an inf beside a finite mirror leaves the
+        # asymmetry within 1e-9 x inf; an inf meeting an inf warns, and so does
+        # a finite F whose F + F^T overflows
+        for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+                    [[np.inf, np.nan], [np.nan, np.inf]], [[1e308, 1.7e308], [1.7e308, 1e308]]):
+            with pytest.raises(ValueError, match="QFIM not finite"):
+                _check_qfim(np.array([good, bad]))
 
 
 def test_each_evaluation_checks_its_qfim_once(monkeypatch):
@@ -452,6 +487,13 @@ def test_thermal_fim_is_zero_where_its_derivative_underflows(T):
     assert thermal_fim([BathSpec(T)])[0] == 0.0
 
 
+def test_thermal_fim_is_inf_where_its_square_underflows_but_its_derivative_does_not():
+    """At omega = T = 1e-170, T * T underflows to 0 while d lambda_0/dT is
+    2e169: the true F_th overflows a float, and F_th is inf, not a
+    ZeroDivisionError."""
+    assert thermal_fim([BathSpec(1e-170, omega=1e-170), BathSpec(1.0)])[0] == math.inf
+
+
 def test_thermal_fim_reference_values():
     th = thermal_fim([BathSpec(2.0), BathSpec(1.0), BathSpec(3.0)])
     npt.assert_allclose(th, [0.01468773, 0.19661193, 0.00300225], atol=5e-9)
@@ -477,6 +519,15 @@ def test_build_report_merits_identity_and_scaling():
     rep2 = build_report(Qfim(2.0 * np.diag(th)), th)
     assert rep2.eta_joint == pytest.approx(2.0, abs=1e-12)
     assert rep2.eta_acc == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("thermal", [[math.inf, 1.0], [1e200, 1e200], [0.0, 1.0]],
+                         ids=["inf-entry", "det-overflows", "zero-entry"])
+def test_build_report_refuses_a_degenerate_benchmark(thermal):
+    """A benchmark whose trace or determinant is 0 or not finite is refused
+    by name: no eta_joint of 0 and no log(0) for eta_acc."""
+    with pytest.raises(ValueError, match="degenerate thermal benchmark"):
+        build_report(Qfim(np.eye(2)), np.array(thermal))
 
 
 def test_eta_acc_singular_sentinel():

@@ -31,7 +31,6 @@ from colltherm.channels import (
     thermal_populations,
 )
 from colltherm.estimation import thermal_fim
-from colltherm.linalg import herm_eig
 from colltherm.operators import SX, SZ
 from colltherm.protocols import (
     SIM_DIM_CAP,
@@ -639,12 +638,12 @@ def test_rotation_axes_match_oracles_that_rotate_as_given(rng, axis):
 @pytest.mark.parametrize("axis", "xyz")
 def test_engines_run_in_float64(config, axis):
     """Every engine stack is float64 in the phase gauge, whatever the axis,
-    and the QFIM kernel keeps it real: ``herm_eig`` of a real matrix gives
-    float64 eigenvectors."""
+    and the QFIM kernel keeps it real: ``np.linalg.eigh`` of a real matrix
+    gives float64 eigenvectors."""
     config = replace(config, rotation=RotationSpec(0.3 * math.pi, axis))
     stack = _joint_tangents(config) if config.correlated else _stream_tangents(config)
     assert stack.dtype == np.float64
-    _, vecs = herm_eig(stack.reshape((-1,) + stack.shape[-2:])[0])
+    _, vecs = np.linalg.eigh(stack.reshape((-1,) + stack.shape[-2:])[0])
     assert vecs.dtype == np.float64
 
 
@@ -952,6 +951,27 @@ def test_a_qfim_that_overflows_is_refused_by_name():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="QFIM not finite"):
             evaluate(two_bath_config(baths=baths))
+
+
+def test_a_bath_whose_temperature_squares_to_zero_is_refused_by_name():
+    """omega = T = 1e-170 beside a bath at omega = T = 1: T * T underflows
+    to 0 while d lambda_0/dT is 2e169, so F_th is inf.  Every evaluation,
+    n = 1-3 in both modes and with both baths at 1e-170 for n = 1, ends in
+    a named ``ValueError`` with every warning an error, not a
+    ``ZeroDivisionError``.  (Both baths at 1e-170 in a stream of n >= 2
+    still overflow in the engine first, raising a warning.)"""
+    tiny, unit = BathSpec(1e-170, omega=1e-170, therm_time=0.5), BathSpec(1.0, therm_time=0.5)
+    configs = [two_bath_config(baths=baths, n_ancillas=n, correlated=correlated)
+               for baths in ((tiny, unit), (unit, tiny)) for n in (1, 2, 3)
+               for correlated in (False, True)]
+    configs += [two_bath_config(baths=(tiny, tiny), correlated=correlated)
+                for correlated in (False, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in configs:
+            with pytest.raises(ValueError, match="not traceless|not Hermitian|QFIM not finite"):
+                evaluate(cfg)
+
 
 def _robustness_draw(rng, scenario):
     """A random valid config for ``scenario`` over the widest ranges the
