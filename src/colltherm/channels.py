@@ -71,7 +71,10 @@ def _check_finite(**fields: float) -> None:
 def _as_float(name: str, value) -> float:
     """``value`` as a finite float, refusing a bool, a non-real or a
     non-finite value by name, so that a field's bits, not the type it came
-    in as, decide what the maps built from it compute."""
+    in as, decide what the maps built from it compute.  An exact, finite
+    ``float`` is returned at once, before the slower ``numbers.Real`` check."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: must be a real number, got {value!r}")
     value = float(value)

@@ -13,7 +13,8 @@ Subcommands:
 The CLI is a thin shell over :mod:`colltherm.protocols`: every preset, sweep
 and point goes through its public ``point`` and ``sweep``, and one loop
 turns their ``(row, report)`` pairs into a table; ``load_config`` checks a
-file's ``scenario`` against every config it places.
+file's ``scenario`` against every config its grid places, the configs the
+sweep then reads.
 A preset's columns are read off its curves (:data:`PRESETS`).  A config
 file's defaults and input rules are the library's: ``load_config`` passes
 on only the keys the file gives, and where the library's message names a
@@ -28,9 +29,11 @@ output cannot be written there); 3 numerical failure (some grid rows
 errored; outputs are still written).  ``verify`` exits 1 on the first
 failing oracle.
 
-Outputs are written atomically (temp file in the target directory, then
-rename) with the mode ``open()`` would give them, CSV with LF line endings
-and 12 significant digits, so identical inputs produce byte-identical tables.
+Outputs are written atomically: a temp file in the target directory,
+created with 0o666 less the umask and given the permission bits of any file
+already at the path, is renamed over it, so each output has the mode
+``open()`` would give it.  CSV has LF line endings and 12 significant
+digits, so identical inputs produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import io
 import json
 import math
 import os
-import shutil
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -220,7 +223,8 @@ def load_config(path: str):
         axis, values = _parse_sweep(raw["sweep"], "sweep")
         try:
             grid = SweepGrid(axis, values, config)
-            configs += [grid.at(v) for v in grid.values]  # each must place, e.g. a whole n_ancillas
+            # each must place, e.g. a whole n_ancillas; the sweep reads the same configs
+            configs += [grid._config(i) for i in range(len(grid.values))]
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
 
@@ -238,18 +242,28 @@ def load_config(path: str):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path``, made by ``open()`` with
-    0o666 less the umask, copy the permission bits of any file already at
-    ``path``, and rename it over ``path``; an ``OSError`` is a ConfigError."""
+    """Write ``text`` to ``path`` atomically, with one stat of ``path``:
+    create a new file beside it with 0o666 less the umask, as ``open()``
+    would, give it the permission bits of any file already at ``path``,
+    write the UTF-8 bytes, and rename it over ``path``.  A temporary file
+    is removed when a later step fails; an ``OSError`` is a ConfigError."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".colltherm-{os.urandom(8).hex()}.tmp")
+    data = memoryview(text.encode("utf-8"))
     try:
-        fh = open(tmp, "x", encoding="utf-8", newline="")
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:  # nothing there whose bits to keep
+        mode = None
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with fh:
-                fh.write(text)
-            if os.path.exists(path):
-                shutil.copymode(path, tmp)
+            try:
+                if mode is not None:
+                    os.fchmod(fd, mode)
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -159,11 +159,16 @@ def _eig_states(rho: np.ndarray):
     unit trace to :data:`STATE_TRACE_TOL` and its lowest eigenvalue down to
     ``-STATE_PSD_TOL``.  Only when that fails are the offenders named: the
     largest residual, then the first failing state in stack order, trace
-    before positivity."""
+    before positivity.  A trace or a residual that overflows warns, and
+    where that warning is an error the defects are taken again with it off."""
     w, v = np.linalg.eigh(rho)
     defect = np.empty((3, len(w)))
-    np.maximum.reduce(np.abs(rho @ v - v * w[..., None, :]), axis=(-2, -1), out=defect[0])
-    np.abs(np.add.reduce(w, axis=-1) - 1.0, out=defect[1])
+    try:
+        np.maximum.reduce(np.abs(rho @ v - v * w[..., None, :]), axis=(-2, -1), out=defect[0])
+        np.abs(np.add.reduce(w, axis=-1) - 1.0, out=defect[1])
+    except RuntimeWarning:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _eig_states(rho)
     np.negative(w[:, 0], out=defect[2])
     if not _within(defect, _STATE_TOLERANCES):
         resid, trace_defect, lowest = defect[0], defect[1], w[:, 0]
@@ -304,45 +309,51 @@ def qfim_stack(stacks) -> QfimStack:
     Raises, naming the same quantities as for a single state, if any
     derivative is not finite, Hermitian or traceless, any state is not
     Hermitian or its eigendecomposition inexact, any derivative has weight
-    above 1e-8 in the kernel-kernel block of its state (the family leaves its
-    support, and no SLD reproduces it), or any F is not finite ("QFIM not
-    finite": the derivatives are large enough for F to overflow) or not
-    symmetric PSD.  Every state must also have unit trace to
-    :data:`STATE_TRACE_TOL` and no eigenvalue below ``-STATE_PSD_TOL``; both
-    are read off the eigenvalues the QFIM needs anyway, and the message
-    names the offending state's stack index.  A state with an inf or NaN
-    entry is refused as ``input not finite``, a derivative with one as
-    ``derivative mu not finite``, whatever the warning filter.  Each of the
-    three stages, before the eigendecomposition (:func:`_check_stack`),
-    after it (:func:`_eig_states`) and after the contraction
-    (:func:`_check_qfim`), decides with one comparison of its defects
-    against their bounds, and names the first offender from those defects
-    only when that comparison fails.
+    above 1e-8 in the kernel-kernel block of its state (the family leaves
+    its support, and no SLD reproduces it), or any F is not finite ("QFIM
+    not finite", whatever the warning filter: the derivatives are large
+    enough for F to overflow) or not symmetric PSD.  Every state must also
+    have unit trace to :data:`STATE_TRACE_TOL` and no eigenvalue below
+    ``-STATE_PSD_TOL``; both are read off the eigenvalues the QFIM needs
+    anyway, and the message names the offending state's stack index.  A
+    state with an inf or NaN entry is refused as ``input not finite``, a
+    derivative with one as ``derivative mu not finite``, whatever the
+    warning filter.  Each of the three stages, before the eigendecomposition
+    (:func:`_check_stack`), after it (:func:`_eig_states`) and after the
+    contraction (:func:`_check_qfim`), decides with one comparison of its
+    defects against their bounds, and names the first offender from those
+    defects only when that comparison fails.
     """
     stacks = np.asarray(stacks)
     _check_stack(stacks)
     w, v = _eig_states(stacks[:, 0])
-    dr = v.conj().swapaxes(-1, -2)[:, None] @ stacks[:, 1:] @ v[:, None]
-    s = w[:, :, None] + w[:, None, :]
-    # a level is in the support when the SLD keeps its own pair, 2 lambda >=
-    # cutoff; the smallest pair sum is 2 min(w), so below the cutoff some
-    # state has a kernel, and otherwise every level of every state counts
-    if 2.0 * np.minimum.reduce(w[:, 0]) < SUPPORT_CUTOFF:
-        kernel = s < SUPPORT_CUTOFF
-        kernel_weight = float(np.abs(dr).max(where=kernel[:, None], initial=0.0))
-        if kernel_weight > KERNEL_WEIGHT_TOL:
-            raise ValueError(
-                "derivative has weight "
-                f"{kernel_weight:.3e} connecting the kernel of the state to itself; "
-                "the family leaves its support"
-            )
-        s[kernel] = np.inf  # weight 2 / inf = 0: the pair leaves the SLD
-        support_dims = tuple((2.0 * w >= SUPPORT_CUTOFF).sum(axis=-1).tolist())
-    else:
-        support_dims = w.shape[-1:] * len(w)
-    lt = dr * (2.0 / s)[:, None]
-    f = _check_qfim(np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real)
-    return QfimStack(f, support_dims, v, lt)
+    # derivatives so large that F overflows warn: where that warning is an
+    # error the pass is taken again with it off, and _check_qfim names the inf
+    try:
+        dr = v.conj().swapaxes(-1, -2)[:, None] @ stacks[:, 1:] @ v[:, None]
+        s = w[:, :, None] + w[:, None, :]
+        # a level is in the support when the SLD keeps its own pair, 2 lambda >=
+        # cutoff; the smallest pair sum is 2 min(w), so below the cutoff some
+        # state has a kernel, and otherwise every level of every state counts
+        if 2.0 * np.minimum.reduce(w[:, 0]) < SUPPORT_CUTOFF:
+            kernel = s < SUPPORT_CUTOFF
+            kernel_weight = float(np.abs(dr).max(where=kernel[:, None], initial=0.0))
+            if kernel_weight > KERNEL_WEIGHT_TOL:
+                raise ValueError(
+                    "derivative has weight "
+                    f"{kernel_weight:.3e} connecting the kernel of the state to itself; "
+                    "the family leaves its support"
+                )
+            s[kernel] = np.inf  # weight 2 / inf = 0: the pair leaves the SLD
+            support_dims = tuple((2.0 * w >= SUPPORT_CUTOFF).sum(axis=-1).tolist())
+        else:
+            support_dims = w.shape[-1:] * len(w)
+        lt = dr * (2.0 / s)[:, None]
+        f = np.einsum("ka,kiab,kjab->kij", w, lt, lt.conj()).real
+    except RuntimeWarning:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return qfim_stack(stacks)
+    return QfimStack(_check_qfim(f), support_dims, v, lt)
 
 
 def thermal_fim(baths: list[BathSpec] | tuple[BathSpec, ...]) -> np.ndarray:

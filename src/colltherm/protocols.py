@@ -102,6 +102,7 @@ import math
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -674,26 +675,33 @@ def evaluate(config: ProtocolConfig, scenario: str | None = None, *,
 # sweeps
 # ---------------------------------------------------------------------------
 
+def _with(config: ProtocolConfig, **changes) -> ProtocolConfig:
+    """``replace(config, **changes)`` by the constructor's keywords, without
+    ``replace``'s walk over the fields; ``__post_init__`` checks alike."""
+    return ProtocolConfig(**{**vars(config), **changes})
+
+
 def _set_angle(config: ProtocolConfig, stage: int, value: float) -> ProtocolConfig:
     angles = list(config.collision_angles)
     angles[stage] = value * math.pi
-    return replace(config, collision_angles=tuple(angles))
+    return _with(config, collision_angles=tuple(angles))
 
 
 def _set_theta(config: ProtocolConfig, value: float) -> ProtocolConfig:
-    return replace(config, rotation=replace(config.rotation, theta=value * math.pi))
+    return _with(config, rotation=RotationSpec(theta=value * math.pi, axis=config.rotation.axis))
 
 
 def _set_gamma_t(config: ProtocolConfig, value: float) -> ProtocolConfig:
-    baths = tuple(replace(b, therm_time=value) for b in config.baths)
-    return replace(config, baths=baths)
+    baths = tuple(BathSpec(temperature=b.temperature, omega=b.omega, therm_time=value)
+                  for b in config.baths)
+    return _with(config, baths=baths)
 
 
 def _set_n_ancillas(config: ProtocolConfig, value: float) -> ProtocolConfig:
     n = int(round(value))
     if abs(value - n) > 1e-9:
         raise ValueError(f"n_ancillas axis needs whole numbers, got {value}")
-    return replace(config, n_ancillas=n)
+    return _with(config, n_ancillas=n)
 
 
 _ANGLE_AXES = {"g_t1_over_pi": 0, "g_t2_over_pi": 1, "g_t3_over_pi": 2}
@@ -727,7 +735,13 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """One swept axis over a fixed base configuration."""
+    """One swept axis over a fixed base configuration.
+
+    The grid places its values once, on first use, and keeps each value's
+    config, or the error placing it raised, for its own life: a config
+    file's checks and its sweep read the same configs.  :meth:`at` places
+    any value afresh.
+    """
 
     axis_name: str
     values: tuple[float, ...]
@@ -752,6 +766,25 @@ class SweepGrid:
 
     def at(self, value: float) -> ProtocolConfig:
         return SWEEP_AXES[self.axis_name](self.fixed, value)
+
+    @cached_property
+    def _placed(self) -> tuple:
+        """Each value's config, or the ``ValueError`` placing it raised, in
+        grid order; a frozen dataclass without slots keeps it in ``__dict__``."""
+        placed = []
+        for value in self.values:
+            try:
+                placed.append(self.at(value))
+            except ValueError as exc:  # raised again at every read
+                placed.append(exc)
+        return tuple(placed)
+
+    def _config(self, i: int) -> ProtocolConfig:
+        """The config of ``values[i]``, or the error placing it raised."""
+        placed = self._placed[i]
+        if isinstance(placed, ValueError):
+            raise placed
+        return placed
 
 
 MERIT_COLUMNS = ("eta_joint", "eta_acc", "det_qfim", "trace_qfim", "singular", "error")
@@ -779,8 +812,9 @@ def point(config: ProtocolConfig) -> tuple[dict, EstimationReport | None]:
 def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
     """Evaluate every grid value, in grid order: one (row, report) pair per
     value, the row being :func:`point`'s with the value in ``axis_value``.
-    A point that fails, or that the grid cannot place, records its error
-    in-row, has report None, and the sweep continues.
+    Each point's config is the one the grid placed and keeps.  A point
+    that fails, or that the grid cannot place, records its error in-row,
+    has report None, and the sweep continues.
 
     What the sweep's fixed config decides for every point it builds once,
     on ``grid.fixed``: along any axis but ``gamma_t``, which moves the
@@ -798,7 +832,7 @@ def sweep(grid: SweepGrid) -> list[tuple[dict, EstimationReport | None]]:
         if stage and not fixed.correlated:
             shared["prefix"] = stage, _stream_tangents(fixed, stop=stage, baths=shared.get("baths"))
     points = []
-    for value in grid.values:
-        row, rep = _merits(lambda: evaluate(grid.at(value), _prefix=shared))
+    for i, value in enumerate(grid.values):
+        row, rep = _merits(lambda: evaluate(grid._config(i), _prefix=shared))
         points.append(({"axis_value": value, **row}, rep))
     return points

@@ -15,6 +15,7 @@ operators and as the Taylor-series exponential of the GKSL generator in
 ``tests/oracles.py``.  The routes share no code.
 """
 
+import math
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from colltherm.channels import (
     _ROTATION_TABLES,
     BathSpec,
     RotationSpec,
+    _as_float,
     _gad_pairs,
     _gibbs,
     _rotation_stack,
@@ -146,13 +148,36 @@ def test_spec_fields_must_be_real_numbers(field, build, value):
         build(value)
 
 
-@pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2)], ids=["int", "f32", "i64"])
+@pytest.mark.parametrize("value", [2, np.float32(2.0), np.float64(2.0), np.int64(2)],
+                         ids=["int", "f32", "f64", "i64"])
 @pytest.mark.parametrize("field, build", _SPEC_FIELDS)
 def test_spec_fields_are_stored_as_floats(field, build, value):
     """Any real number is stored as a Python float of the same value, so
     the maps built from a spec depend on the value alone."""
     stored = getattr(build(value), field)
     assert type(stored) is float and stored == 2.0
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a real number, got True"),
+    ("1.0", "must be a real number, got '1.0'"),
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (np.float64(-np.inf), "must be finite, got -inf"),
+], ids=["bool", "str", "nan", "inf", "f64-inf"])
+def test_as_float_refuses_by_name(value, message):
+    """The exact-float fast path lets no bool, string or non-finite value
+    through: each is refused under its field's name, as before it."""
+    with pytest.raises(ValueError, match=f"^x: {re.escape(message)}$"):
+        _as_float("x", value)
+
+
+@pytest.mark.parametrize("value", [2.5, -0.0, np.float64(2.5), 2, np.int64(-3)],
+                         ids=["float", "negative-zero", "f64", "int", "i64"])
+def test_as_float_returns_a_python_float_of_the_same_bits(value):
+    out = _as_float("x", value)
+    assert type(out) is float and out == value
+    assert math.copysign(1.0, out) == math.copysign(1.0, value)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,41 @@ def test_sweep_evaluates_each_grid_point_once(tmp_path, monkeypatch):
     assert optimum["report"] == json.loads(json.dumps(_report_payload(fresh)))
 
 
+def test_a_sweep_call_places_each_grid_value_once(tmp_path, monkeypatch):
+    """``colltherm sweep`` places every grid value once: the config file's
+    checks and the sweep read the same configs."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG + SWEEP_BLOCK)
+    placed, setter = [], protocols.SWEEP_AXES["g_t2_over_pi"]
+
+    def counting(config, value):
+        placed.append(value)
+        return setter(config, value)
+
+    monkeypatch.setitem(protocols.SWEEP_AXES, "g_t2_over_pi", counting)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    assert placed == pytest.approx([0.1 * k for k in range(1, 10)])
+
+
+def test_importing_colltherm_places_no_grid_value(src_env):
+    """The preset grids place their values on first use, not at import."""
+    code = """\
+import sys
+placed = []
+def count(frame, event, arg):
+    if (event == "call" and frame.f_globals.get("__name__") == "colltherm.protocols"
+            and frame.f_code.co_name.startswith("_set_")):
+        placed.append(frame.f_code.co_name)
+sys.setprofile(count)
+import colltherm
+sys.setprofile(None)
+print(len(placed))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "0"
+
+
 def test_sweep_error_rows_exit_code(tmp_path, capsys):
     """A grid point the evaluator cannot compute (a joint register over the
     dimension cap): outputs written, exit 3."""
@@ -557,6 +592,22 @@ def test_rewritten_outputs_keep_their_mode(tmp_path):
     out.chmod(0o640)
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_rewritten_outputs_keep_the_bits_the_umask_clears(tmp_path):
+    """A table and summary at 0o666, rewritten under umask 0o022, keep 0o666:
+    the old file's bits are set on the new one, not masked by the umask."""
+    cfg = write(tmp_path / "cfg.yaml", GOOD_CONFIG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    for name in ("o.csv", "o.json"):
+        (tmp_path / name).chmod(0o666)
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("o.csv", "o.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666, name
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,17 @@ def test_qfim_checks_cover_stacks(action):
                     [[np.inf, np.nan], [np.nan, np.inf]], [[1e308, 1.7e308], [1.7e308, 1e308]]):
             with pytest.raises(ValueError, match="QFIM not finite"):
                 _check_qfim(np.array([good, bad]))
+        # finite derivatives so large that F overflows, once diagonal and once
+        # through the state's rotated eigenbasis, and a state whose trace
+        # overflows: each is named, not left as an overflow warning
+        huge = np.diag([1.7e308, -1.7e308])
+        dense = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        for state, deriv in ((np.diag([0.6, 0.4]), huge), ([[0.5, 0.2], [0.2, 0.5]], dense)):
+            with pytest.raises(ValueError, match="^QFIM not finite$"):
+                qfim_stack(np.array([[state, deriv, deriv]]))
+        with pytest.raises(ValueError, match=re.escape(
+                "state 0 of the stack: trace defect inf > 1e-09")):
+            qfim_stack(np.array([[1.7e308 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]]))
 
 
 def test_each_evaluation_checks_its_qfim_once(monkeypatch):

@@ -1184,6 +1184,16 @@ def test_sweep_axis_setters():
         n_grid.at(2.5)
     with pytest.raises(ValueError, match="stage"):
         SweepGrid("g_t3_over_pi", (0.3,), cfg).at(0.3)
+    # each setter changes its field alone, as dataclasses.replace would
+    base = two_bath_config(n_ancillas=3, rotation=RotationSpec(0.3, "y"), correlated=True)
+    for axis, value, want in (
+        ("g_t1_over_pi", 0.2, replace(base, collision_angles=(0.2 * math.pi, 0.3 * math.pi))),
+        ("theta_over_pi", 0.4, replace(base, rotation=RotationSpec(0.4 * math.pi, "y"))),
+        ("gamma_t", 1.5, replace(base, baths=tuple(replace(b, therm_time=1.5)
+                                                   for b in base.baths))),
+        ("n_ancillas", 2.0, replace(base, n_ancillas=2)),
+    ):
+        assert SweepGrid(axis, (value,), base).at(value) == want, axis
 
 
 def test_sweep_rows_and_error_capture():
@@ -1195,7 +1205,13 @@ def test_sweep_rows_and_error_capture():
     points = sweep(grid)
     assert len(points) == 3
     (bad, bad_rep), *good = points
-    assert bad["error"] is not None and "ValueError" in bad["error"]
+    assert bad["error"] == "ValueError: collision_angles[1]: must be >= 0, got -0.6283185307179586"
+    # the grid keeps what placing raised: a second sweep records it alike,
+    # and so does an n_ancillas grid for a value that is not whole
+    assert [row["error"] for row, _ in sweep(grid)] == [bad["error"], None, None]
+    n_rows = [row for row, _ in sweep(SweepGrid("n_ancillas", (1.0, 2.5, 3.0), cfg))]
+    assert [row["error"] for row in n_rows] == [
+        None, "ValueError: n_ancillas axis needs whole numbers, got 2.5", None]
     assert math.isnan(bad["eta_joint"])
     assert bad_rep is None
     for row, rep in good:
